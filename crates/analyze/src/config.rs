@@ -136,10 +136,14 @@ impl Default for Config {
                 "fit",
                 "evaluate",
                 "gemm_blocked",
+                "gemm_in_place",
+                "over_row_blocks",
                 "gemm_run",
                 "gemm_dispatch",
                 "batched_run",
                 "tile_body",
+                "tile_in_place",
+                "pack_into",
                 "spmm_into",
                 "spmm_into_on",
                 "spmm_rows_into",
@@ -215,10 +219,13 @@ impl Default for Config {
             // are the supported granularity.
             span_forbidden_exact: s(&[
                 "gemm_blocked",
+                "gemm_in_place",
+                "over_row_blocks",
                 "gemm_run",
                 "gemm_dispatch",
                 "batched_run",
                 "tile_body",
+                "tile_in_place",
                 "spmm_rows_into",
                 "spmm_row",
                 "spmm_row_untiled",

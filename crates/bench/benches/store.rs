@@ -21,6 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ppgnn_bench::exp::{pp_config, ACC_EPOCHS};
@@ -88,6 +89,9 @@ fn best_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
 fn quantized(prep: &PrepropOutput, dtype: StoreDtype) -> PrepropOutput {
     let mut out = prep.clone();
     for hop in &mut out.train.hops {
+        // `out` shares its hop matrices with `prep`; this copies each on
+        // first write.
+        let hop = Arc::make_mut(hop);
         let (rows, cols) = hop.shape();
         let mut enc = vec![0u8; rows * dtype.encoded_row_bytes(cols)];
         cast::encode_rows(dtype, hop.as_slice(), cols, &mut enc);

@@ -8,11 +8,12 @@
 use ppgnn_bench::exp::{make_sage, make_sampler, measured_mp_workload, paper_pp_workload, server};
 use ppgnn_bench::{prepared, print_markdown_table};
 use ppgnn_core::loader::{Loader, StorageChunkLoader};
+use ppgnn_core::trainer::evaluate;
 use ppgnn_dataio::{AccessPath, FeatureStore};
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_memsim::{mp_epoch, pp_epoch, LoaderGen, MpSystem, Placement};
 use ppgnn_models::{Hoga, MpModel, PpModel, Sign};
-use ppgnn_nn::{metrics, Adam, CrossEntropyLoss, Mode, Optimizer};
+use ppgnn_nn::{Adam, CrossEntropyLoss, Mode, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,8 +63,7 @@ fn main() {
                 panic!("storage loader failed mid-epoch: {err}");
             }
         }
-        let logits = model.forward(&prep.test.hops, Mode::Eval);
-        let acc = metrics::accuracy(&logits, &prep.test.labels);
+        let acc = evaluate(model.as_mut(), &prep.test, 256);
         let io = loader.io_counters();
 
         // paper-scale throughput: GDS chunked reads

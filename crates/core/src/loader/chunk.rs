@@ -4,7 +4,7 @@ use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::loader::{chunk_permutation, Loader, LoaderCounters, PpBatch};
+use crate::loader::{chunk_permutation, read_mask, Loader, LoaderCounters, PpBatch};
 use crate::preprocess::PrepropFeatures;
 
 /// Generation 3: chunk reshuffling — SGD-CR (Section 4.2).
@@ -27,6 +27,9 @@ pub struct ChunkReshuffleLoader {
     rng: StdRng,
     order: Vec<usize>,
     cursor: usize,
+    /// `read[r]`: copy hop `r` (all `true` unless
+    /// [`ChunkReshuffleLoader::reading`] narrowed it).
+    read: Vec<bool>,
     counters: LoaderCounters,
 }
 
@@ -45,6 +48,7 @@ impl ChunkReshuffleLoader {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(chunk_size > 0, "chunk size must be positive");
         assert!(!data.is_empty(), "cannot iterate an empty partition");
+        let read = vec![true; data.hops.len()];
         ChunkReshuffleLoader {
             data,
             batch_size,
@@ -52,8 +56,22 @@ impl ChunkReshuffleLoader {
             rng: StdRng::seed_from_u64(seed),
             order: Vec::new(),
             cursor: 0,
+            read,
             counters: LoaderCounters::default(),
         }
+    }
+
+    /// Tells the loader which hops its consumer reads
+    /// (`PpModel::hops_read`): only those are copied and counted, the rest
+    /// are delivered as `0 x 0` matrices at their usual index. Batch
+    /// order, `indices` and `labels` are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed hop is out of range for the partition.
+    pub fn reading(mut self, hops: &[usize]) -> Self {
+        self.read = read_mask(self.data.hops.len(), hops);
+        self
     }
 
     /// The configured chunk size.
@@ -81,7 +99,11 @@ impl Loader for ChunkReshuffleLoader {
         // per run per hop, the chunk-transfer pattern.
         let runs = contiguous_runs(&indices);
         let mut hops = Vec::with_capacity(self.data.hops.len());
-        for src in &self.data.hops {
+        for (src, &read) in self.data.hops.iter().zip(&self.read) {
+            if !read {
+                hops.push(Matrix::default());
+                continue;
+            }
             let mut out = Matrix::zeros(indices.len(), f);
             let mut dst_row = 0;
             for &(start, len) in &runs {

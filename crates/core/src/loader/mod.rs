@@ -18,6 +18,24 @@
 //! Generations compose: [`DoubleBufferLoader::over_source`] runs any
 //! [`BatchSource`] (the storage-backed chunk loaders implement it) behind
 //! the gen-2 producer thread, so chunk I/O overlaps training compute.
+//!
+//! # Hop selection
+//!
+//! Every constructor delivers every hop. The two in-memory generations a
+//! trainer runs on its critical path can additionally be told what their
+//! consumer reads — the paper's remedy is to move fewer bytes per batch,
+//! and the cheapest byte is the one the model never looks at:
+//!
+//! | Loader | Hops moved | Told by |
+//! |---|---|---|
+//! | [`DoubleBufferLoader::new`], [`ChunkReshuffleLoader::new`] | all `R + 1` | — |
+//! | `….reading(&model.hops_read())` | the listed hops; the rest arrive `0 × 0` at their index | `Trainer::fit` |
+//! | [`BaselineLoader`], [`FusedGatherLoader`] | all `R + 1` (reference generations) | — |
+//! | storage loaders, [`DoubleBufferLoader::over_source`] | all `R + 1` (no workload trains a hop-selective model from a store) | — |
+//!
+//! Selection never changes batch order, `indices` or `labels` for a seed,
+//! `PpBatch::hops.len()` stays `R + 1`, and [`LoaderCounters`] count only
+//! what was gathered.
 
 mod baseline;
 mod chunk;
@@ -45,7 +63,9 @@ use rand::Rng;
 pub struct PpBatch {
     /// Row indices (into the training partition) this batch covers.
     pub indices: Vec<usize>,
-    /// `R + 1` hop matrices, `indices.len() x F` each.
+    /// `R + 1` hop matrices, `indices.len() x F` each — except hops a
+    /// hop-selective loader was told its consumer does not read, which
+    /// are `0 x 0` at their usual index.
     pub hops: Vec<Matrix>,
     /// Labels aligned with rows.
     pub labels: Vec<u32>,
@@ -71,7 +91,7 @@ pub struct LoaderCounters {
     /// Gather/copy operations issued (per-row for the baseline, per-hop
     /// for fused generations, per-chunk for chunked generations).
     pub gather_ops: u64,
-    /// Feature bytes assembled.
+    /// Feature bytes assembled (gathered hops only).
     pub bytes_assembled: u64,
     /// Batches yielded.
     pub batches: u64,
@@ -222,6 +242,21 @@ impl ChunkBatcher {
     }
 }
 
+/// Per-hop gather mask of a hop-selective loader: `mask[r]` is `true`
+/// when hop `r` is in `hops`.
+///
+/// # Panics
+///
+/// Panics if a listed hop is not below `num_hops`.
+pub(crate) fn read_mask(num_hops: usize, hops: &[usize]) -> Vec<bool> {
+    let mut mask = vec![false; num_hops];
+    for &r in hops {
+        assert!(r < num_hops, "hop {r} out of range (0..{num_hops})");
+        mask[r] = true;
+    }
+    mask
+}
+
 /// Fisher–Yates permutation of `0..n` — shared by every loader so equal
 /// seeds give equal batch streams (SGD-RR order).
 pub(crate) fn permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
@@ -253,6 +288,8 @@ pub(crate) fn chunk_permutation(n: usize, chunk_size: usize, rng: &mut StdRng) -
 /// Shared fixtures for loader unit tests.
 #[cfg(test)]
 pub(crate) mod tests_support {
+    use std::sync::Arc;
+
     use ppgnn_tensor::Matrix;
 
     use crate::preprocess::PrepropFeatures;
@@ -262,7 +299,11 @@ pub(crate) mod tests_support {
     pub(crate) fn tiny_features(n: usize, hops: usize, f: usize) -> PrepropFeatures {
         PrepropFeatures {
             hops: (0..=hops)
-                .map(|k| Matrix::from_fn(n, f, move |r, c| (k * 1_000_000 + r * 1_000 + c) as f32))
+                .map(|k| {
+                    Arc::new(Matrix::from_fn(n, f, move |r, c| {
+                        (k * 1_000_000 + r * 1_000 + c) as f32
+                    }))
+                })
                 .collect(),
             labels: (0..n).map(|r| (r % 5) as u32).collect(),
             node_ids: (0..n).collect(),

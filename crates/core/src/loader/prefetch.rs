@@ -7,7 +7,7 @@ use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::loader::{permutation, BatchSource, Loader, LoaderCounters, PpBatch};
+use crate::loader::{permutation, read_mask, BatchSource, Loader, LoaderCounters, PpBatch};
 use crate::preprocess::PrepropFeatures;
 
 /// Generation 2: double-buffer prefetching (second half of Section 4.1).
@@ -61,6 +61,9 @@ enum ProducerKind {
         data: Arc<PrepropFeatures>,
         batch_size: usize,
         rng: StdRng,
+        /// `read[r]`: gather hop `r` (all `true` unless
+        /// [`DoubleBufferLoader::reading`] narrowed it).
+        read: Vec<bool>,
     },
     /// A fallible batch source driven on the producer thread. `None`
     /// while an epoch is running (the source is owned by the thread) or
@@ -90,11 +93,29 @@ impl DoubleBufferLoader {
     pub fn new(data: Arc<PrepropFeatures>, batch_size: usize, seed: u64) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(!data.is_empty(), "cannot iterate an empty partition");
+        let read = vec![true; data.hops.len()];
         Self::with_producer(ProducerKind::Memory {
             data,
             batch_size,
             rng: StdRng::seed_from_u64(seed),
+            read,
         })
+    }
+
+    /// Tells the in-memory producer which hops its consumer reads
+    /// (`PpModel::hops_read`): only those are gathered and counted, the
+    /// rest are delivered as `0 x 0` matrices at their usual index. Batch
+    /// order, `indices` and `labels` are unaffected. A loader built with
+    /// [`DoubleBufferLoader::over_source`] keeps delivering every hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed hop is out of range for the partition.
+    pub fn reading(mut self, hops: &[usize]) -> Self {
+        if let ProducerKind::Memory { data, read, .. } = &mut self.producer {
+            *read = read_mask(data.hops.len(), hops);
+        }
+        self
     }
 
     /// Creates a double-buffered loader that runs `source` behind the
@@ -210,10 +231,12 @@ impl Loader for DoubleBufferLoader {
                 data,
                 batch_size,
                 rng,
+                read,
             } => {
                 let order = permutation(data.len(), rng);
                 let data = Arc::clone(data);
                 let batch_size = *batch_size;
+                let read = read.clone();
                 std::thread::spawn(move || {
                     let mut counters = LoaderCounters::default();
                     let f = data.hops[0].cols();
@@ -223,7 +246,11 @@ impl Loader for DoubleBufferLoader {
                         let indices = order[cursor..end].to_vec();
                         cursor = end;
                         let mut hops = Vec::with_capacity(data.hops.len());
-                        for src in &data.hops {
+                        for (src, &read) in data.hops.iter().zip(&read) {
+                            if !read {
+                                hops.push(Matrix::default());
+                                continue;
+                            }
                             let mut stage = Matrix::zeros(indices.len(), f);
                             src.gather_rows_into(&indices, &mut stage);
                             counters.gather_ops += 1;

@@ -14,6 +14,7 @@
 
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 use ppgnn_dataio::{commit, DataIoError, FeatureStore, FeatureStoreWriter, StoreMeta};
 use ppgnn_tensor::{io as tio, Matrix};
@@ -228,7 +229,7 @@ fn load_partition(dir: &Path, part: &str) -> Result<PrepropFeatures, DataIoError
     let num_hops = store.meta().num_hops;
     let mut hops = Vec::with_capacity(num_hops);
     for k in 0..num_hops {
-        hops.push(store.read_full_hop(k)?);
+        hops.push(Arc::new(store.read_full_hop(k)?));
     }
     let labels = read_sidecar(&sub.join("labels.ppgt"))?;
     let nodes = read_sidecar(&sub.join("nodes.ppgt"))?;

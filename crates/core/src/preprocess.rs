@@ -20,6 +20,7 @@
 //! bit-identical features, byte-identical per-row store contents (pinned
 //! by `tests/partition_equivalence.rs`).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ppgnn_dataio::{
@@ -39,10 +40,14 @@ static PREP_HOP_NS: ppgnn_telemetry::Histogram =
 /// Hop features plus labels for one node partition (train/val/test).
 ///
 /// Row `i` of every hop matrix corresponds to `node_ids[i]`.
+///
+/// The hop matrices are shared, not owned: `clone()` bumps `R + 1`
+/// reference counts, so a loader (or a second trainer) holding the same
+/// partition costs no second copy of the features.
 #[derive(Debug, Clone)]
 pub struct PrepropFeatures {
     /// `R + 1` matrices of shape `len(node_ids) x F` (hop 0 = raw features).
-    pub hops: Vec<Matrix>,
+    pub hops: Vec<Arc<Matrix>>,
     /// Labels aligned with rows.
     pub labels: Vec<u32>,
     /// Global node ids aligned with rows.
@@ -73,6 +78,11 @@ impl PrepropFeatures {
             (self.hops.len() * self.hops[0].cols() * 4) as u64
         }
     }
+}
+
+/// Wraps finished hop matrices for sharing ([`PrepropFeatures::hops`]).
+fn share(hops: Vec<Matrix>) -> Vec<Arc<Matrix>> {
+    hops.into_iter().map(Arc::new).collect()
 }
 
 /// Observability payload of one preprocessing run: the per-hop stage
@@ -569,7 +579,7 @@ impl Preprocessor {
         let mut parts = hops_by_part.into_iter();
         let mut extract = |ids: &[usize]| -> PrepropFeatures {
             PrepropFeatures {
-                hops: parts.next().expect("three partitions"),
+                hops: share(parts.next().expect("three partitions")),
                 labels: data.labels_of(ids),
                 node_ids: ids.to_vec(),
             }
@@ -816,7 +826,7 @@ impl Preprocessor {
         let mut parts = hops_by_part.into_iter();
         let mut extract = |ids: &[usize]| -> PrepropFeatures {
             PrepropFeatures {
-                hops: parts.next().expect("three partitions"),
+                hops: share(parts.next().expect("three partitions")),
                 labels: data.labels_of(ids),
                 node_ids: ids.to_vec(),
             }

@@ -239,15 +239,22 @@ impl Trainer {
         &self.config
     }
 
-    fn make_loader(&self, data: Arc<PrepropFeatures>) -> Box<dyn Loader> {
+    /// Builds the configured loader over `train`, sharing its hop matrices
+    /// (`R + 1` refcount bumps, no feature copy). The two generations that
+    /// run on a training critical path gather only `hops_read`; Baseline
+    /// and Fused stay deliver-everything reference generations.
+    fn make_loader(&self, train: &PrepropFeatures, hops_read: &[usize]) -> Box<dyn Loader> {
+        let data = Arc::new(train.clone());
         let b = self.config.batch_size;
         let s = self.config.seed;
         match self.config.loader {
             LoaderKind::Baseline => Box::new(BaselineLoader::new(data, b, s)),
             LoaderKind::Fused => Box::new(FusedGatherLoader::new(data, b, s)),
-            LoaderKind::DoubleBuffer => Box::new(DoubleBufferLoader::new(data, b, s)),
+            LoaderKind::DoubleBuffer => {
+                Box::new(DoubleBufferLoader::new(data, b, s).reading(hops_read))
+            }
             LoaderKind::Chunk { chunk_size } => {
-                Box::new(ChunkReshuffleLoader::new(data, b, chunk_size, s))
+                Box::new(ChunkReshuffleLoader::new(data, b, chunk_size, s).reading(hops_read))
             }
         }
     }
@@ -282,9 +289,7 @@ impl Trainer {
         }
         let mut loader = {
             let _setup_span = ppgnn_telemetry::span("loader_setup");
-            // ppgnn-analyze: allow(hot_path_alloc) -- one-time setup: the
-            // loader owns an Arc'd copy of the train partition for the run.
-            self.make_loader(Arc::new(data.train.clone()))
+            self.make_loader(&data.train, &model.hops_read())
         };
         let mut opt = self.make_optimizer();
         let loss_fn = CrossEntropyLoss;
@@ -374,7 +379,9 @@ impl Trainer {
 
 /// Batched full-partition evaluation (Mode::Eval), returning accuracy.
 ///
-/// Hop-slice buffers are resized in place and refilled via
+/// Only the hops the model declares it reads ([`PpModel::hops_read`]) are
+/// sliced; the others reach `forward_into` as empty matrices. Hop-slice
+/// buffers are resized in place and refilled via
 /// [`Matrix::slice_rows_into`], and logits land in a reusable slot via
 /// [`PpModel::forward_into`] — steady-state batches of the sweep run
 /// without fresh heap allocations. Empty partitions evaluate to `0.0`.
@@ -386,6 +393,7 @@ pub fn evaluate(model: &mut dyn PpModel, data: &PrepropFeatures, batch_size: usi
     let n = data.len();
     let mut hits = 0usize;
     let mut start = 0;
+    let hops_read = model.hops_read();
     let mut hop_slices: Vec<Matrix> = data.hops.iter().map(|_| Matrix::default()).collect();
     let mut logits = Matrix::default();
     while start < n {
@@ -394,7 +402,8 @@ pub fn evaluate(model: &mut dyn PpModel, data: &PrepropFeatures, batch_size: usi
         let batch_t0 = ppgnn_telemetry::enabled().then(Instant::now);
         let end = (start + batch_size).min(n);
         let rows = end - start;
-        for (hop, slice) in data.hops.iter().zip(&mut hop_slices) {
+        for &r in &hops_read {
+            let (hop, slice) = (&data.hops[r], &mut hop_slices[r]);
             slice.resize_to(rows, hop.cols());
             hop.slice_rows_into(start, end, slice);
         }
@@ -631,6 +640,38 @@ mod tests {
     }
 
     #[test]
+    fn hop_selective_fit_matches_deliver_everything_loaders_bitwise() {
+        // `fit` tells the DoubleBuffer and Chunk loaders what the model
+        // reads; Baseline and Fused deliver every hop. SGC reads one hop
+        // of three, so the runs move different bytes — and must train the
+        // same model: equal seeds give equal batch streams (chunk size 1
+        // is row-random), so every loss and accuracy agrees to the bit.
+        let (data, out) = prep(0.03);
+        let run = |kind: LoaderKind| {
+            let mut rng = StdRng::seed_from_u64(8);
+            let mut model = Sgc::new(2, data.profile.feature_dim, 2, &mut rng);
+            let mut trainer = Trainer::new(TrainConfig {
+                epochs: 4,
+                batch_size: 48,
+                lr: 0.01,
+                loader: kind,
+                ..TrainConfig::default()
+            });
+            let report = trainer.fit(&mut model, &out).unwrap();
+            let curve: Vec<(u64, u64)> = report
+                .history
+                .iter()
+                .map(|e| (e.train_loss.to_bits(), e.val_acc.to_bits()))
+                .collect();
+            (curve, report.test_acc.to_bits(), report.convergence_point)
+        };
+        let everything = run(LoaderKind::Fused);
+        assert_eq!(run(LoaderKind::Baseline), everything);
+        assert_eq!(run(LoaderKind::DoubleBuffer), everything);
+        assert_eq!(run(LoaderKind::Chunk { chunk_size: 1 }), everything);
+    }
+
+    #[test]
     fn phase_timers_are_populated() {
         let (data, out) = prep(0.02);
         let mut rng = StdRng::seed_from_u64(3);
@@ -665,7 +706,12 @@ mod tests {
         let (_, mut out) = prep(0.02);
         out.train.labels.clear();
         out.train.node_ids.clear();
-        out.train.hops = out.train.hops.iter().map(|h| h.slice_rows(0, 0)).collect();
+        out.train.hops = out
+            .train
+            .hops
+            .iter()
+            .map(|h| Arc::new(h.slice_rows(0, 0)))
+            .collect();
         let mut rng = StdRng::seed_from_u64(4);
         let mut model = Sgc::new(2, 65, 2, &mut rng);
         let mut trainer = Trainer::new(TrainConfig::default());

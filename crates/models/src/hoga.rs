@@ -287,7 +287,7 @@ impl PpModel for Hoga {
             }
         }
         for (embed, g) in self.embeds.iter_mut().zip(&per_hop_grads) {
-            embed.backward(g); // input grads discarded
+            embed.backward_params(g); // the input is data: no ∂X
         }
         self.cache_scratch = Some(HogaCache {
             batch: b,

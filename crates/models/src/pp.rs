@@ -4,18 +4,25 @@ use ppgnn_tensor::Matrix;
 /// A pre-propagation GNN: a dense model over `R + 1` hop-feature matrices.
 ///
 /// The training loop hands every model the same batch shape — a slice of
-/// `num_hops() + 1` matrices, each `batch x feature_dim`, where entry `r`
-/// holds `B^r X` rows for the batch nodes — and receives class logits.
-/// Models that ignore some hops (SGC) still receive the full set so loaders
-/// stay model-agnostic, mirroring the paper's system design where the data
-/// pipeline is shared across SGC/SIGN/HOGA.
+/// `num_hops() + 1` matrices, where entry `r` holds `B^r X` rows for the
+/// batch nodes (`batch x feature_dim`) — and receives class logits.
+///
+/// **The `hops_read` contract.** A model declares the hops its forward
+/// reads through [`PpModel::hops_read`]. A producer that was told what the
+/// consumer reads (the loaders `Trainer::fit` builds, `evaluate`) moves
+/// only those: entry `r` of the slice keeps its index, but **may arrive
+/// as an empty `0 x 0` matrix** when `r` is not in `hops_read()`. A model
+/// must therefore validate the slice length and the hops it declared —
+/// never the ones it did not. Producers that were told nothing (a loader
+/// built directly, the storage loaders) deliver every hop, which satisfies
+/// every model; the pipeline stays shared across SGC/SIGN/HOGA either way.
 pub trait PpModel {
     /// Computes logits `batch x num_classes` from hop features.
     ///
     /// # Panics
     ///
-    /// Panics if `hops.len() != num_hops() + 1` or the matrices disagree on
-    /// row counts / feature dims.
+    /// Panics if `hops.len() != num_hops() + 1` or the matrices this model
+    /// reads disagree on row counts / feature dims.
     fn forward(&mut self, hops: &[Matrix], mode: Mode) -> Matrix;
 
     /// Computes logits into a reusable slot (resized to the output shape
@@ -30,8 +37,8 @@ pub trait PpModel {
     }
 
     /// Back-propagates the loss gradient; accumulates parameter gradients.
-    /// (Input gradients are discarded — hop features are data, not
-    /// parameters.)
+    /// (Input gradients are never formed — hop features are data, not
+    /// parameters; the input layers run `Linear::backward_params`.)
     fn backward(&mut self, grad_out: &Matrix);
 
     /// Parameters in a stable order.
@@ -47,11 +54,29 @@ pub trait PpModel {
     /// Number of propagation hops `R` (the model consumes `R + 1` inputs).
     fn num_hops(&self) -> usize;
 
+    /// The hop indices `forward` reads, ascending and within `0..=R`.
+    /// Everything else in the input slice is ignored and may arrive empty
+    /// (see the trait docs). Defaults to every hop; SGC reads only hop `R`
+    /// (Eq. 3's `δ_ir`).
+    fn hops_read(&self) -> Vec<usize> {
+        (0..=self.num_hops()).collect()
+    }
+
     /// Stable display name.
     fn name(&self) -> &'static str;
 
-    /// Estimated forward+backward FLOPs for a single example (drives the
-    /// compute-time model in `ppgnn-memsim`).
+    /// Nominal forward+backward FLOPs for a single example: the
+    /// simulator's three-GEMM estimate per layer (`Y = XW`, `∂W = Xᵀ∂Y`,
+    /// `∂X = ∂YWᵀ`), consumed by `ppgnn_core::bridge` and `ppgnn-memsim`
+    /// as a hardware-independent workload descriptor.
+    ///
+    /// It is **not** a count of executed work: the input layers run a
+    /// parameter-only backward (no `∂X` — hop features are data), so this
+    /// exceeds what the kernels execute by `2·F·out` per input layer. For
+    /// SGC, whose only layer is an input layer, that is 1.5× — a rate
+    /// derived from this value (the benchmark's `models.gflops_achieved`)
+    /// overstates SGC by the same factor. Executed multiply-adds are the
+    /// `gemm.madds` telemetry counter.
     fn flops_per_example(&self) -> u64;
 
     /// Total scalar parameter count.
@@ -84,14 +109,19 @@ pub fn hops_to_tokens(hops: &[Matrix]) -> Matrix {
     out
 }
 
-/// Checks the standard input contract shared by all PP models.
-pub(crate) fn validate_hops(hops: &[Matrix], expected: usize) -> (usize, usize) {
+/// Checks the slice length every PP model requires, read or not.
+pub(crate) fn validate_hop_count(hops: &[Matrix], expected: usize) {
     assert_eq!(
         hops.len(),
         expected,
         "model expects {expected} hop matrices, got {}",
         hops.len()
     );
+}
+
+/// Checks the input contract of a model that reads every hop.
+pub(crate) fn validate_hops(hops: &[Matrix], expected: usize) -> (usize, usize) {
+    validate_hop_count(hops, expected);
     let (b, f) = hops[0].shape();
     for (r, h) in hops.iter().enumerate() {
         assert_eq!(h.shape(), (b, f), "hop {r} shape mismatch");

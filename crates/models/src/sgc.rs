@@ -2,7 +2,7 @@ use ppgnn_nn::{Linear, Mode, Module, Param};
 use ppgnn_tensor::Matrix;
 use rand::Rng;
 
-use crate::pp::{validate_hops, PpModel};
+use crate::pp::{validate_hop_count, PpModel};
 
 /// Simplified Graph Convolution (Wu et al. 2019).
 ///
@@ -49,19 +49,31 @@ impl Sgc {
     }
 }
 
+impl Sgc {
+    /// The one hop SGC reads, after checking the slice length. Unread hops
+    /// may arrive empty (the `hops_read` contract), so only hop `R` is
+    /// looked at; `Linear` checks its feature width.
+    fn deepest_hop<'a>(&self, hops: &'a [Matrix]) -> &'a Matrix {
+        validate_hop_count(hops, self.hops + 1);
+        &hops[self.hops]
+    }
+}
+
 impl PpModel for Sgc {
     fn forward(&mut self, hops: &[Matrix], mode: Mode) -> Matrix {
-        validate_hops(hops, self.hops + 1);
-        self.classifier.forward(&hops[self.hops], mode)
+        let x = self.deepest_hop(hops);
+        self.classifier.forward(x, mode)
     }
 
     fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
-        validate_hops(hops, self.hops + 1);
-        self.classifier.forward_into(&hops[self.hops], mode, out);
+        let x = self.deepest_hop(hops);
+        self.classifier.forward_into(x, mode, out);
     }
 
     fn backward(&mut self, grad_out: &Matrix) {
-        self.classifier.backward(grad_out);
+        // The classifier's input is hop features — data, not an
+        // activation — so nothing consumes ∂X.
+        self.classifier.backward_params(grad_out);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -70,6 +82,10 @@ impl PpModel for Sgc {
 
     fn num_hops(&self) -> usize {
         self.hops
+    }
+
+    fn hops_read(&self) -> Vec<usize> {
+        vec![self.hops]
     }
 
     fn name(&self) -> &'static str {
@@ -109,6 +125,22 @@ mod tests {
         hops[2].scale(2.0); // perturb the used hop
         let y3 = m.forward(&hops, Mode::Eval);
         assert!(y1.max_abs_diff(&y3) > 1e-3);
+    }
+
+    #[test]
+    fn reads_hop_r_and_accepts_empty_unread_hops() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut m = Sgc::new(2, 4, 3, &mut rng);
+        assert_eq!(m.hops_read(), vec![2]);
+        let hops = hop_stack(5, 4, 2, 8);
+        let full = m.forward(&hops, Mode::Eval);
+        // What a hop-selective loader delivers: unread hops empty, in place.
+        let selective = [Matrix::default(), Matrix::default(), hops[2].clone()];
+        assert_eq!(m.forward(&selective, Mode::Eval), full);
+        let mut out = Matrix::default();
+        m.forward_into(&selective, Mode::Train, &mut out);
+        assert_eq!(out, full);
+        m.backward(&Matrix::zeros(5, 3));
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl PpModel for Sign {
             .zip(pieces)
         {
             let g_z = act.backward(&piece);
-            branch.backward(&g_z); // input grads discarded
+            branch.backward_params(&g_z); // the input is data: no ∂X
         }
     }
 
@@ -187,6 +187,7 @@ mod tests {
         // 3 branches (W+b) + 3 PReLU + head: L1 (W+b) + L2 (W+b)
         let expected = 3 * (5 * 8 + 8) + 3 + (3 * 8 * 8 + 8) + (8 * 3 + 3);
         assert_eq!(m.num_params(), expected);
+        assert_eq!(m.hops_read(), vec![0, 1, 2], "SIGN reads every hop");
     }
 
     #[test]

@@ -7,7 +7,11 @@ use crate::{Mode, Module, Param};
 ///
 /// `W` is `in_dim x out_dim` (He-normal initialized), `b` is `1 x out_dim`
 /// (zeros). Backward computes `∂W = xᵀ · ∂y`, `∂b = Σ_rows ∂y`,
-/// `∂x = ∂y · Wᵀ` using the transposed GEMM kernels.
+/// `∂x = ∂y · Wᵀ` using the transposed GEMM kernels. A layer whose input
+/// is data rather than an activation (a PP-GNN's per-hop input layer)
+/// calls [`Linear::backward_params`] instead, which stops after `∂W`/`∂b`
+/// and never forms `∂x` — one GEMM and one `batch x in_dim` allocation
+/// less per step.
 ///
 /// The layer recycles two scratch matrices across batches: the cached
 /// training input (refilled in place when the batch shape repeats) and
@@ -66,6 +70,39 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.weight.value.cols()
     }
+
+    /// Parameter-only backward: accumulates `∂W = xᵀ · ∂y` and
+    /// `∂b = Σ_rows ∂y` exactly as [`Module::backward`] does (which calls
+    /// this first) and stops — no `∂x = ∂y · Wᵀ` product, no
+    /// `batch x in_dim` allocation. For layers whose input gradient has
+    /// no consumer.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding training-mode forward, or if `grad_out`
+    /// is not `batch x out_dim`.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        let x = self
+            .cached_input
+            .take()
+            .expect("Linear::backward called without a training-mode forward");
+        assert_eq!(
+            grad_out.shape(),
+            (x.rows(), self.out_dim()),
+            "grad_out shape mismatch in Linear::backward"
+        );
+        let mut gw = match self.grad_w_scratch.take() {
+            Some(buf) if buf.shape() == self.weight.value.shape() => buf,
+            // ppgnn-analyze: allow(hot_path_alloc) -- cold path: scratch
+            // shape miss on the first batch.
+            _ => Matrix::zeros(self.in_dim(), self.out_dim()),
+        };
+        matmul_tn_into(&x, grad_out, &mut gw);
+        self.weight.grad.add_assign(&gw);
+        self.grad_w_scratch = Some(gw);
+        self.bias.grad.add_assign(&grad_out.sum_rows());
+        self.input_scratch = Some(x);
+    }
 }
 
 impl Module for Linear {
@@ -108,28 +145,8 @@ impl Module for Linear {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
-            .cached_input
-            .take()
-            .expect("Linear::backward called without a training-mode forward");
-        assert_eq!(
-            grad_out.shape(),
-            (x.rows(), self.out_dim()),
-            "grad_out shape mismatch in Linear::backward"
-        );
-        let mut gw = match self.grad_w_scratch.take() {
-            Some(buf) if buf.shape() == self.weight.value.shape() => buf,
-            // ppgnn-analyze: allow(hot_path_alloc) -- cold path: scratch
-            // shape miss on the first batch.
-            _ => Matrix::zeros(self.in_dim(), self.out_dim()),
-        };
-        matmul_tn_into(&x, grad_out, &mut gw);
-        self.weight.grad.add_assign(&gw);
-        self.grad_w_scratch = Some(gw);
-        self.bias.grad.add_assign(&grad_out.sum_rows());
-        let gx = matmul_nt(grad_out, &self.weight.value);
-        self.input_scratch = Some(x);
-        gx
+        self.backward_params(grad_out);
+        matmul_nt(grad_out, &self.weight.value)
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -182,6 +199,45 @@ mod tests {
         let mut doubled = first.clone();
         doubled.scale(2.0);
         assert!(l.params()[0].grad.max_abs_diff(&doubled) < 1e-6);
+    }
+
+    #[test]
+    fn backward_params_accumulates_exactly_what_backward_does() {
+        // Two copies of one layer, one stepped with the full backward and
+        // one with the parameter-only backward: ∂W and ∂b must agree
+        // bitwise — across calls without zeroing (accumulation) and across
+        // a batch-shape change and back (scratch rebuilt, then reused).
+        let mut rng = StdRng::seed_from_u64(7);
+        let w = init::he_normal(6, 4, &mut rng);
+        let b = init::normal(1, 4, 0.0, 0.5, &mut rng);
+        let mut full = Linear::from_parts(w.clone(), b.clone());
+        let mut params_only = Linear::from_parts(w, b);
+        for rows in [5usize, 5, 3, 5] {
+            let x = init::standard_normal(rows, 6, &mut rng);
+            let g = init::standard_normal(rows, 4, &mut rng);
+            full.forward(&x, Mode::Train);
+            params_only.forward(&x, Mode::Train);
+            let gx = full.backward(&g);
+            assert_eq!(gx.shape(), (rows, 6));
+            params_only.backward_params(&g);
+            for (p, q) in full.params().iter().zip(params_only.params()) {
+                let same = (p.grad.as_slice().iter())
+                    .zip(q.grad.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "gradients diverge at batch of {rows} rows");
+            }
+        }
+        // Both hand the cached input back for reuse.
+        assert!(params_only.cached_input.is_none());
+        assert!(params_only.input_scratch.is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "without a training-mode forward")]
+    fn backward_params_without_forward_panics() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut l = Linear::new(2, 2, &mut rng);
+        l.backward_params(&Matrix::zeros(1, 2));
     }
 
     #[test]

@@ -64,6 +64,20 @@
 //! are zero-padded during packing so the micro-kernel never sees a
 //! partial tile (the store-back writes only the valid sub-tile).
 //!
+//! # Thin `n`
+//!
+//! A product whose `n` spans at most two B panels of the widest tile
+//! (`n <= 32`; SGC's classifier has `n = 19`) spends longer transposing
+//! `A` into panels than multiplying it, so the dispatcher picks — from the
+//! call's shape alone, on every backend — a driver body that never packs
+//! `A`: each row tile takes its `MR × KC` block from where it lies
+//! ([`InPlaceA`], [`MicroKernel::tile_in_place`]). The AVX-512 tile reads
+//! the block through its strides and feeds every broadcast to both B
+//! panels of the row; the 8-wide tiles stage it through one L1-resident
+//! panel. Per element the arithmetic is the packed path's, so the two are
+//! **bit-identical** at equal KC (swept per backend in this module's
+//! tests). [`matmul_batched`]'s per-head products keep the packed path.
+//!
 //! Calls parallelize over `MR`-aligned output row blocks on the shared
 //! [`crate::pool`] once the FLOP count crosses the workspace-wide
 //! threshold ([`crate::pool::set_parallel_threshold`]). Row splitting
@@ -380,6 +394,90 @@ pub mod block {
     }
 }
 
+/// An `MR × kcl` block of the `A` operand taken **where it lies** instead
+/// of from the task-wide packed buffer: rows `row0..row0 + ivalid` of the
+/// (logical) `m×k` operand, K slice `kk0..kk0 + kcl`.
+///
+/// Read directly ([`InPlaceA::strides`]) it is the packed-panel layout
+/// with strides `(k, 1)` — or `(1, m)` for the `k×m` operand of the `tn`
+/// variant — in place of `(1, MR)`, so a tile fed from it performs the
+/// same multiply-adds in the same order as one fed from
+/// [`pack_a_rows`]/[`pack_a_cols`] output.
+#[derive(Debug, Clone, Copy)]
+pub struct InPlaceA<'a> {
+    data: &'a [f32],
+    layout: APack,
+    /// Leading dimension of `data`: `k` for [`APack::Rows`], `m` for
+    /// [`APack::Cols`].
+    ld: usize,
+    row0: usize,
+    kk0: usize,
+    /// Depth of the block (K-panel length).
+    kcl: usize,
+    /// Rows of the tile that exist in `A` (and are stored to `C`).
+    ivalid: usize,
+}
+
+impl<'a> InPlaceA<'a> {
+    /// # Panics
+    ///
+    /// Panics unless `1 <= ivalid <= MR`, `kcl >= 1` and the block lies
+    /// inside `data` — the bounds proof a backend's raw reads rely on.
+    fn new(
+        data: &'a [f32],
+        layout: APack,
+        ld: usize,
+        row0: usize,
+        ivalid: usize,
+        kk0: usize,
+        kcl: usize,
+    ) -> Self {
+        assert!((1..=block::MR).contains(&ivalid) && kcl >= 1);
+        let (last_row, last_k) = (row0 + ivalid - 1, kk0 + kcl - 1);
+        let last = match layout {
+            APack::Rows => last_row * ld + last_k,
+            APack::Cols => last_k * ld + last_row,
+        };
+        assert!(last < data.len(), "in-place A block exceeds the operand");
+        InPlaceA {
+            data,
+            layout,
+            ld,
+            row0,
+            kk0,
+            kcl,
+            ivalid,
+        }
+    }
+
+    /// `(rows, ks)`: element `(i, p)` of the block is
+    /// `data[rows[i] + p · ks]`. Rows past `ivalid` repeat the last valid
+    /// row — a tile may compute them but stores nothing for them.
+    fn strides(&self) -> ([usize; block::MR], usize) {
+        let (origin, rs, ks) = match self.layout {
+            APack::Rows => (self.row0 * self.ld + self.kk0, self.ld, 1),
+            APack::Cols => (self.kk0 * self.ld + self.row0, 1, self.ld),
+        };
+        let rows = std::array::from_fn(|i| origin + i.min(self.ivalid - 1) * rs);
+        (rows, ks)
+    }
+
+    /// Packs the block into `stage` as one `MR`-row panel (`kcl · MR`
+    /// values, tail rows zero-padded) — the layout [`MicroKernel::tile`]
+    /// reads.
+    fn pack_into(&self, stage: &mut [f32]) {
+        let (a, ld, mr) = (self.data, self.ld, block::MR);
+        match self.layout {
+            APack::Rows => {
+                pack_a_rows(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage)
+            }
+            APack::Cols => {
+                pack_a_cols(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage)
+            }
+        }
+    }
+}
+
 /// One register-tile instantiation of the packed inner loop.
 ///
 /// Implementations walk `kcl` steps of an `MR`-wide packed `A` panel
@@ -407,6 +505,45 @@ pub trait MicroKernel {
     /// The caller must ensure the running CPU supports `Self::KIND`
     /// ([`KernelKind::is_supported`]).
     unsafe fn tile(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, ivalid: usize, jvalid: usize);
+
+    /// [`MicroKernel::tile`] over **every** B panel of a thin row strip,
+    /// with the `A` block taken from where it lies: accumulates the
+    /// `a.ivalid × jvalid` strip into `c` (row stride `ldc`), panel `jp`
+    /// covering columns `jp·NR..`. `bp` holds the `jvalid.div_ceil(NR)`
+    /// packed panels of this K slice back to back, `a.kcl` steps each.
+    /// Per element the arithmetic is exactly `tile`'s — a `k`-sequential
+    /// multiply-add chain from a zero accumulator, then one add into `c`
+    /// — so the result is bit-identical to packing `a` first.
+    ///
+    /// A backend whose registers hold the whole strip reads `a` directly
+    /// and feeds each broadcast to every panel ([`Avx512Kernel`]). This
+    /// provided form is for the 8-wide tiles, which would otherwise
+    /// re-walk the strided block once per panel (three or four times at
+    /// thin `n`): it gathers the block into `stage` — one `MR × kcl`
+    /// panel, L1-resident, unlike the task-wide packed buffer it replaces
+    /// — and runs `tile` per B panel from there.
+    ///
+    /// # Safety
+    ///
+    /// The caller must ensure the running CPU supports `Self::KIND`
+    /// ([`KernelKind::is_supported`]).
+    unsafe fn tile_in_place(
+        a: InPlaceA<'_>,
+        stage: &mut [f32],
+        bp: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        jvalid: usize,
+    ) {
+        let stage = &mut stage[..a.kcl * Self::MR];
+        a.pack_into(stage);
+        for (jp, panel) in bp.chunks_exact(a.kcl * Self::NR).enumerate() {
+            let j0 = jp * Self::NR;
+            let jv = Self::NR.min(jvalid - j0);
+            // SAFETY: the caller's contract is `tile`'s.
+            unsafe { Self::tile(stage, panel, &mut c[j0..], ldc, a.ivalid, jv) };
+        }
+    }
 }
 
 /// The shared tile loop every backend instantiates: branch-free
@@ -554,6 +691,75 @@ unsafe fn tile_avx512(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, iv: usi
     }
 }
 
+/// [`tile_avx512`] with the `A` block read in place and `P` adjacent B
+/// panels fed from every `A` broadcast (`8 × P` `zmm` accumulators —
+/// `P = 2` is the widest that leaves registers for the operands). Panel
+/// `q` covers columns `q·16..` of `c`; per element the `fma(a, b, acc)`
+/// chain and the single add into `C` are [`tile_avx512`]'s.
+///
+/// # Safety
+///
+/// The running CPU must support AVX-512F, `bp` must hold `P` packed
+/// panels of `a.kcl` steps × 16 values, `c` must span the addressed
+/// `a.ivalid × jv` strip at row stride `ldc`, and
+/// `(P - 1) · 16 < jv <= P · 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512_in_place<const P: usize>(
+    a: InPlaceA<'_>,
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    jv: usize,
+) {
+    use core::arch::x86_64::*;
+    const MR: usize = block::MR;
+    const NR: usize = 2 * block::NR;
+    debug_assert_eq!(bp.len(), P * a.kcl * NR);
+    let (rows, ks) = a.strides();
+    // SAFETY: `InPlaceA::new` proved `rows[i] + p·ks` in bounds of
+    // `a.data` for every `p < kcl`; `bp` is `P` panels of `kcl` steps of
+    // NR values (asserted by the caller's slicing); `c` spans at least
+    // `(ivalid - 1) · ldc + jv` elements and the masked stores touch only
+    // the first `jv` columns of each row.
+    unsafe {
+        let base = a.data.as_ptr();
+        let rows: [*const f32; MR] = std::array::from_fn(|i| base.add(rows[i]));
+        let mut acc = [[_mm512_setzero_ps(); P]; MR];
+        let mut off = 0;
+        for p in 0..a.kcl {
+            let b: [__m512; P] =
+                std::array::from_fn(|q| _mm512_loadu_ps(bp.as_ptr().add((q * a.kcl + p) * NR)));
+            if ks != 1 {
+                // The `tn` walk strides a whole `A` row per step — past
+                // what the hardware prefetcher follows. One hint per step
+                // covers the tile's `MR` contiguous values.
+                _mm_prefetch::<_MM_HINT_T0>(rows[0].wrapping_add(off + 16 * ks) as *const i8);
+            }
+            for (row, accum) in rows.iter().zip(acc.iter_mut()) {
+                let av = _mm512_set1_ps(*row.add(off));
+                for (slot, bq) in accum.iter_mut().zip(&b) {
+                    *slot = _mm512_fmadd_ps(av, *bq, *slot);
+                }
+            }
+            off += ks;
+        }
+        for q in 0..P {
+            let lanes = (jv - q * NR).min(NR);
+            let mask: __mmask16 = if lanes >= NR {
+                !0
+            } else {
+                (1u16 << lanes).wrapping_sub(1)
+            };
+            for (i, accum) in acc.iter().enumerate().take(a.ivalid) {
+                let crow = c.as_mut_ptr().add(i * ldc + q * NR);
+                let prev = _mm512_maskz_loadu_ps(mask, crow);
+                _mm512_mask_storeu_ps(crow, mask, _mm512_add_ps(prev, accum[q]));
+            }
+        }
+    }
+}
+
 /// AVX-512 8×16 backend: same `MR`, double-width `B` panels. Hardware
 /// FMA accumulation in the same per-element order as [`Avx2Kernel`], so
 /// the two are bit-identical at a fixed KC/NC. (Implemented — and
@@ -572,6 +778,39 @@ impl MicroKernel for Avx512Kernel {
         // SAFETY: forwarded from the dispatcher, which only selects this
         // backend when `KernelKind::Avx512.is_supported()` held.
         unsafe { tile_avx512(ap, bp, c, ldc, iv, jv) }
+    }
+
+    // SAFETY: same contract as `tile`. Sixteen `zmm` accumulators hold a
+    // two-panel strip, so `a` is read directly and `_stage` goes unused.
+    unsafe fn tile_in_place(
+        a: InPlaceA<'_>,
+        _stage: &mut [f32],
+        bp: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        jv: usize,
+    ) {
+        // The raw stores below rely on `c` spanning the strip.
+        assert!(c.len() >= (a.ivalid - 1) * ldc + jv, "C strip too short");
+        let pair = 2 * a.kcl * Self::NR;
+        let mut j0 = 0;
+        while j0 < jv {
+            let bq = &bp[j0 * a.kcl..];
+            let left = jv - j0;
+            // SAFETY: forwarded from the dispatcher, which only selects
+            // this backend when `KernelKind::Avx512.is_supported()` held;
+            // `bq` is cut to exactly the one or two panels the call
+            // covers and `left` to their columns.
+            unsafe {
+                if left > Self::NR {
+                    let cols = left.min(2 * Self::NR);
+                    tile_avx512_in_place::<2>(a, &bq[..pair], &mut c[j0..], ldc, cols);
+                } else {
+                    tile_avx512_in_place::<1>(a, &bq[..pair / 2], &mut c[j0..], ldc, left);
+                }
+            }
+            j0 += 2 * Self::NR;
+        }
     }
 }
 
@@ -801,6 +1040,21 @@ fn gemm_blocked<K: MicroKernel, PA>(
         }
         PackWorkspace::give(PackBuf::OperandA, abuf);
     };
+    over_row_blocks(m, n, mr, nthreads, c, body);
+}
+
+/// Runs `body(first_row, chunk)` over `mr`-aligned row blocks of the
+/// `m×n` output `c`: the whole matrix on the calling thread when
+/// `nthreads <= 1` (or there is a single tile of rows), else one task per
+/// block on the shared pool.
+fn over_row_blocks(
+    m: usize,
+    n: usize,
+    mr: usize,
+    nthreads: usize,
+    c: &mut [f32],
+    body: impl Fn(usize, &mut [f32]) + Sync,
+) {
     if nthreads <= 1 || m <= mr {
         // Serial path: no row split, no per-call block bookkeeping — in
         // steady state the only allocation left in a whole GEMM call is
@@ -821,6 +1075,58 @@ fn gemm_blocked<K: MicroKernel, PA>(
     }
     pool().run_row_blocks(c, n, &sizes, |blk, chunk| {
         body(starts[blk], chunk);
+    });
+}
+
+/// The thin-`n` body of the driver: [`gemm_blocked`] with the packing of
+/// `A` removed. Each row tile walks its K panels in ascending order,
+/// taking the `MR × kcl` block of `a` from where it lies ([`InPlaceA`])
+/// and feeding it to every B panel of the row in one
+/// [`MicroKernel::tile_in_place`] call, so `A` is streamed exactly once
+/// and never written to a task-wide packed buffer. With so few columns
+/// there is nothing for an NC block to reuse, so the sweep is tile-major:
+/// a row-major `A` is read strictly sequentially.
+///
+/// Per element this is the packed path's arithmetic — a `k`-sequential
+/// multiply-add chain from a zero accumulator inside each K panel, one
+/// add into `C` per panel, panels in ascending `k`, the same `MR`-aligned
+/// row split — so the two are bit-identical at equal `kc`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_in_place<K: MicroKernel>(
+    a: &[f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    apack: APack,
+    kc: usize,
+    nthreads: usize,
+    b_packed: &[f32],
+    c: &mut [f32],
+) {
+    let (mr, nr) = (K::MR, K::NR);
+    let np = n.div_ceil(nr);
+    let lda = match apack {
+        APack::Rows => k,
+        APack::Cols => m,
+    };
+    over_row_blocks(m, n, mr, nthreads, c, |first_row, chunk| {
+        chunk.fill(0.0);
+        let mut stage = PackWorkspace::take(PackBuf::OperandA, kc.min(k) * mr);
+        for (ip, ct) in chunk.chunks_mut(mr * n).enumerate() {
+            let row0 = first_row + ip * mr;
+            let ivalid = ct.len() / n;
+            let mut kk0 = 0;
+            while kk0 < k {
+                let kcl = kc.min(k - kk0);
+                let block = InPlaceA::new(a, apack, lda, row0, ivalid, kk0, kcl);
+                let bp = &b_packed[kk0 * np * nr..][..kcl * np * nr];
+                // SAFETY: the dispatcher only selects `K` after
+                // `K::KIND.is_supported()` held on this CPU.
+                unsafe { K::tile_in_place(block, &mut stage, bp, ct, n, n) };
+                kk0 += kcl;
+            }
+        }
+        PackWorkspace::give(PackBuf::OperandA, stage);
     });
 }
 
@@ -845,7 +1151,36 @@ fn pack_b_full(
     bbuf
 }
 
-/// Packs `B`, then runs the blocked driver, for one already-monomorphized
+/// How the driver reads the `A` operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ARead {
+    /// Pack `MR`-row panels per K slice, then sweep them ([`gemm_blocked`]).
+    Packed,
+    /// Read `A` where it lies ([`gemm_in_place`]).
+    InPlace,
+}
+
+impl ARead {
+    /// Widest `n` read in place: two B panels of the widest register tile
+    /// (`2 × 16`). Deliberately not the dispatched backend's own `NR` — the
+    /// path a product takes is a function of its shape alone.
+    const THIN_N: usize = 4 * block::NR;
+
+    /// Chosen from the call's shape: with so few columns each packed `A`
+    /// value would feed one or two tile calls, so transposing `A` into
+    /// panels costs more than the multiply it prepares. No floor on `m·k`:
+    /// in place measured ahead of packed from 32×32 up (AVX-512), level
+    /// with it on the 8-wide backends.
+    fn for_shape(n: usize) -> ARead {
+        if n <= Self::THIN_N {
+            ARead::InPlace
+        } else {
+            ARead::Packed
+        }
+    }
+}
+
+/// Packs `B`, then runs the driver, for one already-monomorphized
 /// backend.
 #[allow(clippy::too_many_arguments)]
 fn gemm_run<K: MicroKernel>(
@@ -856,6 +1191,7 @@ fn gemm_run<K: MicroKernel>(
     k: usize,
     apack: APack,
     bpack: BPack,
+    aread: ARead,
     kc: usize,
     nc: usize,
     nthreads: usize,
@@ -865,25 +1201,29 @@ fn gemm_run<K: MicroKernel>(
         BPack::Rows => pack_b_rows(b, n, kk0, kcl, K::NR, dst),
         BPack::Cols => pack_b_cols(b, k, n, kk0, kcl, K::NR, dst),
     });
-    gemm_blocked::<K, _>(
-        m,
-        n,
-        k,
-        kc,
-        nc,
-        nthreads,
-        |row0, rows, kk0, kcl, dst| match apack {
-            APack::Rows => pack_a_rows(a, k, row0, rows, kk0, kcl, K::MR, dst),
-            APack::Cols => pack_a_cols(a, m, row0, rows, kk0, kcl, K::MR, dst),
-        },
-        &bbuf,
-        c,
-    );
+    match aread {
+        ARead::InPlace => gemm_in_place::<K>(a, m, n, k, apack, kc, nthreads, &bbuf, c),
+        ARead::Packed => gemm_blocked::<K, _>(
+            m,
+            n,
+            k,
+            kc,
+            nc,
+            nthreads,
+            |row0, rows, kk0, kcl, dst| match apack {
+                APack::Rows => pack_a_rows(a, k, row0, rows, kk0, kcl, K::MR, dst),
+                APack::Cols => pack_a_cols(a, m, row0, rows, kk0, kcl, K::MR, dst),
+            },
+            &bbuf,
+            c,
+        ),
+    }
     PackWorkspace::give(PackBuf::OperandB, bbuf);
 }
 
 /// The shared entry body: dispatches the snapshot's backend into the
-/// monomorphized driver.
+/// monomorphized driver, choosing how `A` is read from the call's shape
+/// ([`ARead::for_shape`]).
 #[allow(clippy::too_many_arguments)]
 fn gemm_dispatch(
     a: &[f32],
@@ -900,8 +1240,11 @@ fn gemm_dispatch(
     GEMM_CALLS.add(1);
     GEMM_MADDS.add((m * n * k) as u64);
     kernel_dispatch_counter(cfg.kernel).add(1);
+    let aread = ARead::for_shape(n);
     with_kernel!(cfg.kernel, K, {
-        gemm_run::<K>(a, b, m, n, k, apack, bpack, cfg.kc, cfg.nc, nthreads, c)
+        gemm_run::<K>(
+            a, b, m, n, k, apack, bpack, aread, cfg.kc, cfg.nc, nthreads, c,
+        )
     });
 }
 
@@ -1128,6 +1471,8 @@ fn batched_run<K: MicroKernel>(
                 k,
                 APack::Rows,
                 BPack::Rows,
+                // Per-head products keep the packed path at any width.
+                ARead::Packed,
                 kc,
                 nc,
                 1,
@@ -1489,6 +1834,139 @@ mod tests {
                 pair[1].0.name()
             );
         }
+    }
+
+    /// One product through the private driver with the `A` read forced.
+    #[allow(clippy::too_many_arguments)]
+    fn run_with(
+        kind: KernelKind,
+        aread: ARead,
+        a: &Matrix,
+        b: &Matrix,
+        (m, n, k): (usize, usize, usize),
+        apack: APack,
+        bpack: BPack,
+        kc: usize,
+        nthreads: usize,
+    ) -> Matrix {
+        let mut c = Matrix::full(m, n, 777.0);
+        let (a, b, out) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+        with_kernel!(kind, K, {
+            gemm_run::<K>(
+                a,
+                b,
+                m,
+                n,
+                k,
+                apack,
+                bpack,
+                aread,
+                kc,
+                block::DEFAULT_NC,
+                nthreads,
+                out,
+            )
+        });
+        c
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
+    fn in_place_a_is_bit_identical_to_packed_on_every_backend() {
+        // The thin-n contract, swept rather than sampled: every compiled
+        // backend × {nn, tn, nt} × every n of the thin range and one past
+        // it × m and k straddling the MR, KC and 2·KC edges × row splits
+        // {1, 2, 8}. Reading A in place must reproduce the packed path
+        // bit for bit at equal KC, and both must sit on the reference.
+        const KC: usize = 8;
+        let ms = [1, MR - 1, MR, MR + 1, 3 * MR + 5];
+        let ks = [1, KC - 1, KC, KC + 1, 2 * KC - 1, 2 * KC, 2 * KC + 1];
+        let layouts = [
+            ("nn", APack::Rows, BPack::Rows),
+            ("tn", APack::Cols, BPack::Rows),
+            ("nt", APack::Rows, BPack::Cols),
+        ];
+        for &kind in compiled_kernels().iter().filter(|k| k.is_supported()) {
+            for n in 1..=ARead::THIN_N + 1 {
+                for (m, k) in ms.iter().flat_map(|&m| ks.iter().map(move |&k| (m, k))) {
+                    let a = rand_mat(m, k, (m * 131 + k) as u64);
+                    let b = rand_mat(k, n, (k * 137 + n) as u64);
+                    let (at, bt) = (a.transpose(), b.transpose());
+                    let expect = reference::matmul(&a, &b);
+                    for (name, apack, bpack) in layouts {
+                        let a = if matches!(apack, APack::Cols) {
+                            &at
+                        } else {
+                            &a
+                        };
+                        let b = if matches!(bpack, BPack::Cols) {
+                            &bt
+                        } else {
+                            &b
+                        };
+                        for nthreads in [1, 2, 8] {
+                            let run = |aread| {
+                                run_with(kind, aread, a, b, (m, n, k), apack, bpack, KC, nthreads)
+                            };
+                            let (packed, in_place) = (run(ARead::Packed), run(ARead::InPlace));
+                            let what = format!("{} {name} {m}x{k}x{n} /{nthreads}", kind.name());
+                            let same = packed
+                                .as_slice()
+                                .iter()
+                                .zip(in_place.as_slice())
+                                .all(|(p, q)| p.to_bits() == q.to_bits());
+                            assert!(same, "{what}: in-place differs from packed");
+                            assert!(
+                                in_place.max_abs_diff(&expect) < 1e-4,
+                                "{what}: off reference"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thin_products_reach_the_in_place_path_through_the_public_entries() {
+        // The shape rule itself, and — on whatever backend is ambient
+        // (the CI matrix forces portable and avx2) — that a thin product
+        // through the public entry points equals the packed driver's
+        // result bitwise.
+        assert_eq!(ARead::for_shape(1), ARead::InPlace);
+        assert_eq!(ARead::for_shape(19), ARead::InPlace);
+        assert_eq!(ARead::for_shape(ARead::THIN_N), ARead::InPlace);
+        assert_eq!(ARead::for_shape(ARead::THIN_N + 1), ARead::Packed);
+        let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
+        let cfg = block::tile_config();
+        let (m, n, k) = (3 * MR + 1, 19, 2 * cfg.kc + 3);
+        let a = rand_mat(m, k, 41);
+        let b = rand_mat(k, n, 42);
+        let packed = |a: &Matrix, b: &Matrix, apack, bpack| {
+            let shape = (m, n, k);
+            run_with(
+                cfg.kernel,
+                ARead::Packed,
+                a,
+                b,
+                shape,
+                apack,
+                bpack,
+                cfg.kc,
+                1,
+            )
+        };
+        assert_eq!(matmul(&a, &b), packed(&a, &b, APack::Rows, BPack::Rows));
+        let at = a.transpose();
+        assert_eq!(
+            matmul_tn(&at, &b),
+            packed(&at, &b, APack::Cols, BPack::Rows)
+        );
+        let bt = b.transpose();
+        assert_eq!(
+            matmul_nt(&a, &bt),
+            packed(&a, &bt, APack::Rows, BPack::Cols)
+        );
     }
 
     #[test]

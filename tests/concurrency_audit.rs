@@ -282,7 +282,9 @@ fn double_buffer_loader_completes_clean_epochs_under_jitter() {
     use preprop_gnn::core::PrepropFeatures;
     let rows = 33;
     let data = Arc::new(PrepropFeatures {
-        hops: vec![Matrix::from_fn(rows, 3, |r, c| (r * 3 + c) as f32)],
+        hops: vec![Arc::new(Matrix::from_fn(rows, 3, |r, c| {
+            (r * 3 + c) as f32
+        }))],
         labels: (0..rows as u32).collect(),
         node_ids: (0..rows).collect(),
     });

@@ -42,6 +42,108 @@ fn all_generations_yield_identical_streams() {
     }
 }
 
+/// A full epoch, an epoch abandoned after its first batch, a full epoch.
+fn two_epochs_around_an_abandoned_one(loader: &mut dyn Loader) -> Vec<ppgnn_core::PpBatch> {
+    let mut stream = drain(loader);
+    loader.start_epoch();
+    stream.extend(loader.next_batch());
+    stream.extend(drain(loader)); // `drain` restarts: the epoch above is abandoned
+    stream
+}
+
+#[test]
+fn hop_selective_loaders_deliver_the_same_stream_minus_unread_hops() {
+    let data = train_partition();
+    const SEED: u64 = 77;
+    const BATCH: usize = 37;
+    let (n, f, num_hops) = (data.len(), data.hops[0].cols(), data.hops.len());
+    let per_epoch = n.div_ceil(BATCH);
+    assert!(
+        !n.is_multiple_of(BATCH),
+        "the stream must end on a short batch"
+    );
+    assert!(
+        per_epoch > 5,
+        "the abandoned epoch must stay clear of the short batch"
+    );
+
+    type Build =
+        fn(&std::sync::Arc<ppgnn_core::PrepropFeatures>, Option<&[usize]>) -> Box<dyn Loader>;
+    let double_buffer: Build = |data, reading| {
+        let l = DoubleBufferLoader::new(data.clone(), BATCH, SEED);
+        Box::new(match reading {
+            Some(hops) => l.reading(hops),
+            None => l,
+        })
+    };
+    let chunk: Build = |data, reading| {
+        let l = ChunkReshuffleLoader::new(data.clone(), BATCH, 16, SEED);
+        Box::new(match reading {
+            Some(hops) => l.reading(hops),
+            None => l,
+        })
+    };
+
+    for reading in [
+        vec![num_hops - 1],
+        vec![0, num_hops - 1],
+        (0..num_hops).collect(),
+    ] {
+        for build in [double_buffer, chunk] {
+            let (mut full, mut selective) = (build(&data, None), build(&data, Some(&reading)));
+            let name = full.name();
+            let want = two_epochs_around_an_abandoned_one(full.as_mut());
+            let got = two_epochs_around_an_abandoned_one(selective.as_mut());
+            assert_eq!(got.len(), want.len(), "{name} batch count");
+            assert_eq!(got.len(), 2 * per_epoch + 1);
+            for (a, b) in want.iter().zip(&got) {
+                assert_eq!(a.indices, b.indices, "{name} indices differ");
+                assert_eq!(a.labels, b.labels, "{name} labels differ");
+                assert_eq!(b.hops.len(), num_hops, "{name} hop slots");
+                for r in 0..num_hops {
+                    if reading.contains(&r) {
+                        let same = a.hops[r].shape() == b.hops[r].shape()
+                            && (a.hops[r].as_slice().iter())
+                                .zip(b.hops[r].as_slice())
+                                .all(|(x, y)| x.to_bits() == y.to_bits());
+                        assert!(same, "{name} hop {r} differs");
+                    } else {
+                        assert_eq!(b.hops[r].shape(), (0, 0), "{name} unread hop {r} was moved");
+                    }
+                }
+            }
+
+            // Counters count what was gathered, exactly. How far the
+            // double buffer's producer ran into the abandoned epoch is a
+            // race, so each loader is held to its own batch count: every
+            // batch of that epoch it did assemble was a full one.
+            for (loader, gathered) in [(&full, num_hops), (&selective, reading.len())] {
+                let c = loader.counters();
+                let rows = 2 * n + BATCH * (c.batches as usize - 2 * per_epoch);
+                assert_eq!(
+                    c.bytes_assembled,
+                    (gathered * rows * f * 4) as u64,
+                    "{name} bytes for {gathered} of {num_hops} hops"
+                );
+            }
+            let (cf, cs) = (full.counters(), selective.counters());
+            if name == "double-buffer" {
+                // One fused gather per gathered hop per batch.
+                assert_eq!(cf.gather_ops, cf.batches * num_hops as u64);
+                assert_eq!(cs.gather_ops, cs.batches * reading.len() as u64);
+            } else {
+                // Synchronous: both saw the same batches, hence the same runs.
+                assert_eq!(cs.batches, cf.batches);
+                assert_eq!(
+                    cs.gather_ops * num_hops as u64,
+                    cf.gather_ops * reading.len() as u64,
+                    "{name} gather ops scale with the hops gathered"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn chunked_stream_covers_data_with_contiguous_runs() {
     let data = train_partition();

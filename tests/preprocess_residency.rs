@@ -14,19 +14,35 @@
 //! (the cap's spare matrix absorbs a group's extra bases).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, MutexGuard};
 
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 
-/// System allocator wrapper tracking current and peak live bytes, plus a
-/// raw allocation count (for the kernel-scratch reuse assertions).
+/// System allocator wrapper tracking current and peak live bytes
+/// process-wide, a raw allocation count on the threads that opted in
+/// ([`measuring`]; for the kernel-scratch reuse assertions), and a count
+/// of large allocations on any thread ([`count_large_allocs`]).
 struct TrackingAlloc;
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Smallest allocation `LARGE_ALLOCS` counts; `usize::MAX` = none.
+static LARGE_MIN: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+thread_local! {
+    /// Whether this thread's allocations land in `ALLOCS`. libtest's own
+    /// threads (result printing, spawning the next test) never opt in, so
+    /// they cannot land inside another test's measured window. A
+    /// const-initialized `Cell` without a destructor: reading it from the
+    /// allocator neither allocates nor touches a destroyed slot.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
 
 // SAFETY: delegates allocation entirely to `System`; the added bookkeeping
 // touches only atomics and never the returned memory.
@@ -39,7 +55,12 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         if !ptr.is_null() {
             let now = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(now, Ordering::Relaxed);
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            if COUNTED.try_with(Cell::get).unwrap_or(false) {
+                ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
+            if layout.size() >= LARGE_MIN.load(Ordering::Relaxed) {
+                LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
         }
         ptr
     }
@@ -60,6 +81,55 @@ static ALLOC: TrackingAlloc = TrackingAlloc;
 /// process-global, so concurrent tests would inflate each other's peaks.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// A test's measuring window: holds [`SERIAL`] and keeps the calling
+/// thread opted into `ALLOCS` until dropped.
+struct Measuring {
+    _serial: MutexGuard<'static, ()>,
+}
+
+/// Opens the measuring window. The mutex guards nothing but the order of
+/// the tests, so a poisoned lock (an earlier test failed its assertion)
+/// is recovered: one stray count is one failure, not one per test after
+/// it. The workers of the shared pool opt in too — the measured kernels
+/// fan out to them — and stay opted in: only tests of this binary, all of
+/// them inside a window, ever drive those threads.
+fn measuring() -> Measuring {
+    let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    COUNTED.with(|c| c.set(true));
+    // One task per pool thread, each held at the barrier until all have
+    // arrived, so every worker (and this thread) runs exactly one.
+    let pool = ppgnn_tensor::pool();
+    let all_arrived = Barrier::new(pool.num_threads());
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..pool.num_threads())
+        .map(|_| {
+            Box::new(|| {
+                COUNTED.with(|c| c.set(true));
+                all_arrived.wait();
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run(tasks);
+    Measuring { _serial: serial }
+}
+
+impl Drop for Measuring {
+    fn drop(&mut self) {
+        COUNTED.with(|c| c.set(false));
+    }
+}
+
+/// Allocations of at least `min_bytes` made by `f` on **any** thread —
+/// for work that runs on threads a test cannot opt in (a loader's
+/// producer). Nothing libtest allocates comes near a feature matrix, so
+/// the size floor does for this count what the opt-in does for `ALLOCS`.
+fn count_large_allocs(min_bytes: usize, f: impl FnOnce()) -> usize {
+    let before = LARGE_ALLOCS.load(Ordering::Relaxed);
+    LARGE_MIN.store(min_bytes, Ordering::Relaxed);
+    f();
+    LARGE_MIN.store(usize::MAX, Ordering::Relaxed);
+    LARGE_ALLOCS.load(Ordering::Relaxed) - before
+}
+
 /// Resets the peak to the current level and returns the level.
 fn reset_peak() -> usize {
     let now = CURRENT.load(Ordering::Relaxed);
@@ -79,7 +149,7 @@ fn csr_bytes(data: &SynthDataset) -> usize {
 }
 
 fn assert_residency_bound(operators: Vec<Operator>, hops: usize, num_shards: Option<usize>) {
-    let _guard = SERIAL.lock().unwrap();
+    let _window = measuring();
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.05), 7)
         .expect("generation succeeds");
     let mut prep = Preprocessor::new(operators, hops);
@@ -137,7 +207,7 @@ fn linear_training_batches_reuse_scratch_with_bounded_allocations() {
     use ppgnn_nn::{Linear, Mode, Module};
     use ppgnn_tensor::Matrix;
 
-    let _guard = SERIAL.lock().unwrap();
+    let _window = measuring();
     let mut rng = {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(11)
@@ -183,7 +253,7 @@ fn sign_forward_into_train_step_reuses_buffers() {
     use ppgnn_nn::Mode;
     use ppgnn_tensor::Matrix;
 
-    let _guard = SERIAL.lock().unwrap();
+    let _window = measuring();
     let mut rng = {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(17)
@@ -251,11 +321,72 @@ fn sign_forward_into_train_step_reuses_buffers() {
 }
 
 #[test]
+fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
+    use ppgnn_core::trainer::{TrainConfig, Trainer};
+    use ppgnn_models::{PpModel, Sgc, Sign};
+    use rand::SeedableRng;
+
+    let _window = measuring();
+    const HOPS: usize = 3;
+    const BATCH: usize = 64;
+    const EPOCHS: usize = 4;
+    let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.05), 9)
+        .expect("generation succeeds");
+    let out = Preprocessor::new(vec![Operator::SymNorm], HOPS).run(&data);
+    let (f, classes) = (data.profile.feature_dim, data.profile.num_classes);
+    let full_batches = out.train.len() / BATCH;
+    assert!(
+        full_batches >= 4,
+        "the bounds below need a few full batches"
+    );
+
+    // Allocations the size of one full batch × F matrix (or larger) over a
+    // whole `fit`, loader producer thread included.
+    let batch_matrices = |model: &mut dyn PpModel| {
+        let config = TrainConfig {
+            epochs: EPOCHS,
+            batch_size: BATCH,
+            ..TrainConfig::default()
+        };
+        count_large_allocs(BATCH * f * 4, || {
+            Trainer::new(config)
+                .fit(model, &out)
+                .expect("training runs");
+        })
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+
+    // SGC reads hop R only. Per epoch that leaves: one gathered hop per
+    // full batch, one copy of `Linear`'s cached input when the batch
+    // shape returns from the short last batch, and one slice slot per
+    // `evaluate` call (val, and test when val does not drop) — nothing
+    // for the R unread hops of a batch, in training or evaluation, and
+    // no ∂X.
+    let sgc = batch_matrices(&mut Sgc::new(HOPS, f, classes, &mut rng));
+    let budget = EPOCHS * (full_batches + 3) + 1;
+    assert!(
+        sgc <= budget,
+        "SGC fit made {sgc} batch-matrix allocations over {EPOCHS} epochs of \
+         {full_batches} full batches (budget {budget}): an unread hop is \
+         being moved or an input gradient formed"
+    );
+
+    // Control: a model that reads every hop has every hop gathered, so
+    // the count does see the producer thread.
+    let sign = batch_matrices(&mut Sign::new(HOPS, f, 16, classes, 0.0, &mut rng));
+    assert!(
+        sign >= EPOCHS * full_batches * (HOPS + 1),
+        "SIGN fit made only {sign} batch-matrix allocations: the large-allocation \
+         count is not seeing the loader's gathers"
+    );
+}
+
+#[test]
 fn compressed_store_reads_are_allocation_free_once_warm() {
     use ppgnn_dataio::{AccessPath, FeatureStoreWriter, StoreDtype, StoreMeta};
     use ppgnn_tensor::Matrix;
 
-    let _guard = SERIAL.lock().unwrap();
+    let _window = measuring();
     let dir = std::env::temp_dir().join(format!("ppgnn-resid-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -333,7 +464,7 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
     static PROBE_HIST: ppgnn_telemetry::Histogram =
         ppgnn_telemetry::Histogram::new("test.probe_ns");
 
-    let _guard = SERIAL.lock().unwrap();
+    let _window = measuring();
     // The PPGNN_TRACE=0 contract: every instrumentation site the pipeline
     // hot paths pass through — span guards in SpMM/preprocess/trainer,
     // counter adds in GEMM dispatch, histogram records per batch — must
@@ -394,7 +525,7 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
 fn streaming_run_matches_reference_chain_under_tracking() {
     // The allocator is process-global, so also pin correctness here: hop r
     // equals r explicit applications of the operator.
-    let _guard = SERIAL.lock().unwrap();
+    let _window = measuring();
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3)
         .expect("generation succeeds");
     let out = Preprocessor::new(vec![Operator::SymNorm], 2).run(&data);

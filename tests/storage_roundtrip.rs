@@ -26,7 +26,7 @@ fn store_round_trip_is_bit_exact() {
         .expect("store written");
     for (k, hop) in prep.train.hops.iter().enumerate() {
         let loaded = store.read_full_hop(k).expect("hop reads back");
-        assert_eq!(&loaded, hop, "hop {k} differs after round trip");
+        assert_eq!(loaded, **hop, "hop {k} differs after round trip");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
