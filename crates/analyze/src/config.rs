@@ -140,10 +140,23 @@ impl Default for Config {
                 "over_row_blocks",
                 "gemm_run",
                 "gemm_dispatch",
-                "batched_run",
                 "tile_body",
                 "tile_in_place",
-                "pack_into",
+                "as_panel",
+                // The row-block splitter and the per-block bodies of the
+                // token-level passes it runs (attention core, LayerNorm,
+                // HOGA's gated readout): every buffer they touch is
+                // retained by the calling module — the static twin of the
+                // HOGA step pin in tests/preprocess_residency.rs.
+                "run_row_blocks",
+                "row_blocked",
+                "add_partials",
+                "attn_core_fwd",
+                "attn_core_bwd",
+                "layer_norm_fwd",
+                "layer_norm_bwd",
+                "readout_fwd",
+                "readout_bwd",
                 "spmm_into",
                 "spmm_into_on",
                 "spmm_rows_into",
@@ -203,6 +216,7 @@ impl Default for Config {
                 "BatchNorm1d::backward called without a training-mode forward",
                 "MultiHeadAttention::backward called without a training-mode forward",
                 "Hoga::backward called without a training-mode forward",
+                "one value per gradient element",
                 "hidden layers cache ELU input",
                 "cache presence checked above",
                 "keys are finite",
@@ -223,9 +237,18 @@ impl Default for Config {
                 "over_row_blocks",
                 "gemm_run",
                 "gemm_dispatch",
-                "batched_run",
                 "tile_body",
                 "tile_in_place",
+                // Per-block bodies run once per 64 rows; the stage spans
+                // (`hoga.*`, `attn.*`) sit around the whole pass.
+                "run_row_blocks",
+                "row_blocked",
+                "attn_core_fwd",
+                "attn_core_bwd",
+                "layer_norm_fwd",
+                "layer_norm_bwd",
+                "readout_fwd",
+                "readout_bwd",
                 "spmm_rows_into",
                 "spmm_row",
                 "spmm_row_untiled",

@@ -9,12 +9,10 @@
 //! trainer-realistic shape `4096 × (K·(R+1)·F) × 256` (K=2, R=3, F=64 →
 //! k=512), the same numbers for the pre-change reference kernels, their
 //! speedups, per-backend throughput for every supported micro-kernel
-//! (`gflops_kernel_*`), the batched small-GEMM speedup on a HOGA-shaped
-//! per-head workload (`speedup_batched_small_gemm`), the autotuner's
-//! winning `{kernel, kc, nc}` (`tuned_*`), and SpMM rows/s. CI runs the
-//! smoke variant, uploads the artifact alongside `BENCH_preprop.json`,
-//! and gates on the packed-vs-reference and batched-vs-looped *speedup*
-//! ratios against the committed baseline (see
+//! (`gflops_kernel_*`), the autotuner's winning `{kernel, kc, nc}`
+//! (`tuned_*`), and SpMM rows/s. CI runs the smoke variant, uploads the
+//! artifact alongside `BENCH_preprop.json`, and gates on the
+//! packed-vs-reference *speedup* ratios against the committed baseline (see
 //! `scripts/check_gemm_regression.py` for the per-ratio tolerances;
 //! absolute GFLOP/s is informational since it tracks runner hardware).
 //! Destination overridable via `PPGNN_GEMM_BENCH_ARTIFACT`;
@@ -26,8 +24,7 @@ use std::time::Instant;
 
 use ppgnn_graph::{gen, WeightedCsr};
 use ppgnn_tensor::{
-    block, compiled_kernels, init, knobs, matmul, matmul_batched_into, matmul_nt, matmul_tn,
-    reference, tune, Matrix,
+    block, compiled_kernels, init, knobs, matmul, matmul_nt, matmul_tn, reference, tune, Matrix,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -146,31 +143,6 @@ fn write_gemm_artifact() {
     }
     block::set_kernel(None);
 
-    // Batched small-GEMM path on a HOGA-shaped per-head workload: many
-    // tiny same-shape multiplies, looped allocating `matmul` vs one
-    // `matmul_batched_into` submission with preallocated outputs.
-    let (bh, bm, bk, bn) = (16usize, 64usize, 64usize, 64usize);
-    let ba: Vec<Matrix> = (0..bh)
-        .map(|_| init::standard_normal(bm, bk, &mut rng))
-        .collect();
-    let bb: Vec<Matrix> = (0..bh)
-        .map(|_| init::standard_normal(bk, bn, &mut rng))
-        .collect();
-    let mut bc: Vec<Matrix> = (0..bh).map(|_| Matrix::zeros(bm, bn)).collect();
-    let batched_flop = 2.0 * bh as f64 * bm as f64 * bk as f64 * bn as f64 / 1e9;
-    let batched_reps = reps * 20; // sub-ms per call; amortize timer noise
-    let looped_s = best_seconds(batched_reps, || {
-        for (ah, bhm) in ba.iter().zip(&bb) {
-            black_box(matmul(black_box(ah), black_box(bhm)));
-        }
-    });
-    let batched_s = best_seconds(batched_reps, || {
-        matmul_batched_into(black_box(&ba), black_box(&bb), &mut bc);
-        black_box(&bc);
-    });
-    let batched_looped = batched_flop / looped_s.max(f64::EPSILON);
-    let batched = batched_flop / batched_s.max(f64::EPSILON);
-
     // One-shot autotune sweep: the {kernel, KC, NC} this machine would
     // pick when `PPGNN_TUNE_CACHE` is active (restores knobs itself).
     let tuned = tune::run_sweep();
@@ -225,13 +197,6 @@ fn write_gemm_artifact() {
             "  \"speedup_matmul_tn\": {:.4},\n",
             "  \"speedup_matmul_nt\": {:.4},\n",
             "{}",
-            "  \"batched_heads\": {},\n",
-            "  \"batched_m\": {},\n",
-            "  \"batched_k\": {},\n",
-            "  \"batched_n\": {},\n",
-            "  \"gflops_batched_small_gemm_looped\": {:.4},\n",
-            "  \"gflops_batched_small_gemm\": {:.4},\n",
-            "  \"speedup_batched_small_gemm\": {:.4},\n",
             "  \"tuned_kernel\": \"{}\",\n",
             "  \"tuned_kc\": {},\n",
             "  \"tuned_nc\": {},\n",
@@ -260,13 +225,6 @@ fn write_gemm_artifact() {
         tn / tn_ref.max(f64::EPSILON),
         nt / nt_ref.max(f64::EPSILON),
         kernel_rows,
-        bh,
-        bm,
-        bk,
-        bn,
-        batched_looped,
-        batched,
-        batched / batched_looped.max(f64::EPSILON),
         tuned.kernel.name(),
         tuned.kc,
         tuned.nc,

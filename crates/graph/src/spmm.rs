@@ -14,6 +14,7 @@
 //! L1-resident; tiling preserves per-row accumulation order exactly, so
 //! tiled output is bit-identical to the untiled kernel.
 
+use ppgnn_tensor::pool::{BlockOut, RowBlocks};
 use ppgnn_tensor::{pool, Matrix};
 
 use crate::{CsrGraph, GraphError};
@@ -329,13 +330,18 @@ impl WeightedCsr {
 
         let blocks = nnz_balanced_blocks(&self.indptr, nthreads);
         let sizes: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
-        pool.run_row_blocks(out.as_mut_slice(), f, &sizes, |block, chunk| {
-            let start = blocks[block].start;
-            for (i, row_out) in chunk.chunks_exact_mut(f).enumerate() {
-                row_out.fill(0.0);
-                Self::spmm_row(self, start + i, x_data, f, row_out);
-            }
-        });
+        let outs = [BlockOut::rows(out.as_mut_slice(), f)];
+        pool.run_row_blocks(
+            outs,
+            RowBlocks::Sizes(&sizes),
+            sizes.len(),
+            |_, start, [chunk]| {
+                for (i, row_out) in chunk.chunks_exact_mut(f).enumerate() {
+                    row_out.fill(0.0);
+                    Self::spmm_row(self, start + i, x_data, f, row_out);
+                }
+            },
+        );
     }
 
     /// Computes rows `rows` of `S · X` into `out_rows` — the row-slice

@@ -1,7 +1,8 @@
 use ppgnn_nn::{
     Dropout, LayerNorm, Linear, Mode, Module, MultiHeadAttention, Param, Relu, Sequential,
 };
-use ppgnn_tensor::Matrix;
+use ppgnn_tensor::pool::{add_partials, row_block_count, row_blocked, BlockOut};
+use ppgnn_tensor::{lanes, Matrix};
 use rand::Rng;
 
 use crate::pp::{validate_hops, PpModel};
@@ -27,6 +28,30 @@ use crate::pp::{validate_hops, PpModel};
 /// The most expressive — and most compute-heavy — of the three PP-GNNs,
 /// which is exactly the regime where the paper finds data loading ceases to
 /// dominate (Figure 5: HOGA 68.7 % loading vs SGC 91.5 %).
+///
+/// # What a step costs
+///
+/// Its GEMMs (embeddings, the attention projections, the head) plus a few
+/// streaming passes, each one sweep on the fixed-grain row-block splitter
+/// ([`ppgnn_tensor::pool::row_blocked`], blocks of
+/// [`ppgnn_tensor::pool::ROW_BLOCK`] examples): token interleave +
+/// positional add, the residual add, LayerNorm, the gated readout (score +
+/// softmax + pool in one sweep; its backward likewise), and residual +
+/// de-interleave + `∂pos`. Stage spans (`hoga.embed`, `attn.qkv`,
+/// `attn.core`, `attn.out`, `hoga.norm`, `hoga.readout`, `hoga.head` and
+/// their `.bwd` twins) attribute a step when telemetry is on.
+///
+/// **Determinism.** A block's result is a function of the block alone; the
+/// sums over the batch (`∂gate`, `∂pos`) leave one partial row per block,
+/// added into the gradient in block order on the calling thread. With the
+/// GEMM driver's own contract that makes logits, every gradient and every
+/// updated weight bit-identical serial and pooled, at every pool width.
+///
+/// **Retained.** Forward intermediates, the training cache (ping-ponged
+/// through `cache_scratch`), `∂normed`, the per-hop gradient matrices and
+/// the partial rows all live in the model: a steady-state step allocates
+/// only what `Module::backward` returns by value, a count that does not
+/// grow with the batch.
 pub struct Hoga {
     hops: usize,
     embeds: Vec<Linear>,
@@ -51,11 +76,17 @@ pub struct Hoga {
     embedded: Matrix,
     attended: Matrix,
     pooled: Matrix,
+    /// Retained backward buffers: `∂normed` `[b*t, H]`, the readout's
+    /// `∂gates` scratch `[b, t]`, one `[b, H]` gradient per hop embedding,
+    /// and one `H`-wide partial row per row block.
+    g_normed: Matrix,
+    d_gates: Matrix,
+    per_hop_grads: Vec<Matrix>,
+    partials: Vec<f32>,
 }
 
 #[derive(Default)]
 struct HogaCache {
-    batch: usize,
     /// Post-norm token features `[b*t, H]`.
     normed: Matrix,
     /// Readout gates `[b, t]` (softmax over tokens).
@@ -70,6 +101,72 @@ impl std::fmt::Debug for Hoga {
             .field("heads", &self.heads)
             .field("num_classes", &self.num_classes)
             .finish()
+    }
+}
+
+/// Gated readout over one block of examples: score each token
+/// (`z·w·scale`), softmax over the example's tokens into `gates`, pool the
+/// tokens with those weights into `pooled`. `normed` is the block's rows.
+fn readout_fwd(normed: &[f32], gate_w: &[f32], gates: &mut [f32], pooled: &mut [f32]) {
+    let h = gate_w.len();
+    let t = gates.len() / (pooled.len() / h);
+    let scale = 1.0 / (h as f32).sqrt();
+    let examples = gates.chunks_exact_mut(t).zip(pooled.chunks_exact_mut(h));
+    for ((g, p), z) in examples.zip(normed.chunks_exact(t * h)) {
+        let mut max = f32::NEG_INFINITY;
+        for (gv, zt) in g.iter_mut().zip(z.chunks_exact(h)) {
+            *gv = lanes::dot(zt, gate_w) * scale;
+            max = max.max(*gv);
+        }
+        let mut sum = 0.0;
+        for gv in g.iter_mut() {
+            *gv = (*gv - max).exp();
+            sum += *gv;
+        }
+        for (tok, (gv, zt)) in g.iter_mut().zip(z.chunks_exact(h)).enumerate() {
+            *gv /= sum;
+            for (pv, &zv) in p.iter_mut().zip(zt) {
+                *pv = if tok == 0 { *gv * zv } else { *pv + *gv * zv };
+            }
+        }
+    }
+}
+
+/// Backward of [`readout_fwd`] over one block of examples:
+/// `pooled_i = Σ_r g_ir · z_ir`, `g_i = softmax_r(z_ir·w·scale)`. Writes the
+/// block's `∂normed` rows (value path `g·∂pooled` plus score path `∂s·w`),
+/// uses its `∂gates` rows as scratch, and leaves the block's `∂w` partial.
+fn readout_bwd(
+    (g_pooled, normed, gates, gate_w): (&[f32], &[f32], &[f32], &[f32]),
+    [g_normed, d_gates, g_gate]: [&mut [f32]; 3],
+) {
+    let h = gate_w.len();
+    let t = gates.len() / (g_pooled.len() / h);
+    let scale = 1.0 / (h as f32).sqrt();
+    g_gate.fill(0.0);
+    let examples = g_pooled.chunks_exact(h).zip(normed.chunks_exact(t * h));
+    let outs = g_normed
+        .chunks_exact_mut(t * h)
+        .zip(d_gates.chunks_exact_mut(t));
+    for (((gp, z), g), (gz, dg)) in examples.zip(gates.chunks_exact(t)).zip(outs) {
+        // ∂g_r = ∂pooled · z_r, then softmax backward: ∂s_r = g_r (∂g_r − Σ g·∂g).
+        let mut inner = 0.0;
+        for ((d, zt), &gv) in dg.iter_mut().zip(z.chunks_exact(h)).zip(g) {
+            *d = lanes::dot(gp, zt);
+            inner += gv * *d;
+        }
+        for (((gzt, zt), &gv), &d) in gz
+            .chunks_exact_mut(h)
+            .zip(z.chunks_exact(h))
+            .zip(g)
+            .zip(&*dg)
+        {
+            let ds = gv * (d - inner) * scale;
+            for k in 0..h {
+                gzt[k] = gv * gp[k] + ds * gate_w[k];
+                g_gate[k] += ds * zt[k];
+            }
+        }
     }
 }
 
@@ -120,6 +217,10 @@ impl Hoga {
             embedded: Matrix::default(),
             attended: Matrix::default(),
             pooled: Matrix::default(),
+            g_normed: Matrix::default(),
+            d_gates: Matrix::default(),
+            per_hop_grads: (0..tokens).map(|_| Matrix::default()).collect(),
+            partials: Vec::new(),
         }
     }
 
@@ -143,157 +244,134 @@ impl PpModel for Hoga {
 
     fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
         let (b, _) = validate_hops(hops, self.hops + 1);
-        let t = self.hops + 1;
-        // per-hop embeddings, interleaved into token layout [b*t, H]
-        for ((e, h), z) in self
-            .embeds
-            .iter_mut()
-            .zip(hops)
-            .zip(self.per_hop.iter_mut())
+        let (t, h) = (self.hops + 1, self.hidden);
         {
-            e.forward_into(h, mode, z);
-        }
-        self.embedded.resize_to(b * t, self.hidden);
-        for i in 0..b {
-            for tok in 0..t {
-                let dst = self.embedded.row_mut(i * t + tok);
-                dst.copy_from_slice(self.per_hop[tok].row(i));
-                for (e, &p) in dst.iter_mut().zip(self.pos.value.row(tok)) {
-                    *e += p;
-                }
+            // per-hop embeddings, interleaved into token layout [b*t, H]
+            // with the positional embedding added on the way
+            let _span = ppgnn_telemetry::span("hoga.embed");
+            for ((e, x), z) in self.embeds.iter_mut().zip(hops).zip(&mut self.per_hop) {
+                e.forward_into(x, mode, z);
             }
+            self.embedded.resize_to(b * t, h);
+            let (per_hop, pos) = (&self.per_hop, &self.pos.value);
+            let outs = [BlockOut::rows(self.embedded.as_mut_slice(), t * h)];
+            row_blocked(b, 2 * b * t * h, outs, |_, i0, [tokens]| {
+                for (r, dst) in tokens.chunks_exact_mut(h).enumerate() {
+                    let (i, tok) = (i0 + r / t, r % t);
+                    for ((d, &e), &p) in dst.iter_mut().zip(per_hop[tok].row(i)).zip(pos.row(tok)) {
+                        *d = e + p;
+                    }
+                }
+            });
         }
         self.attention
             .forward_into(&self.embedded, mode, &mut self.attended); // [b*t, H]
-        self.attended.add_assign(&self.embedded); // residual connection
         let mut cb = self.cache_scratch.take().unwrap_or_default();
-        self.norm.forward_into(&self.attended, mode, &mut cb.normed); // [b*t, H]
-
-        // Gated readout: score each token, softmax over the node's tokens,
-        // pool with the resulting weights.
-        let scale = 1.0 / (self.hidden as f32).sqrt();
-        let gate_w = self.gate.value.as_slice();
-        cb.gates.resize_to(b, t);
-        for i in 0..b {
-            let row = cb.gates.row_mut(i);
-            for (tok, g) in row.iter_mut().enumerate() {
-                let z = cb.normed.row(i * t + tok);
-                let mut s = 0.0;
-                for (zv, wv) in z.iter().zip(gate_w) {
-                    s += zv * wv;
-                }
-                *g = s * scale;
-            }
-            // softmax in place
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for g in row.iter_mut() {
-                *g = (*g - max).exp();
-                sum += *g;
-            }
-            for g in row.iter_mut() {
-                *g /= sum;
-            }
+        {
+            let _span = ppgnn_telemetry::span("hoga.norm");
+            self.attended.add_assign(&self.embedded); // residual connection
+            self.norm.forward_into(&self.attended, mode, &mut cb.normed); // [b*t, H]
         }
-        self.pooled.resize_to(b, self.hidden);
-        self.pooled.fill_zero();
-        for i in 0..b {
-            for tok in 0..t {
-                let g = cb.gates.get(i, tok);
-                let src = cb.normed.row(i * t + tok);
-                for (p, v) in self.pooled.row_mut(i).iter_mut().zip(src) {
-                    *p += v * g;
-                }
-            }
+        {
+            let _span = ppgnn_telemetry::span("hoga.readout");
+            cb.gates.resize_to(b, t);
+            self.pooled.resize_to(b, h);
+            let (normed, gate_w) = (cb.normed.as_slice(), self.gate.value.as_slice());
+            let outs = [
+                BlockOut::rows(cb.gates.as_mut_slice(), t),
+                BlockOut::rows(self.pooled.as_mut_slice(), h),
+            ];
+            row_blocked(b, normed.len() + b * h, outs, |_, i0, [gates, pooled]| {
+                let z = &normed[i0 * t * h..][..gates.len() * h];
+                readout_fwd(z, gate_w, gates, pooled)
+            });
         }
-        cb.batch = b;
         if mode == Mode::Train {
             self.cache = Some(cb);
         } else {
             self.cache_scratch = Some(cb);
         }
+        let _span = ppgnn_telemetry::span("hoga.head");
         self.head.forward_into(&self.pooled, mode, out);
     }
 
-    // ppgnn-analyze: allow(hot_path_alloc) -- per-batch gradient work
-    // buffers (gated-readout and per-hop de-interleave grads); bounded by
-    // the residency pin in tests/preprocess_residency.rs.
     fn backward(&mut self, grad_out: &Matrix) {
-        let HogaCache {
-            batch: b,
-            normed,
-            gates,
-        } = self
+        let cache = self
             .cache
             .take()
             .expect("Hoga::backward called without a training-mode forward");
-        let t = self.hops + 1;
-        let g_pooled = self.head.backward(grad_out); // [b, H]
-
-        // Backward through the gated readout:
-        //   pooled_i = Σ_r g_ir · z_ir,  g_i = softmax_r(z_ir·w·scale).
-        let scale = 1.0 / (self.hidden as f32).sqrt();
-        let gate_w = self.gate.value.as_slice();
-        let mut g_normed = Matrix::zeros(b * t, self.hidden);
-        let mut g_gate = vec![0.0f32; self.hidden];
-        for i in 0..b {
-            let gp = g_pooled.row(i);
-            // dgate_r = gp · z_ir ; value-path dz_ir += g_ir · gp
-            let mut dg = vec![0.0f32; t];
-            for tok in 0..t {
-                let z = normed.row(i * t + tok);
-                let mut dot = 0.0;
-                for (a, v) in gp.iter().zip(z) {
-                    dot += a * v;
-                }
-                dg[tok] = dot;
-                let g = gates.get(i, tok);
-                for (o, v) in g_normed.row_mut(i * t + tok).iter_mut().zip(gp) {
-                    *o += g * v;
-                }
-            }
-            // softmax backward: ds_r = g_r (dg_r − Σ g·dg)
-            let inner: f32 = (0..t).map(|r| gates.get(i, r) * dg[r]).sum();
-            for tok in 0..t {
-                let ds = gates.get(i, tok) * (dg[tok] - inner) * scale;
-                // score path: dz += ds·w ; dw += ds·z
-                for (o, wv) in g_normed.row_mut(i * t + tok).iter_mut().zip(gate_w) {
-                    *o += ds * wv;
-                }
-                for (gw, zv) in g_gate.iter_mut().zip(normed.row(i * t + tok)) {
-                    *gw += ds * zv;
-                }
-            }
+        let (t, h) = (self.hops + 1, self.hidden);
+        let b = cache.gates.rows();
+        let g_pooled = {
+            let _span = ppgnn_telemetry::span("hoga.head.bwd");
+            self.head.backward(grad_out) // [b, H]
+        };
+        self.partials.resize(row_block_count(b) * h, 0.0);
+        {
+            let _span = ppgnn_telemetry::span("hoga.readout.bwd");
+            self.g_normed.resize_to(b * t, h);
+            self.d_gates.resize_to(b, t);
+            let (gp, z, g) = (
+                g_pooled.as_slice(),
+                cache.normed.as_slice(),
+                cache.gates.as_slice(),
+            );
+            let gate_w = self.gate.value.as_slice();
+            let outs = [
+                BlockOut::rows(self.g_normed.as_mut_slice(), t * h),
+                BlockOut::rows(self.d_gates.as_mut_slice(), t),
+                BlockOut::partial(&mut self.partials, h),
+            ];
+            row_blocked(b, 2 * z.len() + gp.len(), outs, |_, i0, outs| {
+                let n = outs[1].len() / t;
+                let inputs = (
+                    &gp[i0 * h..][..n * h],
+                    &z[i0 * t * h..][..n * t * h],
+                    &g[i0 * t..][..n * t],
+                    gate_w,
+                );
+                readout_bwd(inputs, outs)
+            });
+            add_partials(self.gate.grad.as_mut_slice(), &self.partials);
         }
-        for (k, gv) in g_gate.iter().enumerate() {
-            let cur = self.gate.grad.get(k, 0);
-            self.gate.grad.set(k, 0, cur + gv);
-        }
-        let g_attended = self.norm.backward(&g_normed);
-        let mut g_embedded = self.attention.backward(&g_attended);
-        // residual path
-        g_embedded.add_assign(&g_attended);
-        // positional-embedding grads: sum token grads over the batch;
-        // per-hop embedding grads: de-interleave tokens back to hop layout
-        let mut per_hop_grads: Vec<Matrix> =
-            (0..t).map(|_| Matrix::zeros(b, self.hidden)).collect();
-        for i in 0..b {
-            for tok in 0..t {
-                let src = g_embedded.row(i * t + tok);
-                for (o, &v) in self.pos.grad.row_mut(tok).iter_mut().zip(src) {
-                    *o += v;
+        let g_attended = {
+            let _span = ppgnn_telemetry::span("hoga.norm.bwd");
+            self.norm.backward(&self.g_normed)
+        };
+        let g_embedded = self.attention.backward(&g_attended);
+        let _span = ppgnn_telemetry::span("hoga.embed.bwd");
+        // Per hop: residual path + de-interleave back to hop layout, the
+        // hop's positional-embedding grad (its token grads summed over the
+        // batch), then the embedding's parameter grads — the input is
+        // data, so no ∂X.
+        let (ge, ga) = (g_embedded.as_slice(), g_attended.as_slice());
+        for (tok, (embed, grads)) in self
+            .embeds
+            .iter_mut()
+            .zip(&mut self.per_hop_grads)
+            .enumerate()
+        {
+            grads.resize_to(b, h);
+            let outs = [
+                BlockOut::rows(grads.as_mut_slice(), h),
+                BlockOut::partial(&mut self.partials, h),
+            ];
+            row_blocked(b, 3 * b * h, outs, |_, i0, [dst, g_pos]| {
+                g_pos.fill(0.0);
+                for (r, d) in dst.chunks_exact_mut(h).enumerate() {
+                    let at = ((i0 + r) * t + tok) * h;
+                    for ((d, p), (&e, &a)) in
+                        (d.iter_mut().zip(g_pos.iter_mut())).zip(ge[at..].iter().zip(&ga[at..]))
+                    {
+                        *d = e + a;
+                        *p += *d;
+                    }
                 }
-                per_hop_grads[tok].row_mut(i).copy_from_slice(src);
-            }
+            });
+            add_partials(self.pos.grad.row_mut(tok), &self.partials);
+            embed.backward_params(grads);
         }
-        for (embed, g) in self.embeds.iter_mut().zip(&per_hop_grads) {
-            embed.backward_params(g); // the input is data: no ∂X
-        }
-        self.cache_scratch = Some(HogaCache {
-            batch: b,
-            normed,
-            gates,
-        });
+        self.cache_scratch = Some(cache);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -415,6 +493,105 @@ mod tests {
                 k += stride;
             }
         }
+    }
+
+    #[test]
+    fn a_train_step_is_bit_identical_serial_and_pooled() {
+        // Three Adam steps on 200 examples (four row blocks, the last
+        // short), once with every kernel and pass forced serial and once
+        // with all of them forced onto the pool: logits, every parameter
+        // gradient and every updated weight must agree to the bit.
+        let hops = hop_stack(200, 10, 3, 11);
+        let labels: Vec<u32> = (0..200).map(|i| (i % 5) as u32).collect();
+        let run = |threshold: usize| {
+            ppgnn_tensor::set_parallel_threshold(threshold);
+            let mut m = Hoga::new(3, 10, 16, 2, 5, 0.1, &mut StdRng::seed_from_u64(9));
+            let mut opt = Adam::new(0.01);
+            let mut trail: Vec<Vec<u32>> = Vec::new();
+            let mut keep =
+                |mat: &Matrix| trail.push(mat.as_slice().iter().map(|v| v.to_bits()).collect());
+            for _ in 0..3 {
+                let logits = m.forward(&hops, Mode::Train);
+                let (_, g) = CrossEntropyLoss.loss_and_grad(&logits, &labels);
+                m.zero_grad();
+                m.backward(&g);
+                keep(&logits);
+                m.params().iter().for_each(|p| keep(&p.grad));
+                opt.step(&mut m.params());
+                m.params().iter().for_each(|p| keep(&p.value));
+            }
+            trail
+        };
+        let (serial, pooled) = (run(usize::MAX), run(0));
+        ppgnn_tensor::set_parallel_threshold(ppgnn_tensor::pool::DEFAULT_PARALLEL_THRESHOLD);
+        assert_eq!(serial.len(), 3 * (1 + 2 * 20)); // logits + 20 grads + 20 weights per step
+        assert!(serial == pooled, "serial and pooled HOGA steps diverge");
+    }
+
+    #[test]
+    fn stage_spans_cover_a_train_step() {
+        // With telemetry on, the fourteen stage spans account for (nearly)
+        // all of a step's forward + backward wall — measured on this thread
+        // inside two probe spans, so concurrent tests' events (other
+        // threads) and their load (both sides of the ratio) drop out.
+        const STAGES: [&str; 7] = [
+            "hoga.embed",
+            "attn.qkv",
+            "attn.core",
+            "attn.out",
+            "hoga.norm",
+            "hoga.readout",
+            "hoga.head",
+        ];
+        let mut m = Hoga::new(3, 16, 32, 4, 5, 0.1, &mut StdRng::seed_from_u64(12));
+        let hops = hop_stack(256, 16, 3, 13);
+        let labels: Vec<u32> = (0..256).map(|i| (i % 5) as u32).collect();
+        let mut logits = Matrix::default();
+        let mut step = |m: &mut Hoga| {
+            {
+                let _probe = ppgnn_telemetry::span("test.hoga.fwd");
+                m.forward_into(&hops, Mode::Train, &mut logits);
+            }
+            let (_, g) = CrossEntropyLoss.loss_and_grad(&logits, &labels);
+            m.zero_grad();
+            let _probe = ppgnn_telemetry::span("test.hoga.bwd");
+            m.backward(&g);
+        };
+        step(&mut m); // warm the retained buffers
+        ppgnn_telemetry::set_enabled(true);
+        step(&mut m);
+        ppgnn_telemetry::set_enabled(false);
+
+        let events = ppgnn_telemetry::take_events();
+        let probe = |name: &str| {
+            *events
+                .iter()
+                .rev()
+                .find(|e| e.name == name)
+                .expect("probe span recorded")
+        };
+        let mut covered = 0;
+        for (probe, suffix) in [
+            (probe("test.hoga.fwd"), ""),
+            (probe("test.hoga.bwd"), ".bwd"),
+        ] {
+            for stage in STAGES {
+                let name = format!("{stage}{suffix}");
+                let inside: Vec<_> = events
+                    .iter()
+                    .filter(|e| e.tid == probe.tid && e.start_ns >= probe.start_ns)
+                    .filter(|e| e.start_ns + e.dur_ns <= probe.start_ns + probe.dur_ns)
+                    .filter(|e| e.name == name)
+                    .collect();
+                assert_eq!(inside.len(), 1, "{name}: one span per step");
+                covered += inside[0].dur_ns;
+            }
+        }
+        let wall = probe("test.hoga.fwd").dur_ns + probe("test.hoga.bwd").dur_ns;
+        assert!(
+            covered as f64 >= 0.9 * wall as f64,
+            "stage spans cover {covered} ns of a {wall} ns step"
+        );
     }
 
     #[test]

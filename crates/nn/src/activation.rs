@@ -50,16 +50,14 @@ impl Module for Relu {
             grad_out.len(),
             "grad_out shape mismatch in Relu"
         );
-        // ppgnn-analyze: allow(hot_path_alloc) -- gradient result is
-        // produced by value; `backward` returns an owned Matrix.
-        let mut g = grad_out.clone();
-        for (v, &keep) in g.as_mut_slice().iter_mut().zip(&mask) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        // The owned result is written once, through a select the compiler
+        // vectorises. Not a multiply by 0/1: a masked NaN or negative
+        // gradient must come out `+0.0`, not NaN or `-0.0`.
+        let kept = grad_out.as_slice().iter().zip(&mask);
+        let data = kept.map(|(&g, &keep)| if keep { g } else { 0.0 }).collect();
         self.mask_scratch = Some(mask);
-        g
+        Matrix::from_vec(grad_out.rows(), grad_out.cols(), data)
+            .expect("one value per gradient element")
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -179,6 +177,57 @@ mod tests {
         assert_eq!(y.row(0), &[0.0, 0.0, 2.0]);
         let g = r.backward(&Matrix::full(1, 3, 1.0));
         assert_eq!(g.row(0), &[0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn relu_backward_select_matches_the_branching_loop_bit_for_bit() {
+        // Every special gradient value under both mask values, and enough
+        // ordinary ones to cover a vectorised body plus its tail.
+        let special = [
+            -0.0f32,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -3.5,
+            1e-40,
+        ];
+        let grads: Vec<f32> = (0..77)
+            .map(|i| {
+                if i < 14 {
+                    special[i % 7]
+                } else {
+                    i as f32 - 40.5
+                }
+            })
+            .collect();
+        let x = Matrix::from_fn(7, 11, |r, c| if (r * 11 + c) % 14 < 7 { 1.0 } else { -1.0 });
+        let grad_out = Matrix::from_vec(7, 11, grads).unwrap();
+        let mut r = Relu::new();
+        r.forward(&x, Mode::Train);
+        let got = r.backward(&grad_out);
+        // The loop this replaced: clone, then zero where the input was not positive.
+        let mut expect = grad_out.clone();
+        for (v, &xv) in expect.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            if xv <= 0.0 {
+                *v = 0.0;
+            }
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expect));
+        assert_eq!(got.shape(), (7, 11));
+        for s in special {
+            let under = |keep: bool| {
+                (0..77).any(|i| {
+                    grad_out.as_slice()[i].to_bits() == s.to_bits()
+                        && (x.as_slice()[i] > 0.0) == keep
+                })
+            };
+            assert!(
+                under(true) && under(false),
+                "{s} not seen under both mask values"
+            );
+        }
     }
 
     #[test]

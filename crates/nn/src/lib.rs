@@ -58,3 +58,8 @@ pub use module::{Mode, Module, Sequential};
 pub use norm::{BatchNorm1d, LayerNorm};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use param::Param;
+
+/// Serializes this crate's tests that flip the global parallel threshold,
+/// so a test claiming the serial path is not handed the pooled one.
+#[cfg(test)]
+pub(crate) static TEST_THRESHOLD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

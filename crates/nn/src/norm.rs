@@ -1,13 +1,28 @@
-use ppgnn_tensor::Matrix;
+use ppgnn_tensor::pool::{add_partials, row_block_count, row_blocked, BlockOut};
+use ppgnn_tensor::{lanes, Matrix};
 
 use crate::{Mode, Module, Param};
 
 /// Layer normalization over the feature dimension with learnable scale and
 /// shift (`γ`, `β`), as used inside HOGA's attention block.
 ///
-/// The normalized-input cache ping-pongs between `cache` (armed by a
-/// training forward) and `cache_scratch` (handed back by `backward` or an
-/// eval forward), so steady-state forwards reuse one buffer set.
+/// **One sweep each way.** The forward computes a row's statistics,
+/// normalizes it and applies the affine map while the row is in cache; the
+/// backward forms `∂x` and the row's contribution to `∂γ`/`∂β` the same
+/// way. Row statistics are [`ppgnn_tensor::lanes`] reductions.
+///
+/// **Determinism.** Both sweeps run on the fixed-grain row-block splitter
+/// ([`ppgnn_tensor::pool::row_blocked`]). `∂γ`/`∂β` sum over rows: each
+/// block of [`ppgnn_tensor::pool::ROW_BLOCK`] rows accumulates one partial
+/// row, and the partials are added into the gradients in block order on the
+/// calling thread — so every result is bit-identical serial and pooled, at
+/// every pool width.
+///
+/// **Retained.** The normalized-input cache ping-pongs between `cache`
+/// (armed by a training forward) and `cache_scratch` (handed back by
+/// `backward` or an eval forward), and the partial rows are kept, so
+/// steady-state forwards reuse one buffer set and a backward allocates
+/// only the input gradient it returns.
 #[derive(Debug)]
 pub struct LayerNorm {
     gamma: Param,
@@ -15,6 +30,9 @@ pub struct LayerNorm {
     eps: f32,
     cache: Option<LnCache>,
     cache_scratch: Option<LnCache>,
+    /// One `∂γ` partial row per row block of the last backward, then one
+    /// `∂β` partial row per block.
+    partials: Vec<f32>,
 }
 
 #[derive(Debug, Default)]
@@ -33,12 +51,59 @@ impl LayerNorm {
             eps: 1e-5,
             cache: None,
             cache_scratch: None,
+            partials: Vec::new(),
         }
     }
 
     /// Normalized feature dimension.
     pub fn dim(&self) -> usize {
         self.gamma.value.cols()
+    }
+}
+
+/// Forward sweep over one block of rows: `x` → statistics → `normalized`,
+/// `inv_std` → `out = normalized ⊙ γ + β`.
+fn layer_norm_fwd(
+    x: &[f32],
+    (gamma, beta, eps): (&[f32], &[f32], f32),
+    [out, normalized, inv_std]: [&mut [f32]; 3],
+) {
+    let d = gamma.len();
+    let rows = x.chunks_exact(d).zip(out.chunks_exact_mut(d));
+    for ((row, o), (nx, istd)) in rows.zip(normalized.chunks_exact_mut(d).zip(inv_std)) {
+        let mean = lanes::sum(row) / d as f32;
+        for (n, &v) in nx.iter_mut().zip(row) {
+            *n = v - mean;
+        }
+        *istd = 1.0 / (lanes::dot(nx, nx) / d as f32 + eps).sqrt();
+        for (((o, n), &g), &b) in o.iter_mut().zip(nx.iter_mut()).zip(gamma).zip(beta) {
+            *n *= *istd;
+            *o = *n * g + b;
+        }
+    }
+}
+
+/// Backward sweep over one block of rows: the block's `∂γ`/`∂β` partial
+/// rows and `∂x = istd/d · (d·h − Σh − x̂·Σ(h⊙x̂))`, where `h = g ⊙ γ`.
+fn layer_norm_bwd(
+    (grad_out, normalized, inv_std, gamma): (&[f32], &[f32], &[f32], &[f32]),
+    [gx, pgamma, pbeta]: [&mut [f32]; 3],
+) {
+    let d = gamma.len();
+    pgamma.fill(0.0);
+    pbeta.fill(0.0);
+    let rows = grad_out.chunks_exact(d).zip(normalized.chunks_exact(d));
+    for ((g, nx), (gx, &istd)) in rows.zip(gx.chunks_exact_mut(d).zip(inv_std)) {
+        for k in 0..d {
+            gx[k] = g[k] * gamma[k];
+            pgamma[k] += g[k] * nx[k];
+            pbeta[k] += g[k];
+        }
+        let (sum_h, sum_hx) = (lanes::sum(gx), lanes::dot(gx, nx));
+        let c = istd / d as f32;
+        for (h, &n) in gx.iter_mut().zip(nx) {
+            *h = c * (d as f32 * *h - sum_h - n * sum_hx);
+        }
     }
 }
 
@@ -51,34 +116,22 @@ impl Module for LayerNorm {
 
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
         assert_eq!(x.cols(), self.dim(), "LayerNorm dim mismatch");
-        let d = x.cols();
+        let (rows, d) = x.shape();
         let mut cache = self.cache_scratch.take().unwrap_or_default();
-        cache.normalized.resize_to(x.rows(), d);
-        cache.inv_std.clear();
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + self.eps).sqrt();
-            cache.inv_std.push(istd);
-            for (o, &v) in cache.normalized.row_mut(r).iter_mut().zip(row) {
-                *o = (v - mean) * istd;
-            }
-        }
-        out.resize_to(x.rows(), d);
-        let gamma = self.gamma.value.row(0);
-        let beta = self.beta.value.row(0);
-        for r in 0..x.rows() {
-            for (((o, &nx), &g), &b) in out
-                .row_mut(r)
-                .iter_mut()
-                .zip(cache.normalized.row(r))
-                .zip(gamma)
-                .zip(beta)
-            {
-                *o = nx * g + b;
-            }
-        }
+        cache.normalized.resize_to(rows, d);
+        cache.inv_std.resize(rows, 0.0);
+        out.resize_to(rows, d);
+        let params = (self.gamma.value.row(0), self.beta.value.row(0), self.eps);
+        let src = x.as_slice();
+        let outs = [
+            BlockOut::rows(out.as_mut_slice(), d),
+            BlockOut::rows(cache.normalized.as_mut_slice(), d),
+            BlockOut::rows(&mut cache.inv_std, 1),
+        ];
+        row_blocked(rows, 3 * src.len(), outs, |_, row0, outs| {
+            let block = &src[row0 * d..][..outs[0].len()];
+            layer_norm_fwd(block, params, outs)
+        });
         if mode == Mode::Train {
             self.cache = Some(cache);
         } else {
@@ -87,69 +140,41 @@ impl Module for LayerNorm {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let LnCache {
-            normalized,
-            inv_std,
-        } = self
+        let cache = self
             .cache
             .take()
             .expect("LayerNorm::backward called without a training-mode forward");
         assert_eq!(
             grad_out.shape(),
-            normalized.shape(),
+            cache.normalized.shape(),
             "grad_out shape mismatch"
         );
-        let d = normalized.cols();
-        // `value` and `grad` are disjoint fields of `Param`, so borrowing
-        // gamma's values does not conflict with the grad updates below.
-        let gamma = self.gamma.value.row(0);
-
-        // Parameter grads: ∂γ = Σ_rows g ⊙ x̂ ; ∂β = Σ_rows g.
-        {
-            let ggamma = self.gamma.grad.row_mut(0);
-            for r in 0..grad_out.rows() {
-                for ((gg, &g), &nx) in ggamma
-                    .iter_mut()
-                    .zip(grad_out.row(r))
-                    .zip(normalized.row(r))
-                {
-                    *gg += g * nx;
-                }
-            }
-        }
-        {
-            let gbeta = self.beta.grad.row_mut(0);
-            for r in 0..grad_out.rows() {
-                for (gb, &g) in gbeta.iter_mut().zip(grad_out.row(r)) {
-                    *gb += g;
-                }
-            }
-        }
-
-        // Input grad (standard layer-norm backward):
-        // ∂x = istd/d · (d·h − Σh − x̂·Σ(h⊙x̂)), where h = g ⊙ γ.
+        let (rows, d) = grad_out.shape();
         // ppgnn-analyze: allow(hot_path_alloc) -- by-value gradient result.
-        let mut gx = Matrix::zeros(grad_out.rows(), d);
-        for r in 0..grad_out.rows() {
-            let g = grad_out.row(r);
-            let nx = normalized.row(r);
-            let mut sum_h = 0.0f32;
-            let mut sum_hx = 0.0f32;
-            for ((&gv, &gam), &nv) in g.iter().zip(gamma).zip(nx) {
-                let h = gv * gam;
-                sum_h += h;
-                sum_hx += h * nv;
-            }
-            let istd = inv_std[r];
-            for (k, o) in gx.row_mut(r).iter_mut().enumerate() {
-                let h = g[k] * gamma[k];
-                *o = istd / d as f32 * (d as f32 * h - sum_h - nx[k] * sum_hx);
-            }
-        }
-        self.cache_scratch = Some(LnCache {
-            normalized,
-            inv_std,
+        let mut gx = Matrix::zeros(rows, d);
+        let per_param = row_block_count(rows) * d;
+        self.partials.resize(2 * per_param, 0.0);
+        let (pgamma, pbeta) = self.partials.split_at_mut(per_param);
+        let (g, nx, istd) = (
+            grad_out.as_slice(),
+            cache.normalized.as_slice(),
+            &cache.inv_std,
+        );
+        let gamma = self.gamma.value.row(0);
+        let outs = [
+            BlockOut::rows(gx.as_mut_slice(), d),
+            BlockOut::partial(pgamma, d),
+            BlockOut::partial(pbeta, d),
+        ];
+        row_blocked(rows, 3 * g.len(), outs, |_, row0, outs| {
+            let (at, len) = (row0 * d, outs[0].len());
+            let inputs = (&g[at..][..len], &nx[at..][..len], &istd[row0..], gamma);
+            layer_norm_bwd(inputs, outs)
         });
+        // ∂γ = Σ_rows g ⊙ x̂ ; ∂β = Σ_rows g.
+        add_partials(self.gamma.grad.row_mut(0), pgamma);
+        add_partials(self.beta.grad.row_mut(0), pbeta);
+        self.cache_scratch = Some(cache);
         gx
     }
 
@@ -410,6 +435,31 @@ mod tests {
         let gx = ln.backward(&Matrix::from_rows(&[&[0.3, -0.7, 1.1]]));
         let sum: f32 = gx.row(0).iter().sum();
         assert!(sum.abs() < 1e-5, "row-grad sum {sum}");
+    }
+
+    #[test]
+    fn layernorm_serial_and_pooled_sweeps_are_bit_identical() {
+        // 200 rows: four row blocks, the last short — ∂γ/∂β cross them.
+        let _guard = crate::TEST_THRESHOLD_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let x = Matrix::from_fn(200, 24, |r, c| {
+            ((r * 31 + c * 17) % 101) as f32 * 0.07 - 3.0
+        });
+        let g = Matrix::from_fn(200, 24, |r, c| ((r * 13 + c * 29) % 89) as f32 * 0.03 - 1.3);
+        let mut ln = LayerNorm::new(24);
+        ln.gamma.value = Matrix::from_fn(1, 24, |_, c| 0.5 + c as f32 * 0.1);
+        let mut run = |threshold| {
+            ppgnn_tensor::set_parallel_threshold(threshold);
+            let y = ln.forward(&x, Mode::Train);
+            ln.zero_grad();
+            let gx = ln.backward(&g);
+            [&y, &gx, &ln.gamma.grad, &ln.beta.grad]
+                .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let (serial, pooled) = (run(usize::MAX), run(0));
+        ppgnn_tensor::set_parallel_threshold(ppgnn_tensor::pool::DEFAULT_PARALLEL_THRESHOLD);
+        assert_eq!(serial, pooled);
     }
 
     #[test]

@@ -7,12 +7,7 @@
 //! * [`matmul_tn`] / [`matmul_tn_into`] — `C = Aᵀ · B` (weight gradients:
 //!   `∂W = Xᵀ · ∂Y`),
 //! * [`matmul_nt`] / [`matmul_nt_into`] — `C = A · Bᵀ` (input gradients:
-//!   `∂X = ∂Y · Wᵀ`),
-//!
-//! plus [`matmul_batched`] / [`matmul_batched_into`], which pack many
-//! small same-shape products (HOGA's per-head attention multiplies) into
-//! a **single** pool submission instead of one under-threshold call per
-//! head.
+//!   `∂X = ∂Y · Wᵀ`).
 //!
 //! # Kernel backends
 //!
@@ -52,10 +47,13 @@
 //! [`block::set_nc`]): within one K panel each task sweeps an
 //! `NC`-column slice of packed `B` across all of its row tiles before
 //! moving right, so wide hidden layers reuse a `KC×NC` B block out of L2
-//! instead of streaming the whole packed row of panels per `MR` rows.
+//! instead of streaming the whole packed row of panels per `MR` rows. A
+//! row tile takes its slice in one [`MicroKernel::tile_in_place`] call,
+//! so the AVX-512 backend feeds two B panels from every `A` broadcast.
 //!
 //! Per call, the `B` operand is packed **once** into contiguous
-//! `NR`-column panels — in transposed layout for the `nt` variant — and
+//! `NR`-column panels — in transposed layout for the `nt` variant, K
+//! panels shared out over the pool when the call is pooled — and
 //! shared read-only by every row-block task scheduled on the worker
 //! pool; each task packs its own `MR`-row `A` panels (transposed for
 //! `tn`). Both packing buffers come from the thread-local
@@ -76,7 +74,7 @@
 //! panels of the row; the 8-wide tiles stage it through one L1-resident
 //! panel. Per element the arithmetic is the packed path's, so the two are
 //! **bit-identical** at equal KC (swept per backend in this module's
-//! tests). [`matmul_batched`]'s per-head products keep the packed path.
+//! tests).
 //!
 //! Calls parallelize over `MR`-aligned output row blocks on the shared
 //! [`crate::pool`] once the FLOP count crosses the workspace-wide
@@ -89,20 +87,18 @@
 //! within tight float tolerance) and as the baseline the
 //! `BENCH_gemm.json` artifact measures speedups against.
 
-use crate::pool::{pool, threads_for, PackBuf, PackWorkspace};
+use crate::pool::{pool, threads_for, BlockOut, PackBuf, PackWorkspace, RowBlocks};
 use crate::Matrix;
 use ppgnn_telemetry::Counter;
 
 /// Telemetry counters bumped at the shared dispatch point of every packed
-/// GEMM call (and the batched entry). Recording is a relaxed atomic add
+/// GEMM call. Recording is a relaxed atomic add
 /// gated on `ppgnn_telemetry::enabled()`, so the disabled cost on this
 /// hot path is one atomic load — spans are deliberately absent here (and
 /// statically forbidden by the `telemetry_span` lint): per-call guards at
 /// micro-kernel granularity would dominate small products.
 static GEMM_CALLS: Counter = Counter::new("gemm.calls");
 static GEMM_MADDS: Counter = Counter::new("gemm.madds");
-static GEMM_BATCHED_CALLS: Counter = Counter::new("gemm.batched_calls");
-static GEMM_BATCHED_MADDS: Counter = Counter::new("gemm.batched_madds");
 static GEMM_DISPATCH_PORTABLE: Counter = Counter::new("gemm.dispatch.portable");
 static GEMM_DISPATCH_AVX2: Counter = Counter::new("gemm.dispatch.avx2");
 static GEMM_DISPATCH_AVX512: Counter = Counter::new("gemm.dispatch.avx512");
@@ -277,8 +273,7 @@ pub mod block {
     }
 
     /// Snapshots the active `{kernel, KC, NC}` once. Every `matmul*`
-    /// entry point (and the batched driver, once per batch) goes through
-    /// this.
+    /// entry point goes through this.
     pub fn tile_config() -> TileConfig {
         TileConfig {
             kernel: kernel(),
@@ -462,19 +457,34 @@ impl<'a> InPlaceA<'a> {
         (rows, ks)
     }
 
-    /// Packs the block into `stage` as one `MR`-row panel (`kcl · MR`
-    /// values, tail rows zero-padded) — the layout [`MicroKernel::tile`]
-    /// reads.
-    fn pack_into(&self, stage: &mut [f32]) {
+    /// The block as one `MR`-row panel (`kcl · MR` values) — the layout
+    /// [`MicroKernel::tile`] reads. A block that already lies that way (a
+    /// packed `A` panel, see [`InPlaceA::packed`]) is returned as is;
+    /// anything else is gathered into `stage`, tail rows zero-padded.
+    fn as_panel<'s>(&'s self, stage: &'s mut [f32]) -> &'s [f32] {
         let (a, ld, mr) = (self.data, self.ld, block::MR);
+        let len = self.kcl * mr;
         match self.layout {
-            APack::Rows => {
-                pack_a_rows(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage)
-            }
+            APack::Cols if ld == mr && self.row0 == 0 => &a[self.kk0 * mr..][..len],
             APack::Cols => {
-                pack_a_cols(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage)
+                let stage = &mut stage[..len];
+                pack_a_cols(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage);
+                stage
+            }
+            APack::Rows => {
+                let stage = &mut stage[..len];
+                pack_a_rows(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage);
+                stage
             }
         }
+    }
+
+    /// One packed `MR`-row panel (`kcl` steps of `MR` values, as
+    /// [`pack_a_rows`]/[`pack_a_cols`] leave it) viewed as a block: element
+    /// `(i, p)` at `p · MR + i` is a `kcl × MR` operand in the `tn` layout.
+    fn packed(panel: &'a [f32], ivalid: usize) -> Self {
+        let mr = block::MR;
+        InPlaceA::new(panel, APack::Cols, mr, 0, ivalid, 0, panel.len() / mr)
     }
 }
 
@@ -515,13 +525,14 @@ pub trait MicroKernel {
     /// multiply-add chain from a zero accumulator, then one add into `c`
     /// — so the result is bit-identical to packing `a` first.
     ///
-    /// A backend whose registers hold the whole strip reads `a` directly
-    /// and feeds each broadcast to every panel ([`Avx512Kernel`]). This
-    /// provided form is for the 8-wide tiles, which would otherwise
-    /// re-walk the strided block once per panel (three or four times at
-    /// thin `n`): it gathers the block into `stage` — one `MR × kcl`
-    /// panel, L1-resident, unlike the task-wide packed buffer it replaces
-    /// — and runs `tile` per B panel from there.
+    /// A backend whose registers hold two panels reads `a` directly and
+    /// feeds each broadcast to both ([`Avx512Kernel`]). This provided form
+    /// is for the 8-wide tiles, which would otherwise re-walk a strided
+    /// block once per panel (three or four times at thin `n`): unless the
+    /// block is a packed panel already, it gathers it into `stage` — one
+    /// `MR × kcl` panel, L1-resident — and runs `tile` per B panel from
+    /// there. `stage` must hold `a.kcl · MR` values unless `a` is
+    /// [`InPlaceA::packed`].
     ///
     /// # Safety
     ///
@@ -535,13 +546,12 @@ pub trait MicroKernel {
         ldc: usize,
         jvalid: usize,
     ) {
-        let stage = &mut stage[..a.kcl * Self::MR];
-        a.pack_into(stage);
+        let ap = a.as_panel(stage);
         for (jp, panel) in bp.chunks_exact(a.kcl * Self::NR).enumerate() {
             let j0 = jp * Self::NR;
             let jv = Self::NR.min(jvalid - j0);
             // SAFETY: the caller's contract is `tile`'s.
-            unsafe { Self::tile(stage, panel, &mut c[j0..], ldc, a.ivalid, jv) };
+            unsafe { Self::tile(ap, panel, &mut c[j0..], ldc, a.ivalid, jv) };
         }
     }
 }
@@ -988,8 +998,13 @@ enum BPack {
 /// `MR`-aligned blocks, one task per block on the shared pool; each task
 /// zero-fills its `C` chunk and accumulates tile products K panel by K
 /// panel, sweeping `nc`-column slices of packed `B` across all its row
-/// tiles before moving right (the L2 block). Per-element accumulation
-/// order is independent of both the row split and the column block.
+/// tiles before moving right (the L2 block). A row tile takes its whole
+/// `nc` strip in one [`MicroKernel::tile_in_place`] call — a packed `A`
+/// panel is an [`InPlaceA`] block like any other — so a backend whose
+/// registers hold two B panels feeds both from each `A` broadcast, and the
+/// 8-wide ones run `tile` per panel straight from the packed panel.
+/// Per-element accumulation order is independent of the row split, the
+/// column block and the panels a tile call covers.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<K: MicroKernel, PA>(
     m: usize,
@@ -1022,17 +1037,15 @@ fn gemm_blocked<K: MicroKernel, PA>(
             let mut jj = 0;
             while jj < np {
                 let jj_end = (jj + ncp).min(np);
+                let strip = &b_packed[bbase + jj * kcl * nr..][..(jj_end - jj) * kcl * nr];
+                let jvalid = n.min(jj_end * nr) - jj * nr;
                 for ip in 0..mp {
                     let ap = &apack[ip * kcl * mr..][..kcl * mr];
-                    let ivalid = mr.min(rows - ip * mr);
-                    for jp in jj..jj_end {
-                        let bp = &b_packed[bbase + jp * kcl * nr..][..kcl * nr];
-                        let jvalid = nr.min(n - jp * nr);
-                        let ct = &mut chunk[(ip * mr) * n + jp * nr..];
-                        // SAFETY: the dispatcher only selects `K` after
-                        // `K::KIND.is_supported()` held on this CPU.
-                        unsafe { K::tile(ap, bp, ct, n, ivalid, jvalid) };
-                    }
+                    let a = InPlaceA::packed(ap, mr.min(rows - ip * mr));
+                    let ct = &mut chunk[(ip * mr) * n + jj * nr..];
+                    // SAFETY: the dispatcher only selects `K` after
+                    // `K::KIND.is_supported()` held on this CPU.
+                    unsafe { K::tile_in_place(a, &mut [], strip, ct, n, jvalid) };
                 }
                 jj = jj_end;
             }
@@ -1063,18 +1076,9 @@ fn over_row_blocks(
         return;
     }
     let sizes = mr_row_blocks(m, nthreads, mr);
-    if sizes.len() <= 1 {
-        body(0, c);
-        return;
-    }
-    let mut starts = Vec::with_capacity(sizes.len());
-    let mut acc = 0;
-    for &s in &sizes {
-        starts.push(acc);
-        acc += s;
-    }
-    pool().run_row_blocks(c, n, &sizes, |blk, chunk| {
-        body(starts[blk], chunk);
+    let (outs, blocks) = ([BlockOut::rows(c, n)], RowBlocks::Sizes(&sizes));
+    pool().run_row_blocks(outs, blocks, sizes.len(), |_, row0, [chunk]| {
+        body(row0, chunk)
     });
 }
 
@@ -1133,21 +1137,26 @@ fn gemm_in_place<K: MicroKernel>(
 /// Packs every K panel of a `k`-deep `B` operand into a workspace buffer
 /// using `pack_block(kk0, kcl, dst)` at panel depth `kc` and panel width
 /// `nr`, returning the buffer (give it back with [`PackWorkspace::give`]).
+/// The panels are disjoint pure copies, so a pooled call (`nthreads > 1`)
+/// shares them out over the pool: a `tn` product's `B` is as large as the
+/// activations it multiplies.
 fn pack_b_full(
     k: usize,
     n: usize,
     kc: usize,
     nr: usize,
-    pack_block: impl Fn(usize, usize, &mut [f32]),
+    nthreads: usize,
+    pack_block: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) -> Vec<f32> {
-    let np = n.div_ceil(nr);
-    let mut bbuf = PackWorkspace::take(PackBuf::OperandB, k * np * nr);
-    let mut kk0 = 0;
-    while kk0 < k {
-        let kcl = kc.min(k - kk0);
-        pack_block(kk0, kcl, &mut bbuf[kk0 * np * nr..][..kcl * np * nr]);
-        kk0 += kcl;
-    }
+    let width = n.div_ceil(nr) * nr;
+    let mut bbuf = PackWorkspace::take(PackBuf::OperandB, k * width);
+    let panels = RowBlocks::Even { rows: k, per: kc };
+    pool().run_row_blocks(
+        [BlockOut::rows(&mut bbuf, width)],
+        panels,
+        nthreads,
+        |_, kk0, [dst]| pack_block(kk0, dst.len() / width, dst),
+    );
     bbuf
 }
 
@@ -1197,7 +1206,7 @@ fn gemm_run<K: MicroKernel>(
     nthreads: usize,
     c: &mut [f32],
 ) {
-    let bbuf = pack_b_full(k, n, kc, K::NR, |kk0, kcl, dst| match bpack {
+    let bbuf = pack_b_full(k, n, kc, K::NR, nthreads, |kk0, kcl, dst| match bpack {
         BPack::Rows => pack_b_rows(b, n, kk0, kcl, K::NR, dst),
         BPack::Cols => pack_b_cols(b, k, n, kk0, kcl, K::NR, dst),
     });
@@ -1381,121 +1390,6 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     );
 }
 
-/// `C[i] = A[i] · B[i]` for a batch of same-shape products.
-///
-/// See [`matmul_batched_into`]; this variant allocates the outputs.
-///
-/// # Panics
-///
-/// Panics if the slices disagree in length or any pair's shapes disagree
-/// with the first pair's.
-pub fn matmul_batched(a: &[Matrix], b: &[Matrix]) -> Vec<Matrix> {
-    let mut c: Vec<Matrix> = a
-        .iter()
-        .map(|ai| Matrix::zeros(ai.rows(), b.first().map_or(0, |bi| bi.cols())))
-        .collect();
-    matmul_batched_into(a, b, &mut c);
-    c
-}
-
-/// `C[i] = A[i] · B[i]` for a batch of same-shape products, as **one**
-/// pool submission (overwrites every `c[i]`).
-///
-/// The per-head multiplies of HOGA's attention are far below the
-/// parallel threshold individually, so a loop of [`matmul`] calls runs
-/// them serially (and allocates one output per head). This entry point
-/// gates on the **batch's** total FLOPs, splits the heads into
-/// contiguous groups — one pool task per group, each running the same
-/// packed serial kernel per product — and reuses pre-allocated outputs.
-/// The tiling snapshot is taken once for the whole batch.
-///
-/// # Panics
-///
-/// Panics if the slices disagree in length, any pair's shapes disagree
-/// with the first pair's, or any `c[i]` has the wrong shape.
-pub fn matmul_batched_into(a: &[Matrix], b: &[Matrix], c: &mut [Matrix]) {
-    assert_eq!(a.len(), b.len(), "matmul_batched operand count mismatch");
-    assert_eq!(a.len(), c.len(), "matmul_batched output count mismatch");
-    let Some(first) = a.first() else { return };
-    let (m, k) = first.shape();
-    let (k2, n) = b[0].shape();
-    assert_eq!(
-        k, k2,
-        "matmul_batched inner-dimension mismatch: {k} vs {k2}"
-    );
-    for i in 0..a.len() {
-        assert_eq!(a[i].shape(), (m, k), "matmul_batched A[{i}] shape mismatch");
-        assert_eq!(b[i].shape(), (k, n), "matmul_batched B[{i}] shape mismatch");
-        assert_eq!(c[i].shape(), (m, n), "matmul_batched C[{i}] shape mismatch");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        for ci in c.iter_mut() {
-            ci.fill_zero();
-        }
-        return;
-    }
-    let cfg = block::tile_config();
-    let ntasks = threads_for(a.len() * m * n * k).min(a.len());
-    GEMM_BATCHED_CALLS.add(1);
-    GEMM_BATCHED_MADDS.add((a.len() * m * n * k) as u64);
-    kernel_dispatch_counter(cfg.kernel).add(1);
-    with_kernel!(cfg.kernel, K, {
-        batched_run::<K>(a, b, c, cfg.kc, cfg.nc, ntasks)
-    });
-}
-
-/// Runs one contiguous group of batched products per pool task; each
-/// product is a serial packed GEMM using the task thread's own packing
-/// workspace.
-fn batched_run<K: MicroKernel>(
-    a: &[Matrix],
-    b: &[Matrix],
-    c: &mut [Matrix],
-    kc: usize,
-    nc: usize,
-    ntasks: usize,
-) {
-    let (m, k) = a[0].shape();
-    let n = b[0].cols();
-    let do_group = |i0: usize, group: &mut [Matrix]| {
-        for (d, cm) in group.iter_mut().enumerate() {
-            let i = i0 + d;
-            gemm_run::<K>(
-                a[i].as_slice(),
-                b[i].as_slice(),
-                m,
-                n,
-                k,
-                APack::Rows,
-                BPack::Rows,
-                // Per-head products keep the packed path at any width.
-                ARead::Packed,
-                kc,
-                nc,
-                1,
-                cm.as_mut_slice(),
-            );
-        }
-    };
-    if ntasks <= 1 {
-        do_group(0, c);
-        return;
-    }
-    let per = c.len().div_ceil(ntasks);
-    let do_group = &do_group;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = c
-        .chunks_mut(per)
-        .enumerate()
-        .map(|(t, group)| {
-            Box::new(move || do_group(t * per, group)) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool().run(tasks);
-}
-
 /// The pre-blocking naive kernels, retained verbatim as the correctness
 /// oracle for the packed implementations and as the bench baseline.
 ///
@@ -1506,22 +1400,8 @@ fn batched_run<K: MicroKernel>(
 /// baseline measurements see the same thread budget as the packed
 /// kernels.
 pub mod reference {
-    use crate::pool::{pool, threads_for};
+    use crate::pool::{pool, threads_for, BlockOut, RowBlocks};
     use crate::Matrix;
-
-    /// Splits `rows` into at most `parts` near-equal contiguous blocks.
-    fn equal_row_blocks(rows: usize, parts: usize) -> Vec<usize> {
-        let parts = parts.clamp(1, rows);
-        let per = rows.div_ceil(parts);
-        let mut sizes = Vec::with_capacity(parts);
-        let mut start = 0;
-        while start < rows {
-            let take = per.min(rows - start);
-            sizes.push(take);
-            start += take;
-        }
-        sizes
-    }
 
     /// Runs `body(first_row, out_chunk)` over disjoint row blocks of
     /// `out` on the shared pool when `nthreads > 1`.
@@ -1538,16 +1418,11 @@ pub mod reference {
             body(0, out.as_mut_slice());
             return;
         }
-        let sizes = equal_row_blocks(rows, nthreads);
-        let mut starts = Vec::with_capacity(sizes.len());
-        let mut acc = 0;
-        for &s in &sizes {
-            starts.push(acc);
-            acc += s;
-        }
-        pool().run_row_blocks(out.as_mut_slice(), cols, &sizes, |block, chunk| {
-            body(starts[block], chunk);
-        });
+        // At most `nthreads` near-equal contiguous blocks, one per task.
+        let per = rows.div_ceil(nthreads.min(rows));
+        let outs = [BlockOut::rows(out.as_mut_slice(), cols)];
+        let blocks = RowBlocks::Even { rows, per };
+        pool().run_row_blocks(outs, blocks, nthreads, |_, row0, [chunk]| body(row0, chunk));
     }
 
     /// Naive `C = A · B`.
@@ -1846,28 +1721,34 @@ mod tests {
         (m, n, k): (usize, usize, usize),
         apack: APack,
         bpack: BPack,
-        kc: usize,
+        (kc, nc): (usize, usize),
         nthreads: usize,
     ) -> Matrix {
         let mut c = Matrix::full(m, n, 777.0);
         let (a, b, out) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
         with_kernel!(kind, K, {
-            gemm_run::<K>(
-                a,
-                b,
-                m,
-                n,
-                k,
-                apack,
-                bpack,
-                aread,
-                kc,
-                block::DEFAULT_NC,
-                nthreads,
-                out,
-            )
+            gemm_run::<K>(a, b, m, n, k, apack, bpack, aread, kc, nc, nthreads, out)
         });
         c
+    }
+
+    const LAYOUTS: [(&str, APack, BPack); 3] = [
+        ("nn", APack::Rows, BPack::Rows),
+        ("tn", APack::Cols, BPack::Rows),
+        ("nt", APack::Rows, BPack::Cols),
+    ];
+
+    /// `x` as `transposed` says the layout stores it.
+    fn stored<'m>(x: &'m Matrix, xt: &'m Matrix, transposed: bool) -> &'m Matrix {
+        if transposed {
+            xt
+        } else {
+            x
+        }
+    }
+
+    fn same_bits(p: &[f32], q: &[f32]) -> bool {
+        p.len() == q.len() && p.iter().zip(q).all(|(p, q)| p.to_bits() == q.to_bits())
     }
 
     #[test]
@@ -1881,11 +1762,6 @@ mod tests {
         const KC: usize = 8;
         let ms = [1, MR - 1, MR, MR + 1, 3 * MR + 5];
         let ks = [1, KC - 1, KC, KC + 1, 2 * KC - 1, 2 * KC, 2 * KC + 1];
-        let layouts = [
-            ("nn", APack::Rows, BPack::Rows),
-            ("tn", APack::Cols, BPack::Rows),
-            ("nt", APack::Rows, BPack::Cols),
-        ];
         for &kind in compiled_kernels().iter().filter(|k| k.is_supported()) {
             for n in 1..=ARead::THIN_N + 1 {
                 for (m, k) in ms.iter().flat_map(|&m| ks.iter().map(move |&k| (m, k))) {
@@ -1893,29 +1769,30 @@ mod tests {
                     let b = rand_mat(k, n, (k * 137 + n) as u64);
                     let (at, bt) = (a.transpose(), b.transpose());
                     let expect = reference::matmul(&a, &b);
-                    for (name, apack, bpack) in layouts {
-                        let a = if matches!(apack, APack::Cols) {
-                            &at
-                        } else {
-                            &a
-                        };
-                        let b = if matches!(bpack, BPack::Cols) {
-                            &bt
-                        } else {
-                            &b
-                        };
+                    for (name, apack, bpack) in LAYOUTS {
+                        let a = stored(&a, &at, matches!(apack, APack::Cols));
+                        let b = stored(&b, &bt, matches!(bpack, BPack::Cols));
                         for nthreads in [1, 2, 8] {
                             let run = |aread| {
-                                run_with(kind, aread, a, b, (m, n, k), apack, bpack, KC, nthreads)
+                                let tiling = (KC, block::DEFAULT_NC);
+                                run_with(
+                                    kind,
+                                    aread,
+                                    a,
+                                    b,
+                                    (m, n, k),
+                                    apack,
+                                    bpack,
+                                    tiling,
+                                    nthreads,
+                                )
                             };
                             let (packed, in_place) = (run(ARead::Packed), run(ARead::InPlace));
                             let what = format!("{} {name} {m}x{k}x{n} /{nthreads}", kind.name());
-                            let same = packed
-                                .as_slice()
-                                .iter()
-                                .zip(in_place.as_slice())
-                                .all(|(p, q)| p.to_bits() == q.to_bits());
-                            assert!(same, "{what}: in-place differs from packed");
+                            assert!(
+                                same_bits(packed.as_slice(), in_place.as_slice()),
+                                "{what}: in-place differs from packed"
+                            );
                             assert!(
                                 in_place.max_abs_diff(&expect) < 1e-4,
                                 "{what}: off reference"
@@ -1924,6 +1801,123 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The sweep `gemm_blocked` ran before a row tile took its whole NC
+    /// strip in one call, kept as that change's oracle: `B` packed panel by
+    /// panel on the calling thread, one `tile` call per (row tile, B panel).
+    fn per_panel_sweep<K: MicroKernel>(
+        (a, b): (&[f32], &[f32]),
+        (m, n, k): (usize, usize, usize),
+        (apack, bpack): (APack, BPack),
+        (kc, nc): (usize, usize),
+    ) -> Matrix {
+        let (mr, nr) = (K::MR, K::NR);
+        let (mp, np, ncp) = (m.div_ceil(mr), n.div_ceil(nr), nc.div_ceil(nr).max(1));
+        let mut c = Matrix::zeros(m, n);
+        let (mut ap, mut bp) = (vec![0.0; kc * mp * mr], vec![0.0; kc * np * nr]);
+        for kk0 in (0..k).step_by(kc) {
+            let kcl = kc.min(k - kk0);
+            let (ap, bp) = (&mut ap[..kcl * mp * mr], &mut bp[..kcl * np * nr]);
+            match apack {
+                APack::Rows => pack_a_rows(a, k, 0, m, kk0, kcl, mr, ap),
+                APack::Cols => pack_a_cols(a, m, 0, m, kk0, kcl, mr, ap),
+            }
+            match bpack {
+                BPack::Rows => pack_b_rows(b, n, kk0, kcl, nr, bp),
+                BPack::Cols => pack_b_cols(b, k, n, kk0, kcl, nr, bp),
+            }
+            for jj in (0..np).step_by(ncp) {
+                for ip in 0..mp {
+                    for jp in jj..(jj + ncp).min(np) {
+                        let ct = &mut c.as_mut_slice()[ip * mr * n + jp * nr..];
+                        let (iv, jv) = (mr.min(m - ip * mr), nr.min(n - jp * nr));
+                        let (ap, bp) = (
+                            &ap[ip * kcl * mr..][..kcl * mr],
+                            &bp[jp * kcl * nr..][..kcl * nr],
+                        );
+                        // SAFETY: the caller monomorphizes supported kernels only.
+                        unsafe { K::tile(ap, bp, ct, n, iv, jv) };
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
+    fn strip_sweep_is_bit_identical_to_the_per_panel_sweep_on_every_backend() {
+        // Every compiled backend × {nn, tn, nt} × n around one, two and many
+        // 16-wide panels × NC of one, two, three 16-wide (two, four, six
+        // 8-wide) panels per block and the whole row × m with `ivalid < MR`
+        // tails × k on the KC and 2·KC edges × serial and pooled (which
+        // also packs B on the pool).
+        const KC: usize = 8;
+        let ks = [KC - 1, KC, KC + 1, 2 * KC, 2 * KC + 1];
+        for &kind in compiled_kernels().iter().filter(|k| k.is_supported()) {
+            for n in [33, 47, 48, 64, 100, 128, 129] {
+                for (m, k) in [1, MR + 3, 3 * MR]
+                    .iter()
+                    .flat_map(|&m| ks.iter().map(move |&k| (m, k)))
+                {
+                    let a = rand_mat(m, k, (m * 131 + k) as u64);
+                    let b = rand_mat(k, n, (k * 137 + n) as u64);
+                    let (at, bt) = (a.transpose(), b.transpose());
+                    for (name, apack, bpack) in LAYOUTS {
+                        let a = stored(&a, &at, matches!(apack, APack::Cols));
+                        let b = stored(&b, &bt, matches!(bpack, BPack::Cols));
+                        for nc in [16, 32, 48, block::DEFAULT_NC] {
+                            let shape = (m, n, k);
+                            let oracle = with_kernel!(kind, K, {
+                                let operands = (a.as_slice(), b.as_slice());
+                                per_panel_sweep::<K>(operands, shape, (apack, bpack), (KC, nc))
+                            });
+                            for nthreads in [1, 2] {
+                                let tiling = (KC, nc);
+                                let strip = run_with(
+                                    kind,
+                                    ARead::Packed,
+                                    a,
+                                    b,
+                                    shape,
+                                    apack,
+                                    bpack,
+                                    tiling,
+                                    nthreads,
+                                );
+                                assert!(
+                                    same_bits(strip.as_slice(), oracle.as_slice()),
+                                    "{} {name} {m}x{k}x{n} nc {nc} /{nthreads}",
+                                    kind.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "pool fan-out is minutes-slow interpreted")]
+    fn pooled_b_packing_is_byte_equal_to_serial_packing() {
+        // Three K panels, the last short; a `B` tail narrower than a panel.
+        let (k, n, kc, nr) = (2 * 8 + 3, 21, 8, 2 * NR);
+        let b = rand_mat(k, n, 77);
+        let pack = |nthreads| {
+            let buf = pack_b_full(k, n, kc, nr, nthreads, |kk0, kcl, dst| {
+                pack_b_rows(b.as_slice(), n, kk0, kcl, nr, dst)
+            });
+            let bits: Vec<u32> = buf.iter().map(|v| v.to_bits()).collect();
+            PackWorkspace::give(PackBuf::OperandB, buf);
+            bits
+        };
+        let serial = pack(1);
+        assert_eq!(serial.len(), k * 32);
+        for nthreads in [2, 3, 8] {
+            assert_eq!(pack(nthreads), serial, "{nthreads} tasks");
         }
     }
 
@@ -1952,7 +1946,7 @@ mod tests {
                 shape,
                 apack,
                 bpack,
-                cfg.kc,
+                (cfg.kc, cfg.nc),
                 1,
             )
         };
@@ -1967,27 +1961,6 @@ mod tests {
             matmul_nt(&a, &bt),
             packed(&a, &bt, APack::Rows, BPack::Cols)
         );
-    }
-
-    #[test]
-    fn batched_matches_looped_per_head_bitwise() {
-        let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
-        for heads in [1usize, 3, 17] {
-            let aa: Vec<Matrix> = (0..heads).map(|h| rand_mat(9, 6, 200 + h as u64)).collect();
-            let bb: Vec<Matrix> = (0..heads)
-                .map(|h| rand_mat(6, 11, 300 + h as u64))
-                .collect();
-            // Force the pooled path so the group split is exercised even
-            // for tiny shapes.
-            set_parallel_threshold(0);
-            let batched = matmul_batched(&aa, &bb);
-            set_parallel_threshold(DEFAULT_PARALLEL_THRESHOLD);
-            for h in 0..heads {
-                // The batched driver runs the same packed serial kernel
-                // per product, so results are bit-identical to a loop.
-                assert_eq!(batched[h], matmul(&aa[h], &bb[h]), "head {h}/{heads}");
-            }
-        }
     }
 
     #[test]
@@ -2070,24 +2043,12 @@ mod tests {
             matmul_nt(&Matrix::zeros(2, 0), &Matrix::zeros(3, 0)).shape(),
             (2, 3)
         );
-        assert!(matmul_batched(&[], &[]).is_empty());
-        let zk = matmul_batched(&[Matrix::zeros(2, 0)], &[Matrix::zeros(0, 3)]);
-        assert_eq!(zk[0].shape(), (2, 3));
-        assert!(zk[0].as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]
     #[should_panic(expected = "inner-dimension mismatch")]
     fn mismatched_shapes_panic() {
         matmul(&Matrix::zeros(2, 3), &Matrix::zeros(4, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul_batched A[1] shape mismatch")]
-    fn batched_rejects_mixed_shapes() {
-        let aa = [Matrix::zeros(2, 3), Matrix::zeros(3, 3)];
-        let bb = [Matrix::zeros(3, 2), Matrix::zeros(3, 2)];
-        matmul_batched(&aa, &bb);
     }
 
     #[test]

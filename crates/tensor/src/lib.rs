@@ -46,15 +46,16 @@ pub mod cast;
 pub mod init;
 pub mod io;
 pub mod knobs;
+pub mod lanes;
 pub mod pool;
 pub mod tune;
 
 pub use cast::StoreDtype;
 pub use error::TensorError;
 pub use gemm::{
-    block, compiled_kernels, matmul, matmul_batched, matmul_batched_into, matmul_into, matmul_nt,
-    matmul_nt_into, matmul_tn, matmul_tn_into, reference, widest_supported_kernel, Avx2Kernel,
-    Avx512Kernel, KernelKind, MicroKernel, PortableKernel,
+    block, compiled_kernels, matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn,
+    matmul_tn_into, reference, widest_supported_kernel, Avx2Kernel, Avx512Kernel, KernelKind,
+    MicroKernel, PortableKernel,
 };
 pub use matrix::Matrix;
 pub use pool::{pool, set_parallel_threshold, WorkerPool};

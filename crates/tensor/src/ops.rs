@@ -5,19 +5,26 @@
 //! per-row copy loop is exactly the "efficient batch assembly" optimization
 //! of Section 4.1, and `ppgnn-bench` measures both variants.
 
+use crate::pool::{row_blocked, BlockOut};
 use crate::Matrix;
 
 impl Matrix {
-    /// Adds `other` element-wise into `self`.
+    /// Adds `other` element-wise into `self` — row-blocked on the shared
+    /// pool once the operands are activation-sized (element-wise, so the
+    /// split cannot change a bit).
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += b;
-        }
+        let (rows, cols, src) = (self.rows(), self.cols(), other.as_slice());
+        let outs = [BlockOut::rows(self.as_mut_slice(), cols)];
+        row_blocked(rows, 3 * src.len(), outs, |_, row0, [dst]| {
+            for (a, b) in dst.iter_mut().zip(&src[row0 * cols..]) {
+                *a += b;
+            }
+        });
     }
 
     /// Subtracts `other` element-wise from `self`.

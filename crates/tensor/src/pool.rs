@@ -4,7 +4,10 @@
 //! OS threads via `crossbeam::scope` — ~100 µs of setup per call, paid once
 //! per hop per operator during pre-propagation. The pool spawns its workers
 //! once (lazily, on first use) and keeps them parked on a condvar; a kernel
-//! call costs one boxed closure per row block plus a completion wait.
+//! call costs one boxed closure per task plus a completion wait. Every
+//! row-parallel kernel — GEMM, SpMM, the token-level passes of the HOGA
+//! stack — cuts its outputs through the one splitter here,
+//! [`WorkerPool::run_row_blocks`].
 //!
 //! Sizing: the global [`pool`] defaults to
 //! `std::thread::available_parallelism` and is overridable with the
@@ -382,32 +385,198 @@ impl WorkerPool {
         }
     }
 
-    /// Splits `data` into `sizes.len()` contiguous pieces, piece `i` being
-    /// `sizes[i] * width` elements long, and runs `body(i, piece)` for each
-    /// on the pool. Shared splitting logic for row-blocked kernels.
+    /// The one row-block splitter behind every row-parallel kernel: cuts
+    /// each of the `N` outputs at the boundaries of `blocks` and runs
+    /// `body(block, first_row, pieces)` **once per block**, in ascending
+    /// order inside each of at most `ntasks` pool tasks (contiguous runs of
+    /// blocks). What a block computes therefore never depends on `ntasks`
+    /// or the pool width: a pass whose body is a function of its block
+    /// alone — cross-row reductions included, when each block writes its
+    /// own [`BlockOut::partial`] row and the caller sums those rows in block
+    /// order — is bit-identical serial, pooled, and at every width.
+    ///
+    /// With one task (or a width-1 pool) the blocks run inline on the
+    /// caller and nothing is allocated.
     ///
     /// # Panics
     ///
-    /// Panics if `sizes` (scaled by `width`) does not tile `data` exactly.
-    pub fn run_row_blocks<F>(&self, data: &mut [f32], width: usize, sizes: &[usize], body: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
+    /// Panics if `blocks` does not tile every output exactly.
+    pub fn run_row_blocks<const N: usize, F>(
+        &self,
+        outs: [BlockOut<'_>; N],
+        blocks: RowBlocks<'_>,
+        ntasks: usize,
+        body: F,
+    ) where
+        F: Fn(usize, usize, [&mut [f32]; N]) + Sync,
     {
-        let mut pieces: Vec<(usize, &mut [f32])> = Vec::with_capacity(sizes.len());
-        let mut rest = data;
-        for (i, &rows) in sizes.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(rows * width);
-            pieces.push((i, head));
-            rest = tail;
+        let nblocks = blocks.count();
+        for out in &outs {
+            assert_eq!(
+                out.data.len(),
+                out.extent(blocks.rows(), nblocks),
+                "row blocks must tile every output exactly"
+            );
         }
-        assert!(rest.is_empty(), "row blocks must tile the output exactly");
-        let body = &body;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = pieces
-            .into_iter()
-            .map(|(i, piece)| Box::new(move || body(i, piece)) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
+        let run = |range: std::ops::Range<usize>, mut row0: usize, mut outs: [BlockOut<'_>; N]| {
+            for blk in range {
+                let rows = blocks.size(blk);
+                body(
+                    blk,
+                    row0,
+                    outs.each_mut().map(|out| out.split_off(rows, 1).data),
+                );
+                row0 += rows;
+            }
+        };
+        let ntasks = ntasks.min(nblocks);
+        if ntasks <= 1 || self.threads <= 1 {
+            run(0..nblocks, 0, outs);
+            return;
+        }
+        let per = nblocks.div_ceil(ntasks);
+        let run = &run;
+        let mut rest = outs;
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ntasks);
+        let (mut first, mut row0) = (0, 0);
+        while first < nblocks {
+            let end = (first + per).min(nblocks);
+            let rows: usize = (first..end).map(|blk| blocks.size(blk)).sum();
+            let mine = rest.each_mut().map(|out| out.split_off(rows, end - first));
+            tasks.push(Box::new(move || run(first..end, row0, mine)));
+            (first, row0) = (end, row0 + rows);
+        }
         self.run(tasks);
     }
+}
+
+/// One output buffer of [`WorkerPool::run_row_blocks`], cut at the pass's
+/// block boundaries.
+#[derive(Debug)]
+pub struct BlockOut<'a> {
+    data: &'a mut [f32],
+    per_row: usize,
+    per_block: usize,
+}
+
+impl<'a> BlockOut<'a> {
+    /// A row-major buffer holding `width` values per row of the pass: a
+    /// block of `r` rows receives its `r · width` values.
+    pub fn rows(data: &'a mut [f32], width: usize) -> Self {
+        BlockOut {
+            data,
+            per_row: width,
+            per_block: 0,
+        }
+    }
+
+    /// A buffer holding one `len`-value row **per block** — where a block
+    /// leaves the partial of a cross-row reduction, for the caller to sum
+    /// in block order.
+    pub fn partial(data: &'a mut [f32], len: usize) -> Self {
+        BlockOut {
+            data,
+            per_row: 0,
+            per_block: len,
+        }
+    }
+
+    fn extent(&self, rows: usize, blocks: usize) -> usize {
+        rows * self.per_row + blocks * self.per_block
+    }
+
+    /// Cuts the leading `blocks` blocks (`rows` rows together) off the
+    /// front, leaving the rest in `self`.
+    fn split_off(&mut self, rows: usize, blocks: usize) -> BlockOut<'a> {
+        let (head, tail) = std::mem::take(&mut self.data).split_at_mut(self.extent(rows, blocks));
+        self.data = tail;
+        BlockOut {
+            data: head,
+            ..*self
+        }
+    }
+}
+
+/// How [`WorkerPool::run_row_blocks`] cuts a pass's rows into blocks.
+#[derive(Debug, Clone, Copy)]
+pub enum RowBlocks<'a> {
+    /// Explicit block sizes in rows (`MR`-aligned GEMM row blocks,
+    /// nnz-balanced SpMM blocks).
+    Sizes(&'a [usize]),
+    /// `rows` rows in blocks of `per` (the last possibly short).
+    Even {
+        /// Total rows of the pass.
+        rows: usize,
+        /// Rows per block.
+        per: usize,
+    },
+}
+
+impl RowBlocks<'_> {
+    fn count(&self) -> usize {
+        match *self {
+            RowBlocks::Sizes(sizes) => sizes.len(),
+            RowBlocks::Even { rows, per } => rows.div_ceil(per),
+        }
+    }
+
+    fn rows(&self) -> usize {
+        match *self {
+            RowBlocks::Sizes(sizes) => sizes.iter().sum(),
+            RowBlocks::Even { rows, .. } => rows,
+        }
+    }
+
+    fn size(&self, blk: usize) -> usize {
+        match *self {
+            RowBlocks::Sizes(sizes) => sizes[blk],
+            RowBlocks::Even { rows, per } => per.min(rows - blk * per),
+        }
+    }
+}
+
+/// Rows per block of the fixed-grain token-level passes ([`row_blocked`]):
+/// 64 rows of a 128-wide activation are 32 KiB, an L1-sized unit of work,
+/// and a 1024-example batch still yields 16 blocks to share out.
+pub const ROW_BLOCK: usize = 64;
+
+/// Work units one streamed `f32` of a token-level pass counts for against
+/// [`parallel_threshold`], whose unit is a packed-GEMM multiply-add: such
+/// passes are bound by memory traffic, and a core moves about one value in
+/// the time it retires eight multiply-adds.
+const STREAMED_VALUE_WORK: usize = 8;
+
+/// Number of [`ROW_BLOCK`]-row blocks [`row_blocked`] cuts `rows` rows
+/// into — the row count of a [`BlockOut::partial`] buffer.
+pub fn row_block_count(rows: usize) -> usize {
+    rows.div_ceil(ROW_BLOCK)
+}
+
+/// Adds the rows of a [`BlockOut::partial`] buffer into `dst`, in block
+/// order — the serial tail of a row-blocked cross-row reduction.
+pub fn add_partials(dst: &mut [f32], partials: &[f32]) {
+    for partial in partials.chunks_exact(dst.len().max(1)) {
+        for (d, p) in dst.iter_mut().zip(partial) {
+            *d += p;
+        }
+    }
+}
+
+/// Runs a token-level pass over `rows` rows on the global pool: fixed
+/// [`ROW_BLOCK`]-row blocks through [`WorkerPool::run_row_blocks`], split
+/// into as many tasks as [`threads_for`] allows a pass that streams
+/// `values` values (read plus written). Results are bit-identical for
+/// every pool width and threshold (see `run_row_blocks`).
+pub fn row_blocked<const N: usize, F>(rows: usize, values: usize, outs: [BlockOut<'_>; N], body: F)
+where
+    F: Fn(usize, usize, [&mut [f32]; N]) + Sync,
+{
+    let blocks = RowBlocks::Even {
+        rows,
+        per: ROW_BLOCK,
+    };
+    let ntasks = threads_for(values * STREAMED_VALUE_WORK);
+    pool().run_row_blocks(outs, blocks, ntasks, body);
 }
 
 /// Which of the two per-thread packing buffers a kernel is asking for.
@@ -666,14 +835,86 @@ mod tests {
     fn run_row_blocks_tiles_exactly() {
         let pool = WorkerPool::new(2);
         let mut data = vec![0.0f32; 12];
-        pool.run_row_blocks(&mut data, 2, &[1, 3, 2], |i, piece| {
-            for v in piece {
-                *v = i as f32 + 1.0;
-            }
-        });
+        let firsts = Mutex::new(Vec::new());
+        pool.run_row_blocks(
+            [BlockOut::rows(&mut data, 2)],
+            RowBlocks::Sizes(&[1, 3, 2]),
+            3,
+            |i, row0, [piece]| {
+                firsts.lock().unwrap().push((i, row0));
+                piece.fill(i as f32 + 1.0);
+            },
+        );
         assert_eq!(&data[..2], &[1.0, 1.0]);
         assert_eq!(&data[2..8], &[2.0; 6]);
         assert_eq!(&data[8..], &[3.0; 4]);
+        let mut firsts = firsts.into_inner().unwrap();
+        firsts.sort_unstable();
+        assert_eq!(firsts, [(0, 0), (1, 1), (2, 4)]);
+    }
+
+    #[test]
+    fn row_blocks_are_independent_of_the_task_partition() {
+        // A pass with two row outputs of different widths and a per-block
+        // partial (a column sum): whatever the task count and pool width,
+        // every block sees the same rows and leaves the same bits. 200 rows
+        // in blocks of 64 has a short last block; 8 tasks exceed the 4
+        // blocks there are.
+        const ROWS: usize = 200;
+        let src: Vec<f32> = (0..ROWS * 3).map(|i| (i as f32 * 0.37).sin()).collect();
+        let run = |pool: &WorkerPool, ntasks: usize| {
+            let nblocks = ROWS.div_ceil(64);
+            let (mut a, mut b) = (vec![0.0f32; ROWS * 3], vec![0.0f32; ROWS]);
+            let mut partial = vec![0.0f32; nblocks * 3];
+            let calls = AtomicU32::new(0);
+            pool.run_row_blocks(
+                [
+                    BlockOut::rows(&mut a, 3),
+                    BlockOut::rows(&mut b, 1),
+                    BlockOut::partial(&mut partial, 3),
+                ],
+                RowBlocks::Even {
+                    rows: ROWS,
+                    per: 64,
+                },
+                ntasks,
+                |blk, row0, [a, b, part]| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    assert_eq!(row0, blk * 64);
+                    part.fill(0.0);
+                    for (i, (arow, bv)) in a.chunks_exact_mut(3).zip(b.iter_mut()).enumerate() {
+                        let x = &src[(row0 + i) * 3..][..3];
+                        for ((o, p), &v) in arow.iter_mut().zip(part.iter_mut()).zip(x) {
+                            *o = v * 2.0;
+                            *p += v;
+                        }
+                        *bv = x[0] + x[1] * x[2];
+                    }
+                },
+            );
+            assert_eq!(calls.load(Ordering::Relaxed) as usize, nblocks);
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            (bits(a), bits(b), bits(partial))
+        };
+        let expect = run(&WorkerPool::new(1), 1);
+        for width in [2, 4] {
+            let pool = WorkerPool::new(width);
+            for ntasks in [1, 2, 3, 8] {
+                assert_eq!(run(&pool, ntasks), expect, "width {width}, {ntasks} tasks");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile every output exactly")]
+    fn run_row_blocks_rejects_a_mis_sized_output() {
+        let mut data = vec![0.0f32; 11];
+        WorkerPool::new(1).run_row_blocks(
+            [BlockOut::rows(&mut data, 2)],
+            RowBlocks::Sizes(&[1, 3, 2]),
+            1,
+            |_, _, _| {},
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests for the tensor kernels.
 
 use ppgnn_tensor::{
-    block, cast, compiled_kernels, io, matmul, matmul_batched, matmul_batched_into, matmul_nt,
-    matmul_tn, reference, set_parallel_threshold, Matrix, StoreDtype,
+    block, cast, compiled_kernels, io, matmul, matmul_nt, matmul_tn, reference,
+    set_parallel_threshold, Matrix, StoreDtype,
 };
 use proptest::prelude::*;
 
@@ -116,48 +116,6 @@ proptest! {
         }
         block::set_kernel(None);
         set_parallel_threshold(ppgnn_tensor::pool::DEFAULT_PARALLEL_THRESHOLD);
-        drop(guard);
-    }
-
-    /// The batched small-GEMM path must agree with per-head looped matmul
-    /// on every compiled-in kernel, at HOGA-like head counts (1, 3, 17)
-    /// and shapes straddling the register-tile tails.
-    #[test]
-    fn batched_path_matches_looped_per_head_on_every_kernel(
-        heads_class in 0usize..3,
-        m in 1usize..=block::MR + 1,
-        k in 1usize..=9,
-        n in 1usize..=2 * block::NR + 1,
-        seed in 0u64..1_000_000,
-    ) {
-        let heads = [1usize, 3, 17][heads_class];
-        let a: Vec<Matrix> = (0..heads).map(|h| seeded_mat(m, k, seed ^ h as u64)).collect();
-        let b: Vec<Matrix> = (0..heads)
-            .map(|h| seeded_mat(k, n, seed ^ 0x9e3779b97f4a7c15 ^ h as u64))
-            .collect();
-        let guard = KNOB_LOCK.lock().unwrap();
-        for &kind in compiled_kernels() {
-            if !kind.is_supported() {
-                continue;
-            }
-            block::set_kernel(Some(kind));
-            let looped: Vec<Matrix> = a.iter().zip(&b).map(|(ah, bh)| matmul(ah, bh)).collect();
-            let batched = matmul_batched(&a, &b);
-            let mut into: Vec<Matrix> = (0..heads).map(|_| Matrix::zeros(m, n)).collect();
-            matmul_batched_into(&a, &b, &mut into);
-            let name = kind.name();
-            for h in 0..heads {
-                prop_assert_eq!(
-                    &batched[h], &looped[h],
-                    "{} batched head {}/{} {}x{}x{}", name, h, heads, m, k, n
-                );
-                prop_assert_eq!(
-                    &into[h], &looped[h],
-                    "{} batched_into head {}/{} {}x{}x{}", name, h, heads, m, k, n
-                );
-            }
-        }
-        block::set_kernel(None);
         drop(guard);
     }
 

@@ -29,11 +29,6 @@ GATED_FIELDS = {
     "speedup_matmul": 0.20,
     "speedup_matmul_tn": 0.20,
     "speedup_matmul_nt": 0.50,
-    # Batched-vs-looped on the HOGA per-head workload. On single-core
-    # runners the batched win is only the per-head allocation saving
-    # (~1x); the wide band catches losing the batched path outright
-    # without flaking on scheduler noise around a small ratio.
-    "speedup_batched_small_gemm": 0.30,
 }
 INFO_FIELDS = ["gflops_matmul", "gflops_matmul_tn", "gflops_matmul_nt", "spmm_rows_per_s"]
 # Per-backend throughput and the autotuner's pick: informational — they

@@ -320,6 +320,103 @@ fn sign_forward_into_train_step_reuses_buffers() {
     );
 }
 
+/// A warmed HOGA model at `batch` examples with everything one train step
+/// needs, and the step itself (forward_into + loss + backward + Adam).
+struct HogaStep {
+    model: ppgnn_models::Hoga,
+    hops: Vec<ppgnn_tensor::Matrix>,
+    labels: Vec<u32>,
+    opt: ppgnn_nn::Adam,
+    logits: ppgnn_tensor::Matrix,
+}
+
+impl HogaStep {
+    /// Three tokens of 32 features in, hidden 32: a `b·t × hidden` matrix
+    /// is the largest thing a step touches.
+    const TOKENS: usize = 3;
+    const HIDDEN: usize = 32;
+
+    fn warmed(batch: usize) -> HogaStep {
+        use ppgnn_tensor::Matrix;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut step = HogaStep {
+            model: ppgnn_models::Hoga::new(Self::TOKENS - 1, 16, Self::HIDDEN, 4, 5, 0.1, &mut rng),
+            hops: (0..Self::TOKENS)
+                .map(|h| {
+                    Matrix::from_fn(batch, 16, |r, c| {
+                        ((r * 13 + c * 7 + h) % 29) as f32 * 0.03 - 0.4
+                    })
+                })
+                .collect(),
+            labels: (0..batch).map(|i| (i % 5) as u32).collect(),
+            opt: ppgnn_nn::Adam::new(1e-3),
+            logits: Matrix::default(),
+        };
+        for _ in 0..3 {
+            step.run();
+        }
+        step
+    }
+
+    fn run(&mut self) {
+        use ppgnn_models::PpModel;
+        use ppgnn_nn::{CrossEntropyLoss, Mode, Optimizer};
+        self.model
+            .forward_into(&self.hops, Mode::Train, &mut self.logits);
+        let (_, g) = CrossEntropyLoss.loss_and_grad(&self.logits, &self.labels);
+        self.model.zero_grad();
+        self.model.backward(&g);
+        self.opt.step(&mut self.model.params());
+    }
+
+    /// Allocations of one steady-state step on the measured threads.
+    fn allocs(&mut self) -> usize {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        self.run();
+        ALLOCS.load(Ordering::Relaxed) - before
+    }
+}
+
+/// Allocations a steady-state HOGA train step may make, whatever the batch:
+/// the by-value gradients `Module::backward` returns down the head, the
+/// norm and the attention block, the loss gradient, and the `params()`
+/// lists of `zero_grad` and the optimizer — every work buffer is retained.
+const HOGA_STEP_ALLOC_BUDGET: usize = 40;
+
+#[test]
+fn hoga_train_step_allocations_do_not_grow_with_the_batch() {
+    let _window = measuring();
+    // Serial kernels, so the count has no pool bookkeeping in it: a pooled
+    // pass boxes one closure per task, and which passes fan out depends on
+    // the batch.
+    ppgnn_tensor::set_parallel_threshold(usize::MAX);
+    let (small, large) = (
+        HogaStep::warmed(64).allocs(),
+        HogaStep::warmed(512).allocs(),
+    );
+    ppgnn_tensor::set_parallel_threshold(ppgnn_tensor::pool::DEFAULT_PARALLEL_THRESHOLD);
+    assert_eq!(
+        small, large,
+        "a HOGA train step allocated {small} times at batch 64 and {large} at batch 512:          something is allocated per example or per row block"
+    );
+    assert!(
+        small <= HOGA_STEP_ALLOC_BUDGET,
+        "a HOGA train step allocated {small} times (budget {HOGA_STEP_ALLOC_BUDGET});          a retained work buffer has regressed to allocate-per-step"
+    );
+
+    // At the default threshold too, the only token-matrix-sized
+    // allocations are the two input gradients returned by value
+    // (`LayerNorm::backward`, `MultiHeadAttention::backward`).
+    let mut step = HogaStep::warmed(512);
+    let token_matrix = 512 * HogaStep::TOKENS * HogaStep::HIDDEN * 4;
+    let large_allocs = count_large_allocs(token_matrix, || step.run());
+    assert_eq!(
+        large_allocs, 2,
+        "a HOGA train step made {large_allocs} allocations of a b·t × hidden matrix or          larger; only the two by-value input gradients are expected"
+    );
+}
+
 #[test]
 fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
     use ppgnn_core::trainer::{TrainConfig, Trainer};
@@ -492,10 +589,19 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
         .collect();
     let mut logits = Matrix::default();
 
+    // A HOGA step passes through every stage span (`hoga.*`, `attn.*`):
+    // the eval forward joins the zero-allocation loop, the train step is
+    // held to its budget below. Serial kernels, as in the budget's own test.
+    ppgnn_tensor::set_parallel_threshold(usize::MAX);
+    let mut hoga = HogaStep::warmed(64);
+    let mut hoga_logits = Matrix::default();
+
     // Warm every scratch slot first — steady state is what epochs live in.
     for _ in 0..3 {
         op.spmm_into(&x, &mut y);
         model.forward_into(&hops, Mode::Eval, &mut logits);
+        hoga.model
+            .forward_into(&hoga.hops, Mode::Eval, &mut hoga_logits);
     }
 
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -509,12 +615,21 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
         // dispatch counters sit on these paths.
         op.spmm_into(&x, &mut y);
         model.forward_into(&hops, Mode::Eval, &mut logits);
+        hoga.model
+            .forward_into(&hoga.hops, Mode::Eval, &mut hoga_logits);
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let hoga_step = hoga.allocs();
+    ppgnn_tensor::set_parallel_threshold(ppgnn_tensor::pool::DEFAULT_PARALLEL_THRESHOLD);
     assert_eq!(
         allocs, 0,
         "disabled-telemetry hot paths allocated {allocs} times over 10 rounds; \
          an instrumentation site does work when PPGNN_TRACE=0"
+    );
+    assert!(
+        hoga_step <= HOGA_STEP_ALLOC_BUDGET,
+        "a HOGA train step allocated {hoga_step} times with telemetry disabled \
+         (budget {HOGA_STEP_ALLOC_BUDGET}); a stage span does work when PPGNN_TRACE=0"
     );
     // Disabled probes must also record nothing (no lazy registration).
     assert_eq!(PROBE_COUNTER.get(), 0);
