@@ -160,8 +160,13 @@ impl Default for Config {
                 "spmm_into",
                 "spmm_into_on",
                 "spmm_rows_into",
+                "spmm_window_rows_into",
                 "spmm_row",
                 "spmm_row_untiled",
+                // The store chunk checksums hash every byte written and
+                // every byte verified on first read.
+                "fnv1a_words",
+                "fnv1a_bytes",
                 // Store decode paths: steady-state reads stage encoded
                 // bytes into reused scratch and decode into caller slots —
                 // the zero-alloc contract the compressed-store residency
@@ -194,8 +199,9 @@ impl Default for Config {
                 "pending_rows > 0",
                 "len >= 1",
                 "non-empty",
-                "ghost collected above",
                 "extracted partition CSR is structurally valid",
+                "one K·F row per gathered id",
+                "one row per gathered index",
                 "vstack shape is consistent by construction",
                 // memsim — validated config.
                 "invalid hardware spec",
@@ -250,8 +256,11 @@ impl Default for Config {
                 "readout_fwd",
                 "readout_bwd",
                 "spmm_rows_into",
+                "spmm_window_rows_into",
                 "spmm_row",
                 "spmm_row_untiled",
+                "fnv1a_words",
+                "fnv1a_bytes",
             ]),
             // Store and manifest write paths: everything dataio writes,
             // plus the preprocessed-output persister. `commit.rs` is the

@@ -1,14 +1,15 @@
 //! Feature pre-propagation (Eq. 2) and input-expansion accounting.
 //!
-//! Since the shard-scheduling rewrite this module is a small diffusion
-//! engine: operator passes are cut into node-range **shards**
-//! ([`ppgnn_graph::ShardPlan`]) and submitted as shard×operator tasks to
-//! the shared worker pool, so different operators' passes overlap instead
-//! of running strictly one after another; finished hops are persisted
-//! through an asynchronous double-buffered writer thread
-//! ([`ppgnn_dataio::AsyncHopWriter`]) so hop `r + 1` diffusion overlaps
-//! hop `r` storage I/O. Both schedules are bit-for-bit equivalent to the
-//! sequential path (pinned by `tests/shard_equivalence.rs`).
+//! This module is a small diffusion engine: it diffuses in **split
+//! order** (the labeled rows first, split by split), so retained hops are
+//! contiguous row ranges of the diffusion buffers; a group of operators
+//! diffuses side by side, its passes cut into node-range **shards**
+//! ([`ppgnn_graph::ShardPlan`]) submitted as tasks to the shared worker
+//! pool; finished hops are persisted through an asynchronous
+//! double-buffered writer thread ([`ppgnn_dataio::AsyncHopWriter`]) so hop
+//! `r + 1` diffusion overlaps hop `r` storage I/O. Every schedule is
+//! bit-for-bit equivalent to the sequential path in node-id order (pinned
+//! by `tests/shard_equivalence.rs`).
 //!
 //! On top of the single-memory-domain schedules sits the **partitioned**
 //! pipeline ([`Preprocessor::run_partitioned`] /
@@ -28,7 +29,7 @@ use ppgnn_dataio::{
     DEFAULT_WRITER_QUEUE,
 };
 use ppgnn_graph::synth::SynthDataset;
-use ppgnn_graph::{Operator, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr};
+use ppgnn_graph::{NodeOrder, Operator, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr};
 use ppgnn_partition::{PartitionStat, PartitionedDiffusion};
 use ppgnn_tensor::{knobs, pool, Matrix, StoreDtype, WorkerPool};
 
@@ -83,6 +84,91 @@ impl PrepropFeatures {
 /// Wraps finished hop matrices for sharing ([`PrepropFeatures::hops`]).
 fn share(hops: Vec<Matrix>) -> Vec<Arc<Matrix>> {
     hops.into_iter().map(Arc::new).collect()
+}
+
+/// The retained rows of every hop, split by split, filled as the
+/// single-domain engine hands hops over.
+#[derive(Debug)]
+struct SplitHops {
+    /// Rows of train / val / test in split order.
+    ranges: [std::ops::Range<usize>; 3],
+    /// Width of a retained hop, `K·F`.
+    kf: usize,
+    /// `[split][hop]`, `rows × K·F`; `0 × 0` until first handed over.
+    hops: [Vec<Matrix>; 3],
+}
+
+impl SplitHops {
+    fn new(split: &ppgnn_graph::synth::Split, hops: usize, kf: usize) -> Self {
+        let (t, v) = (split.train.len(), split.val.len());
+        SplitHops {
+            ranges: [0..t, t..t + v, t + v..split.num_labeled()],
+            kf,
+            hops: std::array::from_fn(|_| vec![Matrix::default(); hops + 1]),
+        }
+    }
+
+    /// Hands hop `r` of one operator group over. `buf` holds the hop for
+    /// every node in split order, the group's operators side by side from
+    /// output column `col0`. The val and test rows are copied out as two
+    /// contiguous row ranges and the unlabeled tail is dropped. When the
+    /// group covers every operator the train head stays where it is —
+    /// `buf` is truncated to it — otherwise the group's column window is
+    /// copied into every split's column block and `buf` comes back for
+    /// reuse.
+    fn hand_over(&mut self, r: usize, mut buf: Matrix, col0: usize) -> Option<Matrix> {
+        let covering = col0 == 0 && buf.cols() == self.kf;
+        if covering {
+            for s in [1, 2] {
+                let rows = self.ranges[s].clone();
+                self.hops[s][r] = buf.slice_rows(rows.start, rows.end);
+            }
+            buf.truncate_rows(self.ranges[0].end);
+            self.hops[0][r] = buf;
+            return None;
+        }
+        let width = buf.cols();
+        for (rows, hops) in self.ranges.iter().zip(self.hops.iter_mut()) {
+            let dst = &mut hops[r];
+            if dst.shape() != (rows.len(), self.kf) {
+                *dst = Matrix::zeros(rows.len(), self.kf);
+            }
+            for (i, src) in rows.clone().enumerate() {
+                dst.row_mut(i)[col0..col0 + width].copy_from_slice(buf.row(src));
+            }
+        }
+        Some(buf)
+    }
+}
+
+/// One hop of a group of single-SpMM operators held side by side: `cur`
+/// and `next` are `N × (g·F)`, operator `slot` owns columns
+/// `slot·F..(slot + 1)·F`. One pool task per shard of `plan` computes
+/// every operator's rows of that shard.
+fn diffuse_side_by_side(
+    bases: &[WeightedCsr],
+    plan: &ShardPlan,
+    cur: &Matrix,
+    next: &mut Matrix,
+    f: usize,
+    pool: &WorkerPool,
+) {
+    let width = cur.cols();
+    let x = cur.as_slice();
+    let mut rest = next.as_mut_slice();
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(plan.num_shards());
+    for range in plan.ranges() {
+        let (slab, tail) = rest.split_at_mut(range.len() * width);
+        rest = tail;
+        let range = range.clone();
+        tasks.push(Box::new(move || {
+            for (slot, base) in bases.iter().enumerate() {
+                base.spmm_window_rows_into(range.clone(), x, width, slot * f..(slot + 1) * f, slab);
+            }
+        }));
+    }
+    debug_assert!(rest.is_empty(), "shard plan must tile the buffer");
+    pool.run(tasks);
 }
 
 /// Observability payload of one preprocessing run: the per-hop stage
@@ -354,16 +440,24 @@ impl Preprocessor {
 
     /// Runs pre-propagation on `data`.
     ///
-    /// This is the shard-scheduled pipeline: operators are grouped (see
-    /// `operator_groups`), each group diffuses hop-by-hop through
-    /// per-operator ping-pong full-graph buffers, and every hop step
-    /// submits one task per (shard, operator) — a serial
-    /// [`WeightedCsr::spmm_rows_into`] over an nnz-balanced node range —
-    /// to the shared worker pool, so the pool stays full across operator
-    /// boundaries instead of draining at the tail of every pass. Labeled
-    /// rows are gathered straight into each operator's column block of the
-    /// partition outputs as hops complete. Results are bit-identical to
-    /// the sequential per-operator schedule at any shard count.
+    /// This is the shard-scheduled pipeline in split order: the nodes are
+    /// relabelled `train ‖ val ‖ test ‖ unlabeled`, operators are built
+    /// in that order and grouped (see `operator_groups`), and each group
+    /// diffuses hop by hop through two full-graph buffers holding its
+    /// operators side by side. Every hop step submits one task per
+    /// nnz-balanced node range — a serial
+    /// [`WeightedCsr::spmm_window_rows_into`] per operator — to the shared
+    /// worker pool. Once the next hop has been computed from it, a hop's
+    /// val and test rows are copied out as contiguous ranges and, when the
+    /// group covers every operator, its train rows are kept where they lie
+    /// (the buffer is truncated to them). Results are bit-identical to the
+    /// sequential per-operator schedule in node-id order at any shard
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node id is out of range or named by more than one
+    /// split entry (the split order must be a permutation).
     pub fn run(&self, data: &SynthDataset) -> PrepropOutput {
         self.run_on(data, pool::pool())
     }
@@ -393,7 +487,9 @@ impl Preprocessor {
     ///
     /// Equivalent on success to `run` followed by
     /// [`PrepropOutput::write_store`], without holding the store contents
-    /// twice — and byte-identical to the synchronous path on disk.
+    /// twice — the writer shares each finished train hop with the output
+    /// instead of copying it — and byte-identical to the synchronous path
+    /// on disk.
     ///
     /// The run is **resumable**: each committed hop file is journaled, so
     /// if a previous run of the same geometry was interrupted (crash,
@@ -435,6 +531,19 @@ impl Preprocessor {
         }
     }
 
+    /// The single-domain engine behind `run`, `run_on` and
+    /// `run_with_store`: diffusion in split order, straight into the
+    /// retained hops.
+    ///
+    /// One node order per call puts the labeled rows first, split by
+    /// split (`train ‖ val ‖ test ‖ unlabeled`, the unlabeled rows
+    /// ascending), and every operator is built directly in it
+    /// ([`Operator::base_in`]), so each split's rows of a hop are one
+    /// contiguous row range. A group of `g` operators diffuses side by side
+    /// through two `N × (g·F)` buffers; a hop is handed over once the next
+    /// hop has been computed from it ([`SplitHops::hand_over`]). Per-row
+    /// sums are the identity-order sums, so every retained row is
+    /// bit-identical to diffusing in node-id order and gathering.
     fn run_streaming(
         &self,
         data: &SynthDataset,
@@ -446,147 +555,113 @@ impl Preprocessor {
         let n = data.graph.num_nodes();
         let f = data.features.cols();
         let k_ops = self.operators.len();
-        let kf = k_ops * f;
         // Per-hop wall time, accumulated across operator groups. One
         // `Instant` pair per (group, hop) — negligible against a
         // diffusion pass, so it is unconditional, not trace-gated.
         let mut hop_ns = vec![0u64; self.hops + 1];
 
-        let ids_by_part: [&[usize]; 3] = [&data.split.train, &data.split.val, &data.split.test];
-        let mut hops_by_part: Vec<Vec<Matrix>> = ids_by_part
-            .iter()
-            .map(|ids| {
-                (0..=self.hops)
-                    .map(|_| Matrix::zeros(ids.len(), kf))
-                    .collect()
-            })
-            .collect();
+        let split = &data.split;
+        let order = {
+            let _span = ppgnn_telemetry::span("preprocess.order");
+            NodeOrder::heads_first(n, &[&split.train, &split.val, &split.test])
+        };
+        let mut retained = SplitHops::new(split, self.hops, k_ops * f);
+        let mut train_hops: Vec<Arc<Matrix>> = Vec::with_capacity(self.hops + 1);
 
         let (num_shards, shards_pinned) = self.resolved_num_shards(pool);
         let groups = self.operator_groups(num_shards);
         let num_groups = groups.len();
-
-        // Per-operator ping-pong propagation buffers, allocated to the
-        // largest group's width on demand and reused across groups.
-        let mut currents: Vec<Matrix> = Vec::new();
-        let mut nexts: Vec<Matrix> = Vec::new();
-
         for (gi, group) in groups.iter().enumerate() {
             let last_group = gi + 1 == num_groups;
-            let hop0_t0 = Instant::now();
-            // Hop 0 is the raw features, gathered directly from the input
-            // into each group member's column block.
-            for &ki in group {
-                let col = ki * f;
-                for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
-                    data.features
-                        .gather_rows_into_offset(ids, &mut hops[0], col);
-                }
-            }
-            if last_group {
-                // Every operator has filled its hop-0 column block by now
-                // (earlier groups ran to completion first). Hops an
-                // interrupted run already committed (per the journal) are
-                // not resubmitted — their bytes are on disk.
-                if let Some(writer) = sink.as_deref_mut() {
-                    if !writer.resumed_hops()[0] {
-                        writer.submit(0, hops_by_part[0][0].clone())?;
+            let width = group.len() * f;
+            let col0 = group[0] * f;
+            // Finishes hop `r` of this group; in the last group the train
+            // hop is final and goes to the sink. Hops an interrupted run
+            // already committed (per the journal) are not resubmitted —
+            // their bytes are on disk.
+            let mut hand_over = |r: usize,
+                                 buf: Matrix,
+                                 hop_ns: &mut [u64]|
+             -> Result<Option<Matrix>, DataIoError> {
+                let t0 = Instant::now();
+                let spare = retained.hand_over(r, buf, col0);
+                if last_group {
+                    let hop = Arc::new(std::mem::take(&mut retained.hops[0][r]));
+                    if let Some(writer) = sink.as_deref_mut() {
+                        if !writer.resumed_hops()[r] {
+                            writer.submit(r, Arc::clone(&hop))?;
+                        }
                     }
+                    train_hops.push(hop);
                 }
+                hop_ns[r] += t0.elapsed().as_nanos() as u64;
+                Ok(spare)
+            };
+
+            // Hop 0: one gather of the features in split order, repeated
+            // side by side for each further group member.
+            let hop0_t0 = Instant::now();
+            let mut cur = data.features.gather_rows(order.as_slice());
+            if group.len() > 1 {
+                cur = Matrix::hstack(&vec![&cur; group.len()]);
             }
             hop_ns[0] += hop0_t0.elapsed().as_nanos() as u64;
             if self.hops == 0 {
+                hand_over(0, cur, &mut hop_ns)?;
                 continue;
             }
 
-            let bases: Vec<WeightedCsr> = group
-                .iter()
-                .map(|&ki| self.operators[ki].base(&data.graph))
-                .collect();
-            while currents.len() < group.len() {
-                currents.push(Matrix::zeros(n, f));
-                nexts.push(Matrix::zeros(n, f));
-            }
-            for current in currents.iter_mut().take(group.len()) {
-                current.copy_from(&data.features);
-            }
-
+            let bases: Vec<WeightedCsr> = {
+                let _span = ppgnn_telemetry::span("preprocess.order");
+                group
+                    .iter()
+                    .map(|&ki| self.operators[ki].base_in(&data.graph, &order))
+                    .collect()
+            };
             // Shard the row space once per group (group members share one
-            // sparsity structure). Series operators never shard; auto
-            // (unpinned) shard counts fall back to the sequential schedule
-            // below the parallel threshold, like every pooled kernel.
+            // sparsity structure). A pinned shard count is honored at any
+            // size; otherwise the pool width once the pass is over the
+            // parallel threshold, like every pooled kernel. Series
+            // operators are internally sequential chains and fan out
+            // inside their own SpMMs.
             let series = self.operators[group[0]].is_diffusion_series();
             let work = bases.iter().map(|b| b.nnz()).max().unwrap_or(0) * f;
-            let sharded =
-                !series && num_shards > 1 && (shards_pinned || work > pool::parallel_threshold());
-            let plan = ShardPlan::for_operator(&bases[0], num_shards);
+            let shards = if shards_pinned && num_shards > 1 {
+                num_shards
+            } else {
+                pool.threads_for(work)
+            };
+            let plan = ShardPlan::for_operator(&bases[0], shards);
 
+            let mut spare: Option<Matrix> = None;
             for r in 1..=self.hops {
                 let hop_t0 = Instant::now();
-                let _hop_span =
-                    ppgnn_telemetry::span_with("hop", &[("r", r as u64), ("group", gi as u64)]);
-                if sharded {
-                    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-                        Vec::with_capacity(group.len() * plan.num_shards());
-                    for (slot, next) in nexts.iter_mut().take(group.len()).enumerate() {
-                        let base = &bases[slot];
-                        let cur = &currents[slot];
-                        let mut rest = next.as_mut_slice();
-                        for range in plan.ranges() {
-                            let (slab, tail) = rest.split_at_mut(range.len() * f);
-                            rest = tail;
-                            let range = range.clone();
-                            tasks.push(Box::new(move || base.spmm_rows_into(range, cur, slab)));
-                        }
-                        debug_assert!(rest.is_empty(), "shard plan must tile the buffer");
-                    }
-                    pool.run(tasks);
-                } else {
-                    for (slot, &ki) in group.iter().enumerate() {
-                        self.operators[ki].apply_with_base_into_on(
-                            &bases[slot],
-                            &currents[slot],
-                            &mut nexts[slot],
-                            pool,
-                        );
-                    }
-                }
-                for slot in 0..group.len() {
-                    std::mem::swap(&mut currents[slot], &mut nexts[slot]);
-                }
-                for (slot, &ki) in group.iter().enumerate() {
-                    let col = ki * f;
-                    for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
-                        currents[slot].gather_rows_into_offset(ids, &mut hops[r], col);
-                    }
-                }
-                if last_group {
-                    if let Some(writer) = sink.as_deref_mut() {
-                        // The clone is the write-side double buffer: at most
-                        // queue-depth + 1 extra train-hop matrices are in
-                        // flight, owned by the writer thread while diffusion
-                        // continues — train-partition-sized, not full-graph.
-                        // Journaled (resumed) hops skip the clone + write.
-                        if !writer.resumed_hops()[r] {
-                            writer.submit(r, hops_by_part[0][r].clone())?;
-                        }
+                let mut next = spare.take().unwrap_or_else(|| Matrix::zeros(n, width));
+                {
+                    let _hop_span =
+                        ppgnn_telemetry::span_with("hop", &[("r", r as u64), ("group", gi as u64)]);
+                    if series {
+                        self.operators[group[0]]
+                            .apply_with_base_into_on(&bases[0], &cur, &mut next, pool);
+                    } else {
+                        diffuse_side_by_side(&bases, &plan, &cur, &mut next, f, pool);
                     }
                 }
                 hop_ns[r] += hop_t0.elapsed().as_nanos() as u64;
+                spare = hand_over(r - 1, std::mem::replace(&mut cur, next), &mut hop_ns)?;
             }
+            hand_over(self.hops, cur, &mut hop_ns)?;
         }
 
-        let mut parts = hops_by_part.into_iter();
-        let mut extract = |ids: &[usize]| -> PrepropFeatures {
-            PrepropFeatures {
-                hops: share(parts.next().expect("three partitions")),
-                labels: data.labels_of(ids),
-                node_ids: ids.to_vec(),
-            }
+        let [_, val_hops, test_hops] = retained.hops;
+        let features = |ids: &[usize], hops: Vec<Arc<Matrix>>| PrepropFeatures {
+            hops,
+            labels: data.labels_of(ids),
+            node_ids: ids.to_vec(),
         };
-        let train = extract(&data.split.train);
-        let val = extract(&data.split.val);
-        let test = extract(&data.split.test);
+        let train = features(&split.train, train_hops);
+        let val = features(&split.val, share(val_hops));
+        let test = features(&split.test, share(test_hops));
 
         let preprocess_seconds = start.elapsed().as_secs_f64();
         for &ns in &hop_ns {
@@ -708,10 +783,8 @@ impl Preprocessor {
         // order — store `p`'s local row `j` is training row
         // `rows_by_part[p][j]`.
         let mut rows_by_part: Vec<Vec<usize>> = vec![Vec::new(); plan.num_partitions()];
-        let mut nodes_by_part: Vec<Vec<usize>> = vec![Vec::new(); plan.num_partitions()];
         for (i, &v) in data.split.train.iter().enumerate() {
             rows_by_part[plan.owner(v)].push(i);
-            nodes_by_part[plan.owner(v)].push(v);
         }
         let meta = StoreMeta {
             dataset: dataset.to_string(),
@@ -730,7 +803,7 @@ impl Preprocessor {
         match self.run_partitioned_streaming(
             data,
             &engine,
-            Some((&mut writer, &nodes_by_part)),
+            Some((&mut writer, &rows_by_part)),
             pool,
         ) {
             Ok(mut out) => {
@@ -758,11 +831,11 @@ impl Preprocessor {
         PartitionedDiffusion::new(&data.graph, self.operators.clone(), self.hops, plan)
     }
 
-    /// The partitioned analog of `run_streaming`: hop views are gathered
-    /// into the three labeled partitions' column blocks exactly like the
-    /// single-domain engine, and (optionally) each graph partition's
-    /// training rows are submitted to its async store writer as every hop
-    /// completes.
+    /// The partitioned analog of `run_streaming`: each finished hop view
+    /// is gathered into the three labeled splits, and (optionally) each
+    /// graph partition's training rows — `rows_by_part[p]`, ascending
+    /// positions in the train split — are copied out of the train hop and
+    /// submitted to that partition's async store writer.
     fn run_partitioned_streaming(
         &self,
         data: &SynthDataset,
@@ -774,7 +847,6 @@ impl Preprocessor {
         let _prep_span = ppgnn_telemetry::span("preprocess");
         let f = data.features.cols();
         let k_ops = self.operators.len();
-        let kf = k_ops * f;
         // Hop `r`'s time is the wall clock between successive hop
         // callbacks (the engine invokes the callback once per finished
         // hop, hop 0 first), so diffusion and the ghost exchange are
@@ -784,11 +856,7 @@ impl Preprocessor {
         let ids_by_part: [&[usize]; 3] = [&data.split.train, &data.split.val, &data.split.test];
         let mut hops_by_part: Vec<Vec<Matrix>> = ids_by_part
             .iter()
-            .map(|ids| {
-                (0..=self.hops)
-                    .map(|_| Matrix::zeros(ids.len(), kf))
-                    .collect()
-            })
+            .map(|_| Vec::with_capacity(self.hops + 1))
             .collect();
 
         // Task granularity: reuse the shard knob so `PPGNN_NUM_SHARDS`
@@ -798,25 +866,18 @@ impl Preprocessor {
         engine.run::<DataIoError>(&data.features, pool, task_shards, |r, view| {
             hop_ns[r] += hop_clock.elapsed().as_nanos() as u64;
             let _hop_span = ppgnn_telemetry::span_with("hop_gather", &[("r", r as u64)]);
-            for k in 0..k_ops {
-                let col = k * f;
-                for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
-                    view.gather_rows_into_offset(k, ids, &mut hops[r], col);
-                }
+            for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
+                hops.push(view.gather_rows(ids));
             }
-            if let Some((writer, nodes_by_part)) = sink.as_mut() {
-                for (p, nodes) in nodes_by_part.iter().enumerate() {
+            if let Some((writer, rows_by_part)) = sink.as_mut() {
+                let train = &hops_by_part[0][r];
+                for (p, rows) in rows_by_part.iter().enumerate() {
                     // (partition, hop) units an interrupted run already
                     // committed (per that partition's journal) are not
                     // regathered or resubmitted.
-                    if writer.resumed_hops(p)[r] {
-                        continue;
+                    if !writer.resumed_hops(p)[r] {
+                        writer.submit(p, r, train.gather_rows(rows))?;
                     }
-                    let mut rows = Matrix::zeros(nodes.len(), kf);
-                    for k in 0..k_ops {
-                        view.gather_rows_into_offset(k, nodes, &mut rows, k * f);
-                    }
-                    writer.submit(p, r, rows)?;
                 }
             }
             hop_clock = Instant::now();

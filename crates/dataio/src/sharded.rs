@@ -285,7 +285,7 @@ impl ShardedStoreWriter {
                 self.manifest.num_partitions()
             ))
         })?;
-        writer.submit(k, features)
+        writer.submit(k, std::sync::Arc::new(features))
     }
 
     /// Queue-pressure stats aggregated across the per-partition writer

@@ -36,23 +36,65 @@ const QHEADER_BYTES: usize = 4 + 4 + 8 + 8 + 4;
 /// container revision. Legacy footer-less files are detected by length
 /// and still load — they just skip read-side verification.
 const FOOTER_MAGIC: &[u8; 4] = b"PPGC";
-const FOOTER_VERSION: u32 = 1;
+/// Footer version the writer emits: chunk sums from [`fnv1a_words`].
+/// Version 1 ([`fnv1a_bytes`]) still verifies, file by file.
+const FOOTER_VERSION: u32 = 2;
 
 /// Footer size for `n` chunks: magic + version + chunk count `u64` +
-/// one FNV-1a `u64` per chunk.
+/// one `u64` checksum per chunk (the same for every footer version).
 const fn footer_len(n: usize) -> u64 {
     (4 + 4 + 8 + 8 * n) as u64
 }
 
-/// FNV-1a over a byte slice — the checksum of one hop chunk's encoded
-/// payload bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Bytes hashed by the chunk checksum, written and verified.
+static CHECKSUM_BYTES: ppgnn_telemetry::Counter =
+    ppgnn_telemetry::Counter::new("dataio.checksum_bytes");
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Footer version 1: FNV-1a over the chunk's bytes, one dependent
+/// multiply per byte.
+fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// Footer version 2: FNV-1a over little-endian `u64` words in four
+/// independent lanes (word `i` feeds lane `i % 4`), so four multiplies are
+/// in flight instead of one. The lanes are folded in order, then the
+/// ≤ 31 tail bytes byte-wise, then the length.
+///
+/// Every step `l ↦ (l ^ w)·P` is a bijection of the word `w` (the prime is
+/// odd), and everything after it is a bijection of the lane or the folded
+/// state, so a corruption confined to one 8-byte word — every single-bit
+/// flip among them — always changes the sum.
+fn fnv1a_words(bytes: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(&block[8 * l..8 * l + 8]);
+            *lane = (*lane ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME);
+        }
     }
-    h
+    let h = lanes
+        .iter()
+        .fold(FNV_OFFSET, |h, &l| (h ^ l).wrapping_mul(FNV_PRIME));
+    let h = fnv1a_bytes(h, blocks.remainder());
+    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// The chunk checksum of footer `version` (1 or 2).
+fn chunk_checksum(version: u32, bytes: &[u8]) -> u64 {
+    CHECKSUM_BYTES.add(bytes.len() as u64);
+    if version == 1 {
+        fnv1a_bytes(FNV_OFFSET, bytes)
+    } else {
+        fnv1a_words(bytes)
+    }
 }
 
 /// On-disk dtype code of the `PPGQ` header (`f32` never appears — it
@@ -73,6 +115,17 @@ fn data_offset(dtype: StoreDtype) -> u64 {
     } else {
         QHEADER_BYTES as u64
     }
+}
+
+/// The `PPGQ` header of a `rows × cols` hop of `dtype`.
+fn qheader_bytes(dtype: StoreDtype, rows: usize, cols: usize) -> [u8; QHEADER_BYTES] {
+    let mut h = [0u8; QHEADER_BYTES];
+    h[..4].copy_from_slice(QMAGIC);
+    h[4..8].copy_from_slice(&QVERSION.to_le_bytes());
+    h[8..16].copy_from_slice(&(rows as u64).to_le_bytes());
+    h[16..24].copy_from_slice(&(cols as u64).to_le_bytes());
+    h[24..].copy_from_slice(&dtype_code(dtype).to_le_bytes());
+    h
 }
 
 /// Reads and validates a `PPGQ` header against the manifest's `dtype`,
@@ -310,10 +363,10 @@ impl IoCounters {
 }
 
 /// Writes a feature store to a directory: one `hop_<k>.ppgt` file per
-/// hop, then `manifest.txt` last. Compressed dtypes encode each hop
-/// through [`ppgnn_tensor::cast`] into a reusable staging buffer on the
-/// calling thread (under [`crate::AsyncHopWriter`] that is the writer
-/// thread, so encoding overlaps the next hop's diffusion for free).
+/// hop, then `manifest.txt` last. Every dtype encodes each hop through
+/// [`ppgnn_tensor::cast`] straight into a reusable whole-file staging
+/// buffer on the calling thread (under [`crate::AsyncHopWriter`] that is
+/// the writer thread, so encoding overlaps the next hop's diffusion).
 ///
 /// Crash-safety contract: every hop file is committed atomically
 /// (temp + fsync + rename) with a per-chunk checksum footer, each
@@ -331,10 +384,8 @@ pub struct FeatureStoreWriter {
     written: Vec<bool>,
     /// Hops the resumed journal proved committed — skippable by callers.
     resumed: Vec<bool>,
-    /// Encoded-payload staging buffer, reused across hops.
-    enc: Vec<u8>,
-    /// Whole-file staging buffer (header + payload + footer), reused
-    /// across hops; the atomic commit writes it in one shot.
+    /// Whole-file staging buffer (header + encoded payload + footer),
+    /// reused across hops; the atomic commit writes it in one shot.
     file_buf: Vec<u8>,
     journal: Option<Journal>,
 }
@@ -400,7 +451,6 @@ impl FeatureStoreWriter {
             written,
             dir,
             meta,
-            enc: Vec::new(),
             file_buf: Vec::new(),
             journal: Some(journal),
         })
@@ -436,33 +486,30 @@ impl FeatureStoreWriter {
                 self.meta.cols
             )));
         }
-        self.file_buf.clear();
-        if self.meta.dtype.is_f32() {
-            // The `PPGT` header + payload bytes are unchanged from the
-            // pre-dtype format; the container revision only appends the
-            // checksum footer (the digest pin test covers the revision).
-            tio::write_matrix(&mut self.file_buf, features)
-                .map_err(|e| DataIoError::Io(e.to_string()))?;
-        } else {
-            let nbytes = self.meta.rows * self.meta.dtype.encoded_row_bytes(self.meta.cols);
-            self.enc.resize(nbytes, 0);
-            cast::encode_rows(
-                self.meta.dtype,
-                features.as_slice(),
-                self.meta.cols,
-                &mut self.enc,
-            );
-            self.file_buf.extend_from_slice(QMAGIC);
-            self.file_buf.extend_from_slice(&QVERSION.to_le_bytes());
+        {
+            let _span = ppgnn_telemetry::span("store.encode");
+            let (dtype, rows, cols) = (self.meta.dtype, self.meta.rows, self.meta.cols);
+            let off = data_offset(dtype) as usize;
+            // Header and payload are written in place: resizing the reused
+            // buffer to an unchanged length (every hop after the first)
+            // only cuts the previous footer off, and the encoder writes
+            // each payload byte once. The `PPGT` header + f32 payload are
+            // the pre-dtype format byte for byte (the digest pin test
+            // covers the container revision).
             self.file_buf
-                .extend_from_slice(&(self.meta.rows as u64).to_le_bytes());
-            self.file_buf
-                .extend_from_slice(&(self.meta.cols as u64).to_le_bytes());
-            self.file_buf
-                .extend_from_slice(&dtype_code(self.meta.dtype).to_le_bytes());
-            self.file_buf.extend_from_slice(&self.enc);
+                .resize(off + rows * dtype.encoded_row_bytes(cols), 0);
+            let (header, payload) = self.file_buf.split_at_mut(off);
+            if dtype.is_f32() {
+                header.copy_from_slice(&tio::header_bytes(rows, cols));
+            } else {
+                header.copy_from_slice(&qheader_bytes(dtype, rows, cols));
+            }
+            cast::encode_rows(dtype, features.as_slice(), cols, payload);
         }
-        append_checksum_footer(&mut self.file_buf, &self.meta);
+        {
+            let _span = ppgnn_telemetry::span("store.checksum");
+            append_checksum_footer(&mut self.file_buf, &self.meta);
+        }
         commit::write_bytes_atomic("hop", &hop_path(&self.dir, k), &self.file_buf)?;
         if let Some(journal) = self.journal.as_mut() {
             journal.record(k)?;
@@ -504,9 +551,9 @@ impl FeatureStoreWriter {
     }
 }
 
-/// Computes the per-chunk FNV-1a checksums of the encoded payload
-/// already staged in `buf` (everything after the header) and appends
-/// the footer: magic, version, chunk count, one `u64` per chunk.
+/// Computes the per-chunk checksums ([`fnv1a_words`]) of the encoded
+/// payload already staged in `buf` (everything after the header) and
+/// appends the footer: magic, version, chunk count, one `u64` per chunk.
 fn append_checksum_footer(buf: &mut Vec<u8>, meta: &StoreMeta) {
     let off = data_offset(meta.dtype) as usize;
     let enc_row = meta.dtype.encoded_row_bytes(meta.cols);
@@ -519,18 +566,18 @@ fn append_checksum_footer(buf: &mut Vec<u8>, meta: &StoreMeta) {
         let start_row = chunk * meta.chunk_size;
         let rows = meta.chunk_size.min(meta.rows - start_row);
         let start = off + start_row * enc_row;
-        let sum = fnv1a(&buf[start..start + rows * enc_row]);
+        let sum = chunk_checksum(FOOTER_VERSION, &buf[start..start + rows * enc_row]);
         buf.extend_from_slice(&sum.to_le_bytes());
     }
 }
 
 /// Reads and validates the checksum footer at `payload_end`, returning
-/// the per-chunk sums.
+/// the footer version and the per-chunk sums.
 fn read_checksum_footer(
     f: &mut File,
     payload_end: u64,
     meta: &StoreMeta,
-) -> Result<Vec<u64>, DataIoError> {
+) -> Result<ChunkSums, DataIoError> {
     f.seek(SeekFrom::Start(payload_end))?;
     let mut magic = [0u8; 4];
     f.read_exact(&mut magic)?;
@@ -542,7 +589,7 @@ fn read_checksum_footer(
     let mut word = [0u8; 4];
     f.read_exact(&mut word)?;
     let version = u32::from_le_bytes(word);
-    if version != FOOTER_VERSION {
+    if !(1..=FOOTER_VERSION).contains(&version) {
         return Err(DataIoError::corrupt(format!(
             "unsupported checksum footer version {version}"
         )));
@@ -561,7 +608,16 @@ fn read_checksum_footer(
         f.read_exact(&mut dword)?;
         sums.push(u64::from_le_bytes(dword));
     }
-    Ok(sums)
+    Ok(ChunkSums { version, sums })
+}
+
+/// One hop file's checksum footer. A resumed store may mix footer
+/// versions, so the version is kept per file.
+#[derive(Debug, Default)]
+struct ChunkSums {
+    version: u32,
+    /// Empty for a legacy footer-less file (no verification possible).
+    sums: Vec<u64>,
 }
 
 fn hop_path(dir: &Path, k: usize) -> PathBuf {
@@ -582,9 +638,8 @@ pub struct FeatureStore {
     /// Encoded-byte staging buffer shared by every read path; grows
     /// monotonically to the largest read seen.
     scratch: Vec<u8>,
-    /// Per-hop chunk checksums from the footer; an empty inner vec
-    /// marks a legacy footer-less file (no verification possible).
-    sums: Vec<Vec<u64>>,
+    /// Per-hop chunk checksums and footer version.
+    sums: Vec<ChunkSums>,
     /// Per-hop verified-chunk bitmaps (one bit per chunk): each chunk's
     /// checksum is verified on the first read touching it, then the bit
     /// short-circuits every later read — "verified on every read"
@@ -652,7 +707,7 @@ impl FeatureStore {
                 .into());
             }
             if actual == payload_end {
-                sums.push(Vec::new()); // legacy footer-less file
+                sums.push(ChunkSums::default()); // legacy footer-less file
             } else if actual == payload_end + flen {
                 sums.push(read_checksum_footer(&mut f, payload_end, &meta).map_err(
                     |e| match e {
@@ -973,7 +1028,7 @@ impl FeatureStore {
     /// caller-visible I/O counters never include verification traffic.
     /// Legacy footer-less hops skip verification entirely.
     fn verify_span(&mut self, k: usize, start_row: usize, nrows: usize) -> Result<(), DataIoError> {
-        if self.sums[k].is_empty() {
+        if self.sums[k].sums.is_empty() {
             return Ok(());
         }
         let enc_row = self.meta.dtype.encoded_row_bytes(self.meta.cols);
@@ -992,8 +1047,9 @@ impl FeatureStore {
                 data_offset(self.meta.dtype) + (chunk_start * enc_row) as u64,
             ))?;
             f.read_exact(&mut self.verify_buf[..nbytes])?;
-            let computed = fnv1a(&self.verify_buf[..nbytes]);
-            let stored = self.sums[k][chunk];
+            let footer = &self.sums[k];
+            let computed = chunk_checksum(footer.version, &self.verify_buf[..nbytes]);
+            let stored = footer.sums[chunk];
             if computed != stored {
                 return Err(CorruptError::new(format!(
                     "chunk checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
@@ -1363,6 +1419,111 @@ mod tests {
             store.read_chunk(0, 1, AccessPath::Direct).unwrap();
             fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// Rewrites hop `k`'s footer the way a version-1 writer emitted it:
+    /// byte-wise FNV-1a chunk sums under version word 1.
+    fn restamp_as_version_one(dir: &Path, k: usize, meta: &StoreMeta) {
+        let path = hop_path(dir, k);
+        let mut bytes = fs::read(&path).unwrap();
+        let n = meta.num_chunks();
+        let payload_end = bytes.len() - footer_len(n) as usize;
+        let enc_row = meta.dtype.encoded_row_bytes(meta.cols);
+        let off = data_offset(meta.dtype) as usize;
+        let mut footer = Vec::new();
+        footer.extend_from_slice(FOOTER_MAGIC);
+        footer.extend_from_slice(&1u32.to_le_bytes());
+        footer.extend_from_slice(&(n as u64).to_le_bytes());
+        for chunk in 0..n {
+            let first = off + chunk * meta.chunk_size * enc_row;
+            let rows = meta.chunk_size.min(meta.rows - chunk * meta.chunk_size);
+            let sum = fnv1a_bytes(FNV_OFFSET, &bytes[first..first + rows * enc_row]);
+            footer.extend_from_slice(&sum.to_le_bytes());
+        }
+        bytes.truncate(payload_end);
+        bytes.extend_from_slice(&footer);
+        fs::write(&path, bytes).unwrap();
+    }
+
+    #[test]
+    fn version_one_and_mixed_footers_still_verify() {
+        let meta = sample_meta();
+        // A store of version-1 files only, then one mixing versions (hop 1
+        // at version 1 between two version-2 files, as a resumed store may).
+        for v1_hops in [vec![0, 1, 2], vec![1]] {
+            let dir = temp_dir(&format!("v1-{}", v1_hops.len()));
+            build_store(&dir);
+            for &k in &v1_hops {
+                restamp_as_version_one(&dir, k, &meta);
+            }
+            let mut store = FeatureStore::open(&dir).unwrap();
+            for k in 0..3 {
+                let hop = store.read_full_hop(k).unwrap();
+                assert_eq!(hop.get(9, 3), (k * 1000 + 93) as f32);
+            }
+            // A flipped byte in a version-1 file is still located.
+            let path = hop_path(&dir, 1);
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[data_offset(meta.dtype) as usize + 6 * 16 + 2] ^= 0x01;
+            fs::write(&path, bytes).unwrap();
+            let mut store = FeatureStore::open(&dir).unwrap();
+            let DataIoError::Corrupt(c) = store.read_chunk(1, 1, AccessPath::Direct).unwrap_err()
+            else {
+                panic!("want a checksum mismatch");
+            };
+            assert_eq!((c.hop, c.chunk), (Some(1), Some(1)));
+            store.read_chunk(1, 0, AccessPath::Direct).unwrap();
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn word_checksum_detects_every_single_bit_flip_and_a_word_swap() {
+        // 1000 bytes: 31 four-word blocks and an 8-byte byte-wise tail.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let chunk: Vec<u8> = (0..1000)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let clean = fnv1a_words(&chunk);
+        let mut flipped = chunk.clone();
+        for bit in 0..chunk.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(fnv1a_words(&flipped), clean, "bit {bit} flip undetected");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        // Words 3 and 10 (lanes 3 and 2): distinct contents, swapped.
+        let mut swapped = chunk.clone();
+        let (a, b) = (3 * 8, 10 * 8);
+        assert_ne!(chunk[a..a + 8], chunk[b..b + 8]);
+        for i in 0..8 {
+            swapped.swap(a + i, b + i);
+        }
+        assert_ne!(fnv1a_words(&swapped), clean);
+        // A length change alone moves the sum too.
+        assert_ne!(fnv1a_words(&chunk[..999]), fnv1a_words(&chunk[1..]));
+
+        // The same swap on disk is a located read error.
+        let dir = temp_dir("wordswap");
+        build_store(&dir);
+        let path = hop_path(&dir, 2);
+        let mut bytes = fs::read(&path).unwrap();
+        let row4 = data_offset(StoreDtype::F32) as usize + 4 * 16;
+        for i in 0..8 {
+            bytes.swap(row4 + i, row4 + 24 + i);
+        }
+        fs::write(&path, bytes).unwrap();
+        let mut store = FeatureStore::open(&dir).unwrap();
+        let DataIoError::Corrupt(c) = store.read_chunk(2, 1, AccessPath::Direct).unwrap_err()
+        else {
+            panic!("want a checksum mismatch");
+        };
+        assert_eq!((c.hop, c.chunk), (Some(2), Some(1)));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

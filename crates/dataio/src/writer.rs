@@ -85,7 +85,7 @@ struct StatsCells {
 /// [`FeatureStoreWriter::finish`].
 #[derive(Debug)]
 pub struct AsyncHopWriter {
-    tx: Option<SyncSender<(usize, Matrix)>>,
+    tx: Option<SyncSender<(usize, Arc<Matrix>)>>,
     worker: Option<JoinHandle<Result<FeatureStoreWriter, DataIoError>>>,
     failed: Arc<AtomicBool>,
     stats: Arc<StatsCells>,
@@ -147,7 +147,7 @@ impl AsyncHopWriter {
         let flag = Arc::clone(&failed);
         let stats = Arc::new(StatsCells::default());
         let drain_stats = Arc::clone(&stats);
-        let (tx, rx) = sync_channel::<(usize, Matrix)>(queue_depth.max(1));
+        let (tx, rx) = sync_channel::<(usize, Arc<Matrix>)>(queue_depth.max(1));
         let worker = std::thread::Builder::new()
             .name("ppgnn-hop-writer".into())
             .spawn(move || {
@@ -204,16 +204,17 @@ impl AsyncHopWriter {
     /// Queues hop `k` for writing, blocking while the bounded queue is
     /// full (write backpressure).
     ///
-    /// Takes the matrix by value: the bytes in flight belong to the writer
-    /// thread, which is what lets the compute thread reuse or drop its own
-    /// buffers immediately.
+    /// Takes a shared handle: the writer thread only reads the hop, so a
+    /// producer that keeps the finished matrix (the in-memory output of
+    /// `Preprocessor::run_with_store`) hands over a reference count, not
+    /// a copy. The matrix is freed once both sides drop it.
     ///
     /// # Errors
     ///
     /// Fails fast once a previous write has failed (or the writer thread
     /// died); the underlying cause is reported by
     /// [`AsyncHopWriter::finish`].
-    pub fn submit(&mut self, k: usize, features: Matrix) -> Result<(), DataIoError> {
+    pub fn submit(&mut self, k: usize, features: Arc<Matrix>) -> Result<(), DataIoError> {
         if self.failed.load(Ordering::Acquire) {
             return Err(DataIoError::Io(
                 "async hop writer already failed; finish() reports the cause".into(),
@@ -353,8 +354,10 @@ mod tests {
         }
     }
 
-    fn hop_matrix(k: usize, rows: usize, cols: usize) -> Matrix {
-        Matrix::from_fn(rows, cols, move |r, c| (k * 1000 + r * 10 + c) as f32)
+    fn hop_matrix(k: usize, rows: usize, cols: usize) -> Arc<Matrix> {
+        Arc::new(Matrix::from_fn(rows, cols, move |r, c| {
+            (k * 1000 + r * 10 + c) as f32
+        }))
     }
 
     #[test]
@@ -384,9 +387,9 @@ mod tests {
     fn bad_shape_error_is_latched_and_surfaced_at_finish() {
         let dir = temp_dir("badshape");
         let mut w = AsyncHopWriter::create(&dir, meta(10, 3, 2), 1).unwrap();
-        w.submit(0, Matrix::zeros(5, 3)).unwrap(); // wrong row count
-                                                   // The failure latches; eventually submit fails fast (the writer
-                                                   // thread needs a moment to observe the bad hop, so poll).
+        w.submit(0, Arc::new(Matrix::zeros(5, 3))).unwrap(); // wrong row count
+                                                             // The failure latches; eventually submit fails fast (the writer
+                                                             // thread needs a moment to observe the bad hop, so poll).
         let mut fast_failed = false;
         for _ in 0..1000 {
             match w.submit(1, hop_matrix(1, 10, 3)) {
@@ -430,7 +433,7 @@ mod tests {
         // queue full, take the blocking path, and accumulate block time.
         let (rows, cols, hops) = (4096, 64, 8);
         let mut w = AsyncHopWriter::create(&dir, meta(rows, cols, hops), 1).unwrap();
-        let matrices: Vec<Matrix> = (0..hops).map(|k| hop_matrix(k, rows, cols)).collect();
+        let matrices: Vec<Arc<Matrix>> = (0..hops).map(|k| hop_matrix(k, rows, cols)).collect();
         for (k, m) in matrices.into_iter().enumerate() {
             w.submit(k, m).unwrap();
         }

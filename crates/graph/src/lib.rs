@@ -11,6 +11,9 @@
 //! * threaded CSR×dense SpMM (the kernel behind feature pre-propagation),
 //! * [`ShardPlan`] — nnz-balanced node-range shards plus a row-slice SpMM
 //!   ([`WeightedCsr::spmm_rows_into`]) for shard-scheduled diffusion,
+//! * [`NodeOrder`] — a node relabelling that operators can be built in
+//!   directly ([`Operator::base_in`]), so preprocessing diffuses in split
+//!   order,
 //! * [`PartitionPlan`] — disjoint node partitions with ghost-row
 //!   extraction ([`Partitioner`] strategies: nnz-balanced
 //!   [`RangeCutPartitioner`], locality-first [`BfsGrowPartitioner`]) for
@@ -39,6 +42,7 @@
 mod csr;
 mod error;
 mod operator;
+mod order;
 mod partition;
 mod shard;
 mod spmm;
@@ -50,6 +54,7 @@ pub mod synth;
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use operator::Operator;
+pub use order::NodeOrder;
 pub use partition::{
     BfsGrowPartitioner, PartitionCsr, PartitionPlan, Partitioner, RangeCutPartitioner,
 };

@@ -19,7 +19,7 @@
 
 use ppgnn_tensor::Matrix;
 
-use crate::{CsrGraph, WeightedCsr};
+use crate::{CsrGraph, NodeOrder, WeightedCsr};
 
 /// Number of power-series terms used to approximate the diffusion operators.
 const DIFFUSION_TERMS: usize = 10;
@@ -61,10 +61,25 @@ impl Operator {
     /// Materializes the base normalized adjacency this operator diffuses
     /// over.
     pub fn base(&self, graph: &CsrGraph) -> WeightedCsr {
-        match self {
-            Operator::RowNorm => WeightedCsr::row_norm(graph, true),
-            _ => WeightedCsr::sym_norm(graph, true),
-        }
+        self.build_base(graph, None)
+    }
+
+    /// [`Operator::base`] with the graph's nodes relabelled by `order`:
+    /// row `i` is `base()` row `order[i]`, its column ids renumbered by
+    /// [`NodeOrder::rank`], its entries and weights in the same order — so
+    /// diffusing in the new order yields every node's row bit for bit,
+    /// at its new position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` does not cover exactly the graph's nodes.
+    pub fn base_in(&self, graph: &CsrGraph, order: &NodeOrder) -> WeightedCsr {
+        self.build_base(graph, Some(order))
+    }
+
+    fn build_base(&self, graph: &CsrGraph, order: Option<&NodeOrder>) -> WeightedCsr {
+        let symmetric = !matches!(self, Operator::RowNorm);
+        WeightedCsr::normalized(graph, true, symmetric, order)
     }
 
     /// Applies the operator once: `X ↦ B·X`.
@@ -273,6 +288,62 @@ mod tests {
                 "{} into-variant diverged",
                 op.name()
             );
+        }
+    }
+
+    /// Deterministic pseudo-random stream for the graph and order shapes.
+    fn lcg(state: &mut u64) -> usize {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) as usize
+    }
+
+    #[test]
+    fn ordered_build_is_the_identity_build_relabelled() {
+        let n = 40;
+        let star: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
+        // Nodes 30.. stay isolated (no self-loop in the topology).
+        let isolated: Vec<(usize, usize)> = (0..29).map(|v| (v, v + 1)).collect();
+        let self_loops: Vec<(usize, usize)> = (0..n)
+            .map(|v| (v, (v * 7 + 3) % n))
+            .chain((0..n).step_by(3).map(|v| (v, v)))
+            .collect();
+        let mut seed = 11u64;
+        let random: Vec<(usize, usize)> = (0..150)
+            .map(|_| (lcg(&mut seed) % n, lcg(&mut seed) % n))
+            .collect();
+        for (name, edges) in [
+            ("star", star),
+            ("isolated", isolated),
+            ("self-loop", self_loops),
+            ("random", random),
+        ] {
+            let g = CsrGraph::from_edges(n, &edges, true).unwrap();
+            // A shuffled head of 25 nodes, then the rest ascending.
+            let mut ids: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                ids.swap(i, lcg(&mut seed) % (i + 1));
+            }
+            let order = NodeOrder::heads_first(n, &[&ids[..10], &ids[10..25]]);
+            for op in [Operator::SymNorm, Operator::RowNorm] {
+                let base = op.base(&g);
+                let ordered = op.base_in(&g, &order);
+                assert_eq!(ordered.nnz(), base.nnz(), "{name} {}", op.name());
+                for (i, &v) in order.as_slice().iter().enumerate() {
+                    let want: Vec<(usize, u32)> = base
+                        .row_entries(v)
+                        .map(|(c, w)| (order.rank(c), w.to_bits()))
+                        .collect();
+                    let got: Vec<(usize, u32)> = ordered
+                        .row_entries(i)
+                        .map(|(c, w)| (c, w.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{name} {} row {i} (node {v})", op.name());
+                }
+                let identity = NodeOrder::heads_first(n, &[]);
+                assert_eq!(op.base_in(&g, &identity), base, "{name} identity");
+            }
         }
     }
 

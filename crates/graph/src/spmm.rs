@@ -17,7 +17,7 @@
 use ppgnn_tensor::pool::{BlockOut, RowBlocks};
 use ppgnn_tensor::{pool, Matrix};
 
-use crate::{CsrGraph, GraphError};
+use crate::{CsrGraph, GraphError, NodeOrder};
 
 /// Telemetry totals for the whole-matrix SpMM driver. Counters only on
 /// this path's inner layers — span guards are allowed at the driver
@@ -148,16 +148,30 @@ impl WeightedCsr {
     /// Isolated nodes without self-loops produce all-zero rows rather than
     /// NaNs.
     pub fn sym_norm(graph: &CsrGraph, add_self_loops: bool) -> Self {
-        Self::normalized(graph, add_self_loops, true)
+        Self::normalized(graph, add_self_loops, true, None)
     }
 
     /// The random-walk operator `D̃^(-1) Ã`.
     pub fn row_norm(graph: &CsrGraph, add_self_loops: bool) -> Self {
-        Self::normalized(graph, add_self_loops, false)
+        Self::normalized(graph, add_self_loops, false, None)
     }
 
-    fn normalized(graph: &CsrGraph, add_self_loops: bool, symmetric: bool) -> Self {
+    /// Builds the normalized operator with its nodes relabelled by
+    /// `order` (`None` = the graph's own ids), in one pass: row `i` is the
+    /// identity-order row `order[i]` with every column id `u` renumbered
+    /// to `rank(u)`, its entries and weights kept in the identity order.
+    /// Per-row accumulation order is therefore unchanged, and so is every
+    /// SpMM output row, bit for bit — only its position moves.
+    pub(crate) fn normalized(
+        graph: &CsrGraph,
+        add_self_loops: bool,
+        symmetric: bool,
+        order: Option<&NodeOrder>,
+    ) -> Self {
         let n = graph.num_nodes();
+        if let Some(order) = order {
+            assert_eq!(order.len(), n, "node order must cover the graph");
+        }
         let mut indptr = Vec::with_capacity(n + 1);
         let mut indices =
             Vec::with_capacity(graph.num_edges() + if add_self_loops { n } else { 0 });
@@ -183,7 +197,8 @@ impl WeightedCsr {
             .collect();
 
         indptr.push(0);
-        for v in 0..n {
+        for i in 0..n {
+            let v = order.map_or(i, |o| o.as_slice()[i]);
             let mut self_loop_emitted = false;
             let push = |u: u32, indices: &mut Vec<u32>, weights: &mut Vec<f32>| {
                 let w = if symmetric {
@@ -191,7 +206,7 @@ impl WeightedCsr {
                 } else {
                     inv[v]
                 };
-                indices.push(u);
+                indices.push(order.map_or(u, |o| o.rank(u as usize) as u32));
                 weights.push(w);
             };
             for &u in graph.neighbors(v) {
@@ -323,7 +338,7 @@ impl WeightedCsr {
             for r in 0..rows {
                 let row_out = &mut out_data[r * f..(r + 1) * f];
                 row_out.fill(0.0);
-                Self::spmm_row(self, r, x_data, f, row_out);
+                self.spmm_row(r, x_data, f, 0, row_out);
             }
             return;
         }
@@ -338,7 +353,7 @@ impl WeightedCsr {
             |_, start, [chunk]| {
                 for (i, row_out) in chunk.chunks_exact_mut(f).enumerate() {
                     row_out.fill(0.0);
-                    Self::spmm_row(self, start + i, x_data, f, row_out);
+                    self.spmm_row(start + i, x_data, f, 0, row_out);
                 }
             },
         );
@@ -369,26 +384,60 @@ impl WeightedCsr {
             self.cols,
             x.rows()
         );
+        let f = x.cols();
+        self.spmm_window_rows_into(rows, x.as_slice(), f, 0..f, out_rows);
+    }
+
+    /// [`WeightedCsr::spmm_rows_into`] over one column window of a wider
+    /// row-major buffer: `x` holds `self.cols()` rows of `ld` values, and
+    /// `out_rows` holds the slice's `rows.len()` rows of `ld` values, of
+    /// which only columns `window` are written. Operators that diffuse side
+    /// by side in one `N × (g·F)` buffer each own one `F`-wide window.
+    /// Every written element is the same sum, in the same order, as the
+    /// full-width kernel's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `self.cols() × ld`, `window` exceeds `ld`,
+    /// `rows` exceeds `self.rows()`, or `out_rows` is not exactly
+    /// `rows.len() * ld` long.
+    pub fn spmm_window_rows_into(
+        &self,
+        rows: std::ops::Range<usize>,
+        x: &[f32],
+        ld: usize,
+        window: std::ops::Range<usize>,
+        out_rows: &mut [f32],
+    ) {
+        assert_eq!(
+            x.len(),
+            self.cols * ld,
+            "spmm dimension mismatch: operator has {} cols, input holds {} values of width {ld}",
+            self.cols,
+            x.len()
+        );
+        assert!(
+            window.start <= window.end && window.end <= ld,
+            "column window {window:?} exceeds row width {ld}"
+        );
         assert!(
             rows.end <= self.rows,
             "row slice {rows:?} exceeds {} operator rows",
             self.rows
         );
-        let f = x.cols();
         assert_eq!(
             out_rows.len(),
-            rows.len() * f,
+            rows.len() * ld,
             "row-slice output length mismatch: expected {} values",
-            rows.len() * f
+            rows.len() * ld
         );
-        if f == 0 {
+        if window.is_empty() {
             return;
         }
-        let x_data = x.as_slice();
         for (i, r) in rows.enumerate() {
-            let row_out = &mut out_rows[i * f..(i + 1) * f];
+            let row_out = &mut out_rows[i * ld + window.start..i * ld + window.end];
             row_out.fill(0.0);
-            self.spmm_row(r, x_data, f, row_out);
+            self.spmm_row(r, x, ld, window.start, row_out);
         }
     }
 
@@ -404,9 +453,14 @@ impl WeightedCsr {
     /// (non-zeros are walked in CSR order within each strip), so tiled
     /// output is **bit-identical** — the sharded/partitioned equivalence
     /// suites that byte-compare feature stores keep holding.
+    ///
+    /// `x` rows are `ld` wide and the row reads columns `col0..col0 +
+    /// out.len()` of each (`ld = out.len()`, `col0 = 0` for a plain
+    /// `N × F` input).
     #[inline]
-    fn spmm_row(&self, r: usize, x: &[f32], f: usize, out: &mut [f32]) {
+    fn spmm_row(&self, r: usize, x: &[f32], ld: usize, col0: usize, out: &mut [f32]) {
         const COLS: usize = ppgnn_tensor::block::SPMM_COL_BLOCK;
+        let f = out.len();
         let lo = self.indptr[r];
         let hi = self.indptr[r + 1];
         let mut j0 = 0;
@@ -420,7 +474,8 @@ impl WeightedCsr {
             for idx in lo..hi {
                 let c = self.indices[idx] as usize;
                 let w = self.weights[idx];
-                let x_strip = &x[c * f + j0..c * f + j0 + strip];
+                let at = c * ld + col0 + j0;
+                let x_strip = &x[at..at + strip];
                 for (o, v) in out_strip.iter_mut().zip(x_strip) {
                     *o += w * v;
                 }
@@ -636,6 +691,43 @@ mod tests {
             }
         }
         ppgnn_tensor::set_parallel_threshold(ppgnn_tensor::pool::DEFAULT_PARALLEL_THRESHOLD);
+    }
+
+    #[test]
+    fn window_rows_match_the_full_width_kernel_bitwise() {
+        use ppgnn_tensor::block::SPMM_COL_BLOCK;
+        // Two operators side by side in one n × 2f buffer: each window is
+        // the plain kernel's output, and the other window is untouched.
+        let n = 48;
+        let edges: Vec<(usize, usize)> = (1..n).map(|v| (v % 5, v)).collect();
+        let g = CsrGraph::from_edges(n, &edges, true).unwrap();
+        let ops = [
+            WeightedCsr::sym_norm(&g, true),
+            WeightedCsr::row_norm(&g, true),
+        ];
+        for f in [3, SPMM_COL_BLOCK + 5] {
+            let xs: Vec<Matrix> = (0..2)
+                .map(|k| Matrix::from_fn(n, f, |r, c| ((r * 13 + c * 5 + k) % 19) as f32 * 0.21))
+                .collect();
+            let ld = 2 * f;
+            let side = Matrix::from_fn(n, ld, |r, c| xs[c / f].get(r, c % f));
+            let mut out = vec![f32::NAN; 10 * ld];
+            for (k, op) in ops.iter().enumerate() {
+                op.spmm_window_rows_into(20..30, side.as_slice(), ld, k * f..(k + 1) * f, &mut out);
+                let mut want = vec![0.0; 10 * f];
+                op.spmm_rows_into(20..30, &xs[k], &mut want);
+                for i in 0..10 {
+                    let got = &out[i * ld + k * f..i * ld + (k + 1) * f];
+                    let want = &want[i * f..(i + 1) * f];
+                    assert!(
+                        got.iter()
+                            .zip(want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "f {f} op {k} row {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

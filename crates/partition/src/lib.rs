@@ -71,29 +71,27 @@ impl HopView<'_> {
         self.plan
     }
 
-    /// Gathers operator `op`'s rows for global node `ids` into columns
-    /// `[col_offset, col_offset + F)` of `out` — the partitioned analog of
-    /// `Matrix::gather_rows_into_offset`, resolving each id through the
-    /// plan's `(partition, local row)` mapping.
+    /// Gathers every operator's rows for global node `ids` into a fresh
+    /// `ids.len() × K·F` matrix, operators side by side (row `i` is
+    /// `[op 0 ‖ … ‖ op K−1]` of node `ids[i]`, the SIGN multi-kernel
+    /// layout), resolving each id through the plan's `(partition, local
+    /// row)` mapping. Each byte is written once: the rows are appended to
+    /// an empty buffer, not copied over a zero fill.
     ///
     /// # Panics
     ///
-    /// Panics if `out` has fewer than `ids.len()` rows or the column range
-    /// exceeds `out.cols()`.
-    pub fn gather_rows_into_offset(
-        &self,
-        op: usize,
-        ids: &[usize],
-        out: &mut Matrix,
-        col_offset: usize,
-    ) {
+    /// Panics if an id is outside the plan.
+    pub fn gather_rows(&self, ids: &[usize]) -> Matrix {
         let f = self.f;
-        for (i, &v) in ids.iter().enumerate() {
-            let p = self.plan.owner(v);
-            let r = self.plan.local(v);
-            let src = &self.locals[op][p].as_slice()[r * f..(r + 1) * f];
-            out.row_mut(i)[col_offset..col_offset + f].copy_from_slice(src);
+        let kf = self.locals.len() * f;
+        let mut data = Vec::with_capacity(ids.len() * kf);
+        for &v in ids {
+            let (p, r) = (self.plan.owner(v), self.plan.local(v));
+            for op in self.locals {
+                data.extend_from_slice(&op[p].as_slice()[r * f..(r + 1) * f]);
+            }
         }
+        Matrix::from_vec(ids.len(), kf, data).expect("one K·F row per gathered id")
     }
 }
 
@@ -137,6 +135,7 @@ impl PartitionedDiffusion {
             graph.num_nodes(),
             "plan/graph node count mismatch"
         );
+        let _span = ppgnn_telemetry::span("partition.extract");
         let mut parts = Vec::with_capacity(operators.len());
         let mut fetches = Vec::with_capacity(operators.len());
         for op in &operators {
@@ -505,14 +504,15 @@ mod tests {
             let ids: Vec<usize> = (0..60).collect();
             engine
                 .run::<()>(&x, &pool, 4, |r, view| {
+                    let got = view.gather_rows(&ids);
+                    assert_eq!(got.shape(), (60, 4 * ops.len()));
                     for k in 0..ops.len() {
-                        let mut got = Matrix::zeros(60, 4);
-                        view.gather_rows_into_offset(k, &ids, &mut got, 0);
-                        let same = got
-                            .as_slice()
-                            .iter()
-                            .zip(reference[r][k].as_slice())
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        let same = (0..60).all(|i| {
+                            got.row(i)[k * 4..(k + 1) * 4]
+                                .iter()
+                                .zip(reference[r][k].row(i))
+                                .all(|(a, b)| a.to_bits() == b.to_bits())
+                        });
                         assert!(same, "P={parts} hop {r} op {k} diverged");
                     }
                     Ok(())
@@ -532,8 +532,7 @@ mod tests {
         let ids: Vec<usize> = (0..48).collect();
         engine
             .run::<()>(&x, &pool, 2, |r, view| {
-                let mut got = Matrix::zeros(48, 3);
-                view.gather_rows_into_offset(0, &ids, &mut got, 0);
+                let got = view.gather_rows(&ids);
                 let same = got
                     .as_slice()
                     .iter()

@@ -44,16 +44,24 @@ pub const HEADER_BYTES: usize = 4 + 4 + 8 + 8;
 ///
 /// Propagates I/O failures as [`TensorError::Io`].
 pub fn write_matrix<W: Write>(mut w: W, m: &Matrix) -> Result<(), TensorError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(m.rows() as u64).to_le_bytes())?;
-    w.write_all(&(m.cols() as u64).to_le_bytes())?;
+    w.write_all(&header_bytes(m.rows(), m.cols()))?;
     let mut buf = Vec::with_capacity(m.len() * 4);
     for v in m.as_slice() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
     w.write_all(&buf)?;
     Ok(())
+}
+
+/// The header [`write_matrix`] writes for a `rows × cols` matrix — for
+/// writers that stage the little-endian payload themselves.
+pub fn header_bytes(rows: usize, cols: usize) -> [u8; HEADER_BYTES] {
+    let mut h = [0u8; HEADER_BYTES];
+    h[..4].copy_from_slice(MAGIC);
+    h[4..8].copy_from_slice(&VERSION.to_le_bytes());
+    h[8..16].copy_from_slice(&(rows as u64).to_le_bytes());
+    h[16..].copy_from_slice(&(cols as u64).to_le_bytes());
+    h
 }
 
 /// Reads a matrix previously written by [`write_matrix`].

@@ -241,6 +241,18 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Keeps rows `0..rows` and releases the rest of the buffer, so a
+    /// buffer whose leading rows are a result becomes that result without
+    /// a copy (`shrink_to_fit`: allocators shrink large blocks in place).
+    /// A no-op when `rows >= self.rows()`.
+    pub fn truncate_rows(&mut self, rows: usize) {
+        if rows < self.rows {
+            self.data.truncate(rows * self.cols);
+            self.data.shrink_to_fit();
+            self.rows = rows;
+        }
+    }
+
     /// Copies rows `start..end` into a pre-allocated matrix — the
     /// allocation-free form of [`Matrix::slice_rows`] that batch loops
     /// (the trainer's evaluation pass) reuse a scratch matrix through.
@@ -366,6 +378,17 @@ mod tests {
         m.resize_to(4, 4);
         assert_eq!(m.shape(), (4, 4));
         assert_eq!(m.data.capacity(), cap, "regrowing within capacity is free");
+    }
+
+    #[test]
+    fn truncate_rows_keeps_the_head_and_releases_the_tail() {
+        let mut m = Matrix::from_fn(6, 3, |r, c| (r * 3 + c) as f32);
+        let head = m.slice_rows(0, 2);
+        m.truncate_rows(2);
+        assert_eq!(m, head);
+        assert_eq!(m.data.capacity(), 6);
+        m.truncate_rows(5);
+        assert_eq!(m.shape(), (2, 3));
     }
 
     #[test]

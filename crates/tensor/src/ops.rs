@@ -203,15 +203,24 @@ impl Matrix {
     }
 
     /// Gathers `indices` rows into a new matrix with **one fused pass**
-    /// (the efficient batch-assembly primitive of Section 4.1).
+    /// (the efficient batch-assembly primitive of Section 4.1). The rows
+    /// are appended to an empty buffer, so each byte is written once — no
+    /// zero fill first.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols());
-        self.gather_rows_into(indices, &mut out);
-        out
+        let mut data = Vec::with_capacity(indices.len() * self.cols());
+        for &i in indices {
+            assert!(
+                i < self.rows(),
+                "gather index {i} out of bounds ({} rows)",
+                self.rows()
+            );
+            data.extend_from_slice(self.row(i));
+        }
+        Matrix::from_vec(indices.len(), self.cols(), data).expect("one row per gathered index")
     }
 
     /// Gathers `indices` rows into a pre-allocated buffer (the pinned staging

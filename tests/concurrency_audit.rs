@@ -138,7 +138,7 @@ fn async_writer_latches_first_failure_under_seeded_streams() {
             } else {
                 Matrix::from_fn(8, 3, move |r, c| (k * 100 + r * 10 + c) as f32)
             };
-            if w.submit(k, m).is_err() {
+            if w.submit(k, Arc::new(m)).is_err() {
                 saw_fast_fail = true;
                 break;
             }
@@ -174,7 +174,7 @@ fn async_writer_drop_order_is_clean_after_failure() {
             } else {
                 Matrix::zeros(8, 3)
             };
-            if w.submit(k, m).is_err() {
+            if w.submit(k, Arc::new(m)).is_err() {
                 break;
             }
         }
@@ -189,7 +189,7 @@ fn async_writer_drop_order_is_clean_after_failure() {
 fn async_writer_take_failure_reports_the_cause() {
     let dir = temp_dir("cause");
     let mut w = AsyncHopWriter::create(&dir, audit_meta(8, 3, 4), 1).unwrap();
-    w.submit(0, Matrix::zeros(2, 2)).unwrap(); // wrong shape, latches
+    w.submit(0, Arc::new(Matrix::zeros(2, 2))).unwrap(); // wrong shape, latches
     while !w.has_failed() {
         std::thread::sleep(Duration::from_millis(1));
     }

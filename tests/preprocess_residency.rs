@@ -3,15 +3,16 @@
 //! The pre-streaming `Preprocessor::run` materialized every hop of every
 //! operator chain twice over (clone into the per-hop chain, then a third
 //! copy through `hstack`) — ~`3·K·(R+1)` full-graph matrices at peak. The
-//! streaming pipeline holds only per-operator ping-pong propagation
-//! buffers (plus two diffusion-series term buffers for `Ppr`/`Heat`)
-//! beyond the gathered partition outputs. The shard-scheduled engine runs
-//! up to `g = ⌊(R+2)/2⌋` simple operators concurrently — `2g ≤ R + 2`
-//! buffers plus the group's CSR bases — so concurrency never widens the
-//! budget this suite pins with a tracking global allocator: peak transient
-//! allocation during `run` must stay within `R + 3` full-graph matrices,
-//! on top of the returned output and one materialized CSR operator
-//! (the cap's spare matrix absorbs a group's extra bases).
+//! split-order engine diffuses each operator group side by side through
+//! two full-graph buffers (plus two diffusion-series term buffers for
+//! `Ppr`/`Heat`), and hands each hop over where it lies: on a fully
+//! labeled graph, with one group covering every operator, a hop buffer
+//! *becomes* the train hop (truncated in place), so beyond the returned
+//! outputs only the val + test tail of the hop being handed over is
+//! transient — one full-graph matrix, plus the group's CSR bases. With an
+//! unlabeled tail both buffers stay live, inside the `R + 3`-matrix
+//! budget the residency cap `g = ⌊(R+2)/2⌋` was sized for. A tracking
+//! global allocator pins both.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,6 +72,33 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: forwarding the caller's pointer and layout unchanged.
         unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // Forwarded rather than left to the default alloc + copy + free, so a
+    // shrink (`Matrix::truncate_rows`) is measured as the system allocator
+    // performs it — in place — and not as a transient second buffer.
+    // SAFETY: `unsafe` by trait signature; the arguments come from the
+    // caller's live allocation and are forwarded to `System` unchanged.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: forwarding the caller's pointer, layout and size unchanged.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            if new_size >= layout.size() {
+                let grown = new_size - layout.size();
+                let now = CURRENT.fetch_add(grown, Ordering::Relaxed) + grown;
+                PEAK.fetch_max(now, Ordering::Relaxed);
+            } else {
+                CURRENT.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+            }
+            // Counted like the default's fresh allocation.
+            if COUNTED.try_with(Cell::get).unwrap_or(false) {
+                ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
+            if new_size >= LARGE_MIN.load(Ordering::Relaxed) {
+                LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        new
     }
 }
 
@@ -148,10 +176,23 @@ fn csr_bytes(data: &SynthDataset) -> usize {
     nnz * 8 + (data.graph.num_nodes() + 1) * 8
 }
 
-fn assert_residency_bound(operators: Vec<Operator>, hops: usize, num_shards: Option<usize>) {
+/// What one preprocessing run may hold beyond the hops it returns.
+struct Budget {
+    /// Full-graph `N × F` matrices.
+    matrices: usize,
+    /// Materialized CSR operators (a group's bases live together).
+    bases: usize,
+}
+
+fn assert_residency_bound(
+    profile: DatasetProfile,
+    operators: Vec<Operator>,
+    hops: usize,
+    num_shards: Option<usize>,
+    allowed: Budget,
+) {
     let _window = measuring();
-    let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.05), 7)
-        .expect("generation succeeds");
+    let data = SynthDataset::generate(profile, 7).expect("generation succeeds");
     let mut prep = Preprocessor::new(operators, hops);
     if let Some(shards) = num_shards {
         prep = prep.with_num_shards(shards);
@@ -164,10 +205,10 @@ fn assert_residency_bound(operators: Vec<Operator>, hops: usize, num_shards: Opt
 
     let output_bytes =
         (out.train.size_bytes() + out.val.size_bytes() + out.test.size_bytes()) as usize;
-    // Outputs + (R+3) full-graph matrices + the CSR base + 25% slack for
-    // labels/ids/allocator rounding. One operator pass at a time, so the
-    // transient budget does not scale with K.
-    let budget = output_bytes + (hops + 3) * nf + csr_bytes(&data) + output_bytes / 4 + nf / 4;
+    // Outputs + the allowed full-graph matrices and CSR bases + a quarter
+    // matrix of slack for labels, ids, the node order and allocator
+    // rounding.
+    let budget = output_bytes + allowed.matrices * nf + allowed.bases * csr_bytes(&data) + nf / 4;
     assert!(
         peak_delta <= budget,
         "peak transient residency {peak_delta} B exceeds budget {budget} B \
@@ -183,23 +224,62 @@ fn assert_residency_bound(operators: Vec<Operator>, hops: usize, num_shards: Opt
     );
 }
 
+/// Fully labeled, one operator group covering every operator: each hop
+/// buffer becomes the train hop it holds (truncated in place), so beyond
+/// the outputs only the val + test tail of the hop being handed over is
+/// transient — at most one `N × F` matrix here — plus the group's bases.
+fn fully_labeled() -> DatasetProfile {
+    DatasetProfile::pokec_sim().scaled(0.05)
+}
+
 #[test]
 fn streaming_run_bounds_residency_single_operator() {
-    assert_residency_bound(vec![Operator::SymNorm], 3, None);
+    let allowed = Budget {
+        matrices: 1,
+        bases: 1,
+    };
+    assert_residency_bound(fully_labeled(), vec![Operator::SymNorm], 3, None, allowed);
 }
 
 #[test]
 fn streaming_run_bounds_residency_two_operators() {
-    assert_residency_bound(vec![Operator::SymNorm, Operator::RowNorm], 3, None);
+    // The sequential schedule runs one operator per group: each group's
+    // column block is copied into the split outputs, through two `N × F`
+    // buffers that ping-pong, one base at a time.
+    let allowed = Budget {
+        matrices: 2,
+        bases: 1,
+    };
+    let ops = vec![Operator::SymNorm, Operator::RowNorm];
+    assert_residency_bound(fully_labeled(), ops, 3, Some(1), allowed);
 }
 
 #[test]
 fn sharded_schedule_stays_inside_the_same_budget() {
-    // Explicit shard count forces the concurrent shard×operator schedule
-    // (auto mode may fall back to sequential on narrow machines): both
-    // operators' ping-pong buffer pairs plus both CSR bases are live at
-    // once, and the (R + 3)-matrix budget must still hold.
-    assert_residency_bound(vec![Operator::SymNorm, Operator::RowNorm], 3, Some(4));
+    // Explicit shard count forces the concurrent schedule (auto mode may
+    // fall back to sequential on narrow machines): both operators diffuse
+    // side by side in one group covering every operator, so the train
+    // head is kept in place and only a val + test tail is transient, with
+    // both CSR bases live.
+    let allowed = Budget {
+        matrices: 1,
+        bases: 2,
+    };
+    let ops = vec![Operator::SymNorm, Operator::RowNorm];
+    assert_residency_bound(fully_labeled(), ops, 3, Some(4), allowed);
+}
+
+#[test]
+fn partially_labeled_run_keeps_the_two_buffer_budget() {
+    // 1.4 % labeled: the unlabeled rows keep both of a group's full-graph
+    // buffers live, which the (R + 3)-matrix budget covers.
+    let hops = 3;
+    let allowed = Budget {
+        matrices: hops + 3,
+        bases: 1,
+    };
+    let profile = DatasetProfile::papers100m_sim().scaled(0.05);
+    assert_residency_bound(profile, vec![Operator::SymNorm], hops, None, allowed);
 }
 
 #[test]
@@ -638,16 +718,61 @@ fn disabled_telemetry_adds_no_allocations_to_hot_paths() {
 
 #[test]
 fn streaming_run_matches_reference_chain_under_tracking() {
+    use ppgnn_tensor::Matrix;
+
     // The allocator is process-global, so also pin correctness here: hop r
-    // equals r explicit applications of the operator.
+    // of operator k is r explicit applications of the operator in node-id
+    // order, gathered by split ids into column block k — bit for bit.
     let _window = measuring();
-    let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3)
+    let pokec = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3)
         .expect("generation succeeds");
-    let out = Preprocessor::new(vec![Operator::SymNorm], 2).run(&data);
-    let mut expected = data.features.clone();
-    for _ in 0..2 {
-        expected = Operator::SymNorm.apply(&data.graph, &expected);
+    let papers = SynthDataset::generate(DatasetProfile::papers100m_sim().scaled(0.02), 3)
+        .expect("generation succeeds");
+    assert!(papers.split.num_labeled() < papers.graph.num_nodes() / 10);
+    for (data, ops, hops) in [
+        // Fully labeled, K = 1: the train head stays in its buffer.
+        (&pokec, vec![Operator::SymNorm], 2),
+        // An unlabeled tail to drop.
+        (&papers, vec![Operator::SymNorm], 2),
+        // R = 1 caps groups at one operator: the column-block hand-over.
+        (
+            &pokec,
+            vec![Operator::SymNorm, Operator::RowNorm, Operator::SymNorm],
+            1,
+        ),
+        // A diffusion series beside a single SpMM.
+        (
+            &pokec,
+            vec![Operator::Ppr { alpha: 0.15 }, Operator::SymNorm],
+            2,
+        ),
+    ] {
+        let out = Preprocessor::new(ops.clone(), hops).run(data);
+        let f = data.features.cols();
+        let mut chains: Vec<Matrix> = vec![data.features.clone(); ops.len()];
+        for r in 0..=hops {
+            if r > 0 {
+                for (chain, op) in chains.iter_mut().zip(&ops) {
+                    *chain = op.apply(&data.graph, chain);
+                }
+            }
+            for (got, ids) in [
+                (&out.train, &data.split.train),
+                (&out.val, &data.split.val),
+                (&out.test, &data.split.test),
+            ] {
+                let got = &got.hops[r];
+                assert_eq!(got.shape(), (ids.len(), ops.len() * f));
+                for (k, chain) in chains.iter().enumerate() {
+                    for (i, &v) in ids.iter().enumerate() {
+                        let same = got.row(i)[k * f..(k + 1) * f]
+                            .iter()
+                            .zip(chain.row(v))
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "{ops:?} hop {r} operator {k} node {v} differs");
+                    }
+                }
+            }
+        }
     }
-    let expected_rows = expected.gather_rows(&data.split.train);
-    assert!(out.train.hops[2].max_abs_diff(&expected_rows) < 1e-4);
 }

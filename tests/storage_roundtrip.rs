@@ -140,15 +140,21 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// crash-safety container revision — each hop file carries a `PPGC`
 /// per-chunk checksum footer after the payload (checksum-less files
 /// from older stores still load; `legacy_footerless_stores_still_load_
-/// and_read` in ppgnn-dataio pins that). If this fails, stores written
-/// by the current revision can no longer be read back byte-for-byte —
-/// bump the format version instead of editing the constant.
+/// and_read` in ppgnn-dataio pins that) — at footer version 2, whose
+/// chunk sums are the word-wise four-lane FNV-1a. Re-pinned when the
+/// footer went from version 1 (byte-wise FNV-1a) to 2: the manifest,
+/// headers, payload and footer length are unchanged, only the version
+/// word and the sums moved, and version-1 files still verify
+/// (`version_one_and_mixed_footers_still_verify` in ppgnn-dataio). If
+/// this fails, stores written by the current revision can no longer be
+/// read back byte-for-byte — bump the format version instead of editing
+/// the constant.
 #[test]
 fn default_f32_store_bytes_are_pinned() {
     use ppgnn_dataio::{FeatureStoreWriter, StoreDtype, StoreMeta};
     use ppgnn_tensor::Matrix;
 
-    const PRECHANGE_DIGEST: u64 = 0x517743b97238dc88;
+    const PRECHANGE_DIGEST: u64 = 0x2e01816f8f9989c6;
     let dir = temp_dir("digest-pin");
     let meta = StoreMeta {
         dataset: "digest-pin".into(),
