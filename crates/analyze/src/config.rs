@@ -200,15 +200,13 @@ impl Default for Config {
                 "len >= 1",
                 "non-empty",
                 "extracted partition CSR is structurally valid",
-                "one K·F row per gathered id",
                 "one row per gathered index",
                 "vstack shape is consistent by construction",
                 // memsim — validated config.
                 "invalid hardware spec",
-                // core — loader/preprocess invariants.
+                // core — loader/preprocess/persist invariants.
                 "three partitions",
                 "in-memory preprocessing performs no I/O",
-                "in-memory partitioned preprocessing performs no I/O",
                 "failed reap always parks an error",
                 "set on previous iteration",
                 "dataset generation succeeds",

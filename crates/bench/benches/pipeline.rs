@@ -4,12 +4,10 @@
 //!
 //! Besides the criterion groups, this bench emits a machine-readable
 //! `BENCH_preprop.json` artifact (preprocess seconds + bytes moved for the
-//! paper's K=2, R=3 pokec configuration, shard-scheduled, sequential,
-//! **and** graph-partitioned with ghost-row exchange, so both the sharding
-//! and partition speedups are tracked explicitly) so CI can follow the
+//! paper's K=2, R=3 pokec configuration, shard-scheduled and sequential,
+//! so the sharding speedup is tracked explicitly) so CI can follow the
 //! pre-propagation perf trajectory across PRs. Destination overridable via
-//! `PPGNN_BENCH_ARTIFACT`; `PPGNN_BENCH_SMOKE=1` reduces repetitions;
-//! `PPGNN_NUM_PARTITIONS` (default 2) sets the partitioned run's `P`.
+//! `PPGNN_BENCH_ARTIFACT`; `PPGNN_BENCH_SMOKE=1` reduces repetitions.
 //! One extra instrumented rep embeds the telemetry counter/histogram
 //! readout as the artifact's `telemetry` section.
 
@@ -51,9 +49,6 @@ fn bench_preprocess_k2_r3(c: &mut Criterion) {
         .with_num_shards(num_shards);
     let sequential =
         Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3).with_num_shards(1);
-    let num_partitions = knobs::usize_value(knobs::NUM_PARTITIONS).unwrap_or(2);
-    let partitioned = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3)
-        .with_num_partitions(num_partitions);
     let mut group = c.benchmark_group("preprocess");
     group.sample_size(10);
     group.bench_function("pokec-k2-r3-sharded", |b| {
@@ -62,31 +57,18 @@ fn bench_preprocess_k2_r3(c: &mut Criterion) {
     group.bench_function("pokec-k2-r3-sequential", |b| {
         b.iter(|| black_box(sequential.run(&data)));
     });
-    group.bench_function("pokec-k2-r3-partitioned", |b| {
-        b.iter(|| black_box(partitioned.run_partitioned(&data)));
-    });
     group.finish();
 
-    write_preprop_artifact(
-        &data,
-        &sharded,
-        &sequential,
-        &partitioned,
-        num_shards,
-        num_partitions,
-    );
+    write_preprop_artifact(&data, &sharded, &sequential, num_shards);
 }
 
 /// Measures the K=2/R=3 pre-propagation directly (independent of the
-/// criterion shim) — sharding on vs off vs graph-partitioned — and writes
-/// `BENCH_preprop.json`.
+/// criterion shim) — sharding on vs off — and writes `BENCH_preprop.json`.
 fn write_preprop_artifact(
     data: &SynthDataset,
     sharded: &Preprocessor,
     sequential: &Preprocessor,
-    partitioned: &Preprocessor,
     num_shards: usize,
-    num_partitions: usize,
 ) {
     // Under `cargo test` the bench bodies run once as smoke tests; only
     // write the artifact when actually measuring (`cargo bench` passes
@@ -109,18 +91,6 @@ fn write_preprop_artifact(
     };
     let (sequential_seconds, _) = best_of(sequential);
     let (sharded_seconds, out) = best_of(sharded);
-    // The partitioned pipeline (ghost-row exchange over disjoint node
-    // partitions) measured through its own entry point.
-    let best_partitioned = |prep: &Preprocessor| {
-        let mut seconds = f64::MAX;
-        let mut run = prep.run_partitioned(data); // warm-up
-        for _ in 0..reps {
-            run = prep.run_partitioned(data);
-            seconds = seconds.min(run.preprocess_seconds);
-        }
-        (seconds, run)
-    };
-    let (partitioned_seconds, part_out) = best_partitioned(partitioned);
     // One extra instrumented rep (outside the timed best-of runs) so the
     // artifact carries the pipeline's counter/histogram readout.
     let telemetry = {
@@ -132,12 +102,6 @@ fn write_preprop_artifact(
         ppgnn_telemetry::reset_trace();
         ppgnn_telemetry::metrics_json("  ")
     };
-    let ghost_rows: usize = part_out
-        .expansion
-        .partitions
-        .iter()
-        .map(|s| s.ghost_rows)
-        .sum();
     // Bytes the preprocessing stage moves: the propagated hop features it
     // produces (the expansion quantity of Section 3.4), plus the SpMM read
     // traffic over the feature matrix per invocation.
@@ -155,14 +119,10 @@ fn write_preprop_artifact(
             "  \"num_nodes\": {},\n",
             "  \"threads\": {},\n",
             "  \"num_shards\": {},\n",
-            "  \"num_partitions\": {},\n",
             "  \"smoke\": {},\n",
             "  \"preprocess_seconds\": {:.6},\n",
             "  \"preprocess_seconds_sequential\": {:.6},\n",
             "  \"sharding_speedup\": {:.4},\n",
-            "  \"partitioned_seconds\": {:.6},\n",
-            "  \"partition_speedup\": {:.4},\n",
-            "  \"ghost_rows_per_hop\": {},\n",
             "  \"output_bytes\": {},\n",
             "  \"spmm_traffic_bytes\": {},\n",
             "  \"telemetry\": {}\n",
@@ -173,14 +133,10 @@ fn write_preprop_artifact(
         n,
         threads,
         num_shards,
-        num_partitions,
         smoke,
         sharded_seconds,
         sequential_seconds,
         sequential_seconds / sharded_seconds.max(f64::EPSILON),
-        partitioned_seconds,
-        sequential_seconds / partitioned_seconds.max(f64::EPSILON),
-        ghost_rows,
         output_bytes,
         spmm_bytes,
         telemetry.trim_start(),

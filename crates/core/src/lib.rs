@@ -9,11 +9,10 @@
 //!   shard×operator tasks overlap operator passes on the worker pool, and
 //!   finished hops persist through an async double-buffered writer; with
 //!   labeled-subset retention (the papers100M 70× input shrink) and
-//!   input-expansion accounting (Section 3.4). The partition-parallel
-//!   pipeline (`run_partitioned` / `run_with_sharded_store`) cuts the
-//!   graph into disjoint node partitions, diffuses with per-hop ghost-row
-//!   exchange (`ppgnn-partition`), and writes one feature store per
-//!   partition — bit-identical results at any partition count;
+//!   input-expansion accounting (Section 3.4). One diffusion engine
+//!   backs every entry point; `run_with_sharded_store` lays its train hop
+//!   out across one feature store per disjoint graph partition —
+//!   byte-identical rows at any partition count;
 //! * [`loader`] — the four data-loader generations of Section 4, all
 //!   yielding *identical* batch streams for a fixed seed (a property the
 //!   integration tests pin down):

@@ -11,15 +11,14 @@
 //! bit-for-bit equivalent to the sequential path in node-id order (pinned
 //! by `tests/shard_equivalence.rs`).
 //!
-//! On top of the single-memory-domain schedules sits the **partitioned**
-//! pipeline ([`Preprocessor::run_partitioned`] /
-//! [`Preprocessor::run_with_sharded_store`]): the graph is cut into
-//! disjoint node partitions ([`ppgnn_graph::PartitionPlan`]), diffused with
-//! per-hop ghost-row exchange by `ppgnn-partition`, and each partition's
-//! training rows are written through their own async writer into a
-//! per-partition store under a [`ppgnn_dataio::ShardedStoreManifest`] —
-//! bit-identical features, byte-identical per-row store contents (pinned
-//! by `tests/partition_equivalence.rs`).
+//! There is one engine. A **sharded store**
+//! ([`Preprocessor::run_with_sharded_store`]) is a layout of its train
+//! hop, not a second diffusion: a [`ppgnn_graph::PartitionPlan`] decides
+//! which partition store each training row lands in, and each finished
+//! train hop is split by that plan and written through one async writer
+//! per partition under a [`ppgnn_dataio::ShardedStoreManifest`] — every
+//! stored row byte-identical to the single-store layout (pinned by
+//! `tests/partition_equivalence.rs`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,7 +29,7 @@ use ppgnn_dataio::{
 };
 use ppgnn_graph::synth::SynthDataset;
 use ppgnn_graph::{NodeOrder, Operator, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr};
-use ppgnn_partition::{PartitionStat, PartitionedDiffusion};
+use ppgnn_partition::{partition_stats, PartitionStat};
 use ppgnn_tensor::{knobs, pool, Matrix, StoreDtype, WorkerPool};
 
 /// Per-hop diffusion wall time mirrored into the telemetry registry
@@ -213,10 +212,10 @@ pub struct ExpansionReport {
     pub num_operators: usize,
     /// Number of hops `R`.
     pub hops: usize,
-    /// Per-partition balance accounting (rows, nnz, ghost rows, training
-    /// rows, store bytes) when the run used the partitioned pipeline;
-    /// empty for single-domain runs. The `exp_*` binaries print this as
-    /// the partition balance table.
+    /// Per-partition layout accounting (rows, nnz, ghost rows, training
+    /// rows, store bytes) when the run wrote a sharded store; empty
+    /// otherwise. The `exp_*` binaries print this as the partition layout
+    /// table.
     pub partitions: Vec<PartitionStat>,
     /// Per-hop timings and writer-backpressure signals of the run that
     /// produced this report (empty/zero for reports rebuilt from legacy
@@ -267,7 +266,7 @@ pub struct Preprocessor {
     hops: usize,
     /// `None` = auto: `PPGNN_NUM_SHARDS`, else the pool width.
     num_shards: Option<usize>,
-    /// `None` = auto: `PPGNN_NUM_PARTITIONS`, else 1 (unpartitioned).
+    /// `None` = auto: `PPGNN_NUM_PARTITIONS`, else 1 (one partition store).
     num_partitions: Option<usize>,
     /// `None` = auto: `PPGNN_WRITER_QUEUE`, else [`DEFAULT_WRITER_QUEUE`].
     writer_queue: Option<usize>,
@@ -305,16 +304,14 @@ impl Preprocessor {
         self
     }
 
-    /// Pins the number of disjoint graph partitions the partitioned
-    /// pipeline ([`Preprocessor::run_partitioned`] /
-    /// [`Preprocessor::run_with_sharded_store`]) cuts the node space into.
+    /// Pins the number of partition stores
+    /// [`Preprocessor::run_with_sharded_store`] splits the training rows
+    /// into, one per disjoint graph partition of the node space.
     ///
-    /// `1` reproduces the unpartitioned behaviour exactly (a single
-    /// partition owns every node, the ghost set is empty, and a sharded
-    /// store degenerates to one partition store whose hop files are
-    /// byte-identical to the single-store layout). Without this (and
-    /// without `PPGNN_NUM_PARTITIONS`), the partitioned entry points run
-    /// with `P = 1`.
+    /// `1` gives one partition store whose hop files are byte-identical to
+    /// the single-store layout. Without this (and without
+    /// `PPGNN_NUM_PARTITIONS`), a sharded store has one partition. The
+    /// count never affects what is diffused.
     pub fn with_num_partitions(mut self, num_partitions: usize) -> Self {
         self.num_partitions = Some(num_partitions.max(1));
         self
@@ -469,7 +466,7 @@ impl Preprocessor {
     /// mirroring [`WeightedCsr::spmm_into_on`]. Shard tasks and nested
     /// kernel fan-outs reuse this handle.
     pub fn run_on(&self, data: &SynthDataset, pool: &WorkerPool) -> PrepropOutput {
-        self.run_streaming(data, None, pool)
+        self.run_streaming(data, |_, _| Ok(()), pool)
             .expect("in-memory preprocessing performs no I/O")
     }
 
@@ -517,7 +514,15 @@ impl Preprocessor {
             dtype: self.resolved_store_dtype(),
         };
         let mut writer = AsyncHopWriter::create_or_resume(dir, meta, self.resolved_writer_queue())?;
-        match self.run_streaming(data, Some(&mut writer), pool::pool()) {
+        // Hops an interrupted run already committed (per the journal) are
+        // not resubmitted — their bytes are on disk.
+        let submit = |r: usize, hop: &Arc<Matrix>| {
+            if writer.resumed_hops()[r] {
+                return Ok(());
+            }
+            writer.submit(r, Arc::clone(hop))
+        };
+        match self.run_streaming(data, submit, pool::pool()) {
             Ok(mut out) => {
                 let stats = writer.stats();
                 out.expansion.telemetry.writer_queue_hwm = stats.queue_hwm as u64;
@@ -531,9 +536,10 @@ impl Preprocessor {
         }
     }
 
-    /// The single-domain engine behind `run`, `run_on` and
-    /// `run_with_store`: diffusion in split order, straight into the
-    /// retained hops.
+    /// The engine behind every `run*` entry point: diffusion in split
+    /// order, straight into the retained hops. Each final train hop `r` is
+    /// passed to `on_train_hop(r, hop)` as soon as it is handed over — the
+    /// store writers' sink; an `Err` aborts the run and is returned.
     ///
     /// One node order per call puts the labeled rows first, split by
     /// split (`train ‖ val ‖ test ‖ unlabeled`, the unlabeled rows
@@ -547,7 +553,7 @@ impl Preprocessor {
     fn run_streaming(
         &self,
         data: &SynthDataset,
-        mut sink: Option<&mut AsyncHopWriter>,
+        mut on_train_hop: impl FnMut(usize, &Arc<Matrix>) -> Result<(), DataIoError>,
         pool: &WorkerPool,
     ) -> Result<PrepropOutput, DataIoError> {
         let start = Instant::now();
@@ -576,9 +582,7 @@ impl Preprocessor {
             let width = group.len() * f;
             let col0 = group[0] * f;
             // Finishes hop `r` of this group; in the last group the train
-            // hop is final and goes to the sink. Hops an interrupted run
-            // already committed (per the journal) are not resubmitted —
-            // their bytes are on disk.
+            // hop is final and goes to the sink.
             let mut hand_over = |r: usize,
                                  buf: Matrix,
                                  hop_ns: &mut [u64]|
@@ -587,11 +591,7 @@ impl Preprocessor {
                 let spare = retained.hand_over(r, buf, col0);
                 if last_group {
                     let hop = Arc::new(std::mem::take(&mut retained.hops[0][r]));
-                    if let Some(writer) = sink.as_deref_mut() {
-                        if !writer.resumed_hops()[r] {
-                            writer.submit(r, Arc::clone(&hop))?;
-                        }
-                    }
+                    on_train_hop(r, &hop)?;
                     train_hops.push(hop);
                 }
                 hop_ns[r] += t0.elapsed().as_nanos() as u64;
@@ -692,47 +692,20 @@ impl Preprocessor {
         })
     }
 
-    /// Runs pre-propagation through the **partition-parallel** engine:
-    /// the graph is cut into [`Preprocessor::with_num_partitions`] (or
-    /// `PPGNN_NUM_PARTITIONS`) disjoint node partitions by the default
-    /// nnz-balanced [`RangeCutPartitioner`], each partition diffuses its
-    /// own rows with a per-hop ghost-row exchange, and labeled rows are
-    /// gathered exactly as [`Preprocessor::run`] gathers them. Results are
-    /// **bit-identical** to `run` at any partition count (pinned by
-    /// `tests/partition_equivalence.rs`); `expansion.partitions` carries
-    /// the per-partition balance table.
-    pub fn run_partitioned(&self, data: &SynthDataset) -> PrepropOutput {
-        self.run_partitioned_on(data, pool::pool())
-    }
-
-    /// [`Preprocessor::run_partitioned`] on an explicit worker pool.
-    pub fn run_partitioned_on(&self, data: &SynthDataset, pool: &WorkerPool) -> PrepropOutput {
-        self.run_partitioned_with(data, &RangeCutPartitioner, pool)
-    }
-
-    /// [`Preprocessor::run_partitioned`] with an explicit
-    /// [`Partitioner`] strategy (e.g.
-    /// [`ppgnn_graph::BfsGrowPartitioner`] for locality-first cuts).
-    pub fn run_partitioned_with(
-        &self,
-        data: &SynthDataset,
-        partitioner: &dyn Partitioner,
-        pool: &WorkerPool,
-    ) -> PrepropOutput {
-        let engine = self.partition_engine(data, partitioner);
-        self.run_partitioned_streaming(data, &engine, None, pool)
-            .expect("in-memory partitioned preprocessing performs no I/O")
-    }
-
-    /// Runs the partitioned pipeline **and** writes each partition's
-    /// training rows through its own async writer into a per-partition
-    /// feature store under a [`ppgnn_dataio::ShardedStoreManifest`] — the
-    /// partition-parallel counterpart of
-    /// [`Preprocessor::run_with_store`]. Partition `p`'s store holds the
+    /// Runs pre-propagation and writes the training rows into a
+    /// **sharded store**: one feature store per graph partition under a
+    /// [`ppgnn_dataio::ShardedStoreManifest`], each fed by its own async
+    /// writer. The node space is cut into
+    /// [`Preprocessor::with_num_partitions`] (or `PPGNN_NUM_PARTITIONS`)
+    /// disjoint partitions by the default nnz-balanced
+    /// [`RangeCutPartitioner`]; the cut decides only where rows are
+    /// stored. Diffusion is [`Preprocessor::run`]'s, and each finished
+    /// train hop is split by the plan: partition `p`'s store holds the
     /// training rows of the nodes it owns, in global training order, so
     /// every stored row is **byte-identical** to the same row of the
     /// single-store layout; with `P = 1` the lone partition store's hop
     /// files are byte-identical to [`Preprocessor::run_with_store`]'s.
+    /// `expansion.partitions` carries the per-partition layout table.
     ///
     /// Like [`Preprocessor::run_with_store`], the run is resumable: each
     /// partition journals its committed hops, and an interrupted run of
@@ -776,9 +749,12 @@ impl Preprocessor {
         chunk_size: usize,
         pool: &WorkerPool,
     ) -> Result<(PrepropOutput, ShardedFeatureStore), DataIoError> {
-        let engine = self.partition_engine(data, partitioner);
-        let plan = engine.plan();
-        let f = data.features.cols();
+        let plan = partitioner.partition(&data.graph, self.resolved_num_partitions());
+        // The layout table: what each partition holds of the first
+        // operator, and the ghost rows a partition-local diffusion would
+        // fetch. Computed before diffusion, so its extractions are freed
+        // before the hop buffers exist.
+        let mut partitions = partition_stats(&plan, &self.operators[0].base(&data.graph));
         // Global training rows owned by each partition, in global training
         // order — store `p`'s local row `j` is training row
         // `rows_by_part[p][j]`.
@@ -786,11 +762,14 @@ impl Preprocessor {
         for (i, &v) in data.split.train.iter().enumerate() {
             rows_by_part[plan.owner(v)].push(i);
         }
+        for (stat, rows) in partitions.iter_mut().zip(&rows_by_part) {
+            stat.train_rows = rows.len();
+        }
         let meta = StoreMeta {
             dataset: dataset.to_string(),
             num_hops: self.hops + 1,
             rows: data.split.train.len(),
-            cols: self.operators.len() * f,
+            cols: self.operators.len() * data.features.cols(),
             chunk_size,
             dtype: self.resolved_store_dtype(),
         };
@@ -800,132 +779,33 @@ impl Preprocessor {
             &rows_by_part,
             self.resolved_writer_queue(),
         )?;
-        match self.run_partitioned_streaming(
-            data,
-            &engine,
-            Some((&mut writer, &rows_by_part)),
-            pool,
-        ) {
+        // Each partition's rows of the finished train hop go to its writer;
+        // (partition, hop) units an interrupted run already committed (per
+        // that partition's journal) are not regathered or resubmitted.
+        let submit = |r: usize, hop: &Arc<Matrix>| {
+            for (p, rows) in rows_by_part.iter().enumerate() {
+                if !writer.resumed_hops(p)[r] {
+                    writer.submit(p, r, hop.gather_rows(rows))?;
+                }
+            }
+            Ok(())
+        };
+        match self.run_streaming(data, submit, pool) {
             Ok(mut out) => {
                 let stats = writer.writer_stats();
                 out.expansion.telemetry.writer_queue_hwm = stats.queue_hwm as u64;
                 out.expansion.telemetry.writer_block_ns = stats.submit_block_ns;
                 let store = writer.finish()?;
-                for stat in &mut out.expansion.partitions {
+                for stat in &mut partitions {
                     stat.store_bytes = store.partition_meta(stat.partition).total_bytes();
                 }
+                out.expansion.partitions = partitions;
                 Ok((out, store))
             }
             // A failed submit returns a fail-fast placeholder; the write
             // error a partition writer latched is the actual cause.
             Err(e) => Err(writer.take_failure().unwrap_or(e)),
         }
-    }
-
-    fn partition_engine(
-        &self,
-        data: &SynthDataset,
-        partitioner: &dyn Partitioner,
-    ) -> PartitionedDiffusion {
-        let plan = partitioner.partition(&data.graph, self.resolved_num_partitions());
-        PartitionedDiffusion::new(&data.graph, self.operators.clone(), self.hops, plan)
-    }
-
-    /// The partitioned analog of `run_streaming`: each finished hop view
-    /// is gathered into the three labeled splits, and (optionally) each
-    /// graph partition's training rows — `rows_by_part[p]`, ascending
-    /// positions in the train split — are copied out of the train hop and
-    /// submitted to that partition's async store writer.
-    fn run_partitioned_streaming(
-        &self,
-        data: &SynthDataset,
-        engine: &PartitionedDiffusion,
-        mut sink: Option<(&mut ShardedStoreWriter, &[Vec<usize>])>,
-        pool: &WorkerPool,
-    ) -> Result<PrepropOutput, DataIoError> {
-        let start = Instant::now();
-        let _prep_span = ppgnn_telemetry::span("preprocess");
-        let f = data.features.cols();
-        let k_ops = self.operators.len();
-        // Hop `r`'s time is the wall clock between successive hop
-        // callbacks (the engine invokes the callback once per finished
-        // hop, hop 0 first), so diffusion and the ghost exchange are
-        // attributed to the hop they produced.
-        let mut hop_ns = vec![0u64; self.hops + 1];
-        let mut hop_clock = Instant::now();
-        let ids_by_part: [&[usize]; 3] = [&data.split.train, &data.split.val, &data.split.test];
-        let mut hops_by_part: Vec<Vec<Matrix>> = ids_by_part
-            .iter()
-            .map(|_| Vec::with_capacity(self.hops + 1))
-            .collect();
-
-        // Task granularity: reuse the shard knob so `PPGNN_NUM_SHARDS`
-        // bounds per-partition SpMM tasks too; the cut never affects
-        // results.
-        let (task_shards, _) = self.resolved_num_shards(pool);
-        engine.run::<DataIoError>(&data.features, pool, task_shards, |r, view| {
-            hop_ns[r] += hop_clock.elapsed().as_nanos() as u64;
-            let _hop_span = ppgnn_telemetry::span_with("hop_gather", &[("r", r as u64)]);
-            for (ids, hops) in ids_by_part.iter().zip(hops_by_part.iter_mut()) {
-                hops.push(view.gather_rows(ids));
-            }
-            if let Some((writer, rows_by_part)) = sink.as_mut() {
-                let train = &hops_by_part[0][r];
-                for (p, rows) in rows_by_part.iter().enumerate() {
-                    // (partition, hop) units an interrupted run already
-                    // committed (per that partition's journal) are not
-                    // regathered or resubmitted.
-                    if !writer.resumed_hops(p)[r] {
-                        writer.submit(p, r, train.gather_rows(rows))?;
-                    }
-                }
-            }
-            hop_clock = Instant::now();
-            Ok(())
-        })?;
-
-        let mut parts = hops_by_part.into_iter();
-        let mut extract = |ids: &[usize]| -> PrepropFeatures {
-            PrepropFeatures {
-                hops: share(parts.next().expect("three partitions")),
-                labels: data.labels_of(ids),
-                node_ids: ids.to_vec(),
-            }
-        };
-        let train = extract(&data.split.train);
-        let val = extract(&data.split.val);
-        let test = extract(&data.split.test);
-
-        let mut partitions = engine.partition_stats();
-        let plan = engine.plan();
-        for &v in &data.split.train {
-            partitions[plan.owner(v)].train_rows += 1;
-        }
-
-        let preprocess_seconds = start.elapsed().as_secs_f64();
-        for &ns in &hop_ns {
-            PREP_HOP_NS.record(ns);
-        }
-        let retained_rows = (train.len() + val.len() + test.len()) as u64;
-        let expansion = ExpansionReport {
-            raw_bytes: retained_rows * (f as u64) * 4,
-            expanded_bytes: train.size_bytes() + val.size_bytes() + test.size_bytes(),
-            retained_rows,
-            num_operators: k_ops,
-            hops: self.hops,
-            partitions,
-            telemetry: PrepTelemetry {
-                hop_ns,
-                ..PrepTelemetry::default()
-            },
-        };
-        Ok(PrepropOutput {
-            train,
-            val,
-            test,
-            preprocess_seconds,
-            expansion,
-        })
     }
 }
 
@@ -1136,10 +1016,13 @@ mod tests {
         let data = small_data();
         let ops = vec![Operator::SymNorm, Operator::RowNorm];
         let reference = Preprocessor::new(ops.clone(), 3).run(&data);
+        let base = std::env::temp_dir().join(format!("ppgnn-partrun-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
         for parts in [1, 2, 5] {
-            let partitioned = Preprocessor::new(ops.clone(), 3)
+            let (partitioned, _) = Preprocessor::new(ops.clone(), 3)
                 .with_num_partitions(parts)
-                .run_partitioned(&data);
+                .run_with_sharded_store(&data, base.join(format!("p{parts}")), "pokec-sim", 32)
+                .unwrap();
             for (a, b) in [
                 (&reference.train, &partitioned.train),
                 (&reference.val, &partitioned.val),
@@ -1179,6 +1062,7 @@ mod tests {
             ref_expansion.telemetry = PrepTelemetry::default();
             assert_eq!(expansion, ref_expansion);
         }
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -96,8 +96,8 @@ pub struct AsyncHopWriter {
 
 impl AsyncHopWriter {
     /// Creates the store directory and starts the writer thread with a
-    /// bounded queue of `queue_depth` hop matrices (clamped to at
-    /// least 1).
+    /// bounded queue of `queue_depth` hop matrices (clamped to
+    /// `1..=meta.num_hops`, see [`AsyncHopWriter::wrap`]).
     ///
     /// # Errors
     ///
@@ -135,6 +135,10 @@ impl AsyncHopWriter {
 
     /// Wraps an existing synchronous writer in a writer thread.
     ///
+    /// The queue holds `queue_depth` hop matrices, clamped to
+    /// `1..=num_hops`: a store never has more hops than that to hold, so
+    /// a larger depth changes nothing but the channel's allocation.
+    ///
     /// Transient I/O failures in a hop write are retried with
     /// exponential backoff up to `PPGNN_WRITE_RETRIES` times (default
     /// 2) before latching — shape/range errors are never retried, they
@@ -147,7 +151,9 @@ impl AsyncHopWriter {
         let flag = Arc::clone(&failed);
         let stats = Arc::new(StatsCells::default());
         let drain_stats = Arc::clone(&stats);
-        let (tx, rx) = sync_channel::<(usize, Arc<Matrix>)>(queue_depth.max(1));
+        // One resume flag per hop: its length is the store's hop count.
+        let depth = queue_depth.min(resumed.len()).max(1);
+        let (tx, rx) = sync_channel::<(usize, Arc<Matrix>)>(depth);
         let worker = std::thread::Builder::new()
             .name("ppgnn-hop-writer".into())
             .spawn(move || {
@@ -497,6 +503,25 @@ mod tests {
         }
         let store = w.finish().unwrap();
         assert_eq!(store.meta().num_hops, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unbounded_queue_depth_is_clamped_to_the_hop_count() {
+        // `sync_channel(usize::MAX)` overflows its capacity and panics;
+        // the depth is clamped to the store's hop count instead.
+        let dir = temp_dir("hugequeue");
+        let mut w = AsyncHopWriter::create(&dir, meta(6, 2, 3), usize::MAX).unwrap();
+        for k in 0..3 {
+            w.submit(k, hop_matrix(k, 6, 2)).unwrap();
+        }
+        let mut store = w.finish().unwrap();
+        for k in 0..3 {
+            assert_eq!(
+                store.read_full_hop(k).unwrap().as_slice(),
+                hop_matrix(k, 6, 2).as_slice()
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

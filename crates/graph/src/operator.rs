@@ -197,9 +197,8 @@ impl Operator {
     }
 
     /// Number of power-series terms a diffusion-series application sums
-    /// (`0` for single-SpMM operators). Exposed so alternative execution
-    /// engines (the partitioned ghost-exchange diffusion in
-    /// `ppgnn-partition`) can replicate the truncated series bit-exactly.
+    /// (`0` for single-SpMM operators). Exposed so an alternative
+    /// execution engine can replicate the truncated series bit-exactly.
     pub fn series_terms(&self) -> usize {
         if self.is_diffusion_series() {
             DIFFUSION_TERMS

@@ -2,18 +2,17 @@
 //!
 //! Where a [`crate::ShardPlan`] cuts one graph's row space into ranges that
 //! all read a shared full-graph input buffer, a [`PartitionPlan`] cuts the
-//! *graph itself* into `P` disjoint node sets that each hold only their own
-//! rows — the memory model of multi-machine preprocessing. A partition's
-//! SpMM still needs input rows its edges reach outside the partition; those
-//! are its **ghost rows**, and [`PartitionPlan::extract`] materializes a
-//! partition-local CSR whose columns are remapped to `[own rows ‖ ghost
-//! rows]` so the partition computes against a compact local buffer after a
-//! per-hop ghost exchange.
+//! *graph itself* into `P` disjoint node sets — the layout of a sharded
+//! feature store, one store per partition. A partition's rows reach input
+//! rows outside the partition; those are its **ghost rows**, and
+//! [`PartitionPlan::extract`] materializes a partition-local CSR whose
+//! columns are remapped to `[own rows ‖ ghost rows]` — what a
+//! partition-local diffusion would compute against, and how the layout
+//! table counts its ghosts.
 //!
-//! Bit-identity with whole-graph diffusion is structural: extraction keeps
-//! every row's entries in their original order (only the column *ids* are
-//! remapped), so per-row accumulation order — the only thing that could
-//! perturb f32 results — is unchanged.
+//! Extraction keeps every row's entries in their original order (only the
+//! column *ids* are remapped), so per-row accumulation order — the only
+//! thing that could perturb f32 results — is unchanged.
 //!
 //! Two [`Partitioner`] strategies are provided: [`RangeCutPartitioner`]
 //! (contiguous node ranges balanced by nnz, reusing

@@ -136,22 +136,19 @@ pub const REGISTRY: &[KnobDef] = &[
         name: NUM_SHARDS,
         kind: KnobKind::Usize { min: 1, max: 4096 },
         default: "pool width",
-        doc: "Feature-matrix shard count for partitioned preprocessing.",
+        doc: "Node-range shard count of each preprocessing diffusion pass.",
     },
     KnobDef {
         name: NUM_PARTITIONS,
         kind: KnobKind::Usize { min: 1, max: 4096 },
-        default: "1 (unpartitioned)",
-        doc: "Graph partition count for ghost-row-exchange preprocessing.",
+        default: "1 (one partition store)",
+        doc: "Partition-store count of a sharded store layout.",
     },
     KnobDef {
         name: WRITER_QUEUE,
-        kind: KnobKind::Usize {
-            min: 1,
-            max: usize::MAX,
-        },
-        default: "4",
-        doc: "Bounded queue depth of the async hop writer.",
+        kind: KnobKind::Usize { min: 1, max: 4096 },
+        default: "2",
+        doc: "Bounded queue depth of the async hop writer (at most one slot per hop).",
     },
     KnobDef {
         name: BENCH_SMOKE,

@@ -11,7 +11,8 @@
 //!    histograms (everything else may instrument through it), and
 //!    [`tensor`] — dense row-major `f32` matrices and kernels
 //! 2. [`graph`] — CSR graphs, SpMM operators, partition plans, synthetic
-//!    datasets, and [`partition`] — ghost-exchange partitioned diffusion
+//!    datasets, and [`partition`] — per-partition layout accounting of a
+//!    sharded store
 //! 3. [`nn`] / [`models`] / [`sampler`] — modules, the PP/MP model zoo,
 //!    minibatch samplers
 //! 4. [`dataio`] / [`memsim`] — on-disk feature stores, performance-plane

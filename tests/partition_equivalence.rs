@@ -1,12 +1,16 @@
-//! Pins the partition-parallel pipeline to the whole-graph reference.
+//! Pins the sharded-store layout to the single-domain reference.
 //!
-//! Partitioned preprocessing (ghost-row exchange over disjoint node
-//! partitions, `ppgnn-partition`) may only change *where* rows are
-//! computed and stored, never *what* they hold:
+//! A sharded store is a layout of the one diffusion engine's train hop: a
+//! partition plan decides which partition store each training row lands
+//! in, never what it holds:
 //!
-//! * diffusion at `P ∈ {1, 2, 5}` must be **bit-identical** to the
-//!   whole-graph path on R-MAT-skewed graphs, with mixed sym/rw/ppr
-//!   operators (the series operators exercise per-term ghost exchange);
+//! * at `P ∈ {1, 2, 5}` on R-MAT-skewed graphs, with mixed sym/ppr/rw
+//!   operators (the series operator forces the column-block hand-over
+//!   into the train-hop sink), every stored row and every returned hop must
+//!   be **bit-identical** to [`Preprocessor::run`], for either partitioner;
+//! * the layout table must cover the graph: rows sum to `N`, training
+//!   rows to the train split, `P = 1` reaches no ghosts, and each
+//!   partition's nnz and ghost rows match a naive count;
 //! * every row served by the sharded feature store must be
 //!   **byte-identical** (FNV digest + raw compare) to the same row of the
 //!   single-store layout, and at `P = 1` the lone partition store's hop
@@ -14,11 +18,14 @@
 //! * the [`ShardedStorageChunkLoader`] must drive an unmodified training
 //!   epoch end-to-end, covering every training row exactly once.
 
+use std::collections::BTreeSet;
+use std::path::Path;
+
 use preprop_gnn::core::loader::{Loader, ShardedStorageChunkLoader, StorageChunkLoader};
 use preprop_gnn::core::preprocess::{Preprocessor, PrepropOutput};
-use preprop_gnn::dataio::AccessPath;
+use preprop_gnn::dataio::{AccessPath, StoreDtype};
 use preprop_gnn::graph::synth::{DatasetProfile, SynthDataset};
-use preprop_gnn::graph::{BfsGrowPartitioner, Operator};
+use preprop_gnn::graph::{BfsGrowPartitioner, Operator, Partitioner, RangeCutPartitioner};
 
 fn skewed_data() -> SynthDataset {
     // pokec-sim is R-MAT generated: heavy-tailed degrees, hub rows — the
@@ -44,6 +51,82 @@ fn assert_bit_identical(a: &PrepropOutput, b: &PrepropOutput, tag: &str) {
     }
 }
 
+/// Writes a sharded f32 store of `prep` at `parts` partitions cut by
+/// `partitioner`, and checks it against `reference` (an unpartitioned
+/// `run` of the same preprocessor): every stored row and every returned
+/// hop bit-identical, and a layout table that covers the graph with
+/// naively recounted nnz and ghost rows.
+fn assert_layout_matches_run(
+    data: &SynthDataset,
+    prep: &Preprocessor,
+    reference: &PrepropOutput,
+    partitioner: &dyn Partitioner,
+    parts: usize,
+    dir: &Path,
+) {
+    let tag = format!("{} P={parts}", partitioner.name());
+    let (out, mut store) = prep
+        .clone()
+        .with_num_partitions(parts)
+        .with_store_dtype(StoreDtype::F32)
+        .run_with_sharded_store_using(
+            data,
+            partitioner,
+            dir,
+            "pokec-sim",
+            32,
+            preprop_gnn::tensor::pool(),
+        )
+        .unwrap();
+    assert_bit_identical(reference, &out, &tag);
+    let rows: Vec<usize> = (0..reference.train.len()).collect();
+    for (r, hop) in reference.train.hops.iter().enumerate() {
+        let stored = store.read_rows(r, &rows, AccessPath::Direct).unwrap();
+        let same = stored
+            .as_slice()
+            .iter()
+            .zip(hop.as_slice())
+            .all(|(u, v)| u.to_bits() == v.to_bits());
+        assert!(same, "{tag}: stored hop {r} is not bit-identical to run");
+    }
+
+    // The layout table, against a naive recount over the first operator.
+    let plan = partitioner.partition(&data.graph, parts);
+    let base = prep.operators()[0].base(&data.graph);
+    let stats = &out.expansion.partitions;
+    assert_eq!(stats.len(), plan.num_partitions(), "{tag}");
+    assert!((1..=parts).contains(&stats.len()), "{tag}");
+    assert_eq!(
+        stats.iter().map(|s| s.rows).sum::<usize>(),
+        data.graph.num_nodes(),
+        "{tag}"
+    );
+    assert_eq!(
+        stats.iter().map(|s| s.train_rows).sum::<usize>(),
+        data.split.train.len(),
+        "{tag}"
+    );
+    for (p, s) in stats.iter().enumerate() {
+        let own = plan.members(p);
+        let nnz: usize = own.iter().map(|&v| base.row_entries(v).count()).sum();
+        let ghosts: BTreeSet<usize> = own
+            .iter()
+            .flat_map(|&v| base.row_entries(v).map(|(c, _)| c))
+            .filter(|&c| plan.owner(c) != p)
+            .collect();
+        assert_eq!(s.rows, own.len(), "{tag} partition {p} rows");
+        assert_eq!(s.nnz, nnz, "{tag} partition {p} nnz");
+        assert_eq!(s.ghost_rows, ghosts.len(), "{tag} partition {p} ghosts");
+        assert!(
+            s.store_bytes > 0 || s.train_rows == 0,
+            "{tag} partition {p}"
+        );
+    }
+    if parts == 1 {
+        assert_eq!(stats[0].ghost_rows, 0, "{tag}: one partition has no ghosts");
+    }
+}
+
 #[test]
 fn partitioned_diffusion_is_bit_identical_across_partition_counts() {
     let data = skewed_data();
@@ -52,34 +135,26 @@ fn partitioned_diffusion_is_bit_identical_across_partition_counts() {
         Operator::Ppr { alpha: 0.15 },
         Operator::RowNorm,
     ];
-    let reference = Preprocessor::new(ops.clone(), 3).run(&data);
+    let prep = Preprocessor::new(ops, 3);
+    let reference = prep.run(&data);
+    let base = std::env::temp_dir().join(format!("ppgnn-partlayout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
     for parts in [1, 2, 5] {
-        let partitioned = Preprocessor::new(ops.clone(), 3)
-            .with_num_partitions(parts)
-            .run_partitioned(&data);
-        assert_bit_identical(&reference, &partitioned, &format!("{parts} partitions"));
-        // The balance table covers the whole graph.
-        let stats = &partitioned.expansion.partitions;
-        assert!(!stats.is_empty() && stats.len() <= parts);
-        assert_eq!(
-            stats.iter().map(|s| s.rows).sum::<usize>(),
-            data.graph.num_nodes()
-        );
-        if parts == 1 {
-            assert_eq!(stats[0].ghost_rows, 0, "P=1 must exchange nothing");
-        }
+        let dir = base.join(format!("p{parts}"));
+        assert_layout_matches_run(&data, &prep, &reference, &RangeCutPartitioner, parts, &dir);
     }
+    std::fs::remove_dir_all(&base).unwrap();
 }
 
 #[test]
 fn bfs_grow_partitioner_matches_too() {
     let data = skewed_data();
-    let ops = vec![Operator::SymNorm, Operator::RowNorm];
-    let reference = Preprocessor::new(ops.clone(), 2).run(&data);
-    let partitioned = Preprocessor::new(ops, 2)
-        .with_num_partitions(4)
-        .run_partitioned_with(&data, &BfsGrowPartitioner, preprop_gnn::tensor::pool());
-    assert_bit_identical(&reference, &partitioned, "bfs-grow");
+    let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 2);
+    let reference = prep.run(&data);
+    let dir = std::env::temp_dir().join(format!("ppgnn-partbfs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_layout_matches_run(&data, &prep, &reference, &BfsGrowPartitioner, 4, &dir);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -282,6 +282,60 @@ fn partially_labeled_run_keeps_the_two_buffer_budget() {
     assert_residency_bound(profile, vec![Operator::SymNorm], hops, None, allowed);
 }
 
+/// A store-writing run holds what `run` holds (one full-graph matrix and
+/// one base, fully labeled) plus its writer's staging buffer, one encoded
+/// train hop; the writer queue holds shared handles, not copies. A sharded
+/// store adds the partition copies of the train hop in flight: `queue`
+/// queued per partition writer, one being written by each, and one being
+/// gathered — at most `queue + 2` train hops summed over the partitions.
+#[test]
+fn sharded_store_run_bounds_residency_with_partition_copies_in_flight() {
+    const QUEUE: usize = 2;
+    let _window = measuring();
+    let data = SynthDataset::generate(fully_labeled(), 7).expect("generation succeeds");
+    let prep = Preprocessor::new(vec![Operator::SymNorm], 3)
+        .with_store_dtype(ppgnn_dataio::StoreDtype::F32)
+        .with_writer_queue(QUEUE);
+    let nf = full_matrix_bytes(&data);
+    let train_hop = data.split.train.len() * data.profile.feature_dim * 4;
+    let dir = std::env::temp_dir().join(format!("ppgnn-resid-shard-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Peak transient bytes of one run, and the bytes of the hops it returns.
+    let measure = |run: &dyn Fn() -> ppgnn_core::preprocess::PrepropOutput| {
+        let before = reset_peak();
+        let out = run();
+        let peak_delta = PEAK.load(Ordering::Relaxed).saturating_sub(before);
+        let output_bytes = out.train.size_bytes() + out.val.size_bytes() + out.test.size_bytes();
+        (peak_delta, output_bytes as usize)
+    };
+    let (single, output_bytes) = measure(&|| {
+        prep.run_with_store(&data, dir.join("single"), "resid", 256)
+            .unwrap()
+            .0
+    });
+    let (sharded, _) = measure(&|| {
+        prep.clone()
+            .with_num_partitions(2)
+            .run_with_sharded_store(&data, dir.join("sharded"), "resid", 256)
+            .unwrap()
+            .0
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let store_budget = output_bytes + nf + csr_bytes(&data) + train_hop + nf / 4;
+    assert!(
+        single <= store_budget,
+        "run_with_store peak transient residency {single} B exceeds budget {store_budget} B"
+    );
+    let sharded_budget = store_budget + (QUEUE + 2) * train_hop;
+    assert!(
+        sharded <= sharded_budget,
+        "run_with_sharded_store peak transient residency {sharded} B exceeds budget \
+         {sharded_budget} B (train hop {train_hop} B, queue {QUEUE}, P = 2)"
+    );
+}
+
 #[test]
 fn linear_training_batches_reuse_scratch_with_bounded_allocations() {
     use ppgnn_nn::{Linear, Mode, Module};
