@@ -133,6 +133,13 @@ impl Default for Config {
             hot_path_exact: s(&[
                 "forward_into",
                 "backward",
+                // Every layer's backward writes its input gradient into a
+                // caller-owned slot: a per-step allocation here is a
+                // regression, not the by-value result it once was.
+                "backward_into",
+                "backward_params",
+                "forward_into_cols",
+                "backward_from_cols",
                 "fit",
                 "evaluate",
                 "gemm_blocked",
@@ -157,6 +164,12 @@ impl Default for Config {
                 "layer_norm_bwd",
                 "readout_fwd",
                 "readout_bwd",
+                // The element-wise layers' sweeps and their row kernels.
+                "sweep",
+                "masked_scale",
+                "draw_mask",
+                "scaled_where_not_positive",
+                "slope_grad_sum",
                 "spmm_into",
                 "spmm_into_on",
                 "spmm_rows_into",
@@ -220,7 +233,6 @@ impl Default for Config {
                 "BatchNorm1d::backward called without a training-mode forward",
                 "MultiHeadAttention::backward called without a training-mode forward",
                 "Hoga::backward called without a training-mode forward",
-                "one value per gradient element",
                 "hidden layers cache ELU input",
                 "cache presence checked above",
                 "keys are finite",

@@ -81,6 +81,20 @@ pub struct TrainConfig {
     pub seed: u64,
 }
 
+impl TrainConfig {
+    /// Rejects the sizes no loader can batch by: a zero `batch_size`, or a
+    /// zero `chunk_size` for [`LoaderKind::Chunk`].
+    fn check(&self) -> Result<(), TrainError> {
+        if self.batch_size == 0 {
+            return Err(TrainError::ZeroSize("batch_size"));
+        }
+        if self.loader == (LoaderKind::Chunk { chunk_size: 0 }) {
+            return Err(TrainError::ZeroSize("chunk_size"));
+        }
+        Ok(())
+    }
+}
+
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
@@ -174,6 +188,8 @@ pub enum TrainError {
     /// The data loader's epoch ended on an I/O failure (e.g. a truncated
     /// feature-store file); carries the loader's error message.
     Loader(String),
+    /// A [`TrainConfig`] field that must be positive is zero; names it.
+    ZeroSize(&'static str),
 }
 
 impl fmt::Display for TrainError {
@@ -181,6 +197,7 @@ impl fmt::Display for TrainError {
         match self {
             TrainError::EmptyTrainSet => write!(f, "training partition is empty"),
             TrainError::Loader(msg) => write!(f, "data loader failed mid-epoch: {msg}"),
+            TrainError::ZeroSize(field) => write!(f, "training config has {field} = 0"),
         }
     }
 }
@@ -277,13 +294,15 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::EmptyTrainSet`] if there is nothing to train
-    /// on.
+    /// Returns [`TrainError::ZeroSize`] for a zero batch or chunk size and
+    /// [`TrainError::EmptyTrainSet`] if there is nothing to train on,
+    /// before building anything.
     pub fn fit(
         &mut self,
         model: &mut dyn PpModel,
         data: &PrepropOutput,
     ) -> Result<TrainReport, TrainError> {
+        self.config.check()?;
         if data.train.is_empty() {
             return Err(TrainError::EmptyTrainSet);
         }
@@ -384,13 +403,15 @@ impl Trainer {
 /// buffers are resized in place and refilled via
 /// [`Matrix::slice_rows_into`], and logits land in a reusable slot via
 /// [`PpModel::forward_into`] — steady-state batches of the sweep run
-/// without fresh heap allocations. Empty partitions evaluate to `0.0`.
+/// without fresh heap allocations. Empty partitions evaluate to `0.0`; a
+/// `batch_size` of `0` evaluates the whole partition as one batch.
 pub fn evaluate(model: &mut dyn PpModel, data: &PrepropFeatures, batch_size: usize) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
     let _eval_span = ppgnn_telemetry::span_with("eval", &[("rows", data.len() as u64)]);
     let n = data.len();
+    let batch_size = if batch_size == 0 { n } else { batch_size };
     let mut hits = 0usize;
     let mut start = 0;
     let hops_read = model.hops_read();
@@ -456,7 +477,8 @@ pub struct MpTrainReport {
 ///
 /// # Errors
 ///
-/// Returns [`TrainError::EmptyTrainSet`] if `train_ids` is empty.
+/// Returns [`TrainError::ZeroSize`] for a zero batch size and
+/// [`TrainError::EmptyTrainSet`] if `train_ids` is empty.
 #[allow(clippy::too_many_arguments)]
 pub fn fit_mp(
     model: &mut dyn MpModel,
@@ -469,6 +491,7 @@ pub fn fit_mp(
     test_ids: &[usize],
     config: &TrainConfig,
 ) -> Result<MpTrainReport, TrainError> {
+    config.check()?;
     if train_ids.is_empty() {
         return Err(TrainError::EmptyTrainSet);
     }
@@ -617,6 +640,34 @@ mod tests {
         );
         assert_eq!(report.epochs_run, 15);
         assert!(report.convergence_point.is_some());
+    }
+
+    #[test]
+    fn evaluate_with_a_zero_batch_size_is_one_batch() {
+        let (data, out) = prep(0.02);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut model = Sgc::new(2, data.profile.feature_dim, 2, &mut rng);
+        let whole = evaluate(&mut model, &out.val, out.val.len());
+        assert_eq!(evaluate(&mut model, &out.val, 0), whole);
+    }
+
+    #[test]
+    fn fit_rejects_zero_batch_and_chunk_sizes_before_building_a_loader() {
+        let (data, out) = prep(0.02);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut model = Sgc::new(2, data.profile.feature_dim, 2, &mut rng);
+        let zero_batch = TrainConfig {
+            batch_size: 0,
+            ..TrainConfig::default()
+        };
+        let zero_chunk = TrainConfig {
+            loader: LoaderKind::Chunk { chunk_size: 0 },
+            ..TrainConfig::default()
+        };
+        for (config, field) in [(zero_batch, "batch_size"), (zero_chunk, "chunk_size")] {
+            let err = Trainer::new(config).fit(&mut model, &out).unwrap_err();
+            assert_eq!(err, TrainError::ZeroSize(field));
+        }
     }
 
     #[test]

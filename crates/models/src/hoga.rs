@@ -49,9 +49,12 @@ use crate::pp::{validate_hops, PpModel};
 ///
 /// **Retained.** Forward intermediates, the training cache (ping-ponged
 /// through `cache_scratch`), `∂normed`, the per-hop gradient matrices and
-/// the partial rows all live in the model: a steady-state step allocates
-/// only what `Module::backward` returns by value, a count that does not
-/// grow with the batch.
+/// the partial rows all live in the model, and its layers write their
+/// input gradients through [`Module::backward_into`] into the forward
+/// buffers they came from — every layer caches what its backward needs,
+/// so `pooled`, `attended` and `embedded` are free once the forward
+/// returns and carry `∂pooled`, `∂attended` and `∂embedded`. A
+/// steady-state forward + backward allocates nothing.
 pub struct Hoga {
     hops: usize,
     embeds: Vec<Linear>,
@@ -236,12 +239,6 @@ impl Hoga {
 }
 
 impl PpModel for Hoga {
-    fn forward(&mut self, hops: &[Matrix], mode: Mode) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(hops, mode, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
         let (b, _) = validate_hops(hops, self.hops + 1);
         let (t, h) = (self.hops + 1, self.hidden);
@@ -302,17 +299,17 @@ impl PpModel for Hoga {
             .expect("Hoga::backward called without a training-mode forward");
         let (t, h) = (self.hops + 1, self.hidden);
         let b = cache.gates.rows();
-        let g_pooled = {
+        {
             let _span = ppgnn_telemetry::span("hoga.head.bwd");
-            self.head.backward(grad_out) // [b, H]
-        };
+            self.head.backward_into(grad_out, &mut self.pooled); // ∂pooled [b, H]
+        }
         self.partials.resize(row_block_count(b) * h, 0.0);
         {
             let _span = ppgnn_telemetry::span("hoga.readout.bwd");
             self.g_normed.resize_to(b * t, h);
             self.d_gates.resize_to(b, t);
             let (gp, z, g) = (
-                g_pooled.as_slice(),
+                self.pooled.as_slice(),
                 cache.normed.as_slice(),
                 cache.gates.as_slice(),
             );
@@ -334,17 +331,18 @@ impl PpModel for Hoga {
             });
             add_partials(self.gate.grad.as_mut_slice(), &self.partials);
         }
-        let g_attended = {
+        {
             let _span = ppgnn_telemetry::span("hoga.norm.bwd");
-            self.norm.backward(&self.g_normed)
-        };
-        let g_embedded = self.attention.backward(&g_attended);
+            self.norm.backward_into(&self.g_normed, &mut self.attended); // ∂attended
+        }
+        self.attention
+            .backward_into(&self.attended, &mut self.embedded); // ∂embedded
         let _span = ppgnn_telemetry::span("hoga.embed.bwd");
         // Per hop: residual path + de-interleave back to hop layout, the
         // hop's positional-embedding grad (its token grads summed over the
         // batch), then the embedding's parameter grads — the input is
         // data, so no ∂X.
-        let (ge, ga) = (g_embedded.as_slice(), g_attended.as_slice());
+        let (ge, ga) = (self.embedded.as_slice(), self.attended.as_slice());
         for (tok, (embed, grads)) in self
             .embeds
             .iter_mut()
@@ -400,8 +398,10 @@ impl PpModel for Hoga {
         let f = self.feature_dim as u64;
         let h = self.hidden as u64;
         let c = self.num_classes as u64;
-        // embed + 4 attention projections + attention matrix + head, ×3 fwd+bwd
-        6 * (t * f * h + 4 * t * h * h + 2 * t * t * h + h * h + h * c)
+        // Embeddings: forward + ∂W (their input is data, so no ∂X); the
+        // 4 attention projections, the attention scores and mix, and the
+        // head: forward + ∂W + ∂X.
+        4 * t * f * h + 6 * (4 * t * h * h + 2 * t * t * h + h * h + h * c)
     }
 }
 

@@ -17,23 +17,29 @@ use ppgnn_tensor::Matrix;
 /// built directly, the storage loaders) deliver every hop, which satisfies
 /// every model; the pipeline stays shared across SGC/SIGN/HOGA either way.
 pub trait PpModel {
-    /// Computes logits `batch x num_classes` from hop features.
+    /// Computes logits `batch x num_classes` from hop features into a
+    /// reusable slot (resized to the output shape and fully overwritten).
+    ///
+    /// The shipped models route their whole stack through
+    /// [`ppgnn_nn::Module::forward_into`], so a training loop that passes
+    /// the same slot every batch runs steady-state forwards without
+    /// allocating.
     ///
     /// # Panics
     ///
     /// Panics if `hops.len() != num_hops() + 1` or the matrices this model
     /// reads disagree on row counts / feature dims.
-    fn forward(&mut self, hops: &[Matrix], mode: Mode) -> Matrix;
+    fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix);
 
-    /// Computes logits into a reusable slot (resized to the output shape
-    /// and fully overwritten).
+    /// [`PpModel::forward_into`] into a freshly allocated matrix.
     ///
-    /// The shipped models route their whole stack through
-    /// [`ppgnn_nn::Module::forward_into`], so a training loop that passes
-    /// the same slot every batch runs steady-state forwards without
-    /// allocating. The default falls back to [`PpModel::forward`].
-    fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
-        *out = self.forward(hops, mode);
+    /// # Panics
+    ///
+    /// As [`PpModel::forward_into`].
+    fn forward(&mut self, hops: &[Matrix], mode: Mode) -> Matrix {
+        let mut out = Matrix::default();
+        self.forward_into(hops, mode, &mut out);
+        out
     }
 
     /// Back-propagates the loss gradient; accumulates parameter gradients.
@@ -65,18 +71,15 @@ pub trait PpModel {
     /// Stable display name.
     fn name(&self) -> &'static str;
 
-    /// Nominal forward+backward FLOPs for a single example: the
-    /// simulator's three-GEMM estimate per layer (`Y = XW`, `∂W = Xᵀ∂Y`,
-    /// `∂X = ∂YWᵀ`), consumed by `ppgnn_core::bridge` and `ppgnn-memsim`
-    /// as a hardware-independent workload descriptor.
-    ///
-    /// It is **not** a count of executed work: the input layers run a
-    /// parameter-only backward (no `∂X` — hop features are data), so this
-    /// exceeds what the kernels execute by `2·F·out` per input layer. For
-    /// SGC, whose only layer is an input layer, that is 1.5× — a rate
-    /// derived from this value (the benchmark's `models.gflops_achieved`)
-    /// overstates SGC by the same factor. Executed multiply-adds are the
-    /// `gemm.madds` telemetry counter.
+    /// Forward + backward FLOPs of the model's GEMMs for a single example
+    /// (two per multiply-add), as the kernels execute them: `Y = XW` and
+    /// `∂W = Xᵀ∂Y` for every layer, and `∂X = ∂YWᵀ` for every layer whose
+    /// input is an activation — not for the input layers, whose input is
+    /// data (they run `Linear::backward_params`). Consumed by
+    /// `ppgnn_core::bridge` and `ppgnn-memsim` as a hardware-independent
+    /// workload descriptor, and by the benchmark's `models.gflops_achieved`
+    /// rate. HOGA's count also includes its attention score and mix
+    /// products, which run in a fused pass rather than a GEMM call.
     fn flops_per_example(&self) -> u64;
 
     /// Total scalar parameter count.

@@ -60,11 +60,6 @@ impl Sgc {
 }
 
 impl PpModel for Sgc {
-    fn forward(&mut self, hops: &[Matrix], mode: Mode) -> Matrix {
-        let x = self.deepest_hop(hops);
-        self.classifier.forward(x, mode)
-    }
-
     fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
         let x = self.deepest_hop(hops);
         self.classifier.forward_into(x, mode, out);
@@ -93,8 +88,8 @@ impl PpModel for Sgc {
     }
 
     fn flops_per_example(&self) -> u64 {
-        // forward + backward of one GEMV: ~3 · 2FC
-        6 * (self.feature_dim as u64) * (self.num_classes as u64)
+        // Forward + ∂W of one F x C layer (its input is data: no ∂X).
+        4 * (self.feature_dim as u64) * (self.num_classes as u64)
     }
 }
 

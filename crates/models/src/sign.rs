@@ -10,6 +10,15 @@ use crate::pp::{validate_hops, PpModel};
 /// hidden dimension followed by PReLU — the branch outputs are concatenated,
 /// and an MLP head produces logits. Matches the paper's configuration
 /// (3-layer head, hidden 512 at full scale) with dimensions parameterized.
+///
+/// **No concatenation copy.** Branch `r`'s PReLU writes its activation
+/// straight into columns `r·hidden..(r+1)·hidden` of the head's input, and
+/// its backward reads its gradient from the same columns of the head's
+/// input gradient ([`PRelu::forward_into_cols`],
+/// [`PRelu::backward_from_cols`]). Every layer caches what its backward
+/// needs, so the forward's buffers are free once it returns and the
+/// backward reuses them: `∂concat` lands in `concat`, branch `r`'s `∂z` in
+/// its `z`. A steady-state training step allocates nothing.
 pub struct Sign {
     hops: usize,
     branches: Vec<Linear>,
@@ -19,10 +28,11 @@ pub struct Sign {
     hidden: usize,
     num_classes: usize,
     branch_inputs_cached: bool,
-    /// Per-branch linear / activation outputs, reused across batches.
+    /// Per-branch linear outputs (`∂z` in the backward), reused across
+    /// batches.
     branch_z: Vec<Matrix>,
-    branch_out: Vec<Matrix>,
-    /// Concatenated branch outputs feeding the head.
+    /// Concatenated branch activations feeding the head (`∂concat` in the
+    /// backward).
     concat: Matrix,
 }
 
@@ -77,7 +87,6 @@ impl Sign {
             num_classes,
             branch_inputs_cached: false,
             branch_z: (0..=hops).map(|_| Matrix::default()).collect(),
-            branch_out: (0..=hops).map(|_| Matrix::default()).collect(),
             concat: Matrix::default(),
         }
     }
@@ -89,32 +98,16 @@ impl Sign {
 }
 
 impl PpModel for Sign {
-    fn forward(&mut self, hops: &[Matrix], mode: Mode) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(hops, mode, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
         let (b, _) = validate_hops(hops, self.hops + 1);
-        for (((branch, act), hop), (z, a)) in self
-            .branches
-            .iter_mut()
-            .zip(self.activations.iter_mut())
-            .zip(hops)
-            .zip(self.branch_z.iter_mut().zip(self.branch_out.iter_mut()))
+        self.concat.resize_to(b, (self.hops + 1) * self.hidden);
+        let branches = self.branches.iter_mut().zip(&mut self.activations);
+        for (r, ((branch, act), (hop, z))) in branches
+            .zip(hops.iter().zip(&mut self.branch_z))
+            .enumerate()
         {
             branch.forward_into(hop, mode, z);
-            act.forward_into(z, mode, a);
-        }
-        // Feature-wise concatenation straight into the retained buffer
-        // (hstack semantics without the per-call slice-of-refs).
-        self.concat.resize_to(b, (self.hops + 1) * self.hidden);
-        for (bi, branch_out) in self.branch_out.iter().enumerate() {
-            let off = bi * self.hidden;
-            for r in 0..b {
-                self.concat.row_mut(r)[off..off + self.hidden].copy_from_slice(branch_out.row(r));
-            }
+            act.forward_into_cols(z, mode, &mut self.concat, r * self.hidden);
         }
         self.branch_inputs_cached = mode == Mode::Train;
         self.head.forward_into(&self.concat, mode, out);
@@ -126,16 +119,11 @@ impl PpModel for Sign {
             "Sign::backward called without a training-mode forward"
         );
         self.branch_inputs_cached = false;
-        let g_concat = self.head.backward(grad_out);
-        let pieces = g_concat.hsplit(self.hops + 1);
-        for ((branch, act), piece) in self
-            .branches
-            .iter_mut()
-            .zip(self.activations.iter_mut())
-            .zip(pieces)
-        {
-            let g_z = act.backward(&piece);
-            branch.backward_params(&g_z); // the input is data: no ∂X
+        self.head.backward_into(grad_out, &mut self.concat);
+        let branches = self.branches.iter_mut().zip(&mut self.activations);
+        for (r, ((branch, act), g_z)) in branches.zip(&mut self.branch_z).enumerate() {
+            act.backward_from_cols(&self.concat, r * self.hidden, g_z);
+            branch.backward_params(g_z); // the input is data: no ∂X
         }
     }
 
@@ -164,8 +152,9 @@ impl PpModel for Sign {
         let f = self.feature_dim as u64;
         let h = self.hidden as u64;
         let c = self.num_classes as u64;
-        // branches + head (×3 for fwd+bwd)
-        6 * (r1 * f * h + r1 * h * h + h * c)
+        // Branches: forward + ∂W (their input is data, so no ∂X); head
+        // layers: forward + ∂W + ∂X.
+        4 * r1 * f * h + 6 * (r1 * h * h + h * c)
     }
 }
 

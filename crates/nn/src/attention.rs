@@ -27,8 +27,8 @@
 //! The training cache (`x`, `q`, `k`, `v`, `attn`, `merged`) ping-pongs
 //! between `cache` and `cache_scratch`; the backward work buffers
 //! (`d_merged`, `d_scores`, `dq`, `dk`, `dv`, the `dim × dim` weight-grad
-//! product and the `∂x` addend) live in the module. A steady-state step
-//! allocates only the input gradient `backward` returns by value.
+//! product and the `∂x` addend) live in the module, and the input gradient
+//! goes into the caller's slot: a steady-state step allocates nothing.
 
 use ppgnn_tensor::pool::{row_blocked, BlockOut};
 use ppgnn_tensor::{init, lanes, matmul_into, matmul_nt_into, matmul_tn_into, Matrix};
@@ -308,12 +308,6 @@ impl MultiHeadAttention {
 }
 
 impl Module for MultiHeadAttention {
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let mut y = Matrix::default();
-        self.forward_into(x, mode, &mut y);
-        y
-    }
-
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
         let b = self.batch_of(x);
         let (t, h, rows) = (self.tokens, self.heads, x.rows());
@@ -358,7 +352,7 @@ impl Module for MultiHeadAttention {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         let cache = self
             .cache
             .take()
@@ -402,10 +396,9 @@ impl Module for MultiHeadAttention {
             });
         }
         let _span = ppgnn_telemetry::span("attn.qkv.bwd");
-        // ppgnn-analyze: allow(hot_path_alloc) -- the input gradient is
-        // returned by value; every other buffer of this pass is retained.
-        let mut gx = Matrix::zeros(rows, dim);
-        matmul_nt_into(&w.dq, &self.wq.value, &mut gx);
+        let gx = grad_in;
+        gx.resize_to(rows, dim);
+        matmul_nt_into(&w.dq, &self.wq.value, gx);
         w.gx_term.resize_to(rows, dim);
         for (param, d) in [(&self.wk, &w.dk), (&self.wv, &w.dv)] {
             matmul_nt_into(d, &param.value, &mut w.gx_term);
@@ -420,7 +413,6 @@ impl Module for MultiHeadAttention {
             param.grad.add_assign(&w.gw);
         }
         self.cache_scratch = Some(cache);
-        gx
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

@@ -1,22 +1,27 @@
 use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
+use crate::sweep::sweep;
 use crate::{Mode, Module, Param};
 
 /// Inverted dropout: during training each element is zeroed with probability
 /// `p` and survivors are scaled by `1/(1-p)`; evaluation is the identity.
 ///
 /// The layer owns a seeded RNG so whole-model training stays reproducible
-/// from construction-time seeds.
+/// from construction-time seeds. Each training forward draws one `u64` per
+/// element, in row-major order, into a byte mask (the only serial part);
+/// applying the mask forward and backward is a row-blocked sweep that
+/// multiplies by `1/(1-p)` or `0` picked by the mask byte. The mask
+/// buffer is recycled across batches.
 #[derive(Debug)]
 pub struct Dropout {
     p: f32,
     rng: StdRng,
-    mask: Option<Vec<f32>>,
-    /// Spent mask buffer handed back by `backward`, refilled in place by
-    /// the next training-mode forward.
-    mask_scratch: Option<Vec<f32>>,
+    mask: Option<Vec<u8>>,
+    /// Spent mask buffer handed back by `backward_into`, refilled in place
+    /// by the next training-mode forward.
+    mask_scratch: Option<Vec<u8>>,
 }
 
 impl Dropout {
@@ -42,58 +47,76 @@ impl Dropout {
     pub fn p(&self) -> f32 {
         self.p
     }
+
+    /// `dst = src · (1/(1-p) or 0)`, the factor picked per element by
+    /// `mask`: bit for bit the product with a `1/(1-p)`/`0.0` float mask.
+    fn apply(&self, mask: &[u8], src: &Matrix, dst: &mut Matrix) {
+        let (rows, cols) = src.shape();
+        dst.resize_to(rows, cols);
+        let (src, scale) = (src.as_slice(), 1.0 / (1.0 - self.p));
+        sweep(
+            rows,
+            cols,
+            2 * src.len(),
+            [dst.as_mut_slice()],
+            |at, [d]| masked_scale(d, &src[at..], &mask[at..], scale),
+        );
+    }
+}
+
+/// `dst = src · (scale or 0.0)`, the factor selected by each mask byte.
+fn masked_scale(dst: &mut [f32], src: &[f32], mask: &[u8], scale: f32) {
+    for ((d, &v), &m) in dst.iter_mut().zip(src).zip(mask) {
+        *d = v * if m != 0 { scale } else { 0.0 };
+    }
+}
+
+/// One draw per mask byte, in order: `1` when `(u >> 40) < threshold`.
+/// A function of its own so the generator state stays in registers across
+/// the loop instead of round-tripping through memory around every byte
+/// store.
+fn draw_mask(rng: &mut StdRng, threshold: u64, mask: &mut [u8]) {
+    for m in mask {
+        *m = u8::from(rng.next_u64() >> 40 < threshold);
+    }
 }
 
 impl Module for Dropout {
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let mut y = Matrix::default();
-        self.forward_into(x, mode, &mut y);
-        y
-    }
-
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
-        out.resize_to(x.rows(), x.cols());
         if mode == Mode::Eval || self.p == 0.0 {
             self.mask = None;
-            out.as_mut_slice().copy_from_slice(x.as_slice());
+            out.resize_to(x.rows(), x.cols());
+            out.copy_from(x);
             return;
         }
+        // An element survives when its draw `u` passes
+        // `(u >> 40) as f32 · 2⁻²⁴ < keep` (the f32 sample of the stream);
+        // scaled by 2²⁴, both sides exactly, that is the integer test
+        // `(u >> 40) < ceil(keep · 2²⁴)`.
         let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
+        let threshold = (keep * (1u64 << 24) as f32).ceil() as u64;
         let mut mask = self.mask_scratch.take().unwrap_or_default();
-        mask.clear();
-        mask.extend((0..x.len()).map(|_| {
-            if self.rng.random::<f32>() < keep {
-                scale
-            } else {
-                0.0
-            }
-        }));
-        for ((o, &v), m) in out.as_mut_slice().iter_mut().zip(x.as_slice()).zip(&mask) {
-            *o = v * m;
-        }
+        mask.resize(x.len(), 0);
+        draw_mask(&mut self.rng, threshold, &mut mask);
+        self.apply(&mask, x, out);
         self.mask = Some(mask);
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         match self.mask.take() {
-            // ppgnn-analyze: allow(hot_path_alloc) -- gradient result is
-            // produced by value; `backward` returns an owned Matrix.
-            None => grad_out.clone(), // p == 0 or eval-mode forward
+            None => {
+                // p == 0 or eval-mode forward
+                grad_in.resize_to(grad_out.rows(), grad_out.cols());
+                grad_in.copy_from(grad_out);
+            }
             Some(mask) => {
                 assert_eq!(
                     mask.len(),
                     grad_out.len(),
                     "grad_out shape mismatch in Dropout"
                 );
-                // ppgnn-analyze: allow(hot_path_alloc) -- same by-value
-                // gradient result as above.
-                let mut g = grad_out.clone();
-                for (v, m) in g.as_mut_slice().iter_mut().zip(&mask) {
-                    *v *= m;
-                }
+                self.apply(&mask, grad_out, grad_in);
                 self.mask_scratch = Some(mask);
-                g
             }
         }
     }

@@ -214,7 +214,7 @@ mod tests {
             tokens: usize,
         }
         impl Module for AttnHead {
-            fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
+            fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
                 let y = self.attn.forward(x, mode);
                 // mean-pool tokens per example, then classify
                 let b = y.rows() / self.tokens;
@@ -227,9 +227,9 @@ mod tests {
                         }
                     }
                 }
-                self.head.forward(&pooled, mode)
+                self.head.forward_into(&pooled, mode, out)
             }
-            fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+            fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
                 let gp = self.head.backward(grad_out);
                 let b = gp.rows();
                 let mut gy = Matrix::zeros(b * self.tokens, gp.cols());
@@ -241,7 +241,7 @@ mod tests {
                         }
                     }
                 }
-                self.attn.backward(&gy)
+                self.attn.backward_into(&gy, grad_in)
             }
             fn params(&mut self) -> Vec<&mut crate::Param> {
                 let mut p = self.attn.params();

@@ -2,9 +2,9 @@
 //!
 //! This crate is the training substrate the paper gets from PyTorch: a small
 //! module system where every layer implements an explicit
-//! [`Module::forward`] / [`Module::backward`] pair, parameters carry their
-//! own gradients ([`Param`]), and optimizers ([`Sgd`], [`Adam`]) walk the
-//! parameter list. There is no autograd tape — each layer caches exactly the
+//! [`Module::forward_into`] / [`Module::backward_into`] pair writing into
+//! caller-owned slots, parameters carry their own gradients ([`Param`]),
+//! and optimizers ([`Sgd`], [`Adam`]) walk the parameter list. There is no autograd tape — each layer caches exactly the
 //! activations its backward pass needs, which keeps the per-batch compute
 //! profile transparent (important for the paper's claim that PP-GNN training
 //! compute is *lightweight* relative to data loading).
@@ -44,6 +44,7 @@ mod module;
 mod norm;
 mod optim;
 mod param;
+mod sweep;
 
 pub mod gradcheck;
 pub mod metrics;

@@ -1,4 +1,5 @@
-use ppgnn_tensor::{init, matmul_into, matmul_nt, matmul_tn_into, Matrix};
+use ppgnn_tensor::pool::{row_blocked, BlockOut};
+use ppgnn_tensor::{init, matmul_into, matmul_nt_into, matmul_tn_into, Matrix};
 use rand::Rng;
 
 use crate::{Mode, Module, Param};
@@ -13,14 +14,16 @@ use crate::{Mode, Module, Param};
 /// and never forms `∂x` — one GEMM and one `batch x in_dim` allocation
 /// less per step.
 ///
-/// The layer recycles two scratch matrices across batches: the cached
-/// training input (refilled in place when the batch shape repeats) and
-/// the `∂W = xᵀ · ∂y` product (written through [`matmul_tn_into`] before
-/// accumulating into the gradient). [`Module::forward_into`] writes the
-/// output into a caller-owned slot, so a steady-state training step that
-/// reuses its slots allocates only the input gradient returned by
-/// `backward` — pinned by the allocation-count assertions in the
-/// repo-level residency suite.
+/// The layer recycles three scratch buffers across batches: the cached
+/// training input (refilled in place when the batch shape repeats), the
+/// `∂W = xᵀ · ∂y` product (written through [`matmul_tn_into`] before
+/// accumulating into the gradient) and the `∂b` column sums.
+/// [`Module::forward_into`] and [`Module::backward_into`] write into
+/// caller-owned slots, so a steady-state training step that reuses its
+/// slots allocates nothing — pinned by the allocation-count assertions in
+/// the repo-level residency suite. The bias add after the forward GEMM is
+/// a row-blocked pass ([`ppgnn_tensor::pool::row_blocked`]); the `∂b`
+/// column sums keep their serial row order.
 #[derive(Debug)]
 pub struct Linear {
     weight: Param,
@@ -31,6 +34,8 @@ pub struct Linear {
     input_scratch: Option<Matrix>,
     /// Reusable `in_dim x out_dim` buffer for the weight-gradient GEMM.
     grad_w_scratch: Option<Matrix>,
+    /// Reusable `out_dim` buffer for the bias-gradient column sums.
+    grad_b_scratch: Vec<f32>,
 }
 
 impl Linear {
@@ -42,6 +47,7 @@ impl Linear {
             cached_input: None,
             input_scratch: None,
             grad_w_scratch: None,
+            grad_b_scratch: Vec::new(),
         }
     }
 
@@ -58,6 +64,7 @@ impl Linear {
             cached_input: None,
             input_scratch: None,
             grad_w_scratch: None,
+            grad_b_scratch: Vec::new(),
         }
     }
 
@@ -72,10 +79,9 @@ impl Linear {
     }
 
     /// Parameter-only backward: accumulates `∂W = xᵀ · ∂y` and
-    /// `∂b = Σ_rows ∂y` exactly as [`Module::backward`] does (which calls
-    /// this first) and stops — no `∂x = ∂y · Wᵀ` product, no
-    /// `batch x in_dim` allocation. For layers whose input gradient has
-    /// no consumer.
+    /// `∂b = Σ_rows ∂y` exactly as [`Module::backward_into`] does (which
+    /// calls this first) and stops — no `∂x = ∂y · Wᵀ` product. For layers
+    /// whose input gradient has no consumer.
     ///
     /// # Panics
     ///
@@ -100,18 +106,24 @@ impl Linear {
         matmul_tn_into(&x, grad_out, &mut gw);
         self.weight.grad.add_assign(&gw);
         self.grad_w_scratch = Some(gw);
-        self.bias.grad.add_assign(&grad_out.sum_rows());
+        // Column sums in row order from zero, then one add into the
+        // gradient: the reduction order the trajectory digests pin.
+        let gb = &mut self.grad_b_scratch;
+        gb.clear();
+        gb.resize(self.bias.value.cols(), 0.0);
+        for row in grad_out.iter_rows() {
+            for (s, &g) in gb.iter_mut().zip(row) {
+                *s += g;
+            }
+        }
+        for (b, &s) in self.bias.grad.as_mut_slice().iter_mut().zip(gb.iter()) {
+            *b += s;
+        }
         self.input_scratch = Some(x);
     }
 }
 
 impl Module for Linear {
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let mut y = Matrix::default();
-        self.forward_into(x, mode, &mut y);
-        y
-    }
-
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
         assert_eq!(
             x.cols(),
@@ -123,11 +135,15 @@ impl Module for Linear {
         out.resize_to(x.rows(), self.out_dim());
         matmul_into(x, &self.weight.value, out);
         let bias = self.bias.value.row(0);
-        for r in 0..out.rows() {
-            for (v, b) in out.row_mut(r).iter_mut().zip(bias) {
-                *v += b;
+        let values = 2 * out.len();
+        let outs = [BlockOut::rows(out.as_mut_slice(), bias.len())];
+        row_blocked(x.rows(), values, outs, |_, _, [block]| {
+            for row in block.chunks_exact_mut(bias.len().max(1)) {
+                for (v, b) in row.iter_mut().zip(bias) {
+                    *v += b;
+                }
             }
-        }
+        });
         if mode == Mode::Train {
             // Reuse the buffer backward handed back if the batch shape
             // repeats (the steady state of epoch training).
@@ -144,9 +160,10 @@ impl Module for Linear {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         self.backward_params(grad_out);
-        matmul_nt(grad_out, &self.weight.value)
+        grad_in.resize_to(grad_out.rows(), self.in_dim());
+        matmul_nt_into(grad_out, &self.weight.value, grad_in);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

@@ -1,3 +1,4 @@
+use ppgnn_tensor::pool::{row_blocked, BlockOut};
 use ppgnn_tensor::Matrix;
 
 /// Softmax cross-entropy over class logits.
@@ -5,8 +6,34 @@ use ppgnn_tensor::Matrix;
 /// The combined loss-and-gradient form is used everywhere (the separate
 /// softmax is never materialized in training), matching
 /// `torch.nn.CrossEntropyLoss` semantics with mean reduction.
+///
+/// The gradient rows — softmax, `−1` at the label, `/b` — are one
+/// row-blocked pass ([`ppgnn_tensor::pool::row_blocked`]) that also leaves
+/// each row's label probability behind; the loss sums their logarithms in
+/// row order on the calling thread.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrossEntropyLoss;
+
+/// One row: its softmax, minus one at `label`, times `scale`, into `row`;
+/// returns the label's softmax probability.
+fn softmax_ce_row(row: &mut [f32], label: usize, scale: f32) -> f32 {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+    let p = row[label];
+    row[label] = p - 1.0;
+    for v in row.iter_mut() {
+        *v *= scale;
+    }
+    p
+}
 
 impl CrossEntropyLoss {
     /// Computes the mean cross-entropy loss and its gradient with respect to
@@ -25,18 +52,27 @@ impl CrossEntropyLoss {
             "one label per logit row required"
         );
         assert!(!logits.is_empty(), "cross-entropy of an empty batch");
-        let b = logits.rows();
-        let c = logits.cols();
-        let mut grad = logits.softmax_rows();
-        let mut loss = 0.0f64;
-        for (r, &y) in labels.iter().enumerate() {
-            let y = y as usize;
-            assert!(y < c, "label {y} out of range for {c} classes");
-            let p = grad.get(r, y).max(1e-12);
-            loss -= (p as f64).ln();
-            grad.set(r, y, grad.get(r, y) - 1.0);
+        let (b, c) = logits.shape();
+        if let Some(&y) = labels.iter().find(|&&y| y as usize >= c) {
+            panic!("label {y} out of range for {c} classes");
         }
-        grad.scale(1.0 / b as f32);
+        let mut grad = logits.clone();
+        let mut picked = vec![0.0f32; b];
+        let scale = 1.0 / b as f32;
+        let outs = [
+            BlockOut::rows(grad.as_mut_slice(), c),
+            BlockOut::rows(&mut picked, 1),
+        ];
+        row_blocked(b, 4 * b * c, outs, |_, row0, [rows, picked]| {
+            let labels = &labels[row0..];
+            for ((row, p), &y) in rows.chunks_exact_mut(c).zip(picked).zip(labels) {
+                *p = softmax_ce_row(row, y as usize, scale);
+            }
+        });
+        let mut loss = 0.0f64;
+        for p in picked {
+            loss -= (p.max(1e-12) as f64).ln();
+        }
         ((loss / b as f64) as f32, grad)
     }
 

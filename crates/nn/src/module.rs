@@ -9,7 +9,7 @@ use crate::Param;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Training: dropout active, batch statistics updated, caches retained
-    /// for [`Module::backward`].
+    /// for [`Module::backward_into`].
     Train,
     /// Inference: deterministic, no caches required.
     Eval,
@@ -17,41 +17,56 @@ pub enum Mode {
 
 /// A differentiable computation unit.
 ///
-/// The contract mirrors a classic layer API:
+/// The contract mirrors a classic layer API, with every output written into
+/// a slot the caller owns:
 ///
-/// 1. `forward(x, Mode::Train)` computes the output **and caches** whatever
-///    the gradient needs;
-/// 2. `backward(grad_out)` consumes that cache, **accumulates** parameter
-///    gradients into [`Param::grad`], and returns the gradient with respect
-///    to the input;
+/// 1. `forward_into(x, Mode::Train, out)` computes the output **and
+///    caches** whatever the gradient needs;
+/// 2. `backward_into(grad_out, grad_in)` consumes that cache,
+///    **accumulates** parameter gradients into [`Param::grad`], and writes
+///    the gradient with respect to the input into `grad_in`;
 /// 3. `params()` exposes parameters in a stable order for the optimizer.
 ///
-/// `backward` must be called at most once per training-mode `forward`, with
-/// a `grad_out` shaped like that forward's output.
+/// Both slots are resized (via [`Matrix::resize_to`]) to the result's shape
+/// and fully overwritten, so their previous contents are irrelevant; a
+/// caller that passes the same slots every batch runs steady-state steps
+/// without allocating. These two are the one way to call a layer:
+/// [`Module::forward`] and [`Module::backward`] are provided wrappers that
+/// allocate a fresh slot and call them.
+///
+/// `backward_into` must be called at most once per training-mode forward,
+/// with a `grad_out` shaped like that forward's output.
 pub trait Module {
-    /// Computes the layer output for input `x`.
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix;
-
-    /// Computes the layer output into a reusable slot.
-    ///
-    /// `out` is resized (via [`Matrix::resize_to`]) to the output shape and
-    /// fully overwritten; its previous contents are irrelevant. Passing the
-    /// same slot every batch makes steady-state forward passes
-    /// allocation-free for the layers shipped in this crate. The default
-    /// implementation falls back to [`Module::forward`] and replaces `out`,
-    /// so custom layers stay correct without opting in.
-    fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
-        *out = self.forward(x, mode);
-    }
+    /// Computes the layer output for input `x` into `out`.
+    fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix);
 
     /// Back-propagates `grad_out`, accumulating parameter gradients, and
-    /// returns the gradient with respect to the last training-mode input.
+    /// writes the gradient with respect to the last training-mode input
+    /// into `grad_in`.
     ///
     /// # Panics
     ///
     /// Implementations panic if called without a preceding training-mode
-    /// [`Module::forward`] or with a mis-shaped `grad_out`.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix;
+    /// forward or with a mis-shaped `grad_out`.
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix);
+
+    /// [`Module::forward_into`] into a freshly allocated matrix.
+    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
+        let mut out = Matrix::default();
+        self.forward_into(x, mode, &mut out);
+        out
+    }
+
+    /// [`Module::backward_into`] into a freshly allocated matrix.
+    ///
+    /// # Panics
+    ///
+    /// As [`Module::backward_into`].
+    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let mut grad_in = Matrix::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
 
     /// Mutable references to the parameters, in a stable order.
     fn params(&mut self) -> Vec<&mut Param>;
@@ -89,8 +104,11 @@ pub trait Module {
 /// ```
 pub struct Sequential {
     layers: Vec<Box<dyn Module>>,
-    /// Ping-pong buffers threading `forward_into` between layers; retained
-    /// across batches so chained forwards reuse their intermediates.
+    /// Ping-pong buffers threading activations forward and gradients
+    /// backward between layers. Every layer caches what its own backward
+    /// needs, so a forward's intermediates are dead once it returns and the
+    /// backward reuses the same two buffers; both are retained across
+    /// batches.
     scratch: [Matrix; 2],
 }
 
@@ -128,25 +146,18 @@ impl Sequential {
 }
 
 impl Module for Sequential {
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(x, mode, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
         let n = self.layers.len();
         match n {
             0 => {
                 out.resize_to(x.rows(), x.cols());
-                out.as_mut_slice().copy_from_slice(x.as_slice());
+                out.copy_from(x);
             }
             1 => self.layers[0].forward_into(x, mode, out),
             _ => {
                 // Ping-pong between the two retained scratch matrices; only
                 // the last layer writes the caller's slot.
-                let mut ping = std::mem::take(&mut self.scratch[0]);
-                let mut pong = std::mem::take(&mut self.scratch[1]);
+                let [mut ping, mut pong] = std::mem::take(&mut self.scratch);
                 self.layers[0].forward_into(x, mode, &mut ping);
                 for layer in &mut self.layers[1..n - 1] {
                     layer.forward_into(&ping, mode, &mut pong);
@@ -158,14 +169,27 @@ impl Module for Sequential {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        // ppgnn-analyze: allow(hot_path_alloc) -- seed of the by-value
-        // gradient chain threaded through the layers below.
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
+        let n = self.layers.len();
+        match n {
+            0 => {
+                grad_in.resize_to(grad_out.rows(), grad_out.cols());
+                grad_in.copy_from(grad_out);
+            }
+            1 => self.layers[0].backward_into(grad_out, grad_in),
+            _ => {
+                // The forward's ping-pong in reverse: only the first layer
+                // writes the caller's slot.
+                let [mut ping, mut pong] = std::mem::take(&mut self.scratch);
+                self.layers[n - 1].backward_into(grad_out, &mut ping);
+                for layer in self.layers[1..n - 1].iter_mut().rev() {
+                    layer.backward_into(&ping, &mut pong);
+                    std::mem::swap(&mut ping, &mut pong);
+                }
+                self.layers[0].backward_into(&ping, grad_in);
+                self.scratch = [ping, pong];
+            }
         }
-        grad
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

@@ -20,9 +20,8 @@ use crate::{Mode, Module, Param};
 ///
 /// **Retained.** The normalized-input cache ping-pongs between `cache`
 /// (armed by a training forward) and `cache_scratch` (handed back by
-/// `backward` or an eval forward), and the partial rows are kept, so
-/// steady-state forwards reuse one buffer set and a backward allocates
-/// only the input gradient it returns.
+/// `backward_into` or an eval forward), and the partial rows are kept, so
+/// steady-state steps reuse one buffer set and allocate nothing.
 #[derive(Debug)]
 pub struct LayerNorm {
     gamma: Param,
@@ -108,12 +107,6 @@ fn layer_norm_bwd(
 }
 
 impl Module for LayerNorm {
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let mut y = Matrix::default();
-        self.forward_into(x, mode, &mut y);
-        y
-    }
-
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
         assert_eq!(x.cols(), self.dim(), "LayerNorm dim mismatch");
         let (rows, d) = x.shape();
@@ -139,7 +132,7 @@ impl Module for LayerNorm {
         }
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         let cache = self
             .cache
             .take()
@@ -150,8 +143,7 @@ impl Module for LayerNorm {
             "grad_out shape mismatch"
         );
         let (rows, d) = grad_out.shape();
-        // ppgnn-analyze: allow(hot_path_alloc) -- by-value gradient result.
-        let mut gx = Matrix::zeros(rows, d);
+        grad_in.resize_to(rows, d);
         let per_param = row_block_count(rows) * d;
         self.partials.resize(2 * per_param, 0.0);
         let (pgamma, pbeta) = self.partials.split_at_mut(per_param);
@@ -162,7 +154,7 @@ impl Module for LayerNorm {
         );
         let gamma = self.gamma.value.row(0);
         let outs = [
-            BlockOut::rows(gx.as_mut_slice(), d),
+            BlockOut::rows(grad_in.as_mut_slice(), d),
             BlockOut::partial(pgamma, d),
             BlockOut::partial(pbeta, d),
         ];
@@ -175,7 +167,6 @@ impl Module for LayerNorm {
         add_partials(self.gamma.grad.row_mut(0), pgamma);
         add_partials(self.beta.grad.row_mut(0), pbeta);
         self.cache_scratch = Some(cache);
-        gx
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -195,7 +186,8 @@ pub struct BatchNorm1d {
     eps: f32,
     cache: Option<BnCache>,
     cache_scratch: Option<BnCache>,
-    /// Reusable per-feature batch-mean / batch-variance accumulators.
+    /// Reusable per-feature batch-mean / batch-variance accumulators, and
+    /// the backward's column sums.
     mean_scratch: Vec<f32>,
     var_scratch: Vec<f32>,
 }
@@ -233,12 +225,6 @@ impl BatchNorm1d {
 }
 
 impl Module for BatchNorm1d {
-    fn forward(&mut self, x: &Matrix, mode: Mode) -> Matrix {
-        let mut y = Matrix::default();
-        self.forward_into(x, mode, &mut y);
-        y
-    }
-
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
         assert_eq!(x.cols(), self.dim(), "BatchNorm1d dim mismatch");
         let (n, d) = x.shape();
@@ -338,7 +324,7 @@ impl Module for BatchNorm1d {
         self.cache = Some(cache);
     }
 
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    fn backward_into(&mut self, grad_out: &Matrix, grad_in: &mut Matrix) {
         let BnCache {
             normalized,
             inv_std,
@@ -353,14 +339,16 @@ impl Module for BatchNorm1d {
             "grad_out shape mismatch"
         );
         let (n, d) = normalized.shape();
-        // Disjoint-field borrow, as in LayerNorm::backward above.
+        // Disjoint-field borrow, as in LayerNorm::backward_into above.
         let gamma = self.gamma.value.row(0);
 
-        // ppgnn-analyze: allow(hot_path_alloc) -- d-length reduction
-        // buffers for the column sums.
-        let mut sum_g = vec![0.0f32; d];
-        // ppgnn-analyze: allow(hot_path_alloc) -- see above.
-        let mut sum_gx = vec![0.0f32; d];
+        // The column sums reuse the forward's batch-statistics buffers,
+        // which are dead once the forward returns.
+        let (sum_g, sum_gx) = (&mut self.mean_scratch, &mut self.var_scratch);
+        for sums in [&mut *sum_g, &mut *sum_gx] {
+            sums.clear();
+            sums.resize(d, 0.0);
+        }
         for r in 0..n {
             for k in 0..d {
                 let g = grad_out.get(r, k);
@@ -375,8 +363,8 @@ impl Module for BatchNorm1d {
             self.beta.grad.set(0, k, gb + sum_g[k]);
         }
 
-        // ppgnn-analyze: allow(hot_path_alloc) -- by-value gradient result.
-        let mut gx = Matrix::zeros(n, d);
+        let gx = grad_in;
+        gx.resize_to(n, d);
         if !used_batch_stats {
             // Running statistics were constants in this forward.
             for r in 0..n {
@@ -400,7 +388,6 @@ impl Module for BatchNorm1d {
             inv_std,
             used_batch_stats,
         });
-        gx
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
