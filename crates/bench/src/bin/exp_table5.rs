@@ -6,11 +6,13 @@
 //! Run with: `cargo run --release -p ppgnn-bench --bin exp_table5`
 
 use ppgnn_bench::exp::{make_sage, make_sampler, measured_mp_workload, paper_pp_workload, server};
-use ppgnn_bench::{prepared, print_markdown_table};
-use ppgnn_core::loader::{Loader, StorageChunkLoader};
+use ppgnn_bench::print_markdown_table;
+use ppgnn_core::loader::{Loader, ShardedStorageChunkLoader};
+use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_core::trainer::evaluate;
-use ppgnn_dataio::{AccessPath, FeatureStore};
+use ppgnn_dataio::{AccessPath, ShardedFeatureStore};
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
+use ppgnn_graph::Operator;
 use ppgnn_memsim::{mp_epoch, pp_epoch, LoaderGen, MpSystem, Placement};
 use ppgnn_models::{Hoga, MpModel, PpModel, Sign};
 use ppgnn_nn::{Adam, CrossEntropyLoss, Mode, Optimizer};
@@ -25,10 +27,11 @@ fn main() {
 
     // --- functional plane: real training from the on-disk store ---
     let profile = paper.scaled(0.05);
-    let (_, prep) = prepared(profile, hops, 42);
+    let data = SynthDataset::generate(profile, 42).expect("dataset generation succeeds");
     let dir = std::env::temp_dir().join(format!("ppgnn-t5-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    prep.write_store(&dir, profile.name, 256)
+    let (prep, _) = Preprocessor::new(vec![Operator::SymNorm], hops)
+        .run_with_sharded_store(&data, &dir, profile.name, 256)
         .expect("store written");
 
     let mut rows = Vec::new();
@@ -44,9 +47,9 @@ fn main() {
     ];
     for (name, model) in entries.iter_mut() {
         // Train 6 epochs *from disk* with chunk reshuffling.
-        let store = FeatureStore::open(&dir).expect("store reopens");
-        let mut loader =
-            StorageChunkLoader::new(store, prep.train.labels.clone(), 256, AccessPath::Direct, 3);
+        let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+        let labels = prep.train.labels.clone();
+        let mut loader = ShardedStorageChunkLoader::new(store, labels, 256, AccessPath::Direct, 3);
         let mut opt = Adam::new(3e-3);
         for _ in 0..6 {
             loader.start_epoch();

@@ -18,8 +18,8 @@
 //!   integration tests pin down):
 //!   baseline per-row assembly → fused gather → threaded double-buffer
 //!   prefetching → chunk reshuffling, plus the storage-backed chunk
-//!   loaders of Section 4.3 (single-store and sharded-store) — and the
-//!   generations compose: any storage loader can run behind the
+//!   loader of Section 4.3 (over a store of any partition count) — and
+//!   the generations compose: the storage loader can run behind the
 //!   double-buffer producer thread ([`loader::BatchSource`]);
 //! * [`trainer`] — SGD-RR / SGD-CR training loops with per-phase timing
 //!   (the functional-plane source of Figure 5) and convergence tracking

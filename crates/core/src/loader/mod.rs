@@ -12,11 +12,10 @@
 //! | 1 fused | [`FusedGatherLoader`] | one fused index op per batch into a reused staging buffer |
 //! | 2 prefetch | [`DoubleBufferLoader`] | producer thread + bounded(2) channel (the double buffer) |
 //! | 3 chunked | [`ChunkReshuffleLoader`] | chunk-level shuffle, contiguous chunk copies |
-//! | 3s storage | [`StorageChunkLoader`] | chunk reads from the on-disk feature store |
-//! | 3p sharded | [`ShardedStorageChunkLoader`] | chunk reads fanned out across partition stores |
+//! | 3p storage | [`ShardedStorageChunkLoader`] | chunk reads from the on-disk store, fanned out across its partition stores |
 //!
 //! Generations compose: [`DoubleBufferLoader::over_source`] runs any
-//! [`BatchSource`] (the storage-backed chunk loaders implement it) behind
+//! [`BatchSource`] (the storage chunk loader implements it) behind
 //! the gen-2 producer thread, so chunk I/O overlaps training compute.
 //!
 //! # Hop selection
@@ -31,7 +30,7 @@
 //! | [`DoubleBufferLoader::new`], [`ChunkReshuffleLoader::new`] | all `R + 1` | — |
 //! | `….reading(&model.hops_read())` | the listed hops; the rest arrive `0 × 0` at their index | `Trainer::fit` |
 //! | [`BaselineLoader`], [`FusedGatherLoader`] | all `R + 1` (reference generations) | — |
-//! | storage loaders, [`DoubleBufferLoader::over_source`] | all `R + 1` (no workload trains a hop-selective model from a store) | — |
+//! | [`ShardedStorageChunkLoader`], [`DoubleBufferLoader::over_source`] | all `R + 1` (no workload trains a hop-selective model from a store) | — |
 //!
 //! Selection never changes batch order, `indices` or `labels` for a seed,
 //! `PpBatch::hops.len()` stays `R + 1`, and [`LoaderCounters`] count only
@@ -49,7 +48,6 @@ pub use chunk::ChunkReshuffleLoader;
 pub use fused::FusedGatherLoader;
 pub use prefetch::DoubleBufferLoader;
 pub use sharded::ShardedStorageChunkLoader;
-pub use storage::StorageChunkLoader;
 
 use ppgnn_dataio::DataIoError;
 
@@ -135,7 +133,7 @@ pub trait Loader {
 /// [`DoubleBufferLoader`] producer thread.
 ///
 /// This is the composition seam between the generation-2 prefetch
-/// pipeline and the generation-3 storage loaders: the producer thread
+/// pipeline and the generation-3 storage loader: the producer thread
 /// drives `try_next_batch` and forwards each `Result` over the bounded
 /// channel, so storage errors propagate batch-by-batch instead of killing
 /// the producer. Implementations must be `Send` (the source crosses into
@@ -169,13 +167,12 @@ pub(crate) struct PendingChunk {
     pub(crate) hops: Vec<Matrix>,
 }
 
-/// Carries rows across batch boundaries for the chunk-reading storage
-/// loaders, so `batch_size` need not divide `chunk_size`: read chunks sit
-/// untouched in a deque and a row cursor walks the front chunk, so
-/// assembling a batch copies exactly `batch_size` rows — never the whole
-/// pending buffer (the O(pending²) re-stacking bug class this machinery
-/// replaced). Shared by [`StorageChunkLoader`] and
-/// [`ShardedStorageChunkLoader`] so a fix lands in both.
+/// Carries rows across batch boundaries for the storage chunk loader
+/// ([`ShardedStorageChunkLoader`]), so `batch_size` need not divide
+/// `chunk_size`: read chunks sit untouched in a deque and a row cursor
+/// walks the front chunk, so assembling a batch copies exactly
+/// `batch_size` rows — never the whole pending buffer (the O(pending²)
+/// re-stacking bug class this machinery replaced).
 #[derive(Debug, Default)]
 pub(crate) struct ChunkBatcher {
     pending: std::collections::VecDeque<PendingChunk>,

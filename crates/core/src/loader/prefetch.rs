@@ -25,10 +25,9 @@ use crate::preprocess::PrepropFeatures;
 ///   over a resident [`PrepropFeatures`], exactly like generation 1);
 /// * [`DoubleBufferLoader::over_source`] — **any [`BatchSource`]**, which
 ///   is how gen-2 pipelining composes with gen-3 storage I/O: a
-///   [`crate::loader::StorageChunkLoader`] or
 ///   [`crate::loader::ShardedStorageChunkLoader`] runs on the producer
-///   thread, so chunk reads from the (sharded) feature store overlap
-///   training compute. The source crosses into the producer thread each
+///   thread, so chunk reads from the feature store overlap training
+///   compute. The source crosses into the producer thread each
 ///   epoch and is handed back when the epoch ends.
 ///
 /// Producer-side failures are not silent: the channel carries
@@ -38,7 +37,7 @@ use crate::preprocess::PrepropFeatures;
 /// [`DoubleBufferLoader::try_next_batch`] reports it, the infallible
 /// [`Loader`] API ends the epoch, and [`Loader::take_error`] hands the
 /// message to the trainer — the same contract as
-/// [`crate::loader::StorageChunkLoader`].
+/// [`crate::loader::ShardedStorageChunkLoader`].
 #[derive(Debug)]
 pub struct DoubleBufferLoader {
     producer: ProducerKind,
@@ -350,8 +349,8 @@ impl Drop for DoubleBufferLoader {
 mod tests {
     use super::*;
     use crate::loader::tests_support::tiny_features;
-    use crate::loader::{FusedGatherLoader, StorageChunkLoader};
-    use ppgnn_dataio::{AccessPath, FeatureStoreWriter, StoreMeta};
+    use crate::loader::{FusedGatherLoader, ShardedStorageChunkLoader};
+    use ppgnn_dataio::{AccessPath, FeatureStoreWriter, ShardedFeatureStore, StoreMeta};
 
     #[test]
     fn identical_stream_to_fused_for_equal_seed() {
@@ -487,10 +486,10 @@ mod tests {
         dir
     }
 
-    fn storage_source(dir: &std::path::Path, batch: usize, seed: u64) -> StorageChunkLoader {
-        let store = ppgnn_dataio::FeatureStore::open(dir).unwrap();
+    fn storage_source(dir: &std::path::Path, batch: usize, seed: u64) -> ShardedStorageChunkLoader {
+        let store = ShardedFeatureStore::open(dir).unwrap();
         let labels: Vec<u32> = (0..store.meta().rows).map(|r| (r % 3) as u32).collect();
-        StorageChunkLoader::new(store, labels, batch, AccessPath::Direct, seed)
+        ShardedStorageChunkLoader::new(store, labels, batch, AccessPath::Direct, seed)
     }
 
     #[test]

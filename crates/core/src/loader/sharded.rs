@@ -6,23 +6,25 @@ use crate::loader::{
     permutation, BatchSource, ChunkBatcher, Loader, LoaderCounters, PendingChunk, PpBatch,
 };
 
-/// Generation 3p: chunk-reshuffled loading from a **sharded** feature
-/// store — the serving side of partition-parallel preprocessing.
+/// Generation 3p: chunk-reshuffled loading **directly from storage**
+/// (Section 4.3) — the one storage loader, over a [`ShardedFeatureStore`]
+/// of any partition count (a plain store directory opens as one).
 ///
 /// The work list is every `(partition, chunk)` pair across the partition
 /// stores, shuffled each epoch; each unit of work is one sequential
-/// [`ShardedFeatureStore::read_chunk_all_hops`] against a single partition
-/// store, so training-time I/O fans out over the per-partition files
-/// instead of serializing on one. Batch `indices` are **global** training
-/// rows (resolved through the store's row mapping), so the batch stream is
-/// drop-in for the trainer: same labels, same feature bytes per row as the
-/// single-store [`crate::loader::StorageChunkLoader`] — and with a single
-/// partition, exactly the same stream for equal seeds.
+/// request per hop file ([`ShardedFeatureStore::read_chunk_all_hops`]),
+/// so training-time I/O fans out over the per-partition files instead of
+/// serializing on one. The [`AccessPath`] selects the GPUDirect analog or
+/// the host bounce buffer. Batch `indices` are **global** training rows,
+/// so the stream is drop-in for the trainer; with one partition it is the
+/// in-memory [`crate::loader::ChunkReshuffleLoader`]'s stream for equal
+/// seeds and chunk size. Rows carry across batch boundaries
+/// ([`ChunkBatcher`]), so `batch_size` need not divide `chunk_size`.
 ///
-/// Error handling follows the storage loader's contract: the first I/O
-/// failure latches the epoch, [`ShardedStorageChunkLoader::try_next_batch`]
-/// reports it, the infallible [`Loader`] API ends the epoch, and
-/// [`Loader::take_error`] hands the message to the trainer.
+/// The first I/O failure latches the epoch:
+/// [`ShardedStorageChunkLoader::try_next_batch`] reports it until
+/// [`Loader::start_epoch`], the infallible [`Loader`] API ends the epoch,
+/// and [`Loader::take_error`] hands the message to the trainer.
 #[derive(Debug)]
 pub struct ShardedStorageChunkLoader {
     store: ShardedFeatureStore,
@@ -144,8 +146,8 @@ impl ShardedStorageChunkLoader {
 impl Loader for ShardedStorageChunkLoader {
     fn start_epoch(&mut self) {
         // (partition, chunk) pairs in canonical order, then one shared
-        // Fisher–Yates shuffle — with a single partition this reduces to
-        // exactly the StorageChunkLoader chunk order for equal seeds.
+        // Fisher–Yates shuffle — with a single partition this is the
+        // chunk order of every chunk-shuffled loader for equal seeds.
         let pairs: Vec<(usize, usize)> = (0..self.store.num_partitions())
             .flat_map(|p| (0..self.store.num_chunks(p)).map(move |c| (p, c)))
             .collect();
@@ -207,6 +209,7 @@ mod tests {
     use ppgnn_dataio::{ShardedStoreWriter, StoreMeta};
     use ppgnn_tensor::Matrix;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ppgnn-shl-{tag}-{}", std::process::id()));
@@ -240,84 +243,152 @@ mod tests {
         for k in 0..=hops {
             let hop = Matrix::from_fn(rows, 3, move |r, c| (k * 1_000_000 + r * 1_000 + c) as f32);
             for (p, globals) in assignment.iter().enumerate() {
-                w.submit(p, k, hop.gather_rows(globals)).unwrap();
+                w.submit(p, k, Arc::new(hop.gather_rows(globals))).unwrap();
             }
         }
         (w.finish().unwrap(), dir)
     }
 
-    #[test]
-    fn covers_every_global_row_once_with_correct_contents() {
-        let (store, dir) = build("cover", 25, 1, 4, 3);
-        let labels: Vec<u32> = (0..25).map(|r| (r % 3) as u32).collect();
-        let mut l = ShardedStorageChunkLoader::new(store, labels, 7, AccessPath::Direct, 0);
+    /// Labels of the fixture rows: `r % 3`.
+    fn labels(rows: usize) -> Vec<u32> {
+        (0..rows).map(|r| (r % 3) as u32).collect()
+    }
+
+    /// Drains one epoch, checking every row's first and last hop and its
+    /// label, and returns the batch sizes and the rows seen (sorted).
+    fn drain_checked(l: &mut ShardedStorageChunkLoader) -> (Vec<usize>, Vec<usize>) {
         l.start_epoch();
-        let mut seen = Vec::new();
+        let (mut sizes, mut seen) = (Vec::new(), Vec::new());
         while let Some(b) = l.next_batch() {
+            let k = b.hops.len() - 1;
             for (r, &idx) in b.indices.iter().enumerate() {
                 assert_eq!(b.hops[0].row(r)[0], (idx * 1000) as f32);
-                assert_eq!(b.hops[1].row(r)[2], (1_000_000 + idx * 1000 + 2) as f32);
+                assert_eq!(b.hops[k].row(r)[2], (k * 1_000_000 + idx * 1000 + 2) as f32);
                 assert_eq!(b.labels[r], (idx % 3) as u32);
             }
+            sizes.push(b.len());
             seen.extend(b.indices);
         }
         seen.sort_unstable();
-        assert_eq!(seen, (0..25).collect::<Vec<_>>());
-        std::fs::remove_dir_all(&dir).unwrap();
+        (sizes, seen)
+    }
+
+    #[test]
+    fn covers_every_global_row_once_with_correct_contents() {
+        // (rows, chunk, batch): chunks dividing neither the rows nor the
+        // batch, a batch not dividing the chunk (rows carry over), and a
+        // short last chunk in every partition that batches straddle.
+        for (rows, chunk, batch) in [(25, 4, 7), (20, 6, 7), (23, 5, 4)] {
+            for parts in [1, 3] {
+                let tag = format!("cover-{rows}-{parts}");
+                let (store, dir) = build(&tag, rows, 1, chunk, parts);
+                let mut l = ShardedStorageChunkLoader::new(
+                    store,
+                    labels(rows),
+                    batch,
+                    AccessPath::Direct,
+                    0,
+                );
+                let (sizes, seen) = drain_checked(&mut l);
+                let mut want = vec![batch; rows / batch];
+                want.extend((rows % batch > 0).then_some(rows % batch));
+                assert_eq!(sizes, want, "{tag}");
+                assert_eq!(seen, (0..rows).collect::<Vec<_>>(), "{tag}");
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]
     fn reads_fan_out_across_partitions_sequentially() {
-        let (store, dir) = build("fanout", 32, 1, 4, 2);
-        let labels = vec![0u32; 32];
-        let mut l = ShardedStorageChunkLoader::new(store, labels, 8, AccessPath::Direct, 1);
-        assert_eq!(l.num_partitions(), 2);
-        l.start_epoch();
-        while l.next_batch().is_some() {}
-        let io = l.io_counters();
-        assert_eq!(io.rand_requests, 0);
-        // 4 chunks per partition × 2 partitions × 2 hop files.
-        assert_eq!(io.seq_requests, 16);
-        assert_eq!(io.seq_bytes, (32 * 3 * 4 * 2) as u64);
-        std::fs::remove_dir_all(&dir).unwrap();
+        // (rows, chunk, batch, path): the bounce path copies every byte
+        // read once more, and a chunk far larger than the batch is still
+        // read — and assembled — exactly once.
+        let cases = [
+            (32, 4, 8, AccessPath::Direct),
+            (16, 4, 4, AccessPath::HostBounce),
+            (64, 64, 3, AccessPath::Direct),
+        ];
+        for (rows, chunk, batch, path) in cases {
+            for parts in [1, 3] {
+                let tag = format!("fanout-{rows}-{parts}");
+                let (store, dir) = build(&tag, rows, 2, chunk, parts);
+                let mut l = ShardedStorageChunkLoader::new(store, labels(rows), batch, path, 1);
+                assert_eq!(l.num_partitions(), parts);
+                drain_checked(&mut l);
+                // One request per hop file per chunk of each partition.
+                let chunks: usize = (0..parts)
+                    .map(|p| ((rows + parts - 1 - p) / parts).div_ceil(chunk))
+                    .sum();
+                let bytes = (rows * 3 * 4 * 3) as u64;
+                let (io, c) = (l.io_counters(), l.counters());
+                assert_eq!(io.rand_requests, 0, "{tag}");
+                assert_eq!(io.seq_requests, chunks as u64 * 3, "{tag}");
+                assert_eq!(io.seq_bytes, bytes, "{tag}");
+                let bounced = u64::from(path == AccessPath::HostBounce) * bytes;
+                assert_eq!(io.bounce_bytes, bounced, "{tag}");
+                assert_eq!(
+                    (c.gather_ops, c.bytes_assembled),
+                    (io.seq_requests, bytes),
+                    "{tag}"
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]
     fn truncated_partition_store_fails_the_epoch_cleanly() {
-        let (store, dir) = build("trunc", 24, 1, 4, 2);
-        let labels = vec![0u32; 24];
-        let mut l = ShardedStorageChunkLoader::new(store, labels, 4, AccessPath::Direct, 6);
-        l.start_epoch();
-        assert!(l.next_batch().is_some());
-        let path = dir.join("part_1").join("hop_1.ppgt");
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let mut emitted = 1;
-        while l.next_batch().is_some() {
-            emitted += 1;
+        for parts in [1, 2] {
+            let (store, dir) = build(&format!("trunc-{parts}"), 24, 1, 4, parts);
+            let mut l = ShardedStorageChunkLoader::new(store, labels(24), 4, AccessPath::Direct, 6);
+            l.start_epoch();
+            assert!(l.next_batch().is_some());
+            // Truncate a hop file mid-epoch: some future chunk read fails.
+            let path = dir.join(format!("part_{}", parts - 1)).join("hop_1.ppgt");
+            let full = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &full[..full.len() / 2]).unwrap();
+            // The infallible path ends the epoch instead of panicking, and
+            // parks the error for the trainer, once.
+            let mut emitted = 1;
+            while l.next_batch().is_some() {
+                emitted += 1;
+            }
+            assert!(
+                emitted < l.num_batches(),
+                "P={parts}: epoch should end early"
+            );
+            assert!(l.take_error().is_some(), "error must surface");
+            assert!(l.take_error().is_none(), "take_error drains the slot");
+            // Latched until the next start_epoch: a retry must not resume
+            // past the failed chunk and silently drop its rows.
+            assert!(l.try_next_batch().is_err());
+            assert!(l.next_batch().is_none());
+            // A fresh epoch starts clean; the fallible path then reports
+            // the still-truncated file directly.
+            l.start_epoch();
+            assert!(l.take_error().is_none());
+            let mut result = l.try_next_batch();
+            while let Ok(Some(_)) = result {
+                result = l.try_next_batch();
+            }
+            assert!(result.is_err(), "P={parts}: truncated read must surface");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        assert!(emitted < l.num_batches(), "epoch should end early");
-        assert!(
-            l.take_error().is_some(),
-            "error must surface to the trainer"
-        );
-        // Latched until the next start_epoch.
-        assert!(l.try_next_batch().is_err());
-        l.start_epoch();
-        assert!(l.take_error().is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn epochs_reshuffle_the_partition_chunk_order() {
-        let (store, dir) = build("shuffle", 64, 0, 4, 2);
-        let labels = vec![0u32; 64];
-        let mut l = ShardedStorageChunkLoader::new(store, labels, 64, AccessPath::Direct, 4);
-        l.start_epoch();
-        let e1 = l.next_batch().unwrap().indices;
-        l.start_epoch();
-        let e2 = l.next_batch().unwrap().indices;
-        assert_ne!(e1, e2);
-        std::fs::remove_dir_all(&dir).unwrap();
+        for parts in [1, 2] {
+            let (store, dir) = build(&format!("shuffle-{parts}"), 64, 0, 4, parts);
+            let mut l =
+                ShardedStorageChunkLoader::new(store, labels(64), 64, AccessPath::Direct, 4);
+            l.start_epoch();
+            let e1 = l.next_batch().unwrap().indices;
+            l.start_epoch();
+            let e2 = l.next_batch().unwrap().indices;
+            assert_ne!(e1, e2, "P={parts}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

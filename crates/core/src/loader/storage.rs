@@ -1,215 +1,30 @@
-use ppgnn_dataio::{AccessPath, DataIoError, FeatureStore};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::loader::{
-    permutation, BatchSource, ChunkBatcher, Loader, LoaderCounters, PendingChunk, PpBatch,
-};
-
-/// Generation 3s: chunk-reshuffled loading **directly from storage**
-/// (Section 4.3).
-///
-/// Reads whole chunks from the on-disk [`FeatureStore`] in a shuffled chunk
-/// order — each chunk is one sequential request per hop file, the access
-/// pattern that keeps SSD throughput near its sequential ceiling. The
-/// [`AccessPath`] selects the GPUDirect analog ([`AccessPath::Direct`]) or
-/// the conventional host bounce buffer.
-///
-/// The loader carries rows across batch boundaries so `batch_size` need not
-/// divide `chunk_size`: read chunks sit untouched in the shared
-/// [`ChunkBatcher`] deque and a row cursor walks the front chunk, so
-/// assembling a batch copies exactly `batch_size` rows — never the whole
-/// pending buffer. (The previous implementation `vstack`ed every refill and
-/// re-sliced the remainder every batch: O(pending²) traffic when
-/// `chunk_size ≫ batch_size`.)
-///
-/// I/O failures mid-epoch are surfaced through
-/// [`StorageChunkLoader::try_next_batch`]; the infallible [`Loader`] API
-/// ends the epoch and parks the error for [`Loader::take_error`], which the
-/// trainer checks after draining — a truncated store file fails the epoch
-/// cleanly instead of aborting the process.
-#[derive(Debug)]
-pub struct StorageChunkLoader {
-    store: FeatureStore,
-    labels: Vec<u32>,
-    batch_size: usize,
-    path: AccessPath,
-    rng: StdRng,
-    chunk_order: Vec<usize>,
-    next_chunk: usize,
-    /// Chunks read but not fully emitted, in emit order.
-    batcher: ChunkBatcher,
-    /// First I/O error of the epoch, parked for [`Loader::take_error`].
-    error: Option<DataIoError>,
-    /// Latched on the first I/O failure and cleared only by
-    /// [`Loader::start_epoch`]: a failed epoch must not resume past the
-    /// failed chunk and silently drop its rows.
-    failed: bool,
-    counters: LoaderCounters,
-}
-
-impl StorageChunkLoader {
-    /// Creates a storage-backed loader over `store`.
-    ///
-    /// `labels[i]` must be the label of store row `i` (training order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0` or `labels.len()` disagrees with the
-    /// store's row count.
-    pub fn new(
-        store: FeatureStore,
-        labels: Vec<u32>,
-        batch_size: usize,
-        path: AccessPath,
-        seed: u64,
-    ) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert_eq!(
-            labels.len(),
-            store.meta().rows,
-            "one label per stored row required"
-        );
-        StorageChunkLoader {
-            store,
-            labels,
-            batch_size,
-            path,
-            rng: StdRng::seed_from_u64(seed),
-            chunk_order: Vec::new(),
-            next_chunk: 0,
-            batcher: ChunkBatcher::default(),
-            error: None,
-            failed: false,
-            counters: LoaderCounters::default(),
-        }
-    }
-
-    /// I/O counters of the underlying store (sequential vs random reads).
-    pub fn io_counters(&self) -> ppgnn_dataio::IoCounters {
-        self.store.counters()
-    }
-
-    fn refill(&mut self) -> Result<bool, DataIoError> {
-        if self.next_chunk >= self.chunk_order.len() {
-            return Ok(false);
-        }
-        let chunk_id = self.chunk_order[self.next_chunk];
-        self.next_chunk += 1;
-        let start_row = chunk_id * self.store.meta().chunk_size;
-        let hops = self.store.read_chunk_all_hops(chunk_id, self.path)?;
-        self.counters.gather_ops += hops.len() as u64;
-        self.counters.bytes_assembled += hops.iter().map(|m| m.size_bytes() as u64).sum::<u64>();
-        let rows = (start_row..start_row + hops[0].rows()).collect();
-        self.batcher.push(PendingChunk { rows, hops });
-        Ok(true)
-    }
-
-    /// Fallible batch path: `Ok(None)` ends the epoch, `Err` surfaces the
-    /// first storage failure. The failure is latched: every further call
-    /// keeps returning `Err` until [`Loader::start_epoch`], so a retrying
-    /// caller cannot resume past the failed chunk and silently train on an
-    /// epoch with missing rows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DataIoError`] from chunk reads — e.g. a store file
-    /// truncated after the epoch started.
-    pub fn try_next_batch(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        if self.failed {
-            return Err(self.error.clone().unwrap_or_else(|| {
-                DataIoError::Io("epoch already failed; start_epoch required".into())
-            }));
-        }
-        while self.batcher.pending_rows() < self.batch_size {
-            match self.refill() {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(e) => {
-                    self.failed = true;
-                    self.error = Some(e.clone());
-                    return Err(e);
-                }
-            }
-        }
-        if self.batcher.pending_rows() == 0 {
-            return Ok(None);
-        }
-        let take = self.batch_size.min(self.batcher.pending_rows());
-        let (hops, indices) =
-            self.batcher
-                .assemble(take, self.store.meta().num_hops, self.store.meta().cols);
-        let labels = indices.iter().map(|&i| self.labels[i]).collect();
-        self.counters.batches += 1;
-        Ok(Some(PpBatch {
-            indices,
-            hops,
-            labels,
-        }))
-    }
-}
-
-impl Loader for StorageChunkLoader {
-    fn start_epoch(&mut self) {
-        let num_chunks = self.store.meta().num_chunks();
-        self.chunk_order = permutation(num_chunks, &mut self.rng);
-        self.next_chunk = 0;
-        self.batcher.reset();
-        self.error = None;
-        self.failed = false;
-    }
-
-    fn next_batch(&mut self) -> Option<PpBatch> {
-        if self.failed {
-            return None;
-        }
-        // An Err is latched by try_next_batch and parked for take_error.
-        self.try_next_batch().unwrap_or_default()
-    }
-
-    fn num_batches(&self) -> usize {
-        self.store.meta().rows.div_ceil(self.batch_size)
-    }
-
-    fn counters(&self) -> LoaderCounters {
-        self.counters
-    }
-
-    fn take_error(&mut self) -> Option<String> {
-        self.error.take().map(|e| e.to_string())
-    }
-
-    fn name(&self) -> &'static str {
-        "storage-chunk"
-    }
-}
-
-impl BatchSource for StorageChunkLoader {
-    fn begin_epoch(&mut self) {
-        Loader::start_epoch(self)
-    }
-
-    fn try_next(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        StorageChunkLoader::try_next_batch(self)
-    }
-
-    fn batches_per_epoch(&self) -> usize {
-        Loader::num_batches(self)
-    }
-
-    fn source_counters(&self) -> LoaderCounters {
-        Loader::counters(self)
-    }
-}
+//! The single-store storage regime (Section 4.3): a plain chunked store
+//! directory, as [`ppgnn_dataio::FeatureStoreWriter`] leaves it, opened by
+//! [`ShardedFeatureStore::open`] as one partition with the identity row map
+//! and read back in shuffled chunks by [`ShardedStorageChunkLoader`].
+//!
+//! The sharded loader's own tests build their stores with a sharded
+//! manifest; these pin the plain-directory layout, whose rows are the
+//! store's own rows in order.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ppgnn_dataio::{FeatureStoreWriter, StoreMeta};
-    use ppgnn_tensor::Matrix;
     use std::path::PathBuf;
 
-    fn build_store(tag: &str, rows: usize, hops: usize, chunk: usize) -> (FeatureStore, PathBuf) {
+    use ppgnn_dataio::{AccessPath, FeatureStoreWriter, ShardedFeatureStore, StoreMeta};
+    use ppgnn_tensor::Matrix;
+
+    use crate::loader::{Loader, ShardedStorageChunkLoader};
+
+    /// A plain store of `rows × 3` hops valued `k·10⁶ + r·10³ + c`, opened
+    /// as one partition behind a loader whose label of row `r` is `r % 3`.
+    fn loader(
+        tag: &str,
+        (rows, hops, chunk): (usize, usize, usize),
+        batch: usize,
+        path: AccessPath,
+        seed: u64,
+    ) -> (ShardedStorageChunkLoader, PathBuf) {
         let dir = std::env::temp_dir().join(format!("ppgnn-sl-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let meta = StoreMeta {
@@ -225,36 +40,44 @@ mod tests {
             let m = Matrix::from_fn(rows, 3, move |r, c| (k * 1_000_000 + r * 1_000 + c) as f32);
             w.write_hop(k, &m).unwrap();
         }
-        (w.finish().unwrap(), dir)
+        w.finish().unwrap();
+        let store = ShardedFeatureStore::open(&dir).unwrap();
+        assert_eq!(store.num_partitions(), 1);
+        let labels = (0..rows).map(|r| (r % 3) as u32).collect();
+        let l = ShardedStorageChunkLoader::new(store, labels, batch, path, seed);
+        (l, dir)
+    }
+
+    /// Drains one epoch, checking every row's first and last hop and its
+    /// label, and returns the batch sizes and the rows seen (sorted).
+    fn drain(l: &mut ShardedStorageChunkLoader) -> (Vec<usize>, Vec<usize>) {
+        l.start_epoch();
+        let (mut sizes, mut seen) = (Vec::new(), Vec::new());
+        while let Some(b) = l.next_batch() {
+            let k = b.hops.len() - 1;
+            for (r, &idx) in b.indices.iter().enumerate() {
+                assert_eq!(b.hops[0].row(r)[0], (idx * 1000) as f32);
+                assert_eq!(b.hops[k].row(r)[2], (k * 1_000_000 + idx * 1000 + 2) as f32);
+                assert_eq!(b.labels[r], (idx % 3) as u32);
+            }
+            sizes.push(b.len());
+            seen.extend(b.indices);
+        }
+        seen.sort_unstable();
+        (sizes, seen)
     }
 
     #[test]
     fn covers_every_row_once_with_correct_contents() {
-        let (store, dir) = build_store("cover", 25, 1, 4);
-        let labels: Vec<u32> = (0..25).map(|r| (r % 3) as u32).collect();
-        let mut l = StorageChunkLoader::new(store, labels, 7, AccessPath::Direct, 0);
-        l.start_epoch();
-        let mut seen = Vec::new();
-        while let Some(b) = l.next_batch() {
-            for (r, &idx) in b.indices.iter().enumerate() {
-                assert_eq!(b.hops[0].row(r)[0], (idx * 1000) as f32);
-                assert_eq!(b.hops[1].row(r)[0], (1_000_000 + idx * 1000) as f32);
-                assert_eq!(b.labels[r], (idx % 3) as u32);
-            }
-            seen.extend(b.indices);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..25).collect::<Vec<_>>());
+        let (mut l, dir) = loader("cover", (25, 1, 4), 7, AccessPath::Direct, 0);
+        assert_eq!(drain(&mut l).1, (0..25).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reads_are_sequential_chunks_not_random_rows() {
-        let (store, dir) = build_store("seq", 32, 2, 8);
-        let labels = vec![0u32; 32];
-        let mut l = StorageChunkLoader::new(store, labels, 8, AccessPath::Direct, 1);
-        l.start_epoch();
-        while l.next_batch().is_some() {}
+        let (mut l, dir) = loader("seq", (32, 2, 8), 8, AccessPath::Direct, 1);
+        drain(&mut l);
         let io = l.io_counters();
         assert_eq!(io.rand_requests, 0);
         assert_eq!(io.seq_requests, 4 * 3); // chunks × hop files
@@ -264,11 +87,8 @@ mod tests {
 
     #[test]
     fn bounce_path_counts_extra_copies() {
-        let (store, dir) = build_store("bounce", 16, 0, 4);
-        let labels = vec![0u32; 16];
-        let mut l = StorageChunkLoader::new(store, labels, 4, AccessPath::HostBounce, 2);
-        l.start_epoch();
-        while l.next_batch().is_some() {}
+        let (mut l, dir) = loader("bounce", (16, 0, 4), 4, AccessPath::HostBounce, 2);
+        drain(&mut l);
         let io = l.io_counters();
         assert_eq!(io.bounce_bytes, io.seq_bytes);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -276,13 +96,10 @@ mod tests {
 
     #[test]
     fn batch_size_not_dividing_chunk_size_carries_rows_over() {
-        let (store, dir) = build_store("carry", 20, 0, 6);
-        let labels = vec![0u32; 20];
-        let mut l = StorageChunkLoader::new(store, labels, 7, AccessPath::Direct, 3);
-        l.start_epoch();
-        let sizes: Vec<usize> = std::iter::from_fn(|| l.next_batch().map(|b| b.len())).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 20);
+        let (mut l, dir) = loader("carry", (20, 0, 6), 7, AccessPath::Direct, 3);
+        let (sizes, seen) = drain(&mut l);
         assert_eq!(sizes, vec![7, 7, 6]);
+        assert_eq!(seen, (0..20).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -290,21 +107,9 @@ mod tests {
     fn chunk_size_not_dividing_rows_emits_short_last_chunk_rows() {
         // 23 rows / chunk 5 → chunks of 5,5,5,5,3; batch 4 crosses every
         // chunk boundary including the short tail.
-        let (store, dir) = build_store("shortlast", 23, 1, 5);
-        let labels: Vec<u32> = (0..23).map(|r| (r % 4) as u32).collect();
-        let mut l = StorageChunkLoader::new(store, labels, 4, AccessPath::Direct, 9);
-        l.start_epoch();
-        let mut seen = Vec::new();
-        let mut sizes = Vec::new();
-        while let Some(b) = l.next_batch() {
-            for (r, &idx) in b.indices.iter().enumerate() {
-                assert_eq!(b.hops[1].row(r)[2], (1_000_000 + idx * 1000 + 2) as f32);
-            }
-            sizes.push(b.len());
-            seen.extend(b.indices);
-        }
+        let (mut l, dir) = loader("shortlast", (23, 1, 5), 4, AccessPath::Direct, 9);
+        let (sizes, seen) = drain(&mut l);
         assert_eq!(sizes, vec![4, 4, 4, 4, 4, 3]);
-        seen.sort_unstable();
         assert_eq!(seen, (0..23).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -314,15 +119,8 @@ mod tests {
         // chunk_size ≫ batch_size: the O(pending²) regression scenario.
         // Counter semantics: bytes_assembled counts chunk reads, so it must
         // equal the store payload exactly once — no re-stacking traffic.
-        let (store, dir) = build_store("bigchunk", 64, 1, 64);
-        let labels = vec![0u32; 64];
-        let mut l = StorageChunkLoader::new(store, labels, 3, AccessPath::Direct, 5);
-        l.start_epoch();
-        let mut total_rows = 0;
-        while let Some(b) = l.next_batch() {
-            total_rows += b.len();
-        }
-        assert_eq!(total_rows, 64);
+        let (mut l, dir) = loader("bigchunk", (64, 1, 64), 3, AccessPath::Direct, 5);
+        assert_eq!(drain(&mut l).0.iter().sum::<usize>(), 64);
         assert_eq!(l.counters().bytes_assembled, (64 * 3 * 4 * 2) as u64);
         assert_eq!(l.counters().gather_ops, 2); // one read per hop file
         std::fs::remove_dir_all(&dir).unwrap();
@@ -330,9 +128,7 @@ mod tests {
 
     #[test]
     fn epochs_reshuffle_chunk_order() {
-        let (store, dir) = build_store("shuffle", 64, 0, 4);
-        let labels = vec![0u32; 64];
-        let mut l = StorageChunkLoader::new(store, labels, 64, AccessPath::Direct, 4);
+        let (mut l, dir) = loader("shuffle", (64, 0, 4), 64, AccessPath::Direct, 4);
         l.start_epoch();
         let e1 = l.next_batch().unwrap().indices;
         l.start_epoch();
@@ -343,12 +139,9 @@ mod tests {
 
     #[test]
     fn truncated_store_fails_the_epoch_cleanly() {
-        let (store, dir) = build_store("trunc", 32, 1, 4);
-        let labels = vec![0u32; 32];
-        let mut l = StorageChunkLoader::new(store, labels, 4, AccessPath::Direct, 6);
+        let (mut l, dir) = loader("trunc", (32, 1, 4), 4, AccessPath::Direct, 6);
         l.start_epoch();
-        let first = l.next_batch();
-        assert!(first.is_some());
+        assert!(l.next_batch().is_some());
         // Truncate hop 1 mid-epoch: some future chunk read must fail.
         let path = dir.join("hop_1.ppgt");
         let full = std::fs::read(&path).unwrap();

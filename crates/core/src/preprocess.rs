@@ -5,27 +5,28 @@
 //! contiguous row ranges of the diffusion buffers; a group of operators
 //! diffuses side by side, its passes cut into node-range **shards**
 //! ([`ppgnn_graph::ShardPlan`]) submitted as tasks to the shared worker
-//! pool; finished hops are persisted through an asynchronous
-//! double-buffered writer thread ([`ppgnn_dataio::AsyncHopWriter`]) so hop
-//! `r + 1` diffusion overlaps hop `r` storage I/O. Every schedule is
-//! bit-for-bit equivalent to the sequential path in node-id order (pinned
-//! by `tests/shard_equivalence.rs`).
+//! pool; finished hops are persisted through asynchronous double-buffered
+//! writer threads ([`ppgnn_dataio::AsyncHopWriter`]) so hop `r + 1`
+//! diffusion overlaps hop `r` storage I/O. Every schedule is bit-for-bit
+//! equivalent to the sequential path in node-id order (pinned by
+//! `tests/shard_equivalence.rs`).
 //!
-//! There is one engine. A **sharded store**
-//! ([`Preprocessor::run_with_sharded_store`]) is a layout of its train
-//! hop, not a second diffusion: a [`ppgnn_graph::PartitionPlan`] decides
-//! which partition store each training row lands in, and each finished
-//! train hop is split by that plan and written through one async writer
-//! per partition under a [`ppgnn_dataio::ShardedStoreManifest`] — every
-//! stored row byte-identical to the single-store layout (pinned by
+//! There is one engine and one store path. [`Preprocessor::run`] keeps
+//! everything in memory; [`Preprocessor::run_with_sharded_store`] also
+//! writes the train hops to a store, as a layout of the same engine's
+//! output rather than a second diffusion: a [`ppgnn_graph::PartitionPlan`]
+//! decides which partition store each training row lands in (one
+//! partition by default), and each finished train hop is split by that
+//! plan and written through one async writer per partition under a
+//! [`ppgnn_dataio::ShardedStoreManifest`] — every stored row
+//! byte-identical to a plain store of `run`'s train hops (pinned by
 //! `tests/partition_equivalence.rs`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use ppgnn_dataio::{
-    AsyncHopWriter, DataIoError, FeatureStore, ShardedFeatureStore, ShardedStoreWriter, StoreMeta,
-    DEFAULT_WRITER_QUEUE,
+    DataIoError, ShardedFeatureStore, ShardedStoreWriter, StoreMeta, DEFAULT_WRITER_QUEUE,
 };
 use ppgnn_graph::synth::SynthDataset;
 use ppgnn_graph::{NodeOrder, Operator, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr};
@@ -309,7 +310,7 @@ impl Preprocessor {
     /// into, one per disjoint graph partition of the node space.
     ///
     /// `1` gives one partition store whose hop files are byte-identical to
-    /// the single-store layout. Without this (and without
+    /// a plain store of the train hops. Without this (and without
     /// `PPGNN_NUM_PARTITIONS`), a sharded store has one partition. The
     /// count never affects what is diffused.
     pub fn with_num_partitions(mut self, num_partitions: usize) -> Self {
@@ -317,8 +318,7 @@ impl Preprocessor {
         self
     }
 
-    /// Pins the async hop-writer queue depth used by
-    /// [`Preprocessor::run_with_store`] and the per-partition writers of
+    /// Pins the queue depth of the per-partition async hop writers of
     /// [`Preprocessor::run_with_sharded_store`] (default:
     /// `PPGNN_WRITER_QUEUE`, else [`DEFAULT_WRITER_QUEUE`]).
     pub fn with_writer_queue(mut self, depth: usize) -> Self {
@@ -326,9 +326,8 @@ impl Preprocessor {
         self
     }
 
-    /// Pins the element encoding of every hop-feature store this
-    /// preprocessor writes ([`Preprocessor::run_with_store`] and the
-    /// partition stores of [`Preprocessor::run_with_sharded_store`]).
+    /// Pins the element encoding of the partition stores
+    /// [`Preprocessor::run_with_sharded_store`] writes.
     /// Without this, the dtype comes from `PPGNN_STORE_DTYPE`, defaulting
     /// to lossless [`StoreDtype::F32`].
     pub fn with_store_dtype(mut self, dtype: StoreDtype) -> Self {
@@ -456,84 +455,8 @@ impl Preprocessor {
     /// Panics if a node id is out of range or named by more than one
     /// split entry (the split order must be a permutation).
     pub fn run(&self, data: &SynthDataset) -> PrepropOutput {
-        self.run_on(data, pool::pool())
-    }
-
-    /// [`Preprocessor::run`] on an explicit worker pool.
-    ///
-    /// The global pool is sized once from the environment; width sweeps
-    /// (benchmarks, the shard regression tests) pass their own pool here,
-    /// mirroring [`WeightedCsr::spmm_into_on`]. Shard tasks and nested
-    /// kernel fan-outs reuse this handle.
-    pub fn run_on(&self, data: &SynthDataset, pool: &WorkerPool) -> PrepropOutput {
-        self.run_streaming(data, |_, _| Ok(()), pool)
+        self.run_streaming(data, |_, _| Ok(()), pool::pool())
             .expect("in-memory preprocessing performs no I/O")
-    }
-
-    /// Runs pre-propagation and **writes the training partition through**
-    /// to a [`FeatureStore`] as each hop completes (the Section 4.3
-    /// file-per-hop layout), instead of materializing everything and
-    /// persisting afterwards.
-    ///
-    /// Persistence is asynchronous: finished hops travel over a bounded
-    /// channel (depth [`Preprocessor::with_writer_queue`]) to a dedicated
-    /// [`AsyncHopWriter`] thread, so hop `r + 1` diffusion overlaps hop
-    /// `r` storage I/O. Write failures are latched by the writer and
-    /// surfaced here once diffusion finishes (or at the first submission
-    /// after the failure, whichever comes first).
-    ///
-    /// Equivalent on success to `run` followed by
-    /// [`PrepropOutput::write_store`], without holding the store contents
-    /// twice — the writer shares each finished train hop with the output
-    /// instead of copying it — and byte-identical to the synchronous path
-    /// on disk.
-    ///
-    /// The run is **resumable**: each committed hop file is journaled, so
-    /// if a previous run of the same geometry was interrupted (crash,
-    /// injected fault), this call re-diffuses but skips re-writing the
-    /// hops the journal proves complete — the finished store is
-    /// byte-identical to an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store-creation and write failures.
-    pub fn run_with_store(
-        &self,
-        data: &SynthDataset,
-        dir: impl AsRef<std::path::Path>,
-        dataset: &str,
-        chunk_size: usize,
-    ) -> Result<(PrepropOutput, FeatureStore), DataIoError> {
-        let f = data.features.cols();
-        let meta = StoreMeta {
-            dataset: dataset.to_string(),
-            num_hops: self.hops + 1,
-            rows: data.split.train.len(),
-            cols: self.operators.len() * f,
-            chunk_size,
-            dtype: self.resolved_store_dtype(),
-        };
-        let mut writer = AsyncHopWriter::create_or_resume(dir, meta, self.resolved_writer_queue())?;
-        // Hops an interrupted run already committed (per the journal) are
-        // not resubmitted — their bytes are on disk.
-        let submit = |r: usize, hop: &Arc<Matrix>| {
-            if writer.resumed_hops()[r] {
-                return Ok(());
-            }
-            writer.submit(r, Arc::clone(hop))
-        };
-        match self.run_streaming(data, submit, pool::pool()) {
-            Ok(mut out) => {
-                let stats = writer.stats();
-                out.expansion.telemetry.writer_queue_hwm = stats.queue_hwm as u64;
-                out.expansion.telemetry.writer_block_ns = stats.submit_block_ns;
-                let store = writer.finish()?;
-                Ok((out, store))
-            }
-            // A failed submit returns a fail-fast placeholder; the write
-            // error the writer latched is the actual cause — report that.
-            Err(e) => Err(writer.take_failure().unwrap_or(e)),
-        }
     }
 
     /// The engine behind every `run*` entry point: diffusion in split
@@ -692,25 +615,25 @@ impl Preprocessor {
         })
     }
 
-    /// Runs pre-propagation and writes the training rows into a
-    /// **sharded store**: one feature store per graph partition under a
+    /// Runs pre-propagation and **writes the training rows through** to a
+    /// store as each hop completes (the Section 4.3 file-per-hop layout):
+    /// one feature store per graph partition under a
     /// [`ppgnn_dataio::ShardedStoreManifest`], each fed by its own async
-    /// writer. The node space is cut into
-    /// [`Preprocessor::with_num_partitions`] (or `PPGNN_NUM_PARTITIONS`)
-    /// disjoint partitions by the default nnz-balanced
-    /// [`RangeCutPartitioner`]; the cut decides only where rows are
-    /// stored. Diffusion is [`Preprocessor::run`]'s, and each finished
-    /// train hop is split by the plan: partition `p`'s store holds the
-    /// training rows of the nodes it owns, in global training order, so
-    /// every stored row is **byte-identical** to the same row of the
-    /// single-store layout; with `P = 1` the lone partition store's hop
-    /// files are byte-identical to [`Preprocessor::run_with_store`]'s.
-    /// `expansion.partitions` carries the per-partition layout table.
+    /// writer, so hop `r + 1` diffusion overlaps hop `r` storage I/O. The
+    /// node space is cut into [`Preprocessor::with_num_partitions`] (or
+    /// `PPGNN_NUM_PARTITIONS`, else one) disjoint partitions by the
+    /// default nnz-balanced [`RangeCutPartitioner`]; the cut decides only
+    /// where rows are stored. Diffusion is [`Preprocessor::run`]'s, and
+    /// partition `p`'s store holds the training rows of the nodes it owns,
+    /// in global training order, so every stored row is
+    /// **byte-identical** to the same row of a plain store of `run`'s
+    /// train hops (at `P = 1`, every hop file is). A partition owning
+    /// every training row shares the finished hop with the output instead
+    /// of copying it. `expansion.partitions` carries the layout table.
     ///
-    /// Like [`Preprocessor::run_with_store`], the run is resumable: each
-    /// partition journals its committed hops, and an interrupted run of
-    /// the same geometry skips re-writing the `(partition, hop)` units
-    /// already proven complete.
+    /// The run is **resumable**: each partition journals its committed
+    /// hops, and an interrupted run of the same geometry skips re-writing
+    /// the `(partition, hop)` units already proven complete.
     ///
     /// # Errors
     ///
@@ -736,6 +659,11 @@ impl Preprocessor {
 
     /// [`Preprocessor::run_with_sharded_store`] with an explicit
     /// partitioner and worker pool.
+    ///
+    /// The global pool is sized once from the environment; width sweeps
+    /// (benchmarks, the shard regression tests) pass their own pool here,
+    /// mirroring [`WeightedCsr::spmm_into_on`]. Shard tasks and nested
+    /// kernel fan-outs reuse this handle.
     ///
     /// # Errors
     ///
@@ -781,12 +709,21 @@ impl Preprocessor {
         )?;
         // Each partition's rows of the finished train hop go to its writer;
         // (partition, hop) units an interrupted run already committed (per
-        // that partition's journal) are not regathered or resubmitted.
+        // that partition's journal) are not regathered or resubmitted. The
+        // rows are in training order, so a partition owning all of them
+        // holds exactly the hop and shares it.
+        let train_rows = data.split.train.len();
         let submit = |r: usize, hop: &Arc<Matrix>| {
             for (p, rows) in rows_by_part.iter().enumerate() {
-                if !writer.resumed_hops(p)[r] {
-                    writer.submit(p, r, hop.gather_rows(rows))?;
+                if writer.resumed_hops(p)[r] {
+                    continue;
                 }
+                let part = if rows.len() == train_rows {
+                    Arc::clone(hop)
+                } else {
+                    Arc::new(hop.gather_rows(rows))
+                };
+                writer.submit(p, r, part)?;
             }
             Ok(())
         };
@@ -806,37 +743,6 @@ impl Preprocessor {
             // error a partition writer latched is the actual cause.
             Err(e) => Err(writer.take_failure().unwrap_or(e)),
         }
-    }
-}
-
-impl PrepropOutput {
-    /// Persists the **training** partition to a feature store (the
-    /// Section 4.3 file-per-hop layout), synchronously.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store-creation and write failures.
-    pub fn write_store(
-        &self,
-        dir: impl AsRef<std::path::Path>,
-        dataset: &str,
-        chunk_size: usize,
-    ) -> Result<FeatureStore, DataIoError> {
-        let rows = self.train.len();
-        let cols = self.train.hops.first().map(|h| h.cols()).unwrap_or(0);
-        let meta = StoreMeta {
-            dataset: dataset.to_string(),
-            num_hops: self.train.hops.len(),
-            rows,
-            cols,
-            chunk_size,
-            dtype: StoreDtype::from_env(),
-        };
-        let mut writer = ppgnn_dataio::FeatureStoreWriter::create(dir, meta)?;
-        for (k, hop) in self.train.hops.iter().enumerate() {
-            writer.write_hop(k, hop)?;
-        }
-        writer.finish()
     }
 }
 
@@ -980,13 +886,18 @@ mod tests {
             Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 2).with_num_shards(4);
         let global = prep.run(&data);
         let pool = WorkerPool::new(4);
-        let explicit = prep.run_on(&data, &pool);
+        let dir = std::env::temp_dir().join(format!("ppgnn-explicit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (explicit, _) = prep
+            .run_with_sharded_store_using(&data, &RangeCutPartitioner, &dir, "pokec-sim", 32, &pool)
+            .unwrap();
         for r in 0..=2 {
             assert_eq!(
                 global.train.hops[r].as_slice(),
                 explicit.train.hops[r].as_slice()
             );
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1072,7 +983,7 @@ mod tests {
         let base = std::env::temp_dir().join(format!("ppgnn-shardstore-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         let (_, mut single) = prep
-            .run_with_store(&data, base.join("single"), "pokec-sim", 16)
+            .run_with_sharded_store(&data, base.join("single"), "pokec-sim", 16)
             .unwrap();
         let (out, mut sharded) = prep
             .clone()
@@ -1097,7 +1008,9 @@ mod tests {
         let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 2);
         let dir = std::env::temp_dir().join(format!("ppgnn-stream-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (out, mut store) = prep.run_with_store(&data, &dir, "pokec-sim", 32).unwrap();
+        let (out, mut store) = prep
+            .run_with_sharded_store(&data, &dir, "pokec-sim", 32)
+            .unwrap();
         let reference = prep.run(&data);
         assert_eq!(store.meta().num_hops, 3);
         assert_eq!(store.meta().cols, 2 * data.profile.feature_dim);
@@ -1113,10 +1026,11 @@ mod tests {
     #[test]
     fn write_store_round_trips_training_rows() {
         let data = small_data();
-        let out = Preprocessor::new(vec![Operator::SymNorm], 1).run(&data);
         let dir = std::env::temp_dir().join(format!("ppgnn-prep-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut store = out.write_store(&dir, "pokec-sim", 64).unwrap();
+        let (out, mut store) = Preprocessor::new(vec![Operator::SymNorm], 1)
+            .run_with_sharded_store(&data, &dir, "pokec-sim", 64)
+            .unwrap();
         let hop0 = store.read_full_hop(0).unwrap();
         assert!(hop0.max_abs_diff(&out.train.hops[0]) < 1e-7);
         let hop1 = store.read_full_hop(1).unwrap();

@@ -15,14 +15,19 @@
 //! Global training-row order is preserved *within* each partition: store
 //! `p`'s local row `j` is the `j`-th training row (in global order) owned
 //! by partition `p`. A single-partition sharded store is therefore
-//! byte-identical, hop file for hop file, to the unsharded layout.
+//! byte-identical, hop file for hop file, to a plain [`FeatureStore`] of
+//! the same rows — and a plain store directory opens through
+//! [`ShardedFeatureStore::open`] as that one partition, so every store is
+//! read through one handle.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ppgnn_tensor::{io as tio, Matrix};
 
 use crate::error::CorruptError;
+use crate::store::MANIFEST;
 use crate::{
     commit, AccessPath, AsyncHopWriter, DataIoError, FeatureStore, IoCounters, StoreMeta,
     WriterStats,
@@ -139,7 +144,10 @@ impl ShardedStoreManifest {
             chunk_size: num("chunk_size")?,
             dtype,
         };
-        if partition_rows.iter().sum::<usize>() != meta.rows {
+        let total = partition_rows
+            .iter()
+            .try_fold(0usize, |sum, &rows| sum.checked_add(rows));
+        if total != Some(meta.rows) {
             return Err(DataIoError::BadManifest(format!(
                 "partition rows {:?} do not sum to {} total rows",
                 partition_rows, meta.rows
@@ -265,27 +273,24 @@ impl ShardedStoreWriter {
         self.writers[p].resumed_hops()
     }
 
-    /// The manifest being written.
-    pub fn manifest(&self) -> &ShardedStoreManifest {
-        &self.manifest
-    }
-
     /// Queues hop `k` of partition `p` for writing (blocking only while
-    /// that partition's bounded queue is full).
+    /// that partition's bounded queue is full). The writer shares the
+    /// matrix, so a partition that owns every row can be handed the
+    /// whole hop without a copy.
     ///
     /// # Errors
     ///
     /// Fails fast once the partition's writer has latched a failure; the
     /// cause surfaces at [`ShardedStoreWriter::finish`] /
     /// [`ShardedStoreWriter::take_failure`].
-    pub fn submit(&mut self, p: usize, k: usize, features: Matrix) -> Result<(), DataIoError> {
+    pub fn submit(&mut self, p: usize, k: usize, features: Arc<Matrix>) -> Result<(), DataIoError> {
         let writer = self.writers.get_mut(p).ok_or_else(|| {
             DataIoError::OutOfRange(format!(
                 "partition {p} out of range ({} partitions)",
                 self.manifest.num_partitions()
             ))
         })?;
-        writer.submit(k, std::sync::Arc::new(features))
+        writer.submit(k, features)
     }
 
     /// Queue-pressure stats aggregated across the per-partition writer
@@ -349,18 +354,27 @@ impl ShardedFeatureStore {
     /// store, and the global-row mapping (disjoint cover of the logical
     /// row space).
     ///
+    /// A directory without `sharded.txt` that holds a plain store
+    /// (`manifest.txt`, as [`crate::FeatureStoreWriter`] writes it) opens
+    /// as one partition with the identity row map, so single-store
+    /// directories read through the same handle.
+    ///
     /// # Errors
     ///
     /// Fails on missing/corrupt manifests, sidecars, or partition stores,
     /// and on any geometry disagreement between them.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, DataIoError> {
         let dir = dir.as_ref();
-        let text = fs::read_to_string(dir.join(SHARDED_MANIFEST))
-            .map_err(|e| DataIoError::Io(format!("{}: {e}", dir.display())))?;
+        let text = match fs::read_to_string(dir.join(SHARDED_MANIFEST)) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.join(MANIFEST).exists() => {
+                return Self::open_plain(dir);
+            }
+            Err(e) => return Err(DataIoError::Io(format!("{}: {e}", dir.display()))),
+        };
         let manifest = ShardedStoreManifest::from_text(&text)?;
         let mut stores = Vec::with_capacity(manifest.num_partitions());
         let mut global_rows = Vec::with_capacity(manifest.num_partitions());
-        let mut map = vec![(u32::MAX, 0u32); manifest.meta.rows];
         for p in 0..manifest.num_partitions() {
             let sub = part_dir(dir, p);
             let store = FeatureStore::open(&sub)?;
@@ -383,22 +397,29 @@ impl ShardedFeatureStore {
                 .map_err(|e| CorruptError::new(e.to_string()).with_path(&sidecar_path))?;
             let rows =
                 decode_rows_sidecar(&sidecar, sm.rows).map_err(|e| e.with_path(&sidecar_path))?;
+            stores.push(store);
+            global_rows.push(rows);
+        }
+        // Every partition store has opened and agrees with the manifest,
+        // whose partition rows sum to `rows`: the row map is sized by rows
+        // that exist on disk.
+        let mut map = vec![(u32::MAX, 0u32); manifest.meta.rows];
+        for (p, rows) in global_rows.iter().enumerate() {
+            let sidecar_path = || part_dir(dir, p).join(ROWS_SIDECAR);
             for (j, &g) in rows.iter().enumerate() {
                 let slot = map.get_mut(g).ok_or_else(|| {
                     CorruptError::new(format!("global row {g} out of range"))
-                        .with_path(&sidecar_path)
+                        .with_path(&sidecar_path())
                 })?;
                 if slot.0 != u32::MAX {
                     return Err(CorruptError::new(format!(
                         "global row {g} claimed by two partitions"
                     ))
-                    .with_path(&sidecar_path)
+                    .with_path(&sidecar_path())
                     .into());
                 }
                 *slot = (p as u32, j as u32);
             }
-            stores.push(store);
-            global_rows.push(rows);
         }
         if map.iter().any(|&(p, _)| p == u32::MAX) {
             return Err(DataIoError::corrupt(
@@ -410,6 +431,22 @@ impl ShardedFeatureStore {
             stores,
             global_rows,
             map,
+        })
+    }
+
+    /// A plain store directory as one partition with the identity row map.
+    fn open_plain(dir: &Path) -> Result<Self, DataIoError> {
+        let store = FeatureStore::open(dir)?;
+        let meta = store.meta().clone();
+        let rows = meta.rows;
+        Ok(ShardedFeatureStore {
+            manifest: ShardedStoreManifest {
+                meta,
+                partition_rows: vec![rows],
+            },
+            stores: vec![store],
+            global_rows: vec![(0..rows).collect()],
+            map: (0..rows).map(|j| (0, j as u32)).collect(),
         })
     }
 
@@ -433,11 +470,6 @@ impl ShardedFeatureStore {
         self.stores[p].meta()
     }
 
-    /// Global row ids held by partition `p`, in local row order.
-    pub fn partition_global_rows(&self, p: usize) -> &[usize] {
-        &self.global_rows[p]
-    }
-
     /// Resolves a global row to its `(partition, local row)` coordinates.
     ///
     /// # Errors
@@ -456,12 +488,6 @@ impl ShardedFeatureStore {
     /// Chunks in partition `p`'s store.
     pub fn num_chunks(&self, p: usize) -> usize {
         self.stores[p].meta().num_chunks()
-    }
-
-    /// Total chunks across all partition stores — the work list a sharded
-    /// chunk loader shuffles.
-    pub fn total_chunks(&self) -> usize {
-        (0..self.num_partitions()).map(|p| self.num_chunks(p)).sum()
     }
 
     /// Randomly reads individual **global** `rows` of hop `k`, fanning the
@@ -557,19 +583,6 @@ impl ShardedFeatureStore {
             store.reset_counters();
         }
     }
-
-    /// Per-epoch counter delta aggregated across every partition store:
-    /// each partition's [`FeatureStore::take_epoch_counters`] summed.
-    /// Cumulative totals from [`ShardedFeatureStore::counters`] are
-    /// untouched, so epoch-over-epoch read amplification is reportable
-    /// without a process restart.
-    pub fn take_epoch_counters(&mut self) -> IoCounters {
-        let mut total = IoCounters::default();
-        for store in &mut self.stores {
-            total.accumulate(&store.take_epoch_counters());
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -612,8 +625,7 @@ mod tests {
         for k in 0..2 {
             let hop = global_hop(k, rows);
             for (p, globals) in assignment.iter().enumerate() {
-                let local = hop.gather_rows(globals);
-                w.submit(p, k, local).unwrap();
+                w.submit(p, k, Arc::new(hop.gather_rows(globals))).unwrap();
             }
         }
         w.finish().unwrap()
@@ -752,6 +764,49 @@ mod tests {
     }
 
     #[test]
+    fn hostile_manifests_fail_open_instead_of_panicking() {
+        let geometry = "dataset=x\nnum_hops=2\ncols=3\n";
+        let plain = format!("{geometry}rows=4\n");
+        let sharded = format!("{geometry}chunk_size=4\nnum_partitions=2\n");
+        let (max, half) = (usize::MAX, 1usize << 59);
+        let rows = |a: usize, b: usize| format!("partition_0_rows={a}\npartition_1_rows={b}\n");
+        // (case, rewrites a plain store's manifest (else `sharded.txt`),
+        // hostile text)
+        let cases = [
+            ("zero-chunk", true, format!("{plain}chunk_size=0\n")),
+            (
+                "hop-count",
+                true,
+                format!("{plain}chunk_size=4\nnum_hops={max}\n"),
+            ),
+            (
+                "rows-overflow",
+                false,
+                format!("{sharded}rows=3\n{}", rows(max, 4)),
+            ),
+            (
+                "rows-unbacked",
+                false,
+                format!("{sharded}rows={}\n{}", 2 * half, rows(half, half)),
+            ),
+        ];
+        for (case, is_plain, text) in cases {
+            let dir = temp_dir(&format!("hostile-{case}"));
+            build(&dir, 8, 2);
+            // A partition directory is a plain store.
+            let (root, file) = if is_plain {
+                (dir.join("part_0"), MANIFEST)
+            } else {
+                (dir.clone(), SHARDED_MANIFEST)
+            };
+            ShardedFeatureStore::open(&root).unwrap();
+            fs::write(root.join(file), text).unwrap();
+            assert!(ShardedFeatureStore::open(&root).is_err(), "{case}: opened");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
     fn empty_partitions_are_tolerated() {
         // 3 rows over 3 partitions where one partition owns nothing.
         let dir = temp_dir("empty");
@@ -760,7 +815,7 @@ mod tests {
         for k in 0..2 {
             let hop = global_hop(k, 3);
             for (p, globals) in assignment.iter().enumerate() {
-                w.submit(p, k, hop.gather_rows(globals)).unwrap();
+                w.submit(p, k, Arc::new(hop.gather_rows(globals))).unwrap();
             }
         }
         let mut store = w.finish().unwrap();

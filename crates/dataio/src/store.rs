@@ -21,7 +21,7 @@ static STORE_RAND_BYTES: ppgnn_telemetry::Counter =
 static STORE_LOGICAL_BYTES: ppgnn_telemetry::Counter =
     ppgnn_telemetry::Counter::new("store.logical_bytes");
 
-const MANIFEST: &str = "manifest.txt";
+pub(crate) const MANIFEST: &str = "manifest.txt";
 
 /// Magic of the compressed (`f16`/`bf16`/`int8`) hop-file format. `f32`
 /// hops keep the `PPGT` format byte-for-byte.
@@ -228,12 +228,20 @@ impl StoreMeta {
             }
         }
         let missing = |f: &str| DataIoError::BadManifest(format!("missing key {f}"));
+        let chunk_size = chunk_size.ok_or_else(|| missing("chunk_size"))?;
+        // No writer produces a zero chunk size, and `num_chunks` divides
+        // by it.
+        if chunk_size == 0 {
+            return Err(DataIoError::BadManifest(
+                "chunk_size must be positive".into(),
+            ));
+        }
         Ok(StoreMeta {
             dataset: dataset.ok_or_else(|| missing("dataset"))?,
             num_hops: num_hops.ok_or_else(|| missing("num_hops"))?,
             rows: rows.ok_or_else(|| missing("rows"))?,
             cols: cols.ok_or_else(|| missing("cols"))?,
-            chunk_size: chunk_size.ok_or_else(|| missing("chunk_size"))?,
+            chunk_size,
             dtype,
         })
     }
@@ -338,11 +346,6 @@ impl IoCounters {
         self.rand_bytes += other.rand_bytes;
         self.bounce_bytes += other.bounce_bytes;
         self.logical_bytes += other.logical_bytes;
-    }
-
-    /// Zeroes every count in place.
-    pub fn reset(&mut self) {
-        *self = IoCounters::default();
     }
 
     /// The counts accumulated since `earlier` was snapshotted — the
@@ -650,9 +653,6 @@ pub struct FeatureStore {
     /// caller-visible byte accounting.
     verify_buf: Vec<u8>,
     counters: IoCounters,
-    /// Snapshot of `counters` at the last [`FeatureStore::take_epoch_counters`]
-    /// call, so per-epoch deltas never disturb the cumulative totals.
-    epoch_mark: IoCounters,
 }
 
 impl FeatureStore {
@@ -670,8 +670,10 @@ impl FeatureStore {
         let text = fs::read_to_string(dir.join(MANIFEST))
             .map_err(|e| DataIoError::Io(format!("{}: {e}", dir.display())))?;
         let meta = StoreMeta::from_manifest(&text)?;
-        let mut files = Vec::with_capacity(meta.num_hops);
-        let mut sums = Vec::with_capacity(meta.num_hops);
+        // `num_hops` is read from the manifest, so the vectors grow as hop
+        // files open rather than trusting it for an up-front allocation.
+        let mut files = Vec::new();
+        let mut sums = Vec::new();
         for k in 0..meta.num_hops {
             let path = hop_path(&dir, k);
             let locate = |c: CorruptError| c.with_path(&path).with_hop(k);
@@ -739,7 +741,6 @@ impl FeatureStore {
             verified,
             verify_buf: vec![0u8; chunk_bytes],
             counters: IoCounters::default(),
-            epoch_mark: IoCounters::default(),
         })
     }
 
@@ -756,18 +757,6 @@ impl FeatureStore {
     /// Resets the I/O counters (between measured epochs).
     pub fn reset_counters(&mut self) {
         self.counters = IoCounters::default();
-        self.epoch_mark = IoCounters::default();
-    }
-
-    /// The counters accumulated since the previous call (or since open /
-    /// the last [`FeatureStore::reset_counters`]) — the per-epoch delta.
-    /// Cumulative totals from [`FeatureStore::counters`] are untouched,
-    /// so epoch-over-epoch read amplification is reportable without a
-    /// process restart or a destructive reset.
-    pub fn take_epoch_counters(&mut self) -> IoCounters {
-        let delta = self.counters.delta_since(&self.epoch_mark);
-        self.epoch_mark = self.counters;
-        delta
     }
 
     /// Randomly reads individual `rows` of hop `k` — the SGD-RR storage
@@ -941,26 +930,15 @@ impl FeatureStore {
     ///
     /// Fails if `k` is out of range or the payload is corrupt.
     pub fn read_full_hop(&mut self, k: usize) -> Result<Matrix, DataIoError> {
-        self.read_full_hop_via(k, AccessPath::Direct)
-    }
-
-    /// [`FeatureStore::read_full_hop`] with an explicit access path, so
-    /// full-hop preloads account bounce-buffer copies the same way
-    /// [`FeatureStore::read_rows`] and [`FeatureStore::read_chunk`] do:
-    /// one sequential request, payload bytes, plus `bounce_bytes` when the
-    /// read goes through the host staging buffer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` is out of range or the payload is corrupt.
-    pub fn read_full_hop_via(&mut self, k: usize, path: AccessPath) -> Result<Matrix, DataIoError> {
         let mut out = Matrix::default();
-        self.read_full_hop_into(k, path, &mut out)?;
+        self.read_full_hop_into(k, AccessPath::Direct, &mut out)?;
         Ok(out)
     }
 
-    /// [`FeatureStore::read_full_hop_via`] into a caller-owned matrix,
-    /// resized in place.
+    /// [`FeatureStore::read_full_hop`] into a caller-owned matrix, resized
+    /// in place, over an explicit access path: one sequential request,
+    /// payload bytes, plus `bounce_bytes` when the read goes through the
+    /// host staging buffer.
     ///
     /// # Errors
     ///

@@ -212,8 +212,9 @@ impl AsyncHopWriter {
     ///
     /// Takes a shared handle: the writer thread only reads the hop, so a
     /// producer that keeps the finished matrix (the in-memory output of
-    /// `Preprocessor::run_with_store`) hands over a reference count, not
-    /// a copy. The matrix is freed once both sides drop it.
+    /// `Preprocessor::run_with_sharded_store` when one partition owns
+    /// every row) hands over a reference count, not a copy. The matrix
+    /// is freed once both sides drop it.
     ///
     /// # Errors
     ///

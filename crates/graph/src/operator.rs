@@ -128,8 +128,8 @@ impl Operator {
     /// [`Operator::apply_with_base_into`] on an explicit worker pool: every
     /// internal SpMM routes through [`WeightedCsr::spmm_into_on`], so
     /// callers that bound their thread usage (width sweeps,
-    /// `Preprocessor::run_on`) keep that bound through diffusion-series
-    /// operators too.
+    /// `Preprocessor::run_with_sharded_store_using`) keep that bound
+    /// through diffusion-series operators too.
     ///
     /// # Panics
     ///

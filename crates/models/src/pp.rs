@@ -14,7 +14,7 @@ use ppgnn_tensor::Matrix;
 /// as an empty `0 x 0` matrix** when `r` is not in `hops_read()`. A model
 /// must therefore validate the slice length and the hops it declared —
 /// never the ones it did not. Producers that were told nothing (a loader
-/// built directly, the storage loaders) deliver every hop, which satisfies
+/// built directly, the storage loader) deliver every hop, which satisfies
 /// every model; the pipeline stays shared across SGC/SIGN/HOGA either way.
 pub trait PpModel {
     /// Computes logits `batch x num_classes` from hop features into a

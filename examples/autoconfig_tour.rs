@@ -9,9 +9,9 @@
 
 use ppgnn_core::autoconf::{probe_model_peak_bytes, AutoConfig};
 use ppgnn_core::bridge::{expanded_input_bytes, WorkloadScale};
-use ppgnn_core::loader::{Loader, StorageChunkLoader};
+use ppgnn_core::loader::{Loader, ShardedStorageChunkLoader};
 use ppgnn_core::preprocess::Preprocessor;
-use ppgnn_dataio::{AccessPath, FeatureStore};
+use ppgnn_dataio::AccessPath;
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 use ppgnn_memsim::HardwareSpec;
@@ -48,10 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nstorage-path demo (igb-large analog at laptop scale):");
     let profile = DatasetProfile::igb_large_sim().scaled(0.02);
     let data = SynthDataset::generate(profile, 9)?;
-    let prep = Preprocessor::new(vec![Operator::SymNorm], hops).run(&data);
     let dir = std::env::temp_dir().join(format!("ppgnn-tour-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    prep.write_store(&dir, profile.name, 128)?;
+    let prep = Preprocessor::new(vec![Operator::SymNorm], hops);
+    let (prep, store) = prep.run_with_sharded_store(&data, &dir, profile.name, 128)?;
     println!(
         "  wrote {} hop files ({:.1} MB) to {}",
         hops + 1,
@@ -59,9 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dir.display()
     );
 
-    let store = FeatureStore::open(&dir)?;
-    let mut loader =
-        StorageChunkLoader::new(store, prep.train.labels.clone(), 256, AccessPath::Direct, 4);
+    let labels = prep.train.labels.clone();
+    let mut loader = ShardedStorageChunkLoader::new(store, labels, 256, AccessPath::Direct, 4);
     let mut rng = StdRng::seed_from_u64(1);
     let mut model = Sign::new(
         hops,

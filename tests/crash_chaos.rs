@@ -1,7 +1,8 @@
 //! Seeded chaos suite: randomized-but-reproducible kill schedules over
 //! the store writer, driven by the deterministic fault facility.
 //!
-//! Each round derives a fault site (`hop` / `journal` / `manifest`), a
+//! Each round derives a fault site (every write site of the store:
+//! `hop` / `journal` / `manifest` / `sidecar` / `sharded-manifest`), a
 //! fault kind (write error / torn write), and an operation ordinal from
 //! one seed, kills a preprocessing run with it, and checks the crash
 //! contract: the interrupted store either reloads complete or fails
@@ -18,7 +19,7 @@ use std::sync::Mutex;
 
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_dataio::fault::{self, FaultKind, FaultPlan};
-use ppgnn_dataio::FeatureStore;
+use ppgnn_dataio::ShardedFeatureStore;
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 
@@ -84,19 +85,21 @@ fn seeded_kill_schedule_resumes_byte_identical() {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3).unwrap();
     let prep = Preprocessor::new(vec![Operator::SymNorm], 2);
     let clean = temp_dir("clean");
-    prep.run_with_store(&data, &clean, "chaos-sim", 16).unwrap();
+    prep.run_with_sharded_store(&data, &clean, "chaos-sim", 16)
+        .unwrap();
     let clean_digest = dir_digest(&clean);
 
     for round in 0..6 {
-        let site = ["hop", "journal", "manifest"][(rng.next() % 3) as usize];
+        let site = ["hop", "journal", "manifest", "sidecar", "sharded-manifest"]
+            [(rng.next() % 5) as usize];
         let kind = if rng.next().is_multiple_of(2) {
             FaultKind::WriteErr
         } else {
             FaultKind::Torn
         };
-        // `hop` and `journal` see 3 writes per run, `manifest` one; an
-        // ordinal past the last write means the round survives — the
-        // contract must hold either way.
+        // `hop` and `journal` see 3 writes per run, the other sites one
+        // each; an ordinal past the last write means the round survives
+        // — the contract must hold either way.
         let nth = 1 + rng.next() % 4;
         let dir = temp_dir(&format!("round-{round}"));
         println!(
@@ -110,7 +113,7 @@ fn seeded_kill_schedule_resumes_byte_identical() {
                 .with_spec(site, kind, nth, true)
                 .scoped(&dir.to_string_lossy()),
         );
-        let result = prep.run_with_store(&data, &dir, "chaos-sim", 16);
+        let result = prep.run_with_sharded_store(&data, &dir, "chaos-sim", 16);
         fault::clear();
 
         match result {
@@ -125,14 +128,14 @@ fn seeded_kill_schedule_resumes_byte_identical() {
             }
             Err(_) => {
                 // Killed: the store is detectably incomplete (the
-                // manifest commit point is missing), never partial-but-
-                // openable...
+                // `sharded.txt` commit point is missing), never
+                // partial-but-openable...
                 assert!(
-                    FeatureStore::open(&dir).is_err(),
+                    ShardedFeatureStore::open(&dir).is_err(),
                     "round {round}: interrupted store opened cleanly"
                 );
                 // ...and resuming completes it bit-exactly.
-                prep.run_with_store(&data, &dir, "chaos-sim", 16)
+                prep.run_with_sharded_store(&data, &dir, "chaos-sim", 16)
                     .unwrap_or_else(|e| panic!("round {round}: resume failed: {e}"));
                 assert_eq!(
                     dir_digest(&dir),
@@ -158,7 +161,9 @@ fn seeded_bit_flips_never_read_back_as_clean_data() {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3).unwrap();
     let prep = Preprocessor::new(vec![Operator::SymNorm], 2);
     let clean = temp_dir("flip-clean");
-    let (_, mut reference) = prep.run_with_store(&data, &clean, "chaos-sim", 16).unwrap();
+    let (_, mut reference) = prep
+        .run_with_sharded_store(&data, &clean, "chaos-sim", 16)
+        .unwrap();
 
     for round in 0..4 {
         // Flip one deterministic bit in the nth hop-file commit: the
@@ -171,7 +176,7 @@ fn seeded_bit_flips_never_read_back_as_clean_data() {
         fault::install(
             FaultPlan::one_shot("hop", FaultKind::BitFlip, nth).scoped(&dir.to_string_lossy()),
         );
-        let result = prep.run_with_store(&data, &dir, "chaos-sim", 16);
+        let result = prep.run_with_sharded_store(&data, &dir, "chaos-sim", 16);
         fault::clear();
 
         match result {

@@ -16,7 +16,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_dataio::fault::{self, FaultPlan};
@@ -221,7 +221,7 @@ fn sharded_corruption_is_located_at_every_partition_count() {
         for k in 0..m.num_hops {
             let hop = hop_matrix(k, m.rows, m.cols);
             for (p, globals) in assignment.iter().enumerate() {
-                w.submit(p, k, hop.gather_rows(globals)).unwrap();
+                w.submit(p, k, Arc::new(hop.gather_rows(globals))).unwrap();
             }
         }
         w.finish().unwrap();
@@ -273,51 +273,6 @@ fn small_data() -> SynthDataset {
 }
 
 #[test]
-fn killed_single_store_run_resumes_byte_identical_for_every_dtype() {
-    let _guard = FAULT_LOCK.lock().unwrap();
-    let data = small_data();
-    for dtype in DTYPES {
-        let prep = Preprocessor::new(vec![Operator::SymNorm], 2).with_store_dtype(dtype);
-        let clean = temp_dir(&format!("clean-{}", dtype.name()));
-        prep.run_with_store(&data, &clean, "crash-sim", 16).unwrap();
-
-        // Kill the writer at its second hop commit; every later write
-        // fails too (a dead process writes nothing more).
-        let dir = temp_dir(&format!("killed-{}", dtype.name()));
-        fault::install(FaultPlan::kill_at("hop", 2).scoped(&dir.to_string_lossy()));
-        let err = prep.run_with_store(&data, &dir, "crash-sim", 16);
-        fault::clear();
-        assert!(
-            err.is_err(),
-            "{}: killed run reported success",
-            dtype.name()
-        );
-
-        // Interrupted ⇒ detectably incomplete: the manifest (commit
-        // point) is missing, so open fails rather than serving a
-        // partial store.
-        assert!(
-            FeatureStore::open(&dir).is_err(),
-            "{}: interrupted store opened cleanly",
-            dtype.name()
-        );
-
-        // Resume re-runs the same call; the journal skips the committed
-        // hop and the result is byte-identical to the clean run.
-        prep.run_with_store(&data, &dir, "crash-sim", 16).unwrap();
-        assert!(!dir.join("journal.txt").exists(), "journal must be gone");
-        assert_eq!(
-            dir_digest(&dir),
-            dir_digest(&clean),
-            "{}: resumed store differs from the uninterrupted run",
-            dtype.name()
-        );
-        fs::remove_dir_all(&dir).unwrap();
-        fs::remove_dir_all(&clean).unwrap();
-    }
-}
-
-#[test]
 fn killed_sharded_run_resumes_byte_identical_for_every_dtype_and_p() {
     let _guard = FAULT_LOCK.lock().unwrap();
     let data = small_data();
@@ -351,5 +306,57 @@ fn killed_sharded_run_resumes_byte_identical_for_every_dtype_and_p() {
             fs::remove_dir_all(&dir).unwrap();
             fs::remove_dir_all(&clean).unwrap();
         }
+    }
+}
+
+#[test]
+fn killed_single_store_run_resumes_byte_identical_for_every_dtype() {
+    let _guard = FAULT_LOCK.lock().unwrap();
+    let data = small_data();
+    for dtype in DTYPES {
+        // A single store is the one-partition store, pinned so the
+        // partition-count knob cannot change it.
+        let prep = Preprocessor::new(vec![Operator::SymNorm], 2)
+            .with_store_dtype(dtype)
+            .with_num_partitions(1);
+        let clean = temp_dir(&format!("clean-{}", dtype.name()));
+        prep.run_with_sharded_store(&data, &clean, "crash-sim", 16)
+            .unwrap();
+
+        // Kill the writer at its second hop commit; every later write
+        // fails too (a dead process writes nothing more).
+        let dir = temp_dir(&format!("killed-{}", dtype.name()));
+        fault::install(FaultPlan::kill_at("hop", 2).scoped(&dir.to_string_lossy()));
+        let err = prep.run_with_sharded_store(&data, &dir, "crash-sim", 16);
+        fault::clear();
+        assert!(
+            err.is_err(),
+            "{}: killed run reported success",
+            dtype.name()
+        );
+
+        // Interrupted ⇒ detectably incomplete: the store's manifest
+        // (commit point) is missing, so open fails rather than serving a
+        // partial store.
+        let part = dir.join("part_0");
+        assert!(
+            FeatureStore::open(&part).is_err() && ShardedFeatureStore::open(&dir).is_err(),
+            "{}: interrupted store opened cleanly",
+            dtype.name()
+        );
+
+        // Resume re-runs the same call; the journal skips the committed
+        // hop and the result is byte-identical to the clean run.
+        prep.run_with_sharded_store(&data, &dir, "crash-sim", 16)
+            .unwrap();
+        assert!(!part.join("journal.txt").exists(), "journal must be gone");
+        assert_eq!(
+            dir_digest(&dir),
+            dir_digest(&clean),
+            "{}: resumed store differs from the uninterrupted run",
+            dtype.name()
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&clean).unwrap();
     }
 }

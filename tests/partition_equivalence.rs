@@ -12,25 +12,49 @@
 //!   rows to the train split, `P = 1` reaches no ghosts, and each
 //!   partition's nnz and ghost rows match a naive count;
 //! * every row served by the sharded feature store must be
-//!   **byte-identical** (FNV digest + raw compare) to the same row of the
-//!   single-store layout, and at `P = 1` the lone partition store's hop
-//!   files must be byte-identical to the unsharded files;
+//!   **byte-identical** (FNV digest + raw compare) to the same row of a
+//!   plain store of `run`'s train hops, and at `P = 1` the lone partition
+//!   store's hop files must be byte-identical to the plain store's files;
 //! * the [`ShardedStorageChunkLoader`] must drive an unmodified training
-//!   epoch end-to-end, covering every training row exactly once.
+//!   epoch end-to-end, covering every training row exactly once, and
+//!   stream a plain store directory exactly as it streams a `P = 1`
+//!   store.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use preprop_gnn::core::loader::{Loader, ShardedStorageChunkLoader, StorageChunkLoader};
+use preprop_gnn::core::loader::{Loader, ShardedStorageChunkLoader};
 use preprop_gnn::core::preprocess::{Preprocessor, PrepropOutput};
-use preprop_gnn::dataio::{AccessPath, StoreDtype};
+use preprop_gnn::dataio::{
+    AccessPath, FeatureStore, FeatureStoreWriter, ShardedFeatureStore, StoreDtype, StoreMeta,
+};
 use preprop_gnn::graph::synth::{DatasetProfile, SynthDataset};
 use preprop_gnn::graph::{BfsGrowPartitioner, Operator, Partitioner, RangeCutPartitioner};
+use preprop_gnn::tensor::Matrix;
 
 fn skewed_data() -> SynthDataset {
     // pokec-sim is R-MAT generated: heavy-tailed degrees, hub rows — the
     // case nnz-balanced partition cuts exist for.
     SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.03), 23).unwrap()
+}
+
+/// A plain (unpartitioned) store of `out`'s train hops under `dir`, in
+/// the dtype a preprocessor resolves by default.
+fn write_plain_store(out: &PrepropOutput, dir: &Path, chunk_size: usize) -> FeatureStore {
+    let train = &out.train;
+    let meta = StoreMeta {
+        dataset: "pokec-sim".into(),
+        num_hops: train.hops.len(),
+        rows: train.len(),
+        cols: train.hops[0].cols(),
+        chunk_size,
+        dtype: StoreDtype::from_env(),
+    };
+    let mut writer = FeatureStoreWriter::create(dir, meta).unwrap();
+    for (k, hop) in train.hops.iter().enumerate() {
+        writer.write_hop(k, hop).unwrap();
+    }
+    writer.finish().unwrap()
 }
 
 fn assert_bit_identical(a: &PrepropOutput, b: &PrepropOutput, tag: &str) {
@@ -164,9 +188,7 @@ fn sharded_store_rows_are_byte_identical_to_single_store() {
     let _ = std::fs::remove_dir_all(&base);
     let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3);
 
-    let (_, mut single) = prep
-        .run_with_store(&data, base.join("single"), "pokec-sim", 32)
-        .unwrap();
+    let mut single = write_plain_store(&prep.run(&data), &base.join("single"), 32);
 
     for parts in [1usize, 4] {
         let dir = base.join(format!("p{parts}"));
@@ -266,22 +288,22 @@ fn sharded_loader_drives_an_unmodified_training_epoch() {
 }
 
 #[test]
-fn single_partition_sharded_loader_matches_storage_loader_stream() {
+fn plain_store_directory_streams_like_a_single_partition_store() {
     let data = skewed_data();
     let prep = Preprocessor::new(vec![Operator::SymNorm], 2);
     let base = std::env::temp_dir().join(format!("ppgnn-partstream-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let (out, single) = prep
-        .run_with_store(&data, base.join("single"), "pokec-sim", 16)
-        .unwrap();
-    let (_, sharded) = prep
+    let (out, sharded) = prep
         .clone()
         .with_num_partitions(1)
         .run_with_sharded_store(&data, base.join("sharded"), "pokec-sim", 16)
         .unwrap();
+    write_plain_store(&out, &base.join("plain"), 16);
+    let plain = ShardedFeatureStore::open(base.join("plain")).unwrap();
+    assert_eq!(plain.num_partitions(), 1);
 
     let mut a =
-        StorageChunkLoader::new(single, out.train.labels.clone(), 48, AccessPath::Direct, 77);
+        ShardedStorageChunkLoader::new(plain, out.train.labels.clone(), 48, AccessPath::Direct, 77);
     let mut b = ShardedStorageChunkLoader::new(
         sharded,
         out.train.labels.clone(),
@@ -289,6 +311,7 @@ fn single_partition_sharded_loader_matches_storage_loader_stream() {
         AccessPath::Direct,
         77,
     );
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     a.start_epoch();
     b.start_epoch();
     loop {
@@ -298,7 +321,7 @@ fn single_partition_sharded_loader_matches_storage_loader_stream() {
                 assert_eq!(x.indices, y.indices);
                 assert_eq!(x.labels, y.labels);
                 for (hx, hy) in x.hops.iter().zip(&y.hops) {
-                    assert_eq!(hx.as_slice(), hy.as_slice());
+                    assert_eq!(bits(hx), bits(hy));
                 }
             }
             _ => panic!("loaders disagree on batch count"),

@@ -284,10 +284,11 @@ fn partially_labeled_run_keeps_the_two_buffer_budget() {
 
 /// A store-writing run holds what `run` holds (one full-graph matrix and
 /// one base, fully labeled) plus its writer's staging buffer, one encoded
-/// train hop; the writer queue holds shared handles, not copies. A sharded
-/// store adds the partition copies of the train hop in flight: `queue`
-/// queued per partition writer, one being written by each, and one being
-/// gathered — at most `queue + 2` train hops summed over the partitions.
+/// train hop; at `P = 1` the writer queue holds shared handles, not
+/// copies. More partitions add the partition copies of the train hop in
+/// flight: `queue` queued per partition writer, one being written by
+/// each, and one being gathered — at most `queue + 2` train hops summed
+/// over the partitions.
 #[test]
 fn sharded_store_run_bounds_residency_with_partition_copies_in_flight() {
     const QUEUE: usize = 2;
@@ -310,7 +311,9 @@ fn sharded_store_run_bounds_residency_with_partition_copies_in_flight() {
         (peak_delta, output_bytes as usize)
     };
     let (single, output_bytes) = measure(&|| {
-        prep.run_with_store(&data, dir.join("single"), "resid", 256)
+        prep.clone()
+            .with_num_partitions(1)
+            .run_with_sharded_store(&data, dir.join("single"), "resid", 256)
             .unwrap()
             .0
     });
@@ -326,7 +329,7 @@ fn sharded_store_run_bounds_residency_with_partition_copies_in_flight() {
     let store_budget = output_bytes + nf + csr_bytes(&data) + train_hop + nf / 4;
     assert!(
         single <= store_budget,
-        "run_with_store peak transient residency {single} B exceeds budget {store_budget} B"
+        "P = 1 store run peak transient residency {single} B exceeds budget {store_budget} B"
     );
     let sharded_budget = store_budget + (QUEUE + 2) * train_hop;
     assert!(

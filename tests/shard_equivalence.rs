@@ -5,8 +5,8 @@
 //! of shard boundaries, so sharded pre-propagation must be **bit-identical**
 //! to the sequential per-operator schedule — on the R-MAT-skewed synthetic
 //! graphs whose hub rows are exactly what nnz-balanced shard plans exist
-//! for. The same holds on disk: `run_with_store` through the async
-//! double-buffered writer must produce **byte-identical** `FeatureStore`
+//! for. The same holds on disk: `run_with_sharded_store` through the
+//! async double-buffered writer must produce **byte-identical** store
 //! files regardless of shard count or writer queue depth.
 
 use preprop_gnn::core::preprocess::{Preprocessor, PrepropOutput};
@@ -79,7 +79,9 @@ fn sharded_async_store_is_byte_identical_to_sequential_store() {
         let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3)
             .with_num_shards(shards)
             .with_writer_queue(queue);
-        let (_, store) = prep.run_with_store(&data, &dir, "pokec-sim", 32).unwrap();
+        let (_, store) = prep
+            .run_with_sharded_store(&data, &dir, "pokec-sim", 32)
+            .unwrap();
         assert_eq!(store.meta().num_hops, 4);
         dir
     };
@@ -87,10 +89,10 @@ fn sharded_async_store_is_byte_identical_to_sequential_store() {
     let seq_dir = run(1, 1, "sequential");
     let shard_dir = run(4, 3, "sharded");
 
-    // Every hop file and the manifest must match byte for byte — the
+    // Every hop file and the manifests must match byte for byte — the
     // acceptance criterion for the sharded + async-writer pipeline.
-    let mut files: Vec<String> = (0..4).map(|k| format!("hop_{k}.ppgt")).collect();
-    files.push("manifest.txt".to_string());
+    let mut files: Vec<String> = (0..4).map(|k| format!("part_0/hop_{k}.ppgt")).collect();
+    files.extend(["part_0/manifest.txt", "part_0/rows.ppgt", "sharded.txt"].map(String::from));
     for name in files {
         let a = std::fs::read(seq_dir.join(&name)).unwrap();
         let b = std::fs::read(shard_dir.join(&name)).unwrap();

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use ppgnn_core::loader::{ChunkReshuffleLoader, Loader, StorageChunkLoader};
+use ppgnn_core::loader::{ChunkReshuffleLoader, Loader, ShardedStorageChunkLoader};
 use ppgnn_core::preprocess::Preprocessor;
-use ppgnn_dataio::{AccessPath, FeatureStore};
+use ppgnn_dataio::{AccessPath, ShardedFeatureStore};
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 
@@ -19,10 +19,9 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn store_round_trip_is_bit_exact() {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3).unwrap();
-    let prep = Preprocessor::new(vec![Operator::SymNorm], 2).run(&data);
     let dir = temp_dir("bitexact");
-    let mut store = prep
-        .write_store(&dir, "pokec-sim", 32)
+    let (prep, mut store) = Preprocessor::new(vec![Operator::SymNorm], 2)
+        .run_with_sharded_store(&data, &dir, "pokec-sim", 32)
         .expect("store written");
     for (k, hop) in prep.train.hops.iter().enumerate() {
         let loaded = store.read_full_hop(k).expect("hop reads back");
@@ -34,16 +33,16 @@ fn store_round_trip_is_bit_exact() {
 #[test]
 fn storage_loader_matches_in_memory_chunk_loader() {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 4).unwrap();
-    let prep = Preprocessor::new(vec![Operator::SymNorm], 2).run(&data);
     let dir = temp_dir("loadermatch");
     const CHUNK: usize = 16;
     const BATCH: usize = 48;
     const SEED: u64 = 77;
-    prep.write_store(&dir, "pokec-sim", CHUNK)
+    let (prep, _) = Preprocessor::new(vec![Operator::SymNorm], 2)
+        .run_with_sharded_store(&data, &dir, "pokec-sim", CHUNK)
         .expect("store written");
 
-    let store = FeatureStore::open(&dir).expect("store reopens");
-    let mut disk = StorageChunkLoader::new(
+    let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+    let mut disk = ShardedStorageChunkLoader::new(
         store,
         prep.train.labels.clone(),
         BATCH,
@@ -87,19 +86,19 @@ fn storage_loader_matches_memory_when_chunks_do_not_divide_rows() {
     // rows); batch 28 divides neither, so every batch crosses a chunk
     // boundary somewhere during the epoch.
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 9).unwrap();
-    let prep = Preprocessor::new(vec![Operator::SymNorm], 2).run(&data);
-    let rows = prep.train.len();
     const CHUNK: usize = 24;
     const BATCH: usize = 28;
     const SEED: u64 = 13;
+    let dir = temp_dir("shortchunk");
+    let (prep, _) = Preprocessor::new(vec![Operator::SymNorm], 2)
+        .run_with_sharded_store(&data, &dir, "pokec-sim", CHUNK)
+        .expect("store written");
+    let rows = prep.train.len();
     assert_ne!(rows % CHUNK, 0, "fixture must exercise a short last chunk");
     assert_ne!(CHUNK % BATCH, 0);
 
-    let dir = temp_dir("shortchunk");
-    prep.write_store(&dir, "pokec-sim", CHUNK)
-        .expect("store written");
-    let store = FeatureStore::open(&dir).expect("store reopens");
-    let mut disk = StorageChunkLoader::new(
+    let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+    let mut disk = ShardedStorageChunkLoader::new(
         store,
         prep.train.labels.clone(),
         BATCH,
@@ -188,24 +187,40 @@ fn default_f32_store_bytes_are_pinned() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Sharded stores must serve **bit-identical** rows to the single-store
-/// layout under every dtype and partition count: rows are dealt whole to
-/// partitions, so per-row encoding (including int8's inline per-row
-/// quantization parameters) cannot depend on the grouping.
+/// Sharded stores must serve **bit-identical** rows to a single plain
+/// store of `run`'s train hops under every dtype and partition count:
+/// rows are dealt whole to partitions, so per-row encoding (including
+/// int8's inline per-row quantization parameters) cannot depend on the
+/// grouping. At `P = 1` the lone partition's hop files are the plain
+/// store's, byte for byte.
 #[test]
 fn sharded_stores_match_single_store_bitwise_for_every_dtype() {
-    use ppgnn_dataio::StoreDtype;
+    use ppgnn_dataio::{FeatureStoreWriter, StoreDtype, StoreMeta};
     use ppgnn_graph::synth::DatasetProfile;
 
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 11).unwrap();
     let base = temp_dir("dtype-shard");
+    let ops = vec![Operator::SymNorm, Operator::RowNorm];
+    let reference = Preprocessor::new(ops.clone(), 2).run(&data);
+    let digest =
+        |path: std::path::PathBuf| fnv1a(0xcbf29ce484222325, &std::fs::read(path).unwrap());
     for dtype in StoreDtype::ALL {
-        let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 2)
-            .with_store_dtype(dtype);
+        let prep = Preprocessor::new(ops.clone(), 2).with_store_dtype(dtype);
         let sdir = base.join(format!("single-{dtype}"));
-        let (_, mut single) = prep
-            .run_with_store(&data, &sdir, "pokec-sim", 16)
-            .expect("single store");
+        let train = &reference.train;
+        let meta = StoreMeta {
+            dataset: "pokec-sim".into(),
+            num_hops: train.hops.len(),
+            rows: train.len(),
+            cols: train.hops[0].cols(),
+            chunk_size: 16,
+            dtype,
+        };
+        let mut writer = FeatureStoreWriter::create(&sdir, meta).expect("single store");
+        for (k, hop) in train.hops.iter().enumerate() {
+            writer.write_hop(k, hop).expect("hop written");
+        }
+        let mut single = writer.finish().expect("single store");
         assert_eq!(single.meta().dtype, dtype);
         let rows: Vec<usize> = (0..single.meta().rows).collect();
         for parts in [1usize, 2, 5] {
@@ -225,6 +240,17 @@ fn sharded_stores_match_single_store_bitwise_for_every_dtype() {
                     .zip(b.as_slice())
                     .all(|(u, v)| u.to_bits() == v.to_bits());
                 assert!(same, "{dtype} hop {k} differs at P={parts}");
+                if parts == 1 {
+                    let name = format!("hop_{k}.ppgt");
+                    let (plain, part) = (
+                        digest(sdir.join(&name)),
+                        digest(pdir.join("part_0").join(&name)),
+                    );
+                    assert_eq!(
+                        plain, part,
+                        "{dtype} {name} differs from the plain store at P=1"
+                    );
+                }
             }
         }
     }
@@ -259,10 +285,10 @@ fn compressed_store_drives_training_loop() {
         }
         w.finish().unwrap();
     }
-    let store = FeatureStore::open(&dir).expect("compressed store reopens");
+    let store = ShardedFeatureStore::open(&dir).expect("compressed store reopens");
     assert_eq!(store.meta().dtype, StoreDtype::F16);
     let mut loader =
-        StorageChunkLoader::new(store, prep.train.labels.clone(), 48, AccessPath::Direct, 3);
+        ShardedStorageChunkLoader::new(store, prep.train.labels.clone(), 48, AccessPath::Direct, 3);
     loader.start_epoch();
     let mut rows = 0;
     while let Some(batch) = loader.next_batch() {
@@ -288,16 +314,16 @@ fn compressed_store_drives_training_loop() {
 #[test]
 fn corrupted_store_fails_closed_not_wrong() {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.015), 5).unwrap();
-    let prep = Preprocessor::new(vec![Operator::SymNorm], 1).run(&data);
     let dir = temp_dir("corrupt");
-    prep.write_store(&dir, "pokec-sim", 16)
+    Preprocessor::new(vec![Operator::SymNorm], 1)
+        .run_with_sharded_store(&data, &dir, "pokec-sim", 16)
         .expect("store written");
 
     // Truncate one hop file: opening the store must fail cleanly.
-    let hop1 = dir.join("hop_1.ppgt");
+    let hop1 = dir.join("part_0").join("hop_1.ppgt");
     let bytes = std::fs::read(&hop1).unwrap();
     std::fs::write(&hop1, &bytes[..bytes.len() / 2]).unwrap();
-    let err = FeatureStore::open(&dir).expect_err("truncation must be detected");
+    let err = ShardedFeatureStore::open(&dir).expect_err("truncation must be detected");
     assert!(
         err.to_string().contains("truncated"),
         "unexpected error: {err}"
@@ -315,9 +341,9 @@ fn training_from_storage_matches_training_from_memory() {
     use rand::SeedableRng;
 
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 6).unwrap();
-    let prep = Preprocessor::new(vec![Operator::SymNorm], 1).run(&data);
     let dir = temp_dir("trainmatch");
-    prep.write_store(&dir, "pokec-sim", 32)
+    let (prep, _) = Preprocessor::new(vec![Operator::SymNorm], 1)
+        .run_with_sharded_store(&data, &dir, "pokec-sim", 32)
         .expect("store written");
 
     let run = |use_disk: bool| -> Vec<f32> {
@@ -329,8 +355,8 @@ fn training_from_storage_matches_training_from_memory() {
         );
         let mut opt = Sgd::new(0.05);
         let mut loader: Box<dyn Loader> = if use_disk {
-            let store = FeatureStore::open(&dir).expect("store reopens");
-            Box::new(StorageChunkLoader::new(
+            let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+            Box::new(ShardedStorageChunkLoader::new(
                 store,
                 prep.train.labels.clone(),
                 64,
