@@ -37,8 +37,6 @@ pub enum FileKind {
     Bin,
     /// Integration tests: L1, L2, L4.
     Test,
-    /// Benches: L1, L2, L4.
-    Bench,
     /// Examples: L1, L2, L4.
     Example,
 }
@@ -48,8 +46,6 @@ impl FileKind {
     pub fn classify(rel: &str) -> FileKind {
         if rel.starts_with("tests/") || rel.contains("/tests/") {
             FileKind::Test
-        } else if rel.contains("/benches/") {
-            FileKind::Bench
         } else if rel.starts_with("examples/") || rel.contains("/examples/") {
             FileKind::Example
         } else if rel.contains("/src/bin/")
@@ -201,7 +197,6 @@ impl Default for Config {
                 "failed to spawn pool worker",
                 // tensor::gemm — dispatch invariants.
                 "the portable kernel is always supported",
-                "the portable kernel is always a candidate",
                 "A panel step is MR long",
                 "B panel step is NR long",
                 // dataio — writer/codec structural invariants.
@@ -296,10 +291,6 @@ mod tests {
         assert_eq!(
             FileKind::classify("crates/analyze/tests/lints.rs"),
             FileKind::Test
-        );
-        assert_eq!(
-            FileKind::classify("crates/bench/benches/gemm.rs"),
-            FileKind::Bench
         );
         assert_eq!(
             FileKind::classify("crates/bench/src/bin/exp_tables.rs"),

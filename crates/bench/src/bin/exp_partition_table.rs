@@ -5,25 +5,33 @@
 //! single-domain engine's whatever the layout, so there is no timing to
 //! compare.
 //!
-//! `PPGNN_NUM_PARTITIONS` overrides the default partition counts.
+//! Partition counts come from the command line (default: 2 and 4).
 //!
-//! Run with: `cargo run --release -p ppgnn-bench --bin exp_partition_table`
+//! Run with: `cargo run --release -p ppgnn-bench --bin exp_partition_table [P ...]`
 
 use ppgnn_bench::{print_markdown_table, HARNESS_SCALE};
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::{BfsGrowPartitioner, Operator, Partitioner, RangeCutPartitioner};
-use ppgnn_tensor::knobs;
 
 fn main() {
     let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(HARNESS_SCALE), 42)
         .expect("generation succeeds");
     let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3);
 
-    // Clamped through the registry like every other consumer — the
-    // pre-registry read here accepted any usize, including 0.
-    let env_parts = knobs::usize_value(knobs::NUM_PARTITIONS);
-    let part_counts: Vec<usize> = env_parts.map(|p| vec![p]).unwrap_or_else(|| vec![2, 4]);
+    let mut part_counts: Vec<usize> = std::env::args()
+        .skip(1)
+        .map(|a| match a.parse::<usize>() {
+            Ok(p) if p >= 1 => p,
+            _ => {
+                eprintln!("usage: exp_partition_table [P ...]  (partition counts >= 1, got {a:?})");
+                std::process::exit(2);
+            }
+        })
+        .collect();
+    if part_counts.is_empty() {
+        part_counts = vec![2, 4];
+    }
 
     println!("## Partition layout — pokec-sim, K=2 (sym + rw), R=3\n");
 

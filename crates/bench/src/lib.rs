@@ -1,4 +1,4 @@
-//! Shared harness utilities for the experiment binaries and benches.
+//! Shared harness utilities for the experiment binaries.
 //!
 //! Every table and figure of the paper has a dedicated `exp_*` binary in
 //! `src/bin/`; this library holds the plumbing they share — markdown table
@@ -20,9 +20,6 @@ use rand::SeedableRng;
 /// small enough to keep each experiment in minutes on a laptop, large
 /// enough for accuracy trends to be meaningful.
 pub const HARNESS_SCALE: f64 = 0.12;
-
-/// Quick scale for criterion micro-benchmarks.
-pub const MICRO_SCALE: f64 = 0.05;
 
 /// Adjusts a profile for harness-scale *training*: node counts shrink
 /// ~100x, so splits that assume millions of nodes (products-sim's 8% train

@@ -31,7 +31,7 @@ use ppgnn_dataio::{
 use ppgnn_graph::synth::SynthDataset;
 use ppgnn_graph::{NodeOrder, Operator, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr};
 use ppgnn_partition::{partition_stats, PartitionStat};
-use ppgnn_tensor::{knobs, pool, Matrix, StoreDtype, WorkerPool};
+use ppgnn_tensor::{pool, Matrix, StoreDtype, WorkerPool};
 
 /// Per-hop diffusion wall time mirrored into the telemetry registry
 /// (also carried per run in [`PrepTelemetry::hop_ns`]).
@@ -265,11 +265,11 @@ pub struct PrepropOutput {
 pub struct Preprocessor {
     operators: Vec<Operator>,
     hops: usize,
-    /// `None` = auto: `PPGNN_NUM_SHARDS`, else the pool width.
+    /// `None` = auto: the pool width.
     num_shards: Option<usize>,
-    /// `None` = auto: `PPGNN_NUM_PARTITIONS`, else 1 (one partition store).
+    /// `None` = 1 (one partition store).
     num_partitions: Option<usize>,
-    /// `None` = auto: `PPGNN_WRITER_QUEUE`, else [`DEFAULT_WRITER_QUEUE`].
+    /// `None` = [`DEFAULT_WRITER_QUEUE`].
     writer_queue: Option<usize>,
     /// `None` = auto: `PPGNN_STORE_DTYPE`, else [`StoreDtype::F32`].
     store_dtype: Option<StoreDtype>,
@@ -297,9 +297,9 @@ impl Preprocessor {
     ///
     /// `1` forces the sequential per-operator schedule (the PR 2
     /// behaviour); `≥ 2` enables the shard×operator scheduler regardless
-    /// of problem size. Without this (and without `PPGNN_NUM_SHARDS`),
-    /// the shard count is the worker-pool width, and tiny graphs below
-    /// the parallel threshold fall back to the sequential schedule.
+    /// of problem size. Without this, the shard count is the worker-pool
+    /// width, and tiny graphs below the parallel threshold fall back to
+    /// the sequential schedule.
     pub fn with_num_shards(mut self, num_shards: usize) -> Self {
         self.num_shards = Some(num_shards.max(1));
         self
@@ -310,9 +310,8 @@ impl Preprocessor {
     /// into, one per disjoint graph partition of the node space.
     ///
     /// `1` gives one partition store whose hop files are byte-identical to
-    /// a plain store of the train hops. Without this (and without
-    /// `PPGNN_NUM_PARTITIONS`), a sharded store has one partition. The
-    /// count never affects what is diffused.
+    /// a plain store of the train hops. Without this, a sharded store has
+    /// one partition. The count never affects what is diffused.
     pub fn with_num_partitions(mut self, num_partitions: usize) -> Self {
         self.num_partitions = Some(num_partitions.max(1));
         self
@@ -320,7 +319,7 @@ impl Preprocessor {
 
     /// Pins the queue depth of the per-partition async hop writers of
     /// [`Preprocessor::run_with_sharded_store`] (default:
-    /// `PPGNN_WRITER_QUEUE`, else [`DEFAULT_WRITER_QUEUE`]).
+    /// [`DEFAULT_WRITER_QUEUE`]).
     pub fn with_writer_queue(mut self, depth: usize) -> Self {
         self.writer_queue = Some(depth.max(1));
         self
@@ -360,41 +359,28 @@ impl Preprocessor {
         self.spmm_invocations_per_operator().iter().sum()
     }
 
-    /// Resolves the shard count: pinned value, else `PPGNN_NUM_SHARDS`,
-    /// else the pool width. The bool reports whether the count was pinned
-    /// explicitly (builder or environment) — explicit counts are honored
-    /// even below the parallel threshold, so tests exercise the sharded
-    /// schedule deterministically on any machine.
+    /// Resolves the shard count: pinned value, else the pool width. The
+    /// bool reports whether the count was pinned — pinned counts are
+    /// honored even below the parallel threshold, so tests exercise the
+    /// sharded schedule deterministically on any machine.
     fn resolved_num_shards(&self, pool: &WorkerPool) -> (usize, bool) {
-        if let Some(n) = self.num_shards {
-            return (n.max(1), true);
+        match self.num_shards {
+            Some(n) => (n, true),
+            None => (pool.num_threads(), false),
         }
-        if let Some(n) = knobs::usize_value(knobs::NUM_SHARDS) {
-            return (n, true);
-        }
-        (pool.num_threads(), false)
-    }
-
-    /// Resolves the partition count: pinned value, else
-    /// `PPGNN_NUM_PARTITIONS`, else 1.
-    fn resolved_num_partitions(&self) -> usize {
-        if let Some(n) = self.num_partitions {
-            return n.max(1);
-        }
-        knobs::usize_value(knobs::NUM_PARTITIONS).unwrap_or(1)
     }
 
     /// Resolves the store encoding: pinned value, else
     /// `PPGNN_STORE_DTYPE`, else `f32`.
-    fn resolved_store_dtype(&self) -> StoreDtype {
-        self.store_dtype.unwrap_or_else(StoreDtype::from_env)
-    }
-
-    fn resolved_writer_queue(&self) -> usize {
-        self.writer_queue
-            .or_else(|| knobs::usize_value(knobs::WRITER_QUEUE))
-            .unwrap_or(DEFAULT_WRITER_QUEUE)
-            .max(1)
+    ///
+    /// # Errors
+    ///
+    /// [`DataIoError::BadKnob`] when `PPGNN_STORE_DTYPE` names no dtype.
+    fn resolved_store_dtype(&self) -> Result<StoreDtype, DataIoError> {
+        match self.store_dtype {
+            Some(dtype) => Ok(dtype),
+            None => StoreDtype::from_env().map_err(DataIoError::BadKnob),
+        }
     }
 
     /// Groups operator indices for concurrent scheduling.
@@ -620,10 +606,10 @@ impl Preprocessor {
     /// one feature store per graph partition under a
     /// [`ppgnn_dataio::ShardedStoreManifest`], each fed by its own async
     /// writer, so hop `r + 1` diffusion overlaps hop `r` storage I/O. The
-    /// node space is cut into [`Preprocessor::with_num_partitions`] (or
-    /// `PPGNN_NUM_PARTITIONS`, else one) disjoint partitions by the
-    /// default nnz-balanced [`RangeCutPartitioner`]; the cut decides only
-    /// where rows are stored. Diffusion is [`Preprocessor::run`]'s, and
+    /// node space is cut into [`Preprocessor::with_num_partitions`] (else
+    /// one) disjoint partitions by the default nnz-balanced
+    /// [`RangeCutPartitioner`]; the cut decides only where rows are
+    /// stored. Diffusion is [`Preprocessor::run`]'s, and
     /// partition `p`'s store holds the training rows of the nodes it owns,
     /// in global training order, so every stored row is
     /// **byte-identical** to the same row of a plain store of `run`'s
@@ -637,9 +623,11 @@ impl Preprocessor {
     ///
     /// # Errors
     ///
-    /// Propagates store-creation and write failures (reporting the
-    /// latched write cause, not the fail-fast placeholder, when a submit
-    /// aborts the run).
+    /// [`DataIoError::BadKnob`] before any diffusion when no dtype is
+    /// pinned and `PPGNN_STORE_DTYPE` names no dtype; otherwise propagates
+    /// store-creation and write failures (reporting the latched write
+    /// cause, not the fail-fast placeholder, when a submit aborts the
+    /// run).
     pub fn run_with_sharded_store(
         &self,
         data: &SynthDataset,
@@ -677,7 +665,8 @@ impl Preprocessor {
         chunk_size: usize,
         pool: &WorkerPool,
     ) -> Result<(PrepropOutput, ShardedFeatureStore), DataIoError> {
-        let plan = partitioner.partition(&data.graph, self.resolved_num_partitions());
+        let dtype = self.resolved_store_dtype()?;
+        let plan = partitioner.partition(&data.graph, self.num_partitions.unwrap_or(1));
         // The layout table: what each partition holds of the first
         // operator, and the ghost rows a partition-local diffusion would
         // fetch. Computed before diffusion, so its extractions are freed
@@ -699,13 +688,13 @@ impl Preprocessor {
             rows: data.split.train.len(),
             cols: self.operators.len() * data.features.cols(),
             chunk_size,
-            dtype: self.resolved_store_dtype(),
+            dtype,
         };
         let mut writer = ShardedStoreWriter::create_or_resume(
             dir,
             meta,
             &rows_by_part,
-            self.resolved_writer_queue(),
+            self.writer_queue.unwrap_or(DEFAULT_WRITER_QUEUE),
         )?;
         // Each partition's rows of the finished train hop go to its writer;
         // (partition, hop) units an interrupted run already committed (per

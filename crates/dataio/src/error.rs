@@ -88,6 +88,9 @@ pub enum DataIoError {
     OutOfRange(String),
     /// Stored bytes failed to parse or verify, with location context.
     Corrupt(CorruptError),
+    /// A `PPGNN_*` environment knob holds a value its consumer rejects;
+    /// the message names the knob and the value.
+    BadKnob(String),
 }
 
 impl DataIoError {
@@ -104,6 +107,7 @@ impl fmt::Display for DataIoError {
             DataIoError::BadManifest(m) => write!(f, "bad manifest: {m}"),
             DataIoError::OutOfRange(m) => write!(f, "request out of range: {m}"),
             DataIoError::Corrupt(c) => write!(f, "corrupt store: {c}"),
+            DataIoError::BadKnob(m) => write!(f, "bad knob: {m}"),
         }
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ppgnn_tensor::{knobs, Matrix};
+use ppgnn_tensor::Matrix;
 
 use crate::{DataIoError, FeatureStore, FeatureStoreWriter, StoreMeta};
 
@@ -31,8 +31,7 @@ static WRITER_RETRIES: ppgnn_telemetry::Counter = ppgnn_telemetry::Counter::new(
 static WRITER_LATCHED_FAILURES: ppgnn_telemetry::Counter =
     ppgnn_telemetry::Counter::new("writer.latched_failures");
 
-/// Default number of retries for a transiently failing hop write when
-/// `PPGNN_WRITE_RETRIES` is unset.
+/// Retries for a transiently failing hop write before it latches.
 const DEFAULT_WRITE_RETRIES: usize = 2;
 
 /// Base backoff before the first retry; doubles per attempt (capped).
@@ -140,12 +139,10 @@ impl AsyncHopWriter {
     /// a larger depth changes nothing but the channel's allocation.
     ///
     /// Transient I/O failures in a hop write are retried with
-    /// exponential backoff up to `PPGNN_WRITE_RETRIES` times (default
-    /// 2) before latching — shape/range errors are never retried, they
+    /// exponential backoff up to [`DEFAULT_WRITE_RETRIES`] times before
+    /// latching — shape/range errors are never retried, they
     /// latch immediately.
     pub fn wrap(writer: FeatureStoreWriter, queue_depth: usize) -> Self {
-        let retry_budget =
-            knobs::usize_value(knobs::WRITE_RETRIES).unwrap_or(DEFAULT_WRITE_RETRIES);
         let resumed = writer.resumed_hops().to_vec();
         let failed = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&failed);
@@ -166,9 +163,7 @@ impl AsyncHopWriter {
                         // on a queue nobody is emptying.
                         continue;
                     }
-                    if let Err(e) =
-                        write_hop_with_retry(&mut writer, k, &features, retry_budget, &drain_stats)
-                    {
+                    if let Err(e) = write_hop_with_retry(&mut writer, k, &features, &drain_stats) {
                         flag.store(true, Ordering::Release);
                         WRITER_LATCHED_FAILURES.add(1);
                         first_err = Some(e);
@@ -297,7 +292,8 @@ impl AsyncHopWriter {
     }
 }
 
-/// One hop write with bounded retry-with-backoff. Only
+/// One hop write with up to [`DEFAULT_WRITE_RETRIES`] retries with
+/// backoff. Only
 /// [`DataIoError::Io`] — the transient class (full disk coming back,
 /// NFS hiccups, injected write faults) — is retried; shape and range
 /// errors are deterministic caller bugs and latch immediately. The
@@ -307,18 +303,16 @@ fn write_hop_with_retry(
     writer: &mut FeatureStoreWriter,
     k: usize,
     features: &Matrix,
-    retry_budget: usize,
     stats: &StatsCells,
 ) -> Result<(), DataIoError> {
     let mut attempt = 0usize;
     loop {
         match writer.write_hop(k, features) {
             Ok(()) => return Ok(()),
-            Err(e @ DataIoError::Io(_)) if attempt < retry_budget => {
+            Err(DataIoError::Io(_)) if attempt < DEFAULT_WRITE_RETRIES => {
                 attempt += 1;
                 stats.retries.fetch_add(1, Ordering::Relaxed);
                 WRITER_RETRIES.add(1);
-                let _ = e;
                 std::thread::sleep(Duration::from_millis(
                     RETRY_BACKOFF_BASE_MS << (attempt - 1).min(6),
                 ));

@@ -57,7 +57,7 @@ impl StoreDtype {
     ];
 
     /// Stable lowercase name, as accepted by `PPGNN_STORE_DTYPE` and
-    /// recorded in store manifests and `BENCH_store.json`.
+    /// recorded in store manifests.
     pub fn name(self) -> &'static str {
         match self {
             StoreDtype::F32 => "f32",
@@ -78,17 +78,19 @@ impl StoreDtype {
         }
     }
 
-    /// The `PPGNN_STORE_DTYPE` knob, defaulting to [`StoreDtype::F32`].
+    /// The `PPGNN_STORE_DTYPE` knob, defaulting to [`StoreDtype::F32`]
+    /// when unset.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unknown dtype name — the `Enum` knob contract is
-    /// that a bad value fails loudly at the use site.
-    pub fn from_env() -> StoreDtype {
+    /// A message naming the knob and its value when the value is no
+    /// dtype name — the `Enum` knob contract is that a bad value is
+    /// reported at the use site, never silently replaced.
+    pub fn from_env() -> Result<StoreDtype, String> {
         match knobs::string_value(knobs::STORE_DTYPE) {
-            None => StoreDtype::F32,
-            Some(v) => StoreDtype::parse(&v).unwrap_or_else(|| {
-                panic!(
+            None => Ok(StoreDtype::F32),
+            Some(v) => StoreDtype::parse(&v).ok_or_else(|| {
+                format!(
                     "{}={v:?} is not a store dtype (expected f32|f16|bf16|int8)",
                     knobs::STORE_DTYPE
                 )

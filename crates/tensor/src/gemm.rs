@@ -23,10 +23,10 @@
 //! * [`Avx512Kernel`] — an 8×16 AVX-512 tile (one accumulator row = one
 //!   `zmm`), twice the B-panel width per A broadcast.
 //!
-//! Dispatch is resolved **once per process** ([`block::kernel`]): an
-//! explicit [`block::set_kernel`] override, else `PPGNN_FORCE_KERNEL`
-//! (`portable`/`avx2`/`avx512`), else the [`crate::tune`] profile when
-//! `PPGNN_TUNE_CACHE` is active, else the widest kernel the CPU supports.
+//! Dispatch is resolved by [`block::kernel`]: an explicit
+//! [`block::set_kernel`] override, else `PPGNN_FORCE_KERNEL`
+//! (`portable`/`avx2`/`avx512`, read once per process), else the widest
+//! kernel the CPU supports.
 //! Every entry point snapshots the whole tiling configuration
 //! ([`block::tile_config`] → [`block::TileConfig`]) exactly once per
 //! call, so a concurrent `set_*` can never desynchronize the packed
@@ -41,10 +41,10 @@
 //! # Blocking
 //!
 //! The K dimension is cut into panels of depth [`block::kc`]
-//! (`PPGNN_GEMM_BLOCK` / [`block::set_kc`]); packed panels stay
-//! L1-resident under the micro-kernel. The N dimension is additionally
-//! cut into [`block::nc`]-column blocks (`PPGNN_GEMM_NC` /
-//! [`block::set_nc`]): within one K panel each task sweeps an
+//! ([`block::DEFAULT_KC`], overridden by [`block::set_kc`]); packed panels
+//! stay L1-resident under the micro-kernel. The N dimension is additionally
+//! cut into [`block::nc`]-column blocks ([`block::DEFAULT_NC`], overridden
+//! by [`block::set_nc`]): within one K panel each task sweeps an
 //! `NC`-column slice of packed `B` across all of its row tiles before
 //! moving right, so wide hidden layers reuse a `KC×NC` B block out of L2
 //! instead of streaming the whole packed row of panels per `MR` rows. A
@@ -84,8 +84,7 @@
 //!
 //! The pre-blocking naive kernels are retained verbatim in [`reference`]
 //! as the correctness oracle (proptests pin every packed backend to them
-//! within tight float tolerance) and as the baseline the
-//! `BENCH_gemm.json` artifact measures speedups against.
+//! within tight float tolerance).
 
 use crate::pool::{pool, threads_for, BlockOut, PackBuf, PackWorkspace, RowBlocks};
 use crate::Matrix;
@@ -124,8 +123,7 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Stable lowercase name, as accepted by `PPGNN_FORCE_KERNEL` and
-    /// recorded in the tune cache and `BENCH_gemm.json`.
+    /// Stable lowercase name, as accepted by `PPGNN_FORCE_KERNEL`.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Portable => "portable",
@@ -239,19 +237,13 @@ pub mod block {
     /// narrow enough that the gathered `X` rows stay hot in L1.
     pub const SPMM_COL_BLOCK: usize = 8 * NR;
 
-    /// Test/bench override for the K-panel depth; `0` = unset.
+    /// Override of the K-panel depth; `0` = unset.
     static KC_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-    /// `PPGNN_GEMM_BLOCK`, read once on first use.
-    static KC_FROM_ENV: OnceLock<Option<usize>> = OnceLock::new();
-
-    /// Test/bench override for the NC column block; `0` = unset.
+    /// Override of the NC column block; `0` = unset.
     static NC_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-    /// `PPGNN_GEMM_NC`, read once on first use.
-    static NC_FROM_ENV: OnceLock<Option<usize>> = OnceLock::new();
-
-    /// Test/bench kernel override; `0` = unset, else `KernelKind` + 1.
+    /// Kernel override; `0` = unset, else `KernelKind` + 1.
     static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
     /// `PPGNN_FORCE_KERNEL`, read once on first use.
@@ -283,52 +275,40 @@ pub mod block {
     }
 
     /// The active K-panel depth: the [`set_kc`] override when set, else
-    /// `PPGNN_GEMM_BLOCK` (clamped to `1..=65536`, read once), else the
-    /// [`crate::tune`] profile when one is active, else [`DEFAULT_KC`].
+    /// [`DEFAULT_KC`].
     pub fn kc() -> usize {
-        let v = KC_OVERRIDE.load(Ordering::Relaxed);
-        if v != 0 {
-            return v;
+        match KC_OVERRIDE.load(Ordering::Relaxed) {
+            0 => DEFAULT_KC,
+            v => v,
         }
-        KC_FROM_ENV
-            .get_or_init(|| crate::knobs::usize_value(crate::knobs::GEMM_BLOCK))
-            .or_else(|| crate::tune::cached_profile().map(|p| p.kc))
-            .unwrap_or(DEFAULT_KC)
     }
 
     /// Overrides the K-panel depth (primarily for tests and block-size
-    /// sweeps); `0` resets to the environment/tuned/default value. Any
-    /// positive depth is correct — the knob trades packing granularity
-    /// against cache residency.
+    /// sweeps); `0` resets to [`DEFAULT_KC`]. Any positive depth is
+    /// correct — the depth trades packing granularity against cache
+    /// residency.
     pub fn set_kc(kc: usize) {
         KC_OVERRIDE.store(kc, Ordering::Relaxed);
     }
 
     /// The active NC column block: the [`set_nc`] override when set,
-    /// else `PPGNN_GEMM_NC` (clamped to `1..=1048576`, read once), else
-    /// the [`crate::tune`] profile when one is active, else
-    /// [`DEFAULT_NC`].
+    /// else [`DEFAULT_NC`].
     pub fn nc() -> usize {
-        let v = NC_OVERRIDE.load(Ordering::Relaxed);
-        if v != 0 {
-            return v;
+        match NC_OVERRIDE.load(Ordering::Relaxed) {
+            0 => DEFAULT_NC,
+            v => v,
         }
-        NC_FROM_ENV
-            .get_or_init(|| crate::knobs::usize_value(crate::knobs::GEMM_NC))
-            .or_else(|| crate::tune::cached_profile().map(|p| p.nc))
-            .unwrap_or(DEFAULT_NC)
     }
 
-    /// Overrides the NC column block; `0` resets to the
-    /// environment/tuned/default value. Any positive width is correct.
+    /// Overrides the NC column block; `0` resets to [`DEFAULT_NC`]. Any
+    /// positive width is correct.
     pub fn set_nc(nc: usize) {
         NC_OVERRIDE.store(nc, Ordering::Relaxed);
     }
 
     /// The dispatched micro-kernel backend: the [`set_kernel`] override
-    /// when set, else `PPGNN_FORCE_KERNEL` (read once), else the
-    /// [`crate::tune`] profile when one is active and still supported,
-    /// else the widest backend the CPU supports.
+    /// when set, else `PPGNN_FORCE_KERNEL` (read once), else the widest
+    /// backend the CPU supports.
     ///
     /// # Panics
     ///
@@ -358,17 +338,12 @@ pub mod block {
                 );
                 Some(kind)
             })
-            .or_else(|| {
-                crate::tune::cached_profile()
-                    .map(|p| p.kernel)
-                    .filter(|k| k.is_supported())
-            })
             .unwrap_or_else(super::widest_supported_kernel)
     }
 
-    /// Overrides the dispatched backend (tests, benches, the tuner's
-    /// equivalence suites); `None` resets to the environment/tuned/
-    /// detected value.
+    /// Overrides the dispatched backend (tests and the per-backend
+    /// equivalence suites); `None` resets to the environment/detected
+    /// value.
     ///
     /// # Panics
     ///
@@ -1391,7 +1366,7 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 }
 
 /// The pre-blocking naive kernels, retained verbatim as the correctness
-/// oracle for the packed implementations and as the bench baseline.
+/// oracle for the packed implementations.
 ///
 /// These are the i-k-j loops the packed kernels replaced: no packing, no
 /// register tiling, a per-element `aik == 0.0` branch, and (in

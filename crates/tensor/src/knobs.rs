@@ -12,10 +12,14 @@
 //! Accessors return `None` when a knob is unset or unparseable, so call
 //! sites keep owning their (sometimes dynamic) defaults — e.g. the pool
 //! width falls back to `available_parallelism()`. Numeric knobs are
-//! clamped to the registry's declared range at the single parse point,
-//! which fixed the pre-registry drift where bench binaries parsed
-//! `PPGNN_NUM_PARTITIONS` unclamped while the preprocessing builder
-//! clamped it to `1..=4096`.
+//! clamped to the registry's declared range at the single parse point
+//! (`parse_usize`).
+//!
+//! Knobs are kept for settings a run takes from outside the program:
+//! pool width, forced GEMM backend, store encoding, fault plans, the
+//! proptest seed and tracing. Every other tunable (shard, partition and
+//! writer-queue counts, GEMM blocking) is a builder or `set_*` call on
+//! the type that owns it.
 //!
 //! The reads outside this module are `PPGNN_PROPTEST_SEED` in the
 //! vendored proptest shim and `PPGNN_TRACE` / `PPGNN_TRACE_OUT` in
@@ -43,7 +47,7 @@ pub enum KnobKind {
     /// plan); empty means unset.
     Text,
     /// One of a closed set of names, validated by the consumer (a bad
-    /// value must fail loudly at the use site, not silently here).
+    /// value is reported at the use site, never silently ignored here).
     Enum(&'static [&'static str]),
 }
 
@@ -62,34 +66,12 @@ pub struct KnobDef {
 
 /// `PPGNN_NUM_THREADS`.
 pub const NUM_THREADS: &str = "PPGNN_NUM_THREADS";
-/// `PPGNN_GEMM_BLOCK`.
-pub const GEMM_BLOCK: &str = "PPGNN_GEMM_BLOCK";
-/// `PPGNN_GEMM_NC`.
-pub const GEMM_NC: &str = "PPGNN_GEMM_NC";
 /// `PPGNN_FORCE_KERNEL`.
 pub const FORCE_KERNEL: &str = "PPGNN_FORCE_KERNEL";
-/// `PPGNN_TUNE_CACHE`.
-pub const TUNE_CACHE: &str = "PPGNN_TUNE_CACHE";
-/// `PPGNN_NUM_SHARDS`.
-pub const NUM_SHARDS: &str = "PPGNN_NUM_SHARDS";
-/// `PPGNN_NUM_PARTITIONS`.
-pub const NUM_PARTITIONS: &str = "PPGNN_NUM_PARTITIONS";
-/// `PPGNN_WRITER_QUEUE`.
-pub const WRITER_QUEUE: &str = "PPGNN_WRITER_QUEUE";
-/// `PPGNN_BENCH_SMOKE`.
-pub const BENCH_SMOKE: &str = "PPGNN_BENCH_SMOKE";
-/// `PPGNN_BENCH_ARTIFACT`.
-pub const BENCH_ARTIFACT: &str = "PPGNN_BENCH_ARTIFACT";
-/// `PPGNN_GEMM_BENCH_ARTIFACT`.
-pub const GEMM_BENCH_ARTIFACT: &str = "PPGNN_GEMM_BENCH_ARTIFACT";
 /// `PPGNN_STORE_DTYPE`.
 pub const STORE_DTYPE: &str = "PPGNN_STORE_DTYPE";
-/// `PPGNN_STORE_BENCH_ARTIFACT`.
-pub const STORE_BENCH_ARTIFACT: &str = "PPGNN_STORE_BENCH_ARTIFACT";
 /// `PPGNN_FAULTS`.
 pub const FAULTS: &str = "PPGNN_FAULTS";
-/// `PPGNN_WRITE_RETRIES`.
-pub const WRITE_RETRIES: &str = "PPGNN_WRITE_RETRIES";
 /// `PPGNN_PROPTEST_SEED`.
 pub const PROPTEST_SEED: &str = "PPGNN_PROPTEST_SEED";
 /// `PPGNN_TRACE`.
@@ -106,91 +88,22 @@ pub const REGISTRY: &[KnobDef] = &[
         doc: "Worker-pool width shared by GEMM, SpMM, and sharded preprocessing.",
     },
     KnobDef {
-        name: GEMM_BLOCK,
-        kind: KnobKind::Usize { min: 1, max: 65536 },
-        default: "256, or the tuned profile",
-        doc: "Packed-GEMM K-panel depth (KC); overrides the autotuned profile.",
-    },
-    KnobDef {
-        name: GEMM_NC,
-        kind: KnobKind::Usize {
-            min: 1,
-            max: 1 << 20,
-        },
-        default: "kernel-specific, or the tuned profile",
-        doc: "Packed-GEMM column block (NC); overrides the autotuned profile.",
-    },
-    KnobDef {
         name: FORCE_KERNEL,
         kind: KnobKind::Enum(&["portable", "avx2", "avx512"]),
         default: "runtime dispatch",
         doc: "Pins the GEMM micro-kernel backend; unknown or unsupported names panic.",
     },
     KnobDef {
-        name: TUNE_CACHE,
-        kind: KnobKind::Path,
-        default: "unset (no autotuning)",
-        doc: "Path of the one-shot {kernel, KC, NC} autotune cache; empty disables.",
-    },
-    KnobDef {
-        name: NUM_SHARDS,
-        kind: KnobKind::Usize { min: 1, max: 4096 },
-        default: "pool width",
-        doc: "Node-range shard count of each preprocessing diffusion pass.",
-    },
-    KnobDef {
-        name: NUM_PARTITIONS,
-        kind: KnobKind::Usize { min: 1, max: 4096 },
-        default: "1 (one partition store)",
-        doc: "Partition-store count of a sharded store layout.",
-    },
-    KnobDef {
-        name: WRITER_QUEUE,
-        kind: KnobKind::Usize { min: 1, max: 4096 },
-        default: "2",
-        doc: "Bounded queue depth of the async hop writer (at most one slot per hop).",
-    },
-    KnobDef {
-        name: BENCH_SMOKE,
-        kind: KnobKind::Flag,
-        default: "off",
-        doc: "Shrinks bench repetitions to CI smoke scale.",
-    },
-    KnobDef {
-        name: BENCH_ARTIFACT,
-        kind: KnobKind::Path,
-        default: "`BENCH_preprop.json`",
-        doc: "Output path of the pipeline bench's perf artifact.",
-    },
-    KnobDef {
-        name: GEMM_BENCH_ARTIFACT,
-        kind: KnobKind::Path,
-        default: "`BENCH_gemm.json`",
-        doc: "Output path of the GEMM bench's perf artifact.",
-    },
-    KnobDef {
         name: STORE_DTYPE,
         kind: KnobKind::Enum(&["f32", "f16", "bf16", "int8"]),
         default: "f32",
-        doc: "Hop-feature store element encoding; unknown names panic at store creation.",
-    },
-    KnobDef {
-        name: STORE_BENCH_ARTIFACT,
-        kind: KnobKind::Path,
-        default: "`BENCH_store.json`",
-        doc: "Output path of the store bench's perf artifact.",
+        doc: "Hop-feature store element encoding; an unknown name fails store creation with an error.",
     },
     KnobDef {
         name: FAULTS,
         kind: KnobKind::Text,
         default: "unset (no faults)",
         doc: "Deterministic I/O fault plan: `site:kind:nth[+][@scope]` specs (`;`-joined) or `seed=<u64>` for the chaos suite; unset costs one atomic load.",
-    },
-    KnobDef {
-        name: WRITE_RETRIES,
-        kind: KnobKind::Usize { min: 0, max: 16 },
-        default: "2",
-        doc: "Retry budget (with exponential backoff) for transient hop-write I/O errors in the async writer.",
     },
     KnobDef {
         name: PROPTEST_SEED,
@@ -232,6 +145,12 @@ fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
+/// Parses a `Usize` knob's raw string, clamped to `min..=max`; `None`
+/// when it is not a `usize`.
+fn parse_usize(raw: &str, min: usize, max: usize) -> Option<usize> {
+    raw.parse::<usize>().ok().map(|v| v.clamp(min, max))
+}
+
 /// A `Usize` knob's value, clamped to its registered range; `None` when
 /// unset or unparseable.
 ///
@@ -242,62 +161,38 @@ pub fn usize_value(name: &str) -> Option<usize> {
     let KnobKind::Usize { min, max } = def(name).kind else {
         panic!("{name} is not a usize knob");
     };
-    raw(name)?.parse::<usize>().ok().map(|v| v.clamp(min, max))
+    parse_usize(&raw(name)?, min, max)
 }
 
-/// A `Flag` knob: set and equal to `"1"`.
-pub fn flag(name: &str) -> bool {
-    raw(name).is_some_and(|v| v == "1")
-}
-
-/// A string-valued (`Path`/`Enum`) knob; empty strings mean unset.
+/// A string-valued (`Path`/`Text`/`Enum`) knob; empty strings mean unset.
 pub fn string_value(name: &str) -> Option<String> {
     raw(name).filter(|v| !v.is_empty())
-}
-
-/// Whether the knob is set at all (even to an empty string) — bench
-/// artifact emission keys off presence.
-pub fn is_set(name: &str) -> bool {
-    raw(name).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Env-var mutation is process-global; keep every knob this module
-    // touches distinct from the ones other tensor tests read.
     #[test]
     fn usize_values_clamp_to_registered_range() {
-        std::env::set_var(NUM_SHARDS, "999999");
-        assert_eq!(usize_value(NUM_SHARDS), Some(4096));
-        std::env::set_var(NUM_SHARDS, "0");
-        assert_eq!(usize_value(NUM_SHARDS), Some(1));
-        std::env::set_var(NUM_SHARDS, "17");
-        assert_eq!(usize_value(NUM_SHARDS), Some(17));
-        std::env::set_var(NUM_SHARDS, "not a number");
-        assert_eq!(usize_value(NUM_SHARDS), None);
-        std::env::remove_var(NUM_SHARDS);
-        assert_eq!(usize_value(NUM_SHARDS), None);
+        assert_eq!(parse_usize("999999", 1, 4096), Some(4096));
+        assert_eq!(parse_usize("0", 1, 4096), Some(1));
+        assert_eq!(parse_usize("17", 1, 4096), Some(17));
+        assert_eq!(parse_usize("not a number", 1, 4096), None);
+        assert_eq!(parse_usize("", 1, 4096), None);
+        assert_eq!(parse_usize("-3", 1, 4096), None);
     }
 
-    #[test]
-    fn flags_require_exactly_one() {
-        std::env::set_var(BENCH_SMOKE, "1");
-        assert!(flag(BENCH_SMOKE));
-        std::env::set_var(BENCH_SMOKE, "true");
-        assert!(!flag(BENCH_SMOKE));
-        std::env::remove_var(BENCH_SMOKE);
-        assert!(!flag(BENCH_SMOKE));
-    }
-
+    // Env-var mutation is process-global: `PPGNN_TRACE_OUT` is read only
+    // by the telemetry crate's trace export, which no tensor test runs.
     #[test]
     fn empty_strings_mean_unset_for_paths() {
-        std::env::set_var(BENCH_ARTIFACT, "");
-        assert_eq!(string_value(BENCH_ARTIFACT), None);
-        assert!(is_set(BENCH_ARTIFACT));
-        std::env::remove_var(BENCH_ARTIFACT);
-        assert!(!is_set(BENCH_ARTIFACT));
+        std::env::set_var(TRACE_OUT, "");
+        assert_eq!(string_value(TRACE_OUT), None);
+        std::env::set_var(TRACE_OUT, "out.json");
+        assert_eq!(string_value(TRACE_OUT).as_deref(), Some("out.json"));
+        std::env::remove_var(TRACE_OUT);
+        assert_eq!(string_value(TRACE_OUT), None);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   [`pool::PackWorkspace`] packing scratch,
 //! * packed, cache-blocked [`matmul`]/[`matmul_tn`]/[`matmul_nt`] kernels
 //!   (plus `_into` variants writing pre-allocated outputs) built on one
-//!   `MR×NR` register-tile micro-kernel with `PPGNN_GEMM_BLOCK`-tunable
-//!   K panels ([`block`]); the `tn`/`nt` variants back the hand-written
-//!   backward passes in `ppgnn-nn`, and the pre-blocking naive kernels
-//!   survive in [`reference`] as the correctness oracle and bench
-//!   baseline,
+//!   `MR×NR` register-tile micro-kernel over K panels and NC column
+//!   blocks whose sizes [`block`] holds; the `tn`/`nt` variants back the
+//!   hand-written backward passes in `ppgnn-nn`, and the pre-blocking
+//!   naive kernels survive in [`reference`] as the correctness oracle,
 //! * batch-assembly primitives ([`Matrix::gather_rows`],
 //!   [`Matrix::gather_rows_into`], [`Matrix::scatter_add_rows`]) that the data
 //!   loaders in `ppgnn-core` are built from,
@@ -48,7 +47,6 @@ pub mod io;
 pub mod knobs;
 pub mod lanes;
 pub mod pool;
-pub mod tune;
 
 pub use cast::StoreDtype;
 pub use error::TensorError;

@@ -3,7 +3,8 @@
 //! The gather/scatter family here is the computational heart of the paper's
 //! data-loading study: `gather_rows` (one fused index operation) versus a
 //! per-row copy loop is exactly the "efficient batch assembly" optimization
-//! of Section 4.1, and `ppgnn-bench` measures both variants.
+//! of Section 4.1: the generation-0 loader in `ppgnn-core` copies row by
+//! row, every later generation gathers.
 
 use crate::pool::{row_blocked, BlockOut};
 use crate::Matrix;

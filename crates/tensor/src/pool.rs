@@ -655,8 +655,7 @@ impl PackWorkspace {
     }
 
     /// Current capacities (in `f32` elements) of this thread's
-    /// `(OperandA, OperandB)` buffers — observability for tests and the
-    /// bench harness.
+    /// `(OperandA, OperandB)` buffers — observability for tests.
     pub fn thread_capacity() -> (usize, usize) {
         PACK_WORKSPACE.with(|ws| {
             let ws = ws.borrow();

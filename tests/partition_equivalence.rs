@@ -48,7 +48,7 @@ fn write_plain_store(out: &PrepropOutput, dir: &Path, chunk_size: usize) -> Feat
         rows: train.len(),
         cols: train.hops[0].cols(),
         chunk_size,
-        dtype: StoreDtype::from_env(),
+        dtype: StoreDtype::from_env().expect("PPGNN_STORE_DTYPE names a store dtype"),
     };
     let mut writer = FeatureStoreWriter::create(dir, meta).unwrap();
     for (k, hop) in train.hops.iter().enumerate() {

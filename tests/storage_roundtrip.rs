@@ -392,3 +392,58 @@ fn training_from_storage_matches_training_from_memory() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The deterministic checks on compressed stores, on the exp_table
+/// fixture (pokec-sim at scale 0.05, R = 2, seed 42): every dtype reads
+/// back at its format's exact logical/physical byte ratio, and a seeded
+/// SIGN trained on the hops its store serves reaches a test accuracy
+/// within 1.0 pt of the lossless `f32` run.
+#[test]
+fn compressed_stores_keep_exact_ratios_and_accuracy_within_a_point() {
+    use ppgnn_bench::exp::{pp_config, ACC_EPOCHS};
+    use ppgnn_core::trainer::{LoaderKind, Trainer};
+    use ppgnn_dataio::StoreDtype;
+    use ppgnn_models::Sign;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.05), 42).unwrap();
+    let base = temp_dir("dtype-accuracy");
+    // (read ratio, test accuracy) of a model trained from `dtype`'s store.
+    let run = |dtype: StoreDtype| -> (f64, f64) {
+        let (mut prep, mut store) = Preprocessor::new(vec![Operator::SymNorm], 2)
+            .with_store_dtype(dtype)
+            .run_with_sharded_store(&data, base.join(dtype.name()), "pokec-sim", 256)
+            .expect("store written");
+        assert_eq!(store.meta().cols, 65, "fixture width the ratios assume");
+        for (k, hop) in prep.train.hops.iter_mut().enumerate() {
+            *hop = Arc::new(store.read_full_hop(k).expect("hop reads back"));
+        }
+        let hops = prep.train.hops.len() - 1;
+        let f = prep.train.hops[0].cols();
+        let classes = 1 + *prep.train.labels.iter().max().unwrap() as usize;
+        let mut model = Sign::new(hops, f, 48, classes, 0.1, &mut StdRng::seed_from_u64(4));
+        let config = pp_config(ACC_EPOCHS / 2, LoaderKind::Chunk { chunk_size: 256 });
+        let report = Trainer::new(config)
+            .fit(&mut model, &prep)
+            .expect("training partition is non-empty");
+        (store.counters().compression_ratio(), report.test_acc)
+    };
+
+    let (ratio_f32, acc_f32) = run(StoreDtype::F32);
+    assert_eq!(ratio_f32, 1.0);
+    for (dtype, exact) in [
+        (StoreDtype::F16, 2.0),
+        (StoreDtype::Bf16, 2.0),
+        (StoreDtype::Int8, 4.0 * 65.0 / (65.0 + 8.0)),
+    ] {
+        let (ratio, acc) = run(dtype);
+        assert_eq!(ratio, exact, "{dtype} compression ratio");
+        let drift_pt = (acc_f32 - acc).abs() * 100.0;
+        assert!(
+            drift_pt <= 1.0,
+            "{dtype} test accuracy {acc:.4} is {drift_pt:.2} pt from f32's {acc_f32:.4}"
+        );
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
