@@ -138,6 +138,16 @@ impl Default for Config {
                 "backward_from_cols",
                 "fit",
                 "evaluate",
+                // The lent training step and the batch circulation under
+                // it: a recycled batch is refilled where it lies.
+                "forward_train",
+                "return_inputs",
+                "forward_lent",
+                "take_input",
+                "affine_into",
+                "recycle",
+                "fill_rows",
+                "produce_epoch",
                 "gemm_blocked",
                 "gemm_in_place",
                 "over_row_blocks",

@@ -1,6 +1,5 @@
 use std::sync::Arc;
 
-use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,6 +18,9 @@ use crate::preprocess::PrepropFeatures;
 ///
 /// With `chunk_size == 1`, SGD-CR is exactly SGD-RR and the batch stream
 /// matches the other loaders for an equal seed.
+///
+/// The loader keeps one spare batch: [`Loader::recycle`] parks it and the
+/// next batch is copied into its buffers.
 #[derive(Debug)]
 pub struct ChunkReshuffleLoader {
     data: Arc<PrepropFeatures>,
@@ -30,6 +32,8 @@ pub struct ChunkReshuffleLoader {
     /// `read[r]`: copy hop `r` (all `true` unless
     /// [`ChunkReshuffleLoader::reading`] narrowed it).
     read: Vec<bool>,
+    /// The last batch handed back through [`Loader::recycle`].
+    spare: Option<PpBatch>,
     counters: LoaderCounters,
 }
 
@@ -57,6 +61,7 @@ impl ChunkReshuffleLoader {
             order: Vec::new(),
             cursor: 0,
             read,
+            spare: None,
             counters: LoaderCounters::default(),
         }
     }
@@ -91,37 +96,33 @@ impl Loader for ChunkReshuffleLoader {
             return None;
         }
         let end = (self.cursor + self.batch_size).min(self.order.len());
-        let indices = self.order[self.cursor..end].to_vec();
+        let indices = &self.order[self.cursor..end];
         self.cursor = end;
 
         let f = self.data.hops[0].cols();
         // Copy contiguous runs (chunk fragments) in bulk — one operation
-        // per run per hop, the chunk-transfer pattern.
-        let runs = contiguous_runs(&indices);
-        let mut hops = Vec::with_capacity(self.data.hops.len());
-        for (src, &read) in self.data.hops.iter().zip(&self.read) {
-            if !read {
-                hops.push(Matrix::default());
-                continue;
-            }
-            let mut out = Matrix::zeros(indices.len(), f);
+        // per run per hop, the chunk-transfer pattern. The runs tile the
+        // batch, so every element of a recycled hop is overwritten.
+        let runs = contiguous_runs(indices);
+        let (data, counters) = (&self.data, &mut self.counters);
+        let mut batch = self.spare.take().unwrap_or_default();
+        batch.fill_rows(data, indices, &self.read, |r, out| {
+            let src = data.hops[r].as_slice();
             let mut dst_row = 0;
             for &(start, len) in &runs {
-                let src_slice = &src.as_slice()[start * f..(start + len) * f];
-                out.as_mut_slice()[dst_row * f..(dst_row + len) * f].copy_from_slice(src_slice);
+                out.as_mut_slice()[dst_row * f..(dst_row + len) * f]
+                    .copy_from_slice(&src[start * f..(start + len) * f]);
                 dst_row += len;
-                self.counters.gather_ops += 1;
-                self.counters.bytes_assembled += (len * f * 4) as u64;
+                counters.gather_ops += 1;
+                counters.bytes_assembled += (len * f * 4) as u64;
             }
-            hops.push(out);
-        }
-        let labels = indices.iter().map(|&i| self.data.labels[i]).collect();
-        self.counters.batches += 1;
-        Some(PpBatch {
-            indices,
-            hops,
-            labels,
-        })
+        });
+        counters.batches += 1;
+        Some(batch)
+    }
+
+    fn recycle(&mut self, batch: PpBatch) {
+        self.spare = Some(batch);
     }
 
     fn num_batches(&self) -> usize {
@@ -182,6 +183,42 @@ mod tests {
                 }
                 _ => panic!("loaders disagree on batch count"),
             }
+        }
+    }
+
+    #[test]
+    fn recycling_reuses_the_spare_and_keeps_the_stream() {
+        // A hop-selective loader recycling every batch — after the first,
+        // a batch of every hop from a reference loader, so the spare
+        // carries data in a hop this loader does not read — yields what
+        // a loader that recycles nothing yields, in the same buffers.
+        let data = Arc::new(tiny_features(27, 2, 3));
+        let mut fresh = ChunkReshuffleLoader::new(data.clone(), 6, 4, 5).reading(&[1]);
+        let mut recycled = ChunkReshuffleLoader::new(data.clone(), 6, 4, 5).reading(&[1]);
+        let mut everything = FusedGatherLoader::new(data, 6, 5);
+        everything.start_epoch();
+        for _ in 0..2 {
+            fresh.start_epoch();
+            recycled.start_epoch();
+            let mut spare = everything.next_batch();
+            while let Some(x) = fresh.next_batch() {
+                let ptr = spare.as_ref().map(|b| b.hops[1].as_slice().as_ptr());
+                if let Some(b) = spare.take() {
+                    recycled.recycle(b);
+                }
+                let y = recycled.next_batch().expect("same batch count");
+                assert_eq!(x, y);
+                assert!(y.hops[0].is_empty() && y.hops[2].is_empty());
+                if let Some(ptr) = ptr {
+                    assert_eq!(
+                        y.hops[1].as_slice().as_ptr(),
+                        ptr,
+                        "the spare was not reused"
+                    );
+                }
+                spare = Some(y);
+            }
+            assert!(recycled.next_batch().is_none());
         }
     }
 

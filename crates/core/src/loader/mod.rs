@@ -35,6 +35,22 @@
 //! Selection never changes batch order, `indices` or `labels` for a seed,
 //! `PpBatch::hops.len()` stays `R + 1`, and [`LoaderCounters`] count only
 //! what was gathered.
+//!
+//! # Circulation
+//!
+//! A consumer that is done with a batch may hand it back through
+//! [`Loader::recycle`] (`Trainer::fit` does after every step), and a
+//! loader that keeps spares refills their `indices`, `labels` and hop
+//! buffers in place instead of allocating and zero-filling new ones. Every
+//! element of a refilled hop is overwritten, so recycling never changes
+//! the stream. `recycle` never blocks; a batch the loader has no room for
+//! is dropped.
+//!
+//! | Loader | Keeps |
+//! |---|---|
+//! | [`DoubleBufferLoader::new`] | a loader-wide pool of up to queue depth + 2 = 4 spares, across epochs; its producer takes one per batch when there is one |
+//! | [`ChunkReshuffleLoader`] | one spare |
+//! | [`DoubleBufferLoader::over_source`], [`ShardedStorageChunkLoader`], [`BaselineLoader`], [`FusedGatherLoader`] | nothing (`recycle` drops the batch) |
 
 mod baseline;
 mod chunk;
@@ -55,9 +71,11 @@ use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::preprocess::PrepropFeatures;
+
 /// One training minibatch: hop features and labels for `indices` rows of
 /// the training partition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PpBatch {
     /// Row indices (into the training partition) this batch covers.
     pub indices: Vec<usize>,
@@ -78,6 +96,35 @@ impl PpBatch {
     /// `true` for an empty batch (never yielded by loaders).
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
+    }
+
+    /// Re-targets this (possibly recycled) batch at rows `indices` of
+    /// `data`: copies the indices and their labels, resizes every hop
+    /// with `read[r]` to `indices.len() x F` **without clearing it** and
+    /// hands it to `fill(r, hop)`, which must overwrite every element,
+    /// and leaves every other hop `0 x 0`. Once the buffers have reached
+    /// a full batch's size, refilling allocates nothing.
+    pub(crate) fn fill_rows(
+        &mut self,
+        data: &PrepropFeatures,
+        indices: &[usize],
+        read: &[bool],
+        mut fill: impl FnMut(usize, &mut Matrix),
+    ) {
+        self.indices.clear();
+        self.indices.extend_from_slice(indices);
+        self.labels.clear();
+        self.labels.extend(indices.iter().map(|&i| data.labels[i]));
+        let f = data.hops[0].cols();
+        self.hops.resize_with(data.hops.len(), Matrix::default);
+        for (r, (hop, &read)) in self.hops.iter_mut().zip(read).enumerate() {
+            if read {
+                hop.resize_to(indices.len(), f);
+                fill(r, hop);
+            } else if !hop.is_empty() {
+                *hop = Matrix::default();
+            }
+        }
     }
 }
 
@@ -111,6 +158,15 @@ pub trait Loader {
 
     /// Accumulated work counters.
     fn counters(&self) -> LoaderCounters;
+
+    /// Hands a consumed batch back, so its buffers can carry a later
+    /// batch (see the module docs' *Circulation*). Never blocks; the
+    /// batch may be dropped. Any batch is accepted — a short one, one
+    /// with hops left `0 x 0`, one from an abandoned epoch or from another
+    /// loader — and the stream does not change. Defaults to dropping it.
+    fn recycle(&mut self, batch: PpBatch) {
+        drop(batch);
+    }
 
     /// Takes the error (if any) that ended the current epoch early.
     ///

@@ -1,9 +1,9 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::queue::ArrayQueue;
 use ppgnn_dataio::DataIoError;
-use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,6 +30,16 @@ use crate::preprocess::PrepropFeatures;
 ///   compute. The source crosses into the producer thread each
 ///   epoch and is handed back when the epoch ends.
 ///
+/// **Batches circulate.** The in-memory producer draws each batch's
+/// buffers from a loader-wide pool of spares that [`Loader::recycle`]
+/// refills and that lives across epochs. It holds at most queue depth +
+/// 2 = 4 batches — two in the channel, one being assembled, one at the
+/// consumer — so once it has filled, a batch gathers into a spare's hop
+/// matrices as they are: no allocation and no zero-fill. Neither end
+/// waits: `recycle` drops a batch the full pool has no room for, and the
+/// producer allocates when it finds the pool empty. A source producer's
+/// batches are not recycled.
+///
 /// Producer-side failures are not silent: the channel carries
 /// `Result<PpBatch, DataIoError>` (storage-backed producers surface I/O
 /// errors batch-by-batch), and a producer thread that dies mid-epoch is
@@ -53,6 +63,14 @@ pub struct DoubleBufferLoader {
     failed: bool,
 }
 
+/// Batches the producer runs ahead of the consumer: the double buffer.
+const QUEUE_DEPTH: usize = 2;
+
+/// Capacity of the in-memory producer's spare pool: every batch that can
+/// be alive at once — [`QUEUE_DEPTH`] in the channel, one being
+/// assembled, one at the consumer.
+const SPARES: usize = QUEUE_DEPTH + 2;
+
 #[derive(Debug)]
 enum ProducerKind {
     /// In-memory batch assembly (fused gathers) on the producer thread.
@@ -63,6 +81,9 @@ enum ProducerKind {
         /// `read[r]`: gather hop `r` (all `true` unless
         /// [`DoubleBufferLoader::reading`] narrowed it).
         read: Vec<bool>,
+        /// The spare pool, [`SPARES`] deep: [`Loader::recycle`] pushes
+        /// into it, each epoch's producer pops from it.
+        spares: Arc<ArrayQueue<PpBatch>>,
     },
     /// A fallible batch source driven on the producer thread. `None`
     /// while an epoch is running (the source is owned by the thread) or
@@ -98,6 +119,7 @@ impl DoubleBufferLoader {
             batch_size,
             rng: StdRng::seed_from_u64(seed),
             read,
+            spares: Arc::new(ArrayQueue::new(SPARES)),
         })
     }
 
@@ -222,53 +244,22 @@ impl Loader for DoubleBufferLoader {
         self.error = None;
         self.failed = false;
 
-        // Capacity 2 = the double buffer: the producer runs at most two
-        // batches ahead of the consumer.
-        let (tx, rx) = bounded::<Result<PpBatch, DataIoError>>(2);
+        let (tx, rx) = bounded::<Result<PpBatch, DataIoError>>(QUEUE_DEPTH);
         let handle = match &mut self.producer {
             ProducerKind::Memory {
                 data,
                 batch_size,
                 rng,
                 read,
+                spares,
             } => {
                 let order = permutation(data.len(), rng);
                 let data = Arc::clone(data);
                 let batch_size = *batch_size;
                 let read = read.clone();
+                let spares = Arc::clone(spares);
                 std::thread::spawn(move || {
-                    let mut counters = LoaderCounters::default();
-                    let f = data.hops[0].cols();
-                    let mut cursor = 0;
-                    while cursor < order.len() {
-                        let end = (cursor + batch_size).min(order.len());
-                        let indices = order[cursor..end].to_vec();
-                        cursor = end;
-                        let mut hops = Vec::with_capacity(data.hops.len());
-                        for (src, &read) in data.hops.iter().zip(&read) {
-                            if !read {
-                                hops.push(Matrix::default());
-                                continue;
-                            }
-                            let mut stage = Matrix::zeros(indices.len(), f);
-                            src.gather_rows_into(&indices, &mut stage);
-                            counters.gather_ops += 1;
-                            counters.bytes_assembled += (indices.len() * f * 4) as u64;
-                            hops.push(stage);
-                        }
-                        let labels = indices.iter().map(|&i| data.labels[i]).collect();
-                        counters.batches += 1;
-                        if tx
-                            .send(Ok(PpBatch {
-                                indices,
-                                hops,
-                                labels,
-                            }))
-                            .is_err()
-                        {
-                            break; // consumer dropped the epoch early
-                        }
-                    }
+                    let counters = produce_epoch(&data, &order, batch_size, &read, &spares, &tx);
                     EpochEnd::Memory(counters)
                 })
             }
@@ -329,6 +320,13 @@ impl Loader for DoubleBufferLoader {
         self.counters
     }
 
+    fn recycle(&mut self, batch: PpBatch) {
+        if let ProducerKind::Memory { spares, .. } = &self.producer {
+            // A full pool drops the batch: recycling never blocks.
+            let _ = spares.push(batch);
+        }
+    }
+
     fn take_error(&mut self) -> Option<String> {
         self.error.take().map(|e| e.to_string())
     }
@@ -336,6 +334,36 @@ impl Loader for DoubleBufferLoader {
     fn name(&self) -> &'static str {
         "double-buffer"
     }
+}
+
+/// One epoch of the in-memory producer: cuts `order` into batches of
+/// `batch_size`, refills a spare from `spares` for each (a fresh batch
+/// when the pool is empty) with one fused gather per read hop, and sends
+/// it down `tx` until the epoch ends or the consumer drops the channel.
+/// Returns the epoch's counters.
+fn produce_epoch(
+    data: &PrepropFeatures,
+    order: &[usize],
+    batch_size: usize,
+    read: &[bool],
+    spares: &ArrayQueue<PpBatch>,
+    tx: &Sender<Result<PpBatch, DataIoError>>,
+) -> LoaderCounters {
+    let mut counters = LoaderCounters::default();
+    let row_bytes = (data.hops[0].cols() * 4) as u64;
+    for indices in order.chunks(batch_size) {
+        let mut batch = spares.pop().unwrap_or_default();
+        batch.fill_rows(data, indices, read, |r, stage| {
+            data.hops[r].gather_rows_into(indices, stage);
+            counters.gather_ops += 1;
+            counters.bytes_assembled += indices.len() as u64 * row_bytes;
+        });
+        counters.batches += 1;
+        if tx.send(Ok(batch)).is_err() {
+            break; // consumer dropped the epoch early
+        }
+    }
+    counters
 }
 
 impl Drop for DoubleBufferLoader {
@@ -351,25 +379,145 @@ mod tests {
     use crate::loader::tests_support::tiny_features;
     use crate::loader::{FusedGatherLoader, ShardedStorageChunkLoader};
     use ppgnn_dataio::{AccessPath, FeatureStoreWriter, ShardedFeatureStore, StoreMeta};
+    use ppgnn_tensor::Matrix;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned within a minute — a deadlock shows as a failure, not a
+    /// hung test binary.
+    fn within_bounded_time<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(v) => {
+                body.join().expect("the body has returned");
+                v
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("did not return in bounded time"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(body.join().expect_err("the body panicked"))
+            }
+        }
+    }
 
     #[test]
     fn identical_stream_to_fused_for_equal_seed() {
-        let data = Arc::new(tiny_features(29, 2, 3));
-        let mut a = FusedGatherLoader::new(data.clone(), 6, 9);
-        let mut b = DoubleBufferLoader::new(data, 6, 9);
-        a.start_epoch();
-        b.start_epoch();
-        loop {
-            match (a.next_batch(), b.next_batch()) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.indices, y.indices);
-                    assert_eq!(x.hops, y.hops);
-                    assert_eq!(x.labels, y.labels);
-                }
-                _ => panic!("loaders disagree on batch count"),
+        // Two consumers read the fused loader's stream over four epochs:
+        // one keeps nothing, the other recycles — every batch, including
+        // each epoch's short last one (29 = 4·6 + 5), every other one with
+        // a hop kept by "the model" (a `0 × 0` hole), one during an epoch
+        // it abandons while the producer still runs, one held across that
+        // abandoned epoch, and two from a loader dropped mid-epoch.
+        within_bounded_time(|| {
+            let data = Arc::new(tiny_features(29, 2, 3));
+            let mut fused = FusedGatherLoader::new(data.clone(), 6, 9);
+            let mut plain = DoubleBufferLoader::new(data.clone(), 6, 9);
+            let mut recycling = DoubleBufferLoader::new(data.clone(), 6, 9);
+            let mut dropped = DoubleBufferLoader::new(data, 6, 9);
+            dropped.start_epoch();
+            let orphans = [dropped.next_batch(), dropped.next_batch()];
+            drop(dropped);
+            for batch in orphans.into_iter().flatten() {
+                recycling.recycle(batch);
             }
+            let mut held = None;
+            for epoch in 0..4 {
+                fused.start_epoch();
+                plain.start_epoch();
+                recycling.start_epoch();
+                if let Some(batch) = held.take() {
+                    recycling.recycle(batch);
+                }
+                for n in 1.. {
+                    let (x, y, z) = (
+                        fused.next_batch(),
+                        plain.next_batch(),
+                        recycling.next_batch(),
+                    );
+                    let (Some(x), Some(y), Some(mut z)) = (x, y, z) else {
+                        assert!(fused.next_batch().is_none(), "fused ran longer");
+                        assert!(plain.next_batch().is_none(), "plain ran longer");
+                        assert!(recycling.next_batch().is_none(), "recycling ran longer");
+                        break;
+                    };
+                    assert_eq!(x, y, "epoch {epoch} batch {n}: plain consumer");
+                    assert_eq!(x, z, "epoch {epoch} batch {n}: recycling consumer");
+                    if epoch == 1 && n == 1 {
+                        held = Some(z);
+                        continue;
+                    }
+                    if n % 2 == 0 {
+                        let _kept = std::mem::take(&mut z.hops[1]);
+                    }
+                    recycling.recycle(z);
+                    if epoch == 1 && n == 2 {
+                        break; // abandon the epoch with the producer ahead
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_recycled_batch_is_handed_out_again() {
+        // 10 batches of 4. The producer can have assembled at most the
+        // next three batches before the first is handed back (two in the
+        // channel, one waiting to send), so the fourth after it at the
+        // latest is refilled into the recycled buffers.
+        let data = Arc::new(tiny_features(40, 1, 3));
+        let mut l = DoubleBufferLoader::new(data, 4, 2);
+        l.start_epoch();
+        let first = l.next_batch().expect("a batch");
+        let buffers = (first.hops[1].as_slice().as_ptr(), first.indices.as_ptr());
+        l.recycle(first);
+        let reused = (0..SPARES).any(|_| {
+            let b = l.next_batch().expect("a batch");
+            (b.hops[1].as_slice().as_ptr(), b.indices.as_ptr()) == buffers
+        });
+        assert!(reused, "the recycled batch's buffers never came back");
+        while l.next_batch().is_some() {}
+    }
+
+    #[test]
+    fn the_spare_pool_is_bounded() {
+        let data = Arc::new(tiny_features(20, 1, 2));
+        let mut l = DoubleBufferLoader::new(data, 5, 1);
+        for _ in 0..3 * SPARES {
+            l.recycle(PpBatch::default());
         }
+        let ProducerKind::Memory { spares, .. } = &l.producer else {
+            unreachable!("an in-memory loader");
+        };
+        assert_eq!(
+            spares.len(),
+            SPARES,
+            "a full pool drops what it has no room for"
+        );
+    }
+
+    #[test]
+    fn recycling_around_a_producer_panic_returns_and_keeps_failing_cleanly() {
+        // The corrupt partition of the dead-producer test below: the
+        // producer panics mid-epoch. Recycling the batches it did send,
+        // before and after the panic is seen, must neither block nor hide
+        // the failure.
+        within_bounded_time(|| {
+            let mut features = tiny_features(8, 1, 2);
+            features.labels.extend(8..30u32);
+            features.node_ids.extend(8..30usize);
+            let mut l = DoubleBufferLoader::new(Arc::new(features), 4, 3);
+            for _ in 0..2 {
+                l.start_epoch();
+                while let Some(batch) = l.next_batch() {
+                    l.recycle(batch);
+                }
+                l.recycle(PpBatch::default());
+                assert!(l.take_error().is_some(), "the panic must surface");
+            }
+        });
     }
 
     #[test]

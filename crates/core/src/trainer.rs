@@ -292,6 +292,13 @@ impl Trainer {
     /// Trains `model` on `data.train`, evaluating on `data.val`/`data.test`
     /// each epoch.
     ///
+    /// Each batch moves once: the loader gathers it, the step lends its
+    /// hops to the model ([`PpModel::forward_train`], then
+    /// [`PpModel::return_inputs`] after the backward) and hands it back
+    /// to the loader ([`Loader::recycle`]) for the producer to refill.
+    /// The returned hops time into `backward_s`, the hand-back into
+    /// `loading_s`.
+    ///
     /// # Errors
     ///
     /// Returns [`TrainError::ZeroSize`] for a zero batch or chunk size and
@@ -334,25 +341,32 @@ impl Trainer {
             loop {
                 let t = Instant::now();
                 let batch_t0 = t;
-                let Some(batch) = loader.next_batch() else {
+                let Some(mut batch) = loader.next_batch() else {
                     loading_s += t.elapsed().as_secs_f64();
                     break;
                 };
                 loading_s += t.elapsed().as_secs_f64();
 
+                // The batch is lent to the model for the step: the hops it
+                // reads become its backward cache, uncopied.
                 let t = Instant::now();
-                model.forward_into(&batch.hops, Mode::Train, &mut logits);
+                model.forward_train(&mut batch.hops, &mut logits);
                 let (loss, grad) = loss_fn.loss_and_grad(&logits, &batch.labels);
                 forward_s += t.elapsed().as_secs_f64();
 
                 let t = Instant::now();
                 model.zero_grad();
                 model.backward(&grad);
+                model.return_inputs(&mut batch.hops);
                 backward_s += t.elapsed().as_secs_f64();
 
                 let t = Instant::now();
                 opt.step(&mut model.params());
                 optim_s += t.elapsed().as_secs_f64();
+
+                let t = Instant::now();
+                loader.recycle(batch);
+                loading_s += t.elapsed().as_secs_f64();
 
                 loss_sum += loss as f64;
                 batches += 1;

@@ -238,16 +238,23 @@ impl Hoga {
     }
 }
 
-impl PpModel for Hoga {
-    fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
-        let (b, _) = validate_hops(hops, self.hops + 1);
+impl Hoga {
+    /// The forward over a batch of `b` examples, with hop `r`'s embedding
+    /// run by `embed(r, linear, z)` — a borrowed or a lent input.
+    fn forward_with(
+        &mut self,
+        b: usize,
+        mode: Mode,
+        out: &mut Matrix,
+        mut embed: impl FnMut(usize, &mut Linear, &mut Matrix),
+    ) {
         let (t, h) = (self.hops + 1, self.hidden);
         {
             // per-hop embeddings, interleaved into token layout [b*t, H]
             // with the positional embedding added on the way
             let _span = ppgnn_telemetry::span("hoga.embed");
-            for ((e, x), z) in self.embeds.iter_mut().zip(hops).zip(&mut self.per_hop) {
-                e.forward_into(x, mode, z);
+            for (r, (e, z)) in self.embeds.iter_mut().zip(&mut self.per_hop).enumerate() {
+                embed(r, e, z);
             }
             self.embedded.resize_to(b * t, h);
             let (per_hop, pos) = (&self.per_hop, &self.pos.value);
@@ -290,6 +297,28 @@ impl PpModel for Hoga {
         }
         let _span = ppgnn_telemetry::span("hoga.head");
         self.head.forward_into(&self.pooled, mode, out);
+    }
+}
+
+impl PpModel for Hoga {
+    fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
+        let (b, _) = validate_hops(hops, self.hops + 1);
+        self.forward_with(b, mode, out, |r, e, z| e.forward_into(&hops[r], mode, z));
+    }
+
+    fn forward_train(&mut self, hops: &mut [Matrix], out: &mut Matrix) {
+        let (b, _) = validate_hops(hops, self.hops + 1);
+        self.forward_with(b, Mode::Train, out, |r, e, z| {
+            e.forward_lent(std::mem::take(&mut hops[r]), z)
+        });
+    }
+
+    fn return_inputs(&mut self, hops: &mut [Matrix]) {
+        for (hop, embed) in hops.iter_mut().zip(&mut self.embeds) {
+            if let Some(x) = embed.take_input() {
+                *hop = x;
+            }
+        }
     }
 
     fn backward(&mut self, grad_out: &Matrix) {

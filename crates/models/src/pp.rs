@@ -16,6 +16,23 @@ use ppgnn_tensor::Matrix;
 /// never the ones it did not. Producers that were told nothing (a loader
 /// built directly, the storage loader) deliver every hop, which satisfies
 /// every model; the pipeline stays shared across SGC/SIGN/HOGA either way.
+///
+/// **Lent inputs.** A training step can run two ways. A caller that keeps
+/// its batch calls [`PpModel::forward_into`] with [`Mode::Train`], and the
+/// model copies what its backward needs. A caller that owns the batch and
+/// is done with it after the step — `Trainer::fit` — *lends* the hops
+/// instead: [`PpModel::forward_train`] may move out the matrices of the
+/// hops it reads (leaving `0 x 0` in their place) and keep them as its
+/// backward cache, and [`PpModel::return_inputs`] puts the same buffers
+/// back after [`PpModel::backward`], so the loader can refill them. The
+/// two ways compute the same bits. The defaults copy and return nothing;
+/// SGC, SIGN and HOGA lend through [`ppgnn_nn::Linear::forward_lent`].
+///
+/// ```text
+/// model.forward_train(&mut batch.hops, &mut logits);
+/// model.backward(&grad);
+/// model.return_inputs(&mut batch.hops);   // before the batch is reused
+/// ```
 pub trait PpModel {
     /// Computes logits `batch x num_classes` from hop features into a
     /// reusable slot (resized to the output shape and fully overwritten).
@@ -30,6 +47,28 @@ pub trait PpModel {
     /// Panics if `hops.len() != num_hops() + 1` or the matrices this model
     /// reads disagree on row counts / feature dims.
     fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix);
+
+    /// Training-mode forward over **lent** hops: the same logits and the
+    /// same backward as [`PpModel::forward_into`] with [`Mode::Train`],
+    /// but the model may move the matrices of the hops it reads out of
+    /// `hops` and cache them instead of copying. Pair every call with
+    /// [`PpModel::return_inputs`] after the backward. Defaults to the
+    /// copying forward.
+    ///
+    /// # Panics
+    ///
+    /// As [`PpModel::forward_into`].
+    fn forward_train(&mut self, hops: &mut [Matrix], out: &mut Matrix) {
+        self.forward_into(hops, Mode::Train, out);
+    }
+
+    /// Puts the hops [`PpModel::forward_train`] moved out back into
+    /// `hops`, at their indices — the same buffers — once the backward
+    /// has run. Entries the model did not take are left alone. Defaults
+    /// to a no-op.
+    fn return_inputs(&mut self, hops: &mut [Matrix]) {
+        let _ = hops;
+    }
 
     /// [`PpModel::forward_into`] into a freshly allocated matrix.
     ///

@@ -65,6 +65,18 @@ impl PpModel for Sgc {
         self.classifier.forward_into(x, mode, out);
     }
 
+    fn forward_train(&mut self, hops: &mut [Matrix], out: &mut Matrix) {
+        validate_hop_count(hops, self.hops + 1);
+        let x = std::mem::take(&mut hops[self.hops]);
+        self.classifier.forward_lent(x, out);
+    }
+
+    fn return_inputs(&mut self, hops: &mut [Matrix]) {
+        if let Some(x) = self.classifier.take_input() {
+            hops[self.hops] = x;
+        }
+    }
+
     fn backward(&mut self, grad_out: &Matrix) {
         // The classifier's input is hop features — data, not an
         // activation — so nothing consumes ∂X.

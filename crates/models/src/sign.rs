@@ -97,20 +97,48 @@ impl Sign {
     }
 }
 
-impl PpModel for Sign {
-    fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
-        let (b, _) = validate_hops(hops, self.hops + 1);
+impl Sign {
+    /// The forward over a batch of `b` examples, with branch `r`'s linear
+    /// map run by `branch(r, linear, z)` — a borrowed or a lent input.
+    fn forward_with(
+        &mut self,
+        b: usize,
+        mode: Mode,
+        out: &mut Matrix,
+        mut branch: impl FnMut(usize, &mut Linear, &mut Matrix),
+    ) {
         self.concat.resize_to(b, (self.hops + 1) * self.hidden);
         let branches = self.branches.iter_mut().zip(&mut self.activations);
-        for (r, ((branch, act), (hop, z))) in branches
-            .zip(hops.iter().zip(&mut self.branch_z))
-            .enumerate()
-        {
-            branch.forward_into(hop, mode, z);
+        for (r, ((linear, act), z)) in branches.zip(&mut self.branch_z).enumerate() {
+            branch(r, linear, z);
             act.forward_into_cols(z, mode, &mut self.concat, r * self.hidden);
         }
         self.branch_inputs_cached = mode == Mode::Train;
         self.head.forward_into(&self.concat, mode, out);
+    }
+}
+
+impl PpModel for Sign {
+    fn forward_into(&mut self, hops: &[Matrix], mode: Mode, out: &mut Matrix) {
+        let (b, _) = validate_hops(hops, self.hops + 1);
+        self.forward_with(b, mode, out, |r, linear, z| {
+            linear.forward_into(&hops[r], mode, z)
+        });
+    }
+
+    fn forward_train(&mut self, hops: &mut [Matrix], out: &mut Matrix) {
+        let (b, _) = validate_hops(hops, self.hops + 1);
+        self.forward_with(b, Mode::Train, out, |r, linear, z| {
+            linear.forward_lent(std::mem::take(&mut hops[r]), z)
+        });
+    }
+
+    fn return_inputs(&mut self, hops: &mut [Matrix]) {
+        for (hop, branch) in hops.iter_mut().zip(&mut self.branches) {
+            if let Some(x) = branch.take_input() {
+                *hop = x;
+            }
+        }
     }
 
     fn backward(&mut self, grad_out: &Matrix) {

@@ -14,8 +14,21 @@ use crate::{Mode, Module, Param};
 /// and never forms `∂x` — one GEMM and one `batch x in_dim` allocation
 /// less per step.
 ///
-/// The layer recycles three scratch buffers across batches: the cached
-/// training input (refilled in place when the batch shape repeats), the
+/// **The training input.** `∂W` needs the forward's input, so a
+/// training-mode forward keeps it until the backward. It arrives one of
+/// two ways, through one body:
+///
+/// * [`Module::forward_into`] borrows `x` and **copies** it into the
+///   layer's cache slot — a buffer the previous backward handed back,
+///   refilled in place when the batch shape repeats. For callers that
+///   keep their input.
+/// * [`Linear::forward_lent`] takes `x` **by value** and moves it into the
+///   slot: no copy. The backward leaves it where it was, and
+///   [`Linear::take_input`] hands the same buffer back to the lender. A
+///   PP-GNN's per-hop input layer runs this way under `Trainer::fit`,
+///   which lends the batch's hop matrices and recycles them to the loader.
+///
+/// The layer also recycles two scratch buffers across batches: the
 /// `∂W = xᵀ · ∂y` product (written through [`matmul_tn_into`] before
 /// accumulating into the gradient) and the `∂b` column sums.
 /// [`Module::forward_into`] and [`Module::backward_into`] write into
@@ -29,8 +42,9 @@ pub struct Linear {
     weight: Param,
     bias: Param,
     cached_input: Option<Matrix>,
-    /// Spent `cached_input` buffer awaiting reuse by the next
-    /// training-mode forward of the same batch shape.
+    /// Spent `cached_input` buffer: refilled by the next copying
+    /// training-mode forward of the same batch shape, or handed back to
+    /// its lender by [`Linear::take_input`].
     input_scratch: Option<Matrix>,
     /// Reusable `in_dim x out_dim` buffer for the weight-gradient GEMM.
     grad_w_scratch: Option<Matrix>,
@@ -76,6 +90,51 @@ impl Linear {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.weight.value.cols()
+    }
+
+    /// Training-mode forward that takes its input **by value**: the same
+    /// product as [`Module::forward_into`] with [`Mode::Train`], with `x`
+    /// moved into the backward cache instead of copied. Once the backward
+    /// has run, [`Linear::take_input`] returns `x` — the same buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != in_dim`.
+    pub fn forward_lent(&mut self, x: Matrix, out: &mut Matrix) {
+        self.affine_into(&x, out);
+        self.cached_input = Some(x);
+    }
+
+    /// Hands back the training input once the backward has consumed it:
+    /// the matrix [`Linear::forward_lent`] took, or `None` when there is
+    /// none to return. (After a copying [`Module::forward_into`] this is
+    /// the layer's own cache buffer, which the next copying forward
+    /// would have reused.)
+    pub fn take_input(&mut self) -> Option<Matrix> {
+        self.input_scratch.take()
+    }
+
+    /// `out = x · W + b`, resized to `x.rows() x out_dim`.
+    fn affine_into(&self, x: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            x.cols(),
+            self.in_dim(),
+            "linear layer expects {} input features, got {}",
+            self.in_dim(),
+            x.cols()
+        );
+        out.resize_to(x.rows(), self.out_dim());
+        matmul_into(x, &self.weight.value, out);
+        let bias = self.bias.value.row(0);
+        let values = 2 * out.len();
+        let outs = [BlockOut::rows(out.as_mut_slice(), bias.len())];
+        row_blocked(x.rows(), values, outs, |_, _, [block]| {
+            for row in block.chunks_exact_mut(bias.len().max(1)) {
+                for (v, b) in row.iter_mut().zip(bias) {
+                    *v += b;
+                }
+            }
+        });
     }
 
     /// Parameter-only backward: accumulates `∂W = xᵀ · ∂y` and
@@ -125,25 +184,7 @@ impl Linear {
 
 impl Module for Linear {
     fn forward_into(&mut self, x: &Matrix, mode: Mode, out: &mut Matrix) {
-        assert_eq!(
-            x.cols(),
-            self.in_dim(),
-            "linear layer expects {} input features, got {}",
-            self.in_dim(),
-            x.cols()
-        );
-        out.resize_to(x.rows(), self.out_dim());
-        matmul_into(x, &self.weight.value, out);
-        let bias = self.bias.value.row(0);
-        let values = 2 * out.len();
-        let outs = [BlockOut::rows(out.as_mut_slice(), bias.len())];
-        row_blocked(x.rows(), values, outs, |_, _, [block]| {
-            for row in block.chunks_exact_mut(bias.len().max(1)) {
-                for (v, b) in row.iter_mut().zip(bias) {
-                    *v += b;
-                }
-            }
-        });
+        self.affine_into(x, out);
         if mode == Mode::Train {
             // Reuse the buffer backward handed back if the batch shape
             // repeats (the steady state of epoch training).
@@ -247,6 +288,37 @@ mod tests {
         // Both hand the cached input back for reuse.
         assert!(params_only.cached_input.is_none());
         assert!(params_only.input_scratch.is_some());
+    }
+
+    #[test]
+    fn a_lent_input_trains_like_a_copied_one_and_comes_back() {
+        // The same steps through the copying and the lent forward —
+        // across a batch-shape change — give bit-identical outputs and
+        // gradients, and the lent input returns as the same buffer.
+        let mut rng = StdRng::seed_from_u64(9);
+        let w = init::he_normal(6, 4, &mut rng);
+        let b = init::normal(1, 4, 0.0, 0.5, &mut rng);
+        let mut copying = Linear::from_parts(w.clone(), b.clone());
+        let mut lending = Linear::from_parts(w, b);
+        let (mut y_copy, mut y_lent) = (Matrix::default(), Matrix::default());
+        for rows in [5usize, 3, 5] {
+            let x = init::standard_normal(rows, 6, &mut rng);
+            let g = init::standard_normal(rows, 4, &mut rng);
+            copying.forward_into(&x, Mode::Train, &mut y_copy);
+            let lent = x.clone();
+            let ptr = lent.as_slice().as_ptr();
+            lending.forward_lent(lent, &mut y_lent);
+            assert_eq!(y_copy, y_lent);
+            copying.backward_params(&g);
+            lending.backward_params(&g);
+            let back = lending.take_input().expect("the lent input comes back");
+            assert_eq!(back.as_slice().as_ptr(), ptr);
+            assert_eq!(back, x);
+            for (p, q) in copying.params().iter().zip(lending.params()) {
+                assert_eq!(p.grad, q.grad, "gradients diverge at {rows} rows");
+            }
+        }
+        assert!(lending.take_input().is_none(), "nothing left to hand back");
     }
 
     #[test]

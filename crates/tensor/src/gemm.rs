@@ -74,7 +74,15 @@
 //! panels of the row; the 8-wide tiles stage it through one L1-resident
 //! panel. Per element the arithmetic is the packed path's, so the two are
 //! **bit-identical** at equal KC (swept per backend in this module's
-//! tests).
+//! tests). The `nn` sweep is tile-major, which reads a row-major `A`
+//! sequentially. The `tn` sweep (`∂W = Xᵀ·∂Y`, where `A` is the `k×m`
+//! batch) is panel-major: a tile's block is an `MR`-float strip of each
+//! of `kcl` batch rows, one row stride apart, so tile-major would fetch
+//! every cache line of `X` twice — once per 8-float strip, after the
+//! `k`-row walk between them evicted it — while K panels outermost let
+//! the sibling tile read it from L1. The order of the adds per element is
+//! unchanged. (Multiplying `(∂Yᵀ·X)ᵀ` instead, so `X` is the row-major
+//! `B` operand, was bit-identical but slower at SGC's shape.)
 //!
 //! Calls parallelize over `MR`-aligned output row blocks on the shared
 //! [`crate::pool`] once the FLOP count crosses the workspace-wide
@@ -1058,18 +1066,28 @@ fn over_row_blocks(
 }
 
 /// The thin-`n` body of the driver: [`gemm_blocked`] with the packing of
-/// `A` removed. Each row tile walks its K panels in ascending order,
-/// taking the `MR × kcl` block of `a` from where it lies ([`InPlaceA`])
-/// and feeding it to every B panel of the row in one
+/// `A` removed. Each row tile takes the `MR × kcl` block of `a` from where
+/// it lies ([`InPlaceA`]) and feeds it to every B panel of the row in one
 /// [`MicroKernel::tile_in_place`] call, so `A` is streamed exactly once
 /// and never written to a task-wide packed buffer. With so few columns
-/// there is nothing for an NC block to reuse, so the sweep is tile-major:
-/// a row-major `A` is read strictly sequentially.
+/// there is nothing for an NC block to reuse; the sweep order follows
+/// the operand's layout instead:
 ///
-/// Per element this is the packed path's arithmetic — a `k`-sequential
-/// multiply-add chain from a zero accumulator inside each K panel, one
-/// add into `C` per panel, panels in ascending `k`, the same `MR`-aligned
-/// row split — so the two are bit-identical at equal `kc`.
+/// * [`APack::Rows`] (`nn`) is **tile-major** — each row tile walks its K
+///   panels in ascending order, so a row-major `A` is read strictly
+///   sequentially;
+/// * [`APack::Cols`] (`tn`, the `∂W = Xᵀ·∂Y` operand) is
+///   **panel-major** — K panels outermost, every row tile of the task
+///   inside. A tile of the `k×m` operand is an `MR`-float strip of each
+///   of `kcl` rows, one row stride apart; tile-major would walk all `k`
+///   rows for one strip and leave the sibling tile to fetch the same
+///   cache lines again once they are evicted, while panel-major hands
+///   them over from L1.
+///
+/// Per element this is the packed path's arithmetic in either order — a
+/// `k`-sequential multiply-add chain from a zero accumulator inside each
+/// K panel, one add into `C` per panel, panels in ascending `k`, the same
+/// `MR`-aligned row split — so the two are bit-identical at equal `kc`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_in_place<K: MicroKernel>(
     a: &[f32],
@@ -1088,21 +1106,33 @@ fn gemm_in_place<K: MicroKernel>(
         APack::Rows => k,
         APack::Cols => m,
     };
+    let panels = || (0..k).step_by(kc).map(|kk0| (kk0, kc.min(k - kk0)));
     over_row_blocks(m, n, mr, nthreads, c, |first_row, chunk| {
         chunk.fill(0.0);
         let mut stage = PackWorkspace::take(PackBuf::OperandA, kc.min(k) * mr);
-        for (ip, ct) in chunk.chunks_mut(mr * n).enumerate() {
-            let row0 = first_row + ip * mr;
-            let ivalid = ct.len() / n;
-            let mut kk0 = 0;
-            while kk0 < k {
-                let kcl = kc.min(k - kk0);
-                let block = InPlaceA::new(a, apack, lda, row0, ivalid, kk0, kcl);
-                let bp = &b_packed[kk0 * np * nr..][..kcl * np * nr];
-                // SAFETY: the dispatcher only selects `K` after
-                // `K::KIND.is_supported()` held on this CPU.
-                unsafe { K::tile_in_place(block, &mut stage, bp, ct, n, n) };
-                kk0 += kcl;
+        // One tile × one K panel: rows `row0..` of `a`, accumulated into
+        // the tile's rows `ct` of the output.
+        let mut tile = |row0: usize, ct: &mut [f32], (kk0, kcl): (usize, usize)| {
+            let block = InPlaceA::new(a, apack, lda, row0, ct.len() / n, kk0, kcl);
+            let bp = &b_packed[kk0 * np * nr..][..kcl * np * nr];
+            // SAFETY: the dispatcher only selects `K` after
+            // `K::KIND.is_supported()` held on this CPU.
+            unsafe { K::tile_in_place(block, &mut stage, bp, ct, n, n) };
+        };
+        match apack {
+            APack::Rows => {
+                for (ip, ct) in chunk.chunks_mut(mr * n).enumerate() {
+                    for panel in panels() {
+                        tile(first_row + ip * mr, ct, panel);
+                    }
+                }
+            }
+            APack::Cols => {
+                for panel in panels() {
+                    for (ip, ct) in chunk.chunks_mut(mr * n).enumerate() {
+                        tile(first_row + ip * mr, ct, panel);
+                    }
+                }
             }
         }
         PackWorkspace::give(PackBuf::OperandA, stage);

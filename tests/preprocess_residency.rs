@@ -556,8 +556,16 @@ fn hoga_train_step_allocations_do_not_grow_with_the_batch() {
     );
 }
 
+/// Batches a `fit` over the in-memory double buffer can have alive at
+/// once, and so the most its spare pool ever allocates: the queue depth
+/// (2) in the channel, one being gathered, one at the trainer.
+const BATCHES_IN_FLIGHT: usize = 4;
+
 #[test]
 fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
+    use std::sync::Arc;
+
+    use ppgnn_core::loader::{DoubleBufferLoader, Loader};
     use ppgnn_core::trainer::{TrainConfig, Trainer};
     use ppgnn_models::{PpModel, Sgc, Sign};
     use rand::SeedableRng;
@@ -575,15 +583,15 @@ fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
         full_batches >= 4,
         "the bounds below need a few full batches"
     );
+    let config = TrainConfig {
+        epochs: EPOCHS,
+        batch_size: BATCH,
+        ..TrainConfig::default()
+    };
 
     // Allocations the size of one full batch × F matrix (or larger) over a
     // whole `fit`, loader producer thread included.
     let batch_matrices = |model: &mut dyn PpModel| {
-        let config = TrainConfig {
-            epochs: EPOCHS,
-            batch_size: BATCH,
-            ..TrainConfig::default()
-        };
         count_large_allocs(BATCH * f * 4, || {
             Trainer::new(config)
                 .fit(model, &out)
@@ -592,28 +600,49 @@ fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
 
-    // SGC reads hop R only. Per epoch that leaves: one gathered hop per
-    // full batch, one copy of `Linear`'s cached input when the batch
-    // shape returns from the short last batch, and one slice slot per
-    // `evaluate` call (val, and test when val does not drop) — nothing
-    // for the R unread hops of a batch, in training or evaluation, and
-    // no ∂X.
+    // SGC reads hop R only, and its batches circulate: the loader's pool
+    // gathers into at most `BATCHES_IN_FLIGHT` hop-R matrices over the
+    // whole run, plus one if the short last batch was cut fresh and then
+    // grows back, and the model keeps the lent hop instead of copying it.
+    // `evaluate` adds one slice slot per call (val, and test when val
+    // does not drop). Nothing depends on the batch count: nothing for
+    // the R unread hops, nothing per step, and no ∂X.
     let sgc = batch_matrices(&mut Sgc::new(HOPS, f, classes, &mut rng));
-    let budget = EPOCHS * (full_batches + 3) + 1;
+    let budget = BATCHES_IN_FLIGHT + 1 + 2 * EPOCHS;
     assert!(
         sgc <= budget,
         "SGC fit made {sgc} batch-matrix allocations over {EPOCHS} epochs of \
          {full_batches} full batches (budget {budget}): an unread hop is \
-         being moved or an input gradient formed"
+         being moved, an input copied or gathered into a fresh matrix, or an \
+         input gradient formed"
     );
 
-    // Control: a model that reads every hop has every hop gathered, so
-    // the count does see the producer thread.
-    let sign = batch_matrices(&mut Sign::new(HOPS, f, 16, classes, 0.0, &mut rng));
+    // SIGN reads every hop; its batches circulate the same way, so its
+    // count is SGC's budget with every slot R + 1 hops wide.
+    let mut sign = Sign::new(HOPS, f, 16, classes, 0.0, &mut rng);
+    let sign_fit = batch_matrices(&mut sign);
+    let sign_budget = (HOPS + 1) * budget;
+    assert!(
+        sign_fit <= sign_budget,
+        "SIGN fit made {sign_fit} batch-matrix allocations (budget {sign_budget}): \
+         its batches are not circulating"
+    );
+
+    // Control: the same loader drained by a consumer that recycles
+    // nothing has every hop of every batch gathered into a fresh matrix
+    // on its producer thread — so the count does see that thread.
+    let mut loader =
+        DoubleBufferLoader::new(Arc::new(out.train.clone()), BATCH, 0).reading(&sign.hops_read());
+    let sign = count_large_allocs(BATCH * f * 4, || {
+        for _ in 0..EPOCHS {
+            loader.start_epoch();
+            while loader.next_batch().is_some() {}
+        }
+    });
     assert!(
         sign >= EPOCHS * full_batches * (HOPS + 1),
-        "SIGN fit made only {sign} batch-matrix allocations: the large-allocation \
-         count is not seeing the loader's gathers"
+        "draining SIGN's loader made only {sign} batch-matrix allocations: the \
+         large-allocation count is not seeing the loader's gathers"
     );
 }
 
