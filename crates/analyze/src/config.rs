@@ -148,10 +148,8 @@ impl Default for Config {
                 "recycle",
                 "fill_rows",
                 "produce_epoch",
-                "gemm_blocked",
                 "gemm_in_place",
                 "over_row_blocks",
-                "gemm_run",
                 "gemm_dispatch",
                 "tile_body",
                 "tile_in_place",
@@ -253,10 +251,8 @@ impl Default for Config {
             // spans (`spmm_into_on`, preprocessing hops, trainer epochs)
             // are the supported granularity.
             span_forbidden_exact: s(&[
-                "gemm_blocked",
                 "gemm_in_place",
                 "over_row_blocks",
-                "gemm_run",
                 "gemm_dispatch",
                 "tile_body",
                 "tile_in_place",

@@ -6,7 +6,7 @@ pub fn spmm_row(x: &[f32]) -> f32 {
     x.iter().sum()
 }
 
-pub fn gemm_run(x: &[f32]) -> f32 {
+pub fn gemm_in_place(x: &[f32]) -> f32 {
     let _guard = span_with("gemm", &[("n", x.len() as u64)]);
     x.iter().sum()
 }

@@ -98,13 +98,13 @@ fn l6_telemetry_span_fires_in_forbidden_kernels_only() {
         .iter()
         .filter(|d| d.lint == L_TELEMETRY_SPAN)
         .collect();
-    // `spmm_row` (path-qualified span) and `gemm_run` (bare span_with);
+    // `spmm_row` (path-qualified span) and `gemm_in_place` (bare span_with);
     // the counter, the driver-level span, the `.span` member access, and
     // the escaped fn pass.
     assert_eq!(l6.len(), 2, "{l6:?}");
     assert!(l6.iter().all(|d| d.message.contains("inner-kernel fn")));
     assert!(l6.iter().any(|d| d.message.contains("`spmm_row`")));
-    assert!(l6.iter().any(|d| d.message.contains("`gemm_run`")));
+    assert!(l6.iter().any(|d| d.message.contains("`gemm_in_place`")));
 
     // The same text in a test file is exempt.
     let (diags, _) = analyze_source(

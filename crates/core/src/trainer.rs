@@ -296,8 +296,10 @@ impl Trainer {
     /// hops to the model ([`PpModel::forward_train`], then
     /// [`PpModel::return_inputs`] after the backward) and hands it back
     /// to the loader ([`Loader::recycle`]) for the producer to refill.
-    /// The returned hops time into `backward_s`, the hand-back into
-    /// `loading_s`.
+    /// Logits, the loss gradient and the loss's label probabilities land
+    /// in slots kept for the whole run
+    /// ([`CrossEntropyLoss::loss_and_grad_into`]). The returned hops time
+    /// into `backward_s`, the hand-back into `loading_s`.
     ///
     /// # Errors
     ///
@@ -324,8 +326,11 @@ impl Trainer {
         let mut tracker = ConvergenceTracker::new();
         let mut best_val = 0.0f64;
         let mut test_at_best = 0.0f64;
-        // Logits slot reused by every training batch of the run.
+        // Logits, loss-gradient and label-probability slots reused by
+        // every training batch of the run.
         let mut logits = Matrix::default();
+        let mut grad = Matrix::default();
+        let mut label_probs = Vec::with_capacity(self.config.batch_size);
 
         for epoch in 0..self.config.epochs {
             let epoch_start = Instant::now();
@@ -351,7 +356,8 @@ impl Trainer {
                 // reads become its backward cache, uncopied.
                 let t = Instant::now();
                 model.forward_train(&mut batch.hops, &mut logits);
-                let (loss, grad) = loss_fn.loss_and_grad(&logits, &batch.labels);
+                let loss =
+                    loss_fn.loss_and_grad_into(&logits, &batch.labels, &mut grad, &mut label_probs);
                 forward_s += t.elapsed().as_secs_f64();
 
                 let t = Instant::now();

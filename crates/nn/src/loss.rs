@@ -39,13 +39,35 @@ impl CrossEntropyLoss {
     /// Computes the mean cross-entropy loss and its gradient with respect to
     /// the logits.
     ///
-    /// Returns `(loss, grad)` where `grad = (softmax(logits) − onehot) / b`.
+    /// Returns `(loss, grad)` where `grad = (softmax(logits) − onehot) / b`
+    /// — the allocating form of [`CrossEntropyLoss::loss_and_grad_into`].
     ///
     /// # Panics
     ///
     /// Panics if `labels.len() != logits.rows()`, a label is out of range,
     /// or `logits` is empty.
     pub fn loss_and_grad(&self, logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
+        let mut grad = Matrix::default();
+        let loss = self.loss_and_grad_into(logits, labels, &mut grad, &mut Vec::new());
+        (loss, grad)
+    }
+
+    /// [`CrossEntropyLoss::loss_and_grad`] into slots the caller keeps:
+    /// `grad` is resized to the logits' shape and `label_probs` to one
+    /// value per row (each row's softmax probability of its label), both
+    /// in place, so a training loop that passes the same two every batch
+    /// allocates nothing for its loss. Returns the mean loss.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`CrossEntropyLoss::loss_and_grad`].
+    pub fn loss_and_grad_into(
+        &self,
+        logits: &Matrix,
+        labels: &[u32],
+        grad: &mut Matrix,
+        label_probs: &mut Vec<f32>,
+    ) -> f32 {
         assert_eq!(
             labels.len(),
             logits.rows(),
@@ -56,24 +78,27 @@ impl CrossEntropyLoss {
         if let Some(&y) = labels.iter().find(|&&y| y as usize >= c) {
             panic!("label {y} out of range for {c} classes");
         }
-        let mut grad = logits.clone();
-        let mut picked = vec![0.0f32; b];
+        grad.resize_to(b, c);
+        label_probs.resize(b, 0.0);
         let scale = 1.0 / b as f32;
         let outs = [
             BlockOut::rows(grad.as_mut_slice(), c),
-            BlockOut::rows(&mut picked, 1),
+            BlockOut::rows(label_probs, 1),
         ];
+        let logits = logits.as_slice();
         row_blocked(b, 4 * b * c, outs, |_, row0, [rows, picked]| {
-            let labels = &labels[row0..];
-            for ((row, p), &y) in rows.chunks_exact_mut(c).zip(picked).zip(labels) {
+            let (labels, logits) = (&labels[row0..], &logits[row0 * c..]);
+            let rows = rows.chunks_exact_mut(c).zip(logits.chunks_exact(c));
+            for (((row, logit), p), &y) in rows.zip(picked).zip(labels) {
+                row.copy_from_slice(logit);
                 *p = softmax_ce_row(row, y as usize, scale);
             }
         });
         let mut loss = 0.0f64;
-        for p in picked {
+        for &p in label_probs.iter() {
             loss -= (p.max(1e-12) as f64).ln();
         }
-        ((loss / b as f64) as f32, grad)
+        (loss / b as f64) as f32
     }
 
     /// Loss only (validation loops).
@@ -135,6 +160,21 @@ mod tests {
                 "k={k}: numeric {num} vs analytic {}",
                 grad.get(0, k)
             );
+        }
+    }
+
+    #[test]
+    fn retained_slots_match_the_allocating_form_bitwise() {
+        let logits = Matrix::from_fn(37, 11, |r, c| ((r * 7 + c * 3) % 13) as f32 * 0.4 - 2.0);
+        let labels: Vec<u32> = (0..37).map(|i| (i * 5 % 11) as u32).collect();
+        let (loss, grad) = CrossEntropyLoss.loss_and_grad(&logits, &labels);
+        // Dirty, wrongly sized slots: both are resized and overwritten.
+        let (mut slot, mut probs) = (Matrix::full(3, 50, 9.0), vec![7.0; 80]);
+        for _ in 0..2 {
+            let l = CrossEntropyLoss.loss_and_grad_into(&logits, &labels, &mut slot, &mut probs);
+            assert_eq!(l.to_bits(), loss.to_bits());
+            assert_eq!(slot, grad);
+            assert_eq!(probs.len(), 37);
         }
     }
 

@@ -33,56 +33,52 @@
 //! layout from its consumer.
 //!
 //! Per-element accumulation order is strictly `k`-sequential regardless
-//! of tile shape, row split, or NC column block, so the two hardware-FMA
-//! backends produce **bit-identical** results at a fixed KC/NC; the
-//! portable kernel differs only in last-bit rounding (two roundings per
-//! multiply-add instead of one).
+//! of tile shape, row split, sweep order or NC strip, so the two
+//! hardware-FMA backends produce **bit-identical** results at a fixed KC;
+//! the portable kernel differs only in last-bit rounding (two roundings
+//! per multiply-add instead of one).
 //!
 //! # Blocking
 //!
-//! The K dimension is cut into panels of depth [`block::kc`]
-//! ([`block::DEFAULT_KC`], overridden by [`block::set_kc`]); packed panels
-//! stay L1-resident under the micro-kernel. The N dimension is additionally
-//! cut into [`block::nc`]-column blocks ([`block::DEFAULT_NC`], overridden
-//! by [`block::set_nc`]): within one K panel each task sweeps an
-//! `NC`-column slice of packed `B` across all of its row tiles before
-//! moving right, so wide hidden layers reuse a `KC×NC` B block out of L2
-//! instead of streaming the whole packed row of panels per `MR` rows. A
-//! row tile takes its slice in one [`MicroKernel::tile_in_place`] call,
-//! so the AVX-512 backend feeds two B panels from every `A` broadcast.
+//! `A` is read where it lies; `B` is packed once; `NC` strips bound the
+//! `B` working set.
 //!
 //! Per call, the `B` operand is packed **once** into contiguous
 //! `NR`-column panels — in transposed layout for the `nt` variant, K
-//! panels shared out over the pool when the call is pooled — and
-//! shared read-only by every row-block task scheduled on the worker
-//! pool; each task packs its own `MR`-row `A` panels (transposed for
-//! `tn`). Both packing buffers come from the thread-local
-//! [`crate::pool::PackWorkspace`], which grows monotonically — in steady
-//! state a GEMM call allocates nothing beyond its output. Panel tails
-//! are zero-padded during packing so the micro-kernel never sees a
-//! partial tile (the store-back writes only the valid sub-tile).
+//! panels shared out over the pool when the call is pooled — and shared
+//! read-only by every row-block task. The K dimension is cut into panels
+//! of depth [`block::kc`] ([`block::DEFAULT_KC`], overridden by
+//! [`block::set_kc`]). `A` is never copied into task-wide panels: each
+//! row tile takes its `MR × KC` block from where it lies ([`InPlaceA`])
+//! and feeds it to a whole strip of B panels in one
+//! [`MicroKernel::tile_in_place`] call. The AVX-512 tile reads the block
+//! through its strides — `(k, 1)` for `nn`/`nt`, `(1, m)` for `tn` — and
+//! feeds every broadcast to up to three B panels; the 8-wide tiles stage
+//! it through one L1-resident panel and run [`MicroKernel::tile`] per B
+//! panel from there.
 //!
-//! # Thin `n`
+//! The N dimension is cut into [`block::nc`]-column strips
+//! ([`block::DEFAULT_NC`], overridden by [`block::set_nc`]). A product
+//! with `n <= NC` is one strip, swept in the order its `A` layout reads
+//! best: `nn`/`nt` **tile-major** (each row tile walks its K panels in
+//! ascending order, so a row-major `A` is read sequentially), `tn`
+//! **panel-major** (K panels outermost; a tile of the `k×m` operand is an
+//! `MR`-float strip of each of `kc` rows, one row stride apart, so
+//! tile-major would walk all `k` rows for one strip and leave the sibling
+//! tile to fetch the same cache lines again once evicted). A wider
+//! product runs K panels outermost, then strips, then row tiles, so its
+//! `B` working set is one `KC × NC` block. Per element every order is the
+//! same arithmetic — a `k`-sequential multiply-add chain from a zero
+//! accumulator inside each K panel, one add into `C` per panel, panels in
+//! ascending `k` — so the result is **bit-identical** to packing `A`
+//! first and sweeping panel by panel (the test-only oracle this module's
+//! tests hold every backend, layout and row split to).
 //!
-//! A product whose `n` spans at most two B panels of the widest tile
-//! (`n <= 32`; SGC's classifier has `n = 19`) spends longer transposing
-//! `A` into panels than multiplying it, so the dispatcher picks — from the
-//! call's shape alone, on every backend — a driver body that never packs
-//! `A`: each row tile takes its `MR × KC` block from where it lies
-//! ([`InPlaceA`], [`MicroKernel::tile_in_place`]). The AVX-512 tile reads
-//! the block through its strides and feeds every broadcast to both B
-//! panels of the row; the 8-wide tiles stage it through one L1-resident
-//! panel. Per element the arithmetic is the packed path's, so the two are
-//! **bit-identical** at equal KC (swept per backend in this module's
-//! tests). The `nn` sweep is tile-major, which reads a row-major `A`
-//! sequentially. The `tn` sweep (`∂W = Xᵀ·∂Y`, where `A` is the `k×m`
-//! batch) is panel-major: a tile's block is an `MR`-float strip of each
-//! of `kcl` batch rows, one row stride apart, so tile-major would fetch
-//! every cache line of `X` twice — once per 8-float strip, after the
-//! `k`-row walk between them evicted it — while K panels outermost let
-//! the sibling tile read it from L1. The order of the adds per element is
-//! unchanged. (Multiplying `(∂Yᵀ·X)ᵀ` instead, so `X` is the row-major
-//! `B` operand, was bit-identical but slower at SGC's shape.)
+//! Both the `B` panels and the 8-wide tiles' staging panel come from the
+//! thread-local [`crate::pool::PackWorkspace`], which grows monotonically
+//! — in steady state a GEMM call allocates nothing beyond its output.
+//! Panel tails are zero-padded so the micro-kernel never sees a partial
+//! tile (the store-back writes only the valid sub-tile).
 //!
 //! Calls parallelize over `MR`-aligned output row blocks on the shared
 //! [`crate::pool`] once the FLOP count crosses the workspace-wide
@@ -230,14 +226,14 @@ pub mod block {
     pub const NR: usize = 8;
 
     /// Default K-panel depth: `KC · NR · 4 B` of packed `B` panel (8 KiB)
-    /// plus `KC · MR · 4 B` of packed `A` panel (8 KiB) stay L1-resident
+    /// plus the tile's `KC · MR · 4 B` `A` block (8 KiB) stay L1-resident
     /// under the micro-kernel.
     pub const DEFAULT_KC: usize = 256;
 
-    /// Default NC column block: a `KC × NC` slice of packed `B`
+    /// Default NC strip width: a `KC × NC` block of packed `B`
     /// (512 KiB at the defaults) stays L2-resident while a task sweeps
-    /// it across its row tiles. Layers at or below 512 columns see no
-    /// blocking at all.
+    /// it across its row tiles. Products at or below 512 columns are one
+    /// strip.
     pub const DEFAULT_NC: usize = 512;
 
     /// Column-strip width of the tiled SpMM kernel (`8 · NR`): wide
@@ -259,7 +255,7 @@ pub mod block {
 
     /// The full tiling configuration of one GEMM call, snapshotted
     /// **once** per call ([`tile_config`]) and threaded through packing
-    /// and the blocked driver, so concurrent knob writes can never
+    /// and the driver, so concurrent knob writes can never
     /// desynchronize a packed layout from its consumer.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct TileConfig {
@@ -372,9 +368,9 @@ pub mod block {
     }
 }
 
-/// An `MR × kcl` block of the `A` operand taken **where it lies** instead
-/// of from the task-wide packed buffer: rows `row0..row0 + ivalid` of the
-/// (logical) `m×k` operand, K slice `kk0..kk0 + kcl`.
+/// An `MR × kcl` block of the `A` operand taken **where it lies**: rows
+/// `row0..row0 + ivalid` of the (logical) `m×k` operand, K slice
+/// `kk0..kk0 + kcl`.
 ///
 /// Read directly ([`InPlaceA::strides`]) it is the packed-panel layout
 /// with strides `(k, 1)` — or `(1, m)` for the `k×m` operand of the `tn`
@@ -440,34 +436,21 @@ impl<'a> InPlaceA<'a> {
         (rows, ks)
     }
 
-    /// The block as one `MR`-row panel (`kcl · MR` values) — the layout
-    /// [`MicroKernel::tile`] reads. A block that already lies that way (a
-    /// packed `A` panel, see [`InPlaceA::packed`]) is returned as is;
-    /// anything else is gathered into `stage`, tail rows zero-padded.
-    fn as_panel<'s>(&'s self, stage: &'s mut [f32]) -> &'s [f32] {
+    /// The block gathered into `stage` as one `MR`-row panel (`kcl · MR`
+    /// values, tail rows zero-padded) — the layout [`MicroKernel::tile`]
+    /// reads.
+    fn as_panel<'s>(&self, stage: &'s mut [f32]) -> &'s [f32] {
         let (a, ld, mr) = (self.data, self.ld, block::MR);
-        let len = self.kcl * mr;
+        let stage = &mut stage[..self.kcl * mr];
         match self.layout {
-            APack::Cols if ld == mr && self.row0 == 0 => &a[self.kk0 * mr..][..len],
             APack::Cols => {
-                let stage = &mut stage[..len];
-                pack_a_cols(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage);
-                stage
+                pack_a_cols(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage)
             }
             APack::Rows => {
-                let stage = &mut stage[..len];
-                pack_a_rows(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage);
-                stage
+                pack_a_rows(a, ld, self.row0, self.ivalid, self.kk0, self.kcl, mr, stage)
             }
         }
-    }
-
-    /// One packed `MR`-row panel (`kcl` steps of `MR` values, as
-    /// [`pack_a_rows`]/[`pack_a_cols`] leave it) viewed as a block: element
-    /// `(i, p)` at `p · MR + i` is a `kcl × MR` operand in the `tn` layout.
-    fn packed(panel: &'a [f32], ivalid: usize) -> Self {
-        let mr = block::MR;
-        InPlaceA::new(panel, APack::Cols, mr, 0, ivalid, 0, panel.len() / mr)
+        stage
     }
 }
 
@@ -499,8 +482,8 @@ pub trait MicroKernel {
     /// ([`KernelKind::is_supported`]).
     unsafe fn tile(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, ivalid: usize, jvalid: usize);
 
-    /// [`MicroKernel::tile`] over **every** B panel of a thin row strip,
-    /// with the `A` block taken from where it lies: accumulates the
+    /// [`MicroKernel::tile`] over **every** B panel of a row strip, with
+    /// the `A` block taken from where it lies: accumulates the
     /// `a.ivalid × jvalid` strip into `c` (row stride `ldc`), panel `jp`
     /// covering columns `jp·NR..`. `bp` holds the `jvalid.div_ceil(NR)`
     /// packed panels of this K slice back to back, `a.kcl` steps each.
@@ -508,14 +491,12 @@ pub trait MicroKernel {
     /// multiply-add chain from a zero accumulator, then one add into `c`
     /// — so the result is bit-identical to packing `a` first.
     ///
-    /// A backend whose registers hold two panels reads `a` directly and
-    /// feeds each broadcast to both ([`Avx512Kernel`]). This provided form
+    /// A backend whose registers hold several panels reads `a` directly
+    /// and feeds each broadcast to all of them ([`Avx512Kernel`]). This provided form
     /// is for the 8-wide tiles, which would otherwise re-walk a strided
-    /// block once per panel (three or four times at thin `n`): unless the
-    /// block is a packed panel already, it gathers it into `stage` — one
-    /// `MR × kcl` panel, L1-resident — and runs `tile` per B panel from
-    /// there. `stage` must hold `a.kcl · MR` values unless `a` is
-    /// [`InPlaceA::packed`].
+    /// block once per panel: it gathers the block into `stage` — one
+    /// `MR × kcl` panel, L1-resident, so `stage` must hold `a.kcl · MR`
+    /// values — and runs `tile` per B panel from there.
     ///
     /// # Safety
     ///
@@ -686,7 +667,8 @@ unsafe fn tile_avx512(ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, iv: usi
 
 /// [`tile_avx512`] with the `A` block read in place and `P` adjacent B
 /// panels fed from every `A` broadcast (`8 × P` `zmm` accumulators —
-/// `P = 2` is the widest that leaves registers for the operands). Panel
+/// `P = 3` is the widest that leaves registers for the `P` B vectors and
+/// the broadcast). Panel
 /// `q` covers columns `q·16..` of `c`; per element the `fma(a, b, acc)`
 /// chain and the single add into `C` are [`tile_avx512`]'s.
 ///
@@ -773,8 +755,8 @@ impl MicroKernel for Avx512Kernel {
         unsafe { tile_avx512(ap, bp, c, ldc, iv, jv) }
     }
 
-    // SAFETY: same contract as `tile`. Sixteen `zmm` accumulators hold a
-    // two-panel strip, so `a` is read directly and `_stage` goes unused.
+    // SAFETY: same contract as `tile`. Up to 24 `zmm` accumulators hold a
+    // three-panel group, so `a` is read directly and `_stage` goes unused.
     unsafe fn tile_in_place(
         a: InPlaceA<'_>,
         _stage: &mut [f32],
@@ -785,24 +767,30 @@ impl MicroKernel for Avx512Kernel {
     ) {
         // The raw stores below rely on `c` spanning the strip.
         assert!(c.len() >= (a.ivalid - 1) * ldc + jv, "C strip too short");
-        let pair = 2 * a.kcl * Self::NR;
+        // Each walk of `a` feeds a group of three panels while three or
+        // more remain — a `tn` block re-read per group is a strided walk —
+        // except that four go as two pairs rather than three and one.
         let mut j0 = 0;
         while j0 < jv {
-            let bq = &bp[j0 * a.kcl..];
             let left = jv - j0;
+            let group = match left.div_ceil(Self::NR) {
+                4 => 2,
+                r => r.min(3),
+            };
+            let bq = &bp[j0 * a.kcl..][..group * a.kcl * Self::NR];
+            let (cq, cols) = (&mut c[j0..], left.min(group * Self::NR));
             // SAFETY: forwarded from the dispatcher, which only selects
             // this backend when `KernelKind::Avx512.is_supported()` held;
-            // `bq` is cut to exactly the one or two panels the call
-            // covers and `left` to their columns.
+            // `bq` is cut to exactly the `group` panels the call covers
+            // and `cols` to their columns, more than `group - 1` panels'.
             unsafe {
-                if left > Self::NR {
-                    let cols = left.min(2 * Self::NR);
-                    tile_avx512_in_place::<2>(a, &bq[..pair], &mut c[j0..], ldc, cols);
-                } else {
-                    tile_avx512_in_place::<1>(a, &bq[..pair / 2], &mut c[j0..], ldc, left);
+                match group {
+                    3 => tile_avx512_in_place::<3>(a, bq, cq, ldc, cols),
+                    2 => tile_avx512_in_place::<2>(a, bq, cq, ldc, cols),
+                    _ => tile_avx512_in_place::<1>(a, bq, cq, ldc, cols),
                 }
             }
-            j0 += 2 * Self::NR;
+            j0 += group * Self::NR;
         }
     }
 }
@@ -973,72 +961,6 @@ enum BPack {
     Cols,
 }
 
-/// The blocked driver shared by every variant and backend.
-///
-/// `b_packed` holds every K panel of `B` (packed once by the caller at
-/// the snapshot's `kc`/`K::NR`); `pack_a(row0, rows, kk0, kcl, dst)`
-/// packs one K panel of the task's `A` rows. Output rows are split into
-/// `MR`-aligned blocks, one task per block on the shared pool; each task
-/// zero-fills its `C` chunk and accumulates tile products K panel by K
-/// panel, sweeping `nc`-column slices of packed `B` across all its row
-/// tiles before moving right (the L2 block). A row tile takes its whole
-/// `nc` strip in one [`MicroKernel::tile_in_place`] call — a packed `A`
-/// panel is an [`InPlaceA`] block like any other — so a backend whose
-/// registers hold two B panels feeds both from each `A` broadcast, and the
-/// 8-wide ones run `tile` per panel straight from the packed panel.
-/// Per-element accumulation order is independent of the row split, the
-/// column block and the panels a tile call covers.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked<K: MicroKernel, PA>(
-    m: usize,
-    n: usize,
-    k: usize,
-    kc: usize,
-    nc: usize,
-    nthreads: usize,
-    pack_a: PA,
-    b_packed: &[f32],
-    c: &mut [f32],
-) where
-    PA: Fn(usize, usize, usize, usize, &mut [f32]) + Sync,
-{
-    let (mr, nr) = (K::MR, K::NR);
-    let np = n.div_ceil(nr);
-    // NC in units of whole B panels, at least one.
-    let ncp = (nc.div_ceil(nr)).max(1);
-    let body = |first_row: usize, chunk: &mut [f32]| {
-        let rows = chunk.len() / n;
-        chunk.fill(0.0);
-        let mp = rows.div_ceil(mr);
-        let mut abuf = PackWorkspace::take(PackBuf::OperandA, kc.min(k) * mp * mr);
-        let mut kk0 = 0;
-        while kk0 < k {
-            let kcl = kc.min(k - kk0);
-            let apack = &mut abuf[..kcl * mp * mr];
-            pack_a(first_row, rows, kk0, kcl, apack);
-            let bbase = kk0 * np * nr;
-            let mut jj = 0;
-            while jj < np {
-                let jj_end = (jj + ncp).min(np);
-                let strip = &b_packed[bbase + jj * kcl * nr..][..(jj_end - jj) * kcl * nr];
-                let jvalid = n.min(jj_end * nr) - jj * nr;
-                for ip in 0..mp {
-                    let ap = &apack[ip * kcl * mr..][..kcl * mr];
-                    let a = InPlaceA::packed(ap, mr.min(rows - ip * mr));
-                    let ct = &mut chunk[(ip * mr) * n + jj * nr..];
-                    // SAFETY: the dispatcher only selects `K` after
-                    // `K::KIND.is_supported()` held on this CPU.
-                    unsafe { K::tile_in_place(a, &mut [], strip, ct, n, jvalid) };
-                }
-                jj = jj_end;
-            }
-            kk0 += kcl;
-        }
-        PackWorkspace::give(PackBuf::OperandA, abuf);
-    };
-    over_row_blocks(m, n, mr, nthreads, c, body);
-}
-
 /// Runs `body(first_row, chunk)` over `mr`-aligned row blocks of the
 /// `m×n` output `c`: the whole matrix on the calling thread when
 /// `nthreads <= 1` (or there is a single tile of rows), else one task per
@@ -1065,29 +987,19 @@ fn over_row_blocks(
     });
 }
 
-/// The thin-`n` body of the driver: [`gemm_blocked`] with the packing of
-/// `A` removed. Each row tile takes the `MR × kcl` block of `a` from where
-/// it lies ([`InPlaceA`]) and feeds it to every B panel of the row in one
-/// [`MicroKernel::tile_in_place`] call, so `A` is streamed exactly once
-/// and never written to a task-wide packed buffer. With so few columns
-/// there is nothing for an NC block to reuse; the sweep order follows
-/// the operand's layout instead:
-///
-/// * [`APack::Rows`] (`nn`) is **tile-major** — each row tile walks its K
-///   panels in ascending order, so a row-major `A` is read strictly
-///   sequentially;
-/// * [`APack::Cols`] (`tn`, the `∂W = Xᵀ·∂Y` operand) is
-///   **panel-major** — K panels outermost, every row tile of the task
-///   inside. A tile of the `k×m` operand is an `MR`-float strip of each
-///   of `kcl` rows, one row stride apart; tile-major would walk all `k`
-///   rows for one strip and leave the sibling tile to fetch the same
-///   cache lines again once they are evicted, while panel-major hands
-///   them over from L1.
-///
-/// Per element this is the packed path's arithmetic in either order — a
-/// `k`-sequential multiply-add chain from a zero accumulator inside each
-/// K panel, one add into `C` per panel, panels in ascending `k`, the same
-/// `MR`-aligned row split — so the two are bit-identical at equal `kc`.
+/// The driver shared by every variant and backend (the module docs'
+/// *Blocking* gives the reasons). Output rows are split into `MR`-aligned
+/// blocks, one task per block on the shared pool; each task zero-fills its
+/// `C` chunk, then feeds each row tile's `MR × kcl` block of `a`, read
+/// where it lies ([`InPlaceA`]), to a strip of the packed `B` panels
+/// (`b_packed`: every K panel, packed once by the caller at `kc` and
+/// `K::NR`) in one [`MicroKernel::tile_in_place`] call. A product that is
+/// one strip with a row-major `A` (`nn`, `nt`) sweeps tile-major; every
+/// other product sweeps K panels, then `nc`-column strips, then row tiles.
+/// Per element every order is the same arithmetic — a `k`-sequential
+/// multiply-add chain from a zero accumulator inside each K panel, one add
+/// into `C` per panel, panels in ascending `k` — so the result does not
+/// depend on the order, the strip width or the row split.
 #[allow(clippy::too_many_arguments)]
 fn gemm_in_place<K: MicroKernel>(
     a: &[f32],
@@ -1095,42 +1007,46 @@ fn gemm_in_place<K: MicroKernel>(
     n: usize,
     k: usize,
     apack: APack,
-    kc: usize,
+    (kc, nc): (usize, usize),
     nthreads: usize,
     b_packed: &[f32],
     c: &mut [f32],
 ) {
     let (mr, nr) = (K::MR, K::NR);
     let np = n.div_ceil(nr);
+    // NC in units of whole B panels, at least one.
+    let ncp = nc.div_ceil(nr).max(1);
     let lda = match apack {
         APack::Rows => k,
         APack::Cols => m,
     };
+    let tile_major = matches!(apack, APack::Rows) && np <= ncp;
     let panels = || (0..k).step_by(kc).map(|kk0| (kk0, kc.min(k - kk0)));
+    let strips = || (0..np).step_by(ncp).map(|jj| (jj, (jj + ncp).min(np)));
     over_row_blocks(m, n, mr, nthreads, c, |first_row, chunk| {
         chunk.fill(0.0);
         let mut stage = PackWorkspace::take(PackBuf::OperandA, kc.min(k) * mr);
-        // One tile × one K panel: rows `row0..` of `a`, accumulated into
-        // the tile's rows `ct` of the output.
-        let mut tile = |row0: usize, ct: &mut [f32], (kk0, kcl): (usize, usize)| {
+        // One row tile × one K panel × one strip of B panels `jj..jj_end`:
+        // rows `row0..` of `a`, accumulated into the tile's rows `ct`.
+        let mut tile = |row0: usize, ct: &mut [f32], (kk0, kcl), (jj, jj_end): (usize, usize)| {
             let block = InPlaceA::new(a, apack, lda, row0, ct.len() / n, kk0, kcl);
-            let bp = &b_packed[kk0 * np * nr..][..kcl * np * nr];
+            let bp = &b_packed[kk0 * np * nr + jj * kcl * nr..][..(jj_end - jj) * kcl * nr];
+            let jvalid = n.min(jj_end * nr) - jj * nr;
             // SAFETY: the dispatcher only selects `K` after
             // `K::KIND.is_supported()` held on this CPU.
-            unsafe { K::tile_in_place(block, &mut stage, bp, ct, n, n) };
+            unsafe { K::tile_in_place(block, &mut stage, bp, &mut ct[jj * nr..], n, jvalid) };
         };
-        match apack {
-            APack::Rows => {
-                for (ip, ct) in chunk.chunks_mut(mr * n).enumerate() {
-                    for panel in panels() {
-                        tile(first_row + ip * mr, ct, panel);
-                    }
+        if tile_major {
+            for (ip, ct) in chunk.chunks_mut(mr * n).enumerate() {
+                for panel in panels() {
+                    tile(first_row + ip * mr, ct, panel, (0, np));
                 }
             }
-            APack::Cols => {
-                for panel in panels() {
+        } else {
+            for panel in panels() {
+                for strip in strips() {
                     for (ip, ct) in chunk.chunks_mut(mr * n).enumerate() {
-                        tile(first_row + ip * mr, ct, panel);
+                        tile(first_row + ip * mr, ct, panel, strip);
                     }
                 }
             }
@@ -1165,79 +1081,8 @@ fn pack_b_full(
     bbuf
 }
 
-/// How the driver reads the `A` operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ARead {
-    /// Pack `MR`-row panels per K slice, then sweep them ([`gemm_blocked`]).
-    Packed,
-    /// Read `A` where it lies ([`gemm_in_place`]).
-    InPlace,
-}
-
-impl ARead {
-    /// Widest `n` read in place: two B panels of the widest register tile
-    /// (`2 × 16`). Deliberately not the dispatched backend's own `NR` — the
-    /// path a product takes is a function of its shape alone.
-    const THIN_N: usize = 4 * block::NR;
-
-    /// Chosen from the call's shape: with so few columns each packed `A`
-    /// value would feed one or two tile calls, so transposing `A` into
-    /// panels costs more than the multiply it prepares. No floor on `m·k`:
-    /// in place measured ahead of packed from 32×32 up (AVX-512), level
-    /// with it on the 8-wide backends.
-    fn for_shape(n: usize) -> ARead {
-        if n <= Self::THIN_N {
-            ARead::InPlace
-        } else {
-            ARead::Packed
-        }
-    }
-}
-
-/// Packs `B`, then runs the driver, for one already-monomorphized
-/// backend.
-#[allow(clippy::too_many_arguments)]
-fn gemm_run<K: MicroKernel>(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    apack: APack,
-    bpack: BPack,
-    aread: ARead,
-    kc: usize,
-    nc: usize,
-    nthreads: usize,
-    c: &mut [f32],
-) {
-    let bbuf = pack_b_full(k, n, kc, K::NR, nthreads, |kk0, kcl, dst| match bpack {
-        BPack::Rows => pack_b_rows(b, n, kk0, kcl, K::NR, dst),
-        BPack::Cols => pack_b_cols(b, k, n, kk0, kcl, K::NR, dst),
-    });
-    match aread {
-        ARead::InPlace => gemm_in_place::<K>(a, m, n, k, apack, kc, nthreads, &bbuf, c),
-        ARead::Packed => gemm_blocked::<K, _>(
-            m,
-            n,
-            k,
-            kc,
-            nc,
-            nthreads,
-            |row0, rows, kk0, kcl, dst| match apack {
-                APack::Rows => pack_a_rows(a, k, row0, rows, kk0, kcl, K::MR, dst),
-                APack::Cols => pack_a_cols(a, m, row0, rows, kk0, kcl, K::MR, dst),
-            },
-            &bbuf,
-            c,
-        ),
-    }
-    PackWorkspace::give(PackBuf::OperandB, bbuf);
-}
-
-/// The shared entry body: dispatches the snapshot's backend into the
-/// monomorphized driver, choosing how `A` is read from the call's shape
-/// ([`ARead::for_shape`]).
+/// The shared entry body: packs `B` for the snapshot's backend, then runs
+/// the monomorphized driver.
 #[allow(clippy::too_many_arguments)]
 fn gemm_dispatch(
     a: &[f32],
@@ -1254,11 +1099,14 @@ fn gemm_dispatch(
     GEMM_CALLS.add(1);
     GEMM_MADDS.add((m * n * k) as u64);
     kernel_dispatch_counter(cfg.kernel).add(1);
-    let aread = ARead::for_shape(n);
+    let kc = cfg.kc;
     with_kernel!(cfg.kernel, K, {
-        gemm_run::<K>(
-            a, b, m, n, k, apack, bpack, aread, cfg.kc, cfg.nc, nthreads, c,
-        )
+        let bbuf = pack_b_full(k, n, kc, K::NR, nthreads, |kk0, kcl, dst| match bpack {
+            BPack::Rows => pack_b_rows(b, n, kk0, kcl, K::NR, dst),
+            BPack::Cols => pack_b_cols(b, k, n, kk0, kcl, K::NR, dst),
+        });
+        gemm_in_place::<K>(a, m, n, k, apack, (kc, cfg.nc), nthreads, &bbuf, c);
+        PackWorkspace::give(PackBuf::OperandB, bbuf);
     });
 }
 
@@ -1716,31 +1564,18 @@ mod tests {
         }
     }
 
-    /// One product through the private driver with the `A` read forced.
-    #[allow(clippy::too_many_arguments)]
-    fn run_with(
-        kind: KernelKind,
-        aread: ARead,
-        a: &Matrix,
-        b: &Matrix,
-        (m, n, k): (usize, usize, usize),
-        apack: APack,
-        bpack: BPack,
-        (kc, nc): (usize, usize),
-        nthreads: usize,
-    ) -> Matrix {
-        let mut c = Matrix::full(m, n, 777.0);
-        let (a, b, out) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
-        with_kernel!(kind, K, {
-            gemm_run::<K>(a, b, m, n, k, apack, bpack, aread, kc, nc, nthreads, out)
-        });
-        c
-    }
+    /// `(name, A layout, B layout, public entry)` of the three variants.
+    type Layout = (
+        &'static str,
+        APack,
+        BPack,
+        fn(&Matrix, &Matrix, &mut Matrix),
+    );
 
-    const LAYOUTS: [(&str, APack, BPack); 3] = [
-        ("nn", APack::Rows, BPack::Rows),
-        ("tn", APack::Cols, BPack::Rows),
-        ("nt", APack::Rows, BPack::Cols),
+    const LAYOUTS: [Layout; 3] = [
+        ("nn", APack::Rows, BPack::Rows, matmul_into),
+        ("tn", APack::Cols, BPack::Rows, matmul_tn_into),
+        ("nt", APack::Rows, BPack::Cols, matmul_nt_into),
     ];
 
     /// `x` as `transposed` says the layout stores it.
@@ -1756,62 +1591,9 @@ mod tests {
         p.len() == q.len() && p.iter().zip(q).all(|(p, q)| p.to_bits() == q.to_bits())
     }
 
-    #[test]
-    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
-    fn in_place_a_is_bit_identical_to_packed_on_every_backend() {
-        // The thin-n contract, swept rather than sampled: every compiled
-        // backend × {nn, tn, nt} × every n of the thin range and one past
-        // it × m and k straddling the MR, KC and 2·KC edges × row splits
-        // {1, 2, 8}. Reading A in place must reproduce the packed path
-        // bit for bit at equal KC, and both must sit on the reference.
-        const KC: usize = 8;
-        let ms = [1, MR - 1, MR, MR + 1, 3 * MR + 5];
-        let ks = [1, KC - 1, KC, KC + 1, 2 * KC - 1, 2 * KC, 2 * KC + 1];
-        for &kind in compiled_kernels().iter().filter(|k| k.is_supported()) {
-            for n in 1..=ARead::THIN_N + 1 {
-                for (m, k) in ms.iter().flat_map(|&m| ks.iter().map(move |&k| (m, k))) {
-                    let a = rand_mat(m, k, (m * 131 + k) as u64);
-                    let b = rand_mat(k, n, (k * 137 + n) as u64);
-                    let (at, bt) = (a.transpose(), b.transpose());
-                    let expect = reference::matmul(&a, &b);
-                    for (name, apack, bpack) in LAYOUTS {
-                        let a = stored(&a, &at, matches!(apack, APack::Cols));
-                        let b = stored(&b, &bt, matches!(bpack, BPack::Cols));
-                        for nthreads in [1, 2, 8] {
-                            let run = |aread| {
-                                let tiling = (KC, block::DEFAULT_NC);
-                                run_with(
-                                    kind,
-                                    aread,
-                                    a,
-                                    b,
-                                    (m, n, k),
-                                    apack,
-                                    bpack,
-                                    tiling,
-                                    nthreads,
-                                )
-                            };
-                            let (packed, in_place) = (run(ARead::Packed), run(ARead::InPlace));
-                            let what = format!("{} {name} {m}x{k}x{n} /{nthreads}", kind.name());
-                            assert!(
-                                same_bits(packed.as_slice(), in_place.as_slice()),
-                                "{what}: in-place differs from packed"
-                            );
-                            assert!(
-                                in_place.max_abs_diff(&expect) < 1e-4,
-                                "{what}: off reference"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The sweep `gemm_blocked` ran before a row tile took its whole NC
-    /// strip in one call, kept as that change's oracle: `B` packed panel by
-    /// panel on the calling thread, one `tile` call per (row tile, B panel).
+    /// The driver's oracle: `A` and `B` packed panel by panel on the
+    /// calling thread, one [`MicroKernel::tile`] call per (row tile, B
+    /// panel) — no in-place read, no strip, no panel group, no row split.
     fn per_panel_sweep<K: MicroKernel>(
         (a, b): (&[f32], &[f32]),
         (m, n, k): (usize, usize, usize),
@@ -1853,56 +1635,70 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
-    fn strip_sweep_is_bit_identical_to_the_per_panel_sweep_on_every_backend() {
-        // Every compiled backend × {nn, tn, nt} × n around one, two and many
-        // 16-wide panels × NC of one, two, three 16-wide (two, four, six
-        // 8-wide) panels per block and the whole row × m with `ivalid < MR`
-        // tails × k on the KC and 2·KC edges × serial and pooled (which
-        // also packs B on the pool).
+    fn every_product_is_bit_identical_to_the_per_panel_sweep() {
+        // The driver's contract, swept rather than sampled: every compiled
+        // backend × {nn, tn, nt} × n from one column through the thin
+        // range, the 16-wide panel edges and one and two NC strips past
+        // the default × m and k straddling the MR, KC and 2·KC edges ×
+        // row splits {1, 2, 8}. Each product runs through its public entry
+        // point, serial and pooled, and through the shared entry body at 2
+        // and 8 row blocks; every run must reproduce the per-panel oracle
+        // bit for bit, and the oracle must sit on the reference.
         const KC: usize = 8;
-        let ks = [KC - 1, KC, KC + 1, 2 * KC, 2 * KC + 1];
+        let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
+        block::set_kc(KC);
+        let nc = block::nc();
+        let ms = [1, MR - 1, MR, MR + 1, 3 * MR + 5];
+        let ks = [1, KC - 1, KC, KC + 1, 2 * KC - 1, 2 * KC, 2 * KC + 1];
+        let ns = [1, 19, 32, 33, 47, 64, 128, 256, nc + 16, 2 * nc + 5];
         for &kind in compiled_kernels().iter().filter(|k| k.is_supported()) {
-            for n in [33, 47, 48, 64, 100, 128, 129] {
-                for (m, k) in [1, MR + 3, 3 * MR]
-                    .iter()
-                    .flat_map(|&m| ks.iter().map(move |&k| (m, k)))
-                {
+            block::set_kernel(Some(kind));
+            let cfg = block::tile_config();
+            for n in ns {
+                for (m, k) in ms.iter().flat_map(|&m| ks.iter().map(move |&k| (m, k))) {
                     let a = rand_mat(m, k, (m * 131 + k) as u64);
                     let b = rand_mat(k, n, (k * 137 + n) as u64);
                     let (at, bt) = (a.transpose(), b.transpose());
-                    for (name, apack, bpack) in LAYOUTS {
+                    let expect = reference::matmul(&a, &b);
+                    for (name, apack, bpack, entry) in LAYOUTS {
                         let a = stored(&a, &at, matches!(apack, APack::Cols));
                         let b = stored(&b, &bt, matches!(bpack, BPack::Cols));
-                        for nc in [16, 32, 48, block::DEFAULT_NC] {
-                            let shape = (m, n, k);
-                            let oracle = with_kernel!(kind, K, {
-                                let operands = (a.as_slice(), b.as_slice());
-                                per_panel_sweep::<K>(operands, shape, (apack, bpack), (KC, nc))
-                            });
-                            for nthreads in [1, 2] {
-                                let tiling = (KC, nc);
-                                let strip = run_with(
-                                    kind,
-                                    ARead::Packed,
-                                    a,
-                                    b,
-                                    shape,
-                                    apack,
-                                    bpack,
-                                    tiling,
-                                    nthreads,
-                                );
-                                assert!(
-                                    same_bits(strip.as_slice(), oracle.as_slice()),
-                                    "{} {name} {m}x{k}x{n} nc {nc} /{nthreads}",
-                                    kind.name()
-                                );
-                            }
+                        let what = format!("{} {name} {m}x{k}x{n}", kind.name());
+                        let oracle = with_kernel!(kind, K, {
+                            let operands = (a.as_slice(), b.as_slice());
+                            per_panel_sweep::<K>(operands, (m, n, k), (apack, bpack), (KC, nc))
+                        });
+                        assert!(oracle.max_abs_diff(&expect) < 1e-4, "{what}: off reference");
+                        let public = |threshold| {
+                            set_parallel_threshold(threshold);
+                            let mut c = Matrix::full(m, n, 777.0);
+                            entry(a, b, &mut c);
+                            c
+                        };
+                        let body = |nthreads| {
+                            let mut c = Matrix::full(m, n, 777.0);
+                            let (a, b, out) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
+                            gemm_dispatch(a, b, m, n, k, apack, bpack, cfg, nthreads, out);
+                            c
+                        };
+                        for (split, c) in [
+                            ("serial", public(usize::MAX)),
+                            ("pooled", public(0)),
+                            ("/2", body(2)),
+                            ("/8", body(8)),
+                        ] {
+                            assert!(
+                                same_bits(c.as_slice(), oracle.as_slice()),
+                                "{what} {split}: differs from the per-panel sweep"
+                            );
                         }
                     }
                 }
             }
         }
+        set_parallel_threshold(DEFAULT_PARALLEL_THRESHOLD);
+        block::set_kernel(None);
+        block::set_kc(0);
     }
 
     #[test]
@@ -1924,48 +1720,6 @@ mod tests {
         for nthreads in [2, 3, 8] {
             assert_eq!(pack(nthreads), serial, "{nthreads} tasks");
         }
-    }
-
-    #[test]
-    fn thin_products_reach_the_in_place_path_through_the_public_entries() {
-        // The shape rule itself, and — on whatever backend is ambient
-        // (the CI matrix forces portable and avx2) — that a thin product
-        // through the public entry points equals the packed driver's
-        // result bitwise.
-        assert_eq!(ARead::for_shape(1), ARead::InPlace);
-        assert_eq!(ARead::for_shape(19), ARead::InPlace);
-        assert_eq!(ARead::for_shape(ARead::THIN_N), ARead::InPlace);
-        assert_eq!(ARead::for_shape(ARead::THIN_N + 1), ARead::Packed);
-        let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
-        let cfg = block::tile_config();
-        let (m, n, k) = (3 * MR + 1, 19, 2 * cfg.kc + 3);
-        let a = rand_mat(m, k, 41);
-        let b = rand_mat(k, n, 42);
-        let packed = |a: &Matrix, b: &Matrix, apack, bpack| {
-            let shape = (m, n, k);
-            run_with(
-                cfg.kernel,
-                ARead::Packed,
-                a,
-                b,
-                shape,
-                apack,
-                bpack,
-                (cfg.kc, cfg.nc),
-                1,
-            )
-        };
-        assert_eq!(matmul(&a, &b), packed(&a, &b, APack::Rows, BPack::Rows));
-        let at = a.transpose();
-        assert_eq!(
-            matmul_tn(&at, &b),
-            packed(&at, &b, APack::Cols, BPack::Rows)
-        );
-        let bt = b.transpose();
-        assert_eq!(
-            matmul_nt(&a, &bt),
-            packed(&a, &bt, APack::Rows, BPack::Cols)
-        );
     }
 
     #[test]
@@ -2001,6 +1755,8 @@ mod tests {
 
     #[test]
     fn into_variants_overwrite_dirty_outputs() {
+        // Held so no sweep switches the backend between the two calls.
+        let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
         let a = rand_mat(9, 7, 21);
         let b = rand_mat(7, 5, 22);
         let mut dirty = Matrix::full(9, 5, 777.0);

@@ -581,15 +581,16 @@ where
 
 /// Which of the two per-thread packing buffers a kernel is asking for.
 ///
-/// GEMM packs both operands: the shared-`B` panel buffer is filled by the
-/// calling thread and borrowed immutably by every row-block task, while
-/// each task packs its own `A` panels. Keeping the two in separate slots
+/// GEMM packs `B` once per call and reads `A` in place: the shared-`B`
+/// panel buffer is filled by the calling thread and borrowed immutably by
+/// every row-block task, while the 8-wide tiles of each task stage one `A`
+/// block at a time. Keeping the two in separate slots
 /// lets the caller hold the `B` buffer across a `WorkerPool::run` while
 /// tasks executing on the *same* thread (the caller helps drain the queue)
 /// take the `A` slot without conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackBuf {
-    /// Per-task `A`-panel buffer (`MR`-row panels).
+    /// Per-task `A` staging panel (one `MR × KC` block).
     OperandA,
     /// Per-call `B`-panel buffer (`NR`-column panels), shared read-only
     /// across all row-block tasks of one GEMM call.

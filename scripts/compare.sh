@@ -25,6 +25,12 @@
 #            every run of b beats every run of a).
 # It also says whether the printed `val_acc by epoch` series agree.
 #
+# Before each pair it runs the `host_probe` bin of ppgnn-bench, built from
+# this checkout, and prints its covariates per pair beside the table:
+# the GFLOP/s of a 4096x128x128 `nn` product and the ns per load of a
+# 64 MB pointer chase. They say how fast the host was when the pair ran;
+# they change no verdict.
+#
 # Exits non-zero if a build fails, or if any run reads `correct: false`
 # or `failed > 0` (after finishing the table).
 set -euo pipefail
@@ -76,6 +82,10 @@ checkout() {
 
 dir_a=$(checkout "$rev_a")
 dir_b=$(checkout "$rev_b")
+echo "building host_probe in this checkout" >&2
+probe="$root/target/release/host_probe"
+cargo build --release --offline --quiet -p ppgnn-bench --bin host_probe >&2 ||
+    { echo "host_probe did not build: no covariates" >&2; probe=""; }
 runs="$root/.bench_build/runs/$(date +%Y%m%d-%H%M%S)"
 mkdir -p "$runs"
 echo "runs: ${runs#"$root"/}  pairs $pairs  seed $seed  seconds $seconds" >&2
@@ -90,9 +100,17 @@ run() {
     echo "  $2 pair $3 side $1: $(tail -n 1 "$log" | cut -c1-60)" >&2
 }
 
+# The host covariates before pair $2 of workload $1.
+covariates() {
+    local out="$runs/$1-$2-host.json"
+    if [ -n "$probe" ]; then "$probe" >"$out" 2>/dev/null || rm -f "$out"; fi
+    echo "  $1 pair $2 host: $(cat "$out" 2>/dev/null || echo -)" >&2
+}
+
 IFS=, read -r -a wl <<<"$workloads"
 for w in "${wl[@]}"; do
     for ((p = 0; p < pairs; p++)); do
+        covariates "$w" "$p"
         if ((p % 2 == 0)); then run a "$w" "$p"; run b "$w" "$p"; else run b "$w" "$p"; run a "$w" "$p"; fi
     done
 done
@@ -172,6 +190,27 @@ for w in workloads:
     else:
         note = "DIFFERS between runs"
     print(f"\nval_acc by epoch: {note}\n")
+    hosts = []
+    for p in range(pairs):
+        try:
+            hosts.append(json.load(open(f"{runs}/{w}-{p}-host.json")))
+        except (OSError, ValueError):
+            hosts.append({})
+    keys = [("gemm_nn_gflops", "GEMM nn GFLOP/s"), ("chase_ns_per_load", "chase ns/load")]
+    rate = "train_rows_per_s"
+    print("host covariates before each pair (`host_probe`; no verdict uses them):\n")
+    print("| pair | " + " | ".join(label for _, label in keys) + f" | {rate} b/a |")
+    print("|---" * (len(keys) + 2) + "|")
+    for p, h in enumerate(hosts):
+        ra, rb = (res[s][p][0]["metrics"].get(rate, {}).get("value") for s in "ab")
+        ratio = f"{rb / ra:.3f}" if ra and rb is not None else "-"
+        cells = [f"{h[k]:.1f}" if k in h else "-" for k, _ in keys]
+        print(f"| {p} | " + " | ".join(cells) + f" | {ratio} |")
+    cells = []
+    for k, _ in keys:
+        xs = [h[k] for h in hosts if k in h]
+        cells.append(f"{statistics.median(xs):.1f} ({min(xs):.1f}-{max(xs):.1f})" if xs else "-")
+    print("| median (min-max) | " + " | ".join(cells) + " | |\n")
 if bad:
     print("FAILED runs:")
     for b in bad:

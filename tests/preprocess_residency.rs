@@ -457,13 +457,17 @@ fn sign_forward_into_train_step_reuses_buffers() {
 }
 
 /// A warmed HOGA model at `batch` examples with everything one train step
-/// needs, and the step itself (forward_into + loss + backward + Adam).
+/// needs, and the step itself as `Trainer::fit` runs it: the hops lent to
+/// the model, the loss into retained slots, backward, the hops returned,
+/// Adam.
 struct HogaStep {
     model: ppgnn_models::Hoga,
     hops: Vec<ppgnn_tensor::Matrix>,
     labels: Vec<u32>,
     opt: ppgnn_nn::Adam,
     logits: ppgnn_tensor::Matrix,
+    grad: ppgnn_tensor::Matrix,
+    label_probs: Vec<f32>,
 }
 
 impl HogaStep {
@@ -488,6 +492,8 @@ impl HogaStep {
             labels: (0..batch).map(|i| (i % 5) as u32).collect(),
             opt: ppgnn_nn::Adam::new(1e-3),
             logits: Matrix::default(),
+            grad: Matrix::default(),
+            label_probs: Vec::new(),
         };
         for _ in 0..3 {
             step.run();
@@ -497,12 +503,17 @@ impl HogaStep {
 
     fn run(&mut self) {
         use ppgnn_models::PpModel;
-        use ppgnn_nn::{CrossEntropyLoss, Mode, Optimizer};
-        self.model
-            .forward_into(&self.hops, Mode::Train, &mut self.logits);
-        let (_, g) = CrossEntropyLoss.loss_and_grad(&self.logits, &self.labels);
+        use ppgnn_nn::{CrossEntropyLoss, Optimizer};
+        self.model.forward_train(&mut self.hops, &mut self.logits);
+        CrossEntropyLoss.loss_and_grad_into(
+            &self.logits,
+            &self.labels,
+            &mut self.grad,
+            &mut self.label_probs,
+        );
         self.model.zero_grad();
-        self.model.backward(&g);
+        self.model.backward(&self.grad);
+        self.model.return_inputs(&mut self.hops);
         self.opt.step(&mut self.model.params());
     }
 
@@ -515,12 +526,10 @@ impl HogaStep {
 }
 
 /// Allocations a steady-state HOGA train step makes, whatever the batch:
-/// the loss gradient and the loss's label-probability row
-/// (`CrossEntropyLoss::loss_and_grad` returns the gradient by value), and
-/// the `params()` lists `zero_grad` and the optimizer build. The forward
-/// and backward allocate nothing — every work buffer and every gradient
-/// slot is retained.
-const HOGA_STEP_ALLOC_BUDGET: usize = 26;
+/// only the `params()` lists `zero_grad` and the optimizer build. The
+/// forward, the loss and the backward allocate nothing — every work
+/// buffer and every gradient slot is retained, the loss's included.
+const HOGA_STEP_ALLOC_BUDGET: usize = 24;
 
 #[test]
 fn hoga_train_step_allocations_do_not_grow_with_the_batch() {
