@@ -562,7 +562,10 @@ mod tests {
         // With telemetry on, the fourteen stage spans account for (nearly)
         // all of a step's forward + backward wall — measured on this thread
         // inside two probe spans, so concurrent tests' events (other
-        // threads) and their load (both sides of the ratio) drop out.
+        // threads) and their load (both sides of the ratio) drop out. A
+        // thread descheduled between two stage spans adds to the wall and
+        // to no span; work outside the spans shows in every step, so the
+        // best of a few steps measures the code and not the scheduler.
         const STAGES: [&str; 7] = [
             "hoga.embed",
             "attn.qkv",
@@ -572,6 +575,7 @@ mod tests {
             "hoga.readout",
             "hoga.head",
         ];
+        const STEPS: usize = 5;
         let mut m = Hoga::new(3, 16, 32, 4, 5, 0.1, &mut StdRng::seed_from_u64(12));
         let hops = hop_stack(256, 16, 3, 13);
         let labels: Vec<u32> = (0..256).map(|i| (i % 5) as u32).collect();
@@ -588,38 +592,44 @@ mod tests {
         };
         step(&mut m); // warm the retained buffers
         ppgnn_telemetry::set_enabled(true);
-        step(&mut m);
+        for _ in 0..STEPS {
+            step(&mut m);
+        }
         ppgnn_telemetry::set_enabled(false);
 
         let events = ppgnn_telemetry::take_events();
-        let probe = |name: &str| {
-            *events
-                .iter()
-                .rev()
-                .find(|e| e.name == name)
-                .expect("probe span recorded")
-        };
-        let mut covered = 0;
-        for (probe, suffix) in [
-            (probe("test.hoga.fwd"), ""),
-            (probe("test.hoga.bwd"), ".bwd"),
-        ] {
-            for stage in STAGES {
-                let name = format!("{stage}{suffix}");
-                let inside: Vec<_> = events
-                    .iter()
-                    .filter(|e| e.tid == probe.tid && e.start_ns >= probe.start_ns)
-                    .filter(|e| e.start_ns + e.dur_ns <= probe.start_ns + probe.dur_ns)
-                    .filter(|e| e.name == name)
-                    .collect();
-                assert_eq!(inside.len(), 1, "{name}: one span per step");
-                covered += inside[0].dur_ns;
-            }
-        }
-        let wall = probe("test.hoga.fwd").dur_ns + probe("test.hoga.bwd").dur_ns;
+        let probes = |name: &str| -> Vec<_> { events.iter().filter(|e| e.name == name).collect() };
+        let (fwd, bwd) = (probes("test.hoga.fwd"), probes("test.hoga.bwd"));
+        assert_eq!(
+            (fwd.len(), bwd.len()),
+            (STEPS, STEPS),
+            "probe spans recorded"
+        );
+        let coverage: Vec<f64> = fwd
+            .iter()
+            .zip(&bwd)
+            .map(|(&fwd, &bwd)| {
+                let mut covered = 0;
+                for (probe, suffix) in [(fwd, ""), (bwd, ".bwd")] {
+                    for stage in STAGES {
+                        let name = format!("{stage}{suffix}");
+                        let inside: Vec<_> = events
+                            .iter()
+                            .filter(|e| e.tid == probe.tid && e.start_ns >= probe.start_ns)
+                            .filter(|e| e.start_ns + e.dur_ns <= probe.start_ns + probe.dur_ns)
+                            .filter(|e| e.name == name)
+                            .collect();
+                        assert_eq!(inside.len(), 1, "{name}: one span per step");
+                        covered += inside[0].dur_ns;
+                    }
+                }
+                covered as f64 / (fwd.dur_ns + bwd.dur_ns) as f64
+            })
+            .collect();
+        let best = coverage.iter().copied().fold(0.0, f64::max);
         assert!(
-            covered as f64 >= 0.9 * wall as f64,
-            "stage spans cover {covered} ns of a {wall} ns step"
+            best >= 0.9,
+            "stage spans cover at best {best:.3} of a step (per step: {coverage:.3?})"
         );
     }
 

@@ -1633,28 +1633,31 @@ mod tests {
         c
     }
 
-    #[test]
-    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
-    fn every_product_is_bit_identical_to_the_per_panel_sweep() {
-        // The driver's contract, swept rather than sampled: every compiled
-        // backend × {nn, tn, nt} × n from one column through the thin
-        // range, the 16-wide panel edges and one and two NC strips past
-        // the default × m and k straddling the MR, KC and 2·KC edges ×
-        // row splits {1, 2, 8}. Each product runs through its public entry
-        // point, serial and pooled, and through the shared entry body at 2
-        // and 8 row blocks; every run must reproduce the per-panel oracle
-        // bit for bit, and the oracle must sit on the reference.
+    /// How a sweep runs each product: through its public entry point at
+    /// a parallel threshold (`usize::MAX` serial, `0` pooled), or through
+    /// the shared entry body at a fixed number of row blocks.
+    #[derive(Clone, Copy, Debug)]
+    enum Run {
+        Public(usize),
+        Body(usize),
+    }
+
+    /// The driver's contract, swept rather than sampled: every compiled
+    /// backend × {nn, tn, nt} × the given `n` × m and k straddling the MR,
+    /// KC and 2·KC edges, each product run every way `runs` lists; every
+    /// run must reproduce the per-panel oracle bit for bit, and the oracle
+    /// must sit on the reference.
+    fn assert_sweep_matches_per_panel_oracle(ns: &[usize], runs: &[Run]) {
         const KC: usize = 8;
         let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
         block::set_kc(KC);
         let nc = block::nc();
         let ms = [1, MR - 1, MR, MR + 1, 3 * MR + 5];
         let ks = [1, KC - 1, KC, KC + 1, 2 * KC - 1, 2 * KC, 2 * KC + 1];
-        let ns = [1, 19, 32, 33, 47, 64, 128, 256, nc + 16, 2 * nc + 5];
         for &kind in compiled_kernels().iter().filter(|k| k.is_supported()) {
             block::set_kernel(Some(kind));
             let cfg = block::tile_config();
-            for n in ns {
+            for &n in ns {
                 for (m, k) in ms.iter().flat_map(|&m| ks.iter().map(move |&k| (m, k))) {
                     let a = rand_mat(m, k, (m * 131 + k) as u64);
                     let b = rand_mat(k, n, (k * 137 + n) as u64);
@@ -1669,27 +1672,22 @@ mod tests {
                             per_panel_sweep::<K>(operands, (m, n, k), (apack, bpack), (KC, nc))
                         });
                         assert!(oracle.max_abs_diff(&expect) < 1e-4, "{what}: off reference");
-                        let public = |threshold| {
-                            set_parallel_threshold(threshold);
+                        for &run in runs {
                             let mut c = Matrix::full(m, n, 777.0);
-                            entry(a, b, &mut c);
-                            c
-                        };
-                        let body = |nthreads| {
-                            let mut c = Matrix::full(m, n, 777.0);
-                            let (a, b, out) = (a.as_slice(), b.as_slice(), c.as_mut_slice());
-                            gemm_dispatch(a, b, m, n, k, apack, bpack, cfg, nthreads, out);
-                            c
-                        };
-                        for (split, c) in [
-                            ("serial", public(usize::MAX)),
-                            ("pooled", public(0)),
-                            ("/2", body(2)),
-                            ("/8", body(8)),
-                        ] {
+                            match run {
+                                Run::Public(threshold) => {
+                                    set_parallel_threshold(threshold);
+                                    entry(a, b, &mut c);
+                                }
+                                Run::Body(nthreads) => {
+                                    let (a, b, out) =
+                                        (a.as_slice(), b.as_slice(), c.as_mut_slice());
+                                    gemm_dispatch(a, b, m, n, k, apack, bpack, cfg, nthreads, out);
+                                }
+                            }
                             assert!(
                                 same_bits(c.as_slice(), oracle.as_slice()),
-                                "{what} {split}: differs from the per-panel sweep"
+                                "{what} {run:?}: differs from the per-panel sweep"
                             );
                         }
                     }
@@ -1699,6 +1697,42 @@ mod tests {
         set_parallel_threshold(DEFAULT_PARALLEL_THRESHOLD);
         block::set_kernel(None);
         block::set_kc(0);
+    }
+
+    /// `n` from one column through the 16-wide panel edges to the widest
+    /// product HOGA and SIGN run — all inside one NC strip.
+    const THIN_AND_PANEL_NS: [usize; 8] = [1, 19, 32, 33, 47, 64, 128, 256];
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
+    fn in_place_a_is_bit_identical_to_packed_on_every_backend() {
+        // The driver reads `A` where it lies; the oracle packs it panel by
+        // panel. Row splits {1, 2, 8} through the shared entry body.
+        let runs = [Run::Body(1), Run::Body(2), Run::Body(8)];
+        assert_sweep_matches_per_panel_oracle(&THIN_AND_PANEL_NS, &runs);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
+    fn strip_sweep_is_bit_identical_to_the_per_panel_sweep_on_every_backend() {
+        // One and two NC strips past the default, every way a product runs.
+        let nc = block::DEFAULT_NC;
+        let runs = [
+            Run::Public(usize::MAX),
+            Run::Public(0),
+            Run::Body(2),
+            Run::Body(8),
+        ];
+        assert_sweep_matches_per_panel_oracle(&[nc + 16, 2 * nc + 5], &runs);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
+    fn thin_products_reach_the_in_place_path_through_the_public_entries() {
+        // `matmul_into`, `matmul_tn_into` and `matmul_nt_into`, serial and
+        // pooled, at every `n` inside one strip.
+        let runs = [Run::Public(usize::MAX), Run::Public(0)];
+        assert_sweep_matches_per_panel_oracle(&THIN_AND_PANEL_NS, &runs);
     }
 
     #[test]
