@@ -189,9 +189,7 @@ impl Default for Config {
                 // the zero-alloc contract the compressed-store residency
                 // test pins at runtime.
                 "read_rows_into",
-                "read_chunk_into",
                 "read_chunk_all_hops_into",
-                "read_full_hop_into",
                 "fetch_decode_rows",
                 "encode_rows",
                 "decode_rows",
@@ -207,10 +205,6 @@ impl Default for Config {
                 "the portable kernel is always supported",
                 "A panel step is MR long",
                 "B panel step is NR long",
-                // dataio — writer/codec structural invariants.
-                "failed to spawn hop-writer thread",
-                "finish called once",
-                "at least one chunk",
                 // graph/partition — construction invariants.
                 "pending_rows > 0",
                 "len >= 1",
@@ -218,10 +212,10 @@ impl Default for Config {
                 "extracted partition CSR is structurally valid",
                 "one row per gathered index",
                 "vstack shape is consistent by construction",
-                // memsim — validated config.
+                // memsim — validated config and chunked pipelines.
                 "invalid hardware spec",
-                // core — loader/preprocess/persist invariants.
-                "three partitions",
+                "at least one chunk",
+                // core — loader/preprocess invariants.
                 "in-memory preprocessing performs no I/O",
                 "failed reap always parks an error",
                 "set on previous iteration",

@@ -10,7 +10,7 @@ use ppgnn_bench::print_markdown_table;
 use ppgnn_core::loader::{Loader, ShardedStorageChunkLoader};
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_core::trainer::evaluate;
-use ppgnn_dataio::{AccessPath, ShardedFeatureStore};
+use ppgnn_dataio::{AccessPath, FeatureStore};
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 use ppgnn_memsim::{mp_epoch, pp_epoch, LoaderGen, MpSystem, Placement};
@@ -47,7 +47,7 @@ fn main() {
     ];
     for (name, model) in entries.iter_mut() {
         // Train 6 epochs *from disk* with chunk reshuffling.
-        let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+        let store = FeatureStore::open(&dir).expect("store reopens");
         let labels = prep.train.labels.clone();
         let mut loader = ShardedStorageChunkLoader::new(store, labels, 256, AccessPath::Direct, 3);
         let mut opt = Adam::new(3e-3);

@@ -378,7 +378,7 @@ mod tests {
     use super::*;
     use crate::loader::tests_support::tiny_features;
     use crate::loader::{FusedGatherLoader, ShardedStorageChunkLoader};
-    use ppgnn_dataio::{AccessPath, FeatureStoreWriter, ShardedFeatureStore, StoreMeta};
+    use ppgnn_dataio::{AccessPath, FeatureStore, FeatureStoreWriter, StoreMeta};
     use ppgnn_tensor::Matrix;
     use std::sync::mpsc::RecvTimeoutError;
     use std::time::Duration;
@@ -635,7 +635,7 @@ mod tests {
     }
 
     fn storage_source(dir: &std::path::Path, batch: usize, seed: u64) -> ShardedStorageChunkLoader {
-        let store = ShardedFeatureStore::open(dir).unwrap();
+        let store = FeatureStore::open(dir).unwrap();
         let labels: Vec<u32> = (0..store.meta().rows).map(|r| (r % 3) as u32).collect();
         ShardedStorageChunkLoader::new(store, labels, batch, AccessPath::Direct, seed)
     }

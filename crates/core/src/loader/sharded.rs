@@ -1,4 +1,4 @@
-use ppgnn_dataio::{AccessPath, DataIoError, ShardedFeatureStore};
+use ppgnn_dataio::{AccessPath, DataIoError, FeatureStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -7,12 +7,12 @@ use crate::loader::{
 };
 
 /// Generation 3p: chunk-reshuffled loading **directly from storage**
-/// (Section 4.3) — the one storage loader, over a [`ShardedFeatureStore`]
-/// of any partition count (a plain store directory opens as one).
+/// (Section 4.3) — the one storage loader, over a [`FeatureStore`] of any
+/// partition count (a plain store directory opens as one).
 ///
 /// The work list is every `(partition, chunk)` pair across the partition
 /// stores, shuffled each epoch; each unit of work is one sequential
-/// request per hop file ([`ShardedFeatureStore::read_chunk_all_hops`]),
+/// request per hop file ([`FeatureStore::read_chunk_all_hops`]),
 /// so training-time I/O fans out over the per-partition files instead of
 /// serializing on one. The [`AccessPath`] selects the GPUDirect analog or
 /// the host bounce buffer. Batch `indices` are **global** training rows,
@@ -27,7 +27,7 @@ use crate::loader::{
 /// and [`Loader::take_error`] hands the message to the trainer.
 #[derive(Debug)]
 pub struct ShardedStorageChunkLoader {
-    store: ShardedFeatureStore,
+    store: FeatureStore,
     labels: Vec<u32>,
     batch_size: usize,
     path: AccessPath,
@@ -52,7 +52,7 @@ impl ShardedStorageChunkLoader {
     /// Panics if `batch_size == 0` or `labels.len()` disagrees with the
     /// store's total row count.
     pub fn new(
-        store: ShardedFeatureStore,
+        store: FeatureStore,
         labels: Vec<u32>,
         batch_size: usize,
         path: AccessPath,
@@ -206,7 +206,7 @@ impl BatchSource for ShardedStorageChunkLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppgnn_dataio::{ShardedStoreWriter, StoreMeta};
+    use ppgnn_dataio::{StoreMeta, StoreWriter};
     use ppgnn_tensor::Matrix;
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -225,7 +225,7 @@ mod tests {
         hops: usize,
         chunk: usize,
         parts: usize,
-    ) -> (ShardedFeatureStore, PathBuf) {
+    ) -> (FeatureStore, PathBuf) {
         let dir = temp_dir(tag);
         let meta = StoreMeta {
             dataset: "t".into(),
@@ -239,7 +239,7 @@ mod tests {
         for r in 0..rows {
             assignment[r % parts].push(r);
         }
-        let mut w = ShardedStoreWriter::create(&dir, meta, &assignment, 2).unwrap();
+        let mut w = StoreWriter::create(&dir, meta, &assignment, 2).unwrap();
         for k in 0..=hops {
             let hop = Matrix::from_fn(rows, 3, move |r, c| (k * 1_000_000 + r * 1_000 + c) as f32);
             for (p, globals) in assignment.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! The single-store storage regime (Section 4.3): a plain chunked store
 //! directory, as [`ppgnn_dataio::FeatureStoreWriter`] leaves it, opened by
-//! [`ShardedFeatureStore::open`] as one partition with the identity row map
+//! [`ppgnn_dataio::FeatureStore::open`] as one partition with the identity row map
 //! and read back in shuffled chunks by [`ShardedStorageChunkLoader`].
 //!
 //! The sharded loader's own tests build their stores with a sharded
@@ -11,7 +11,7 @@
 mod tests {
     use std::path::PathBuf;
 
-    use ppgnn_dataio::{AccessPath, FeatureStoreWriter, ShardedFeatureStore, StoreMeta};
+    use ppgnn_dataio::{AccessPath, FeatureStore, FeatureStoreWriter, StoreMeta};
     use ppgnn_tensor::Matrix;
 
     use crate::loader::{Loader, ShardedStorageChunkLoader};
@@ -41,7 +41,7 @@ mod tests {
             w.write_hop(k, &m).unwrap();
         }
         w.finish().unwrap();
-        let store = ShardedFeatureStore::open(&dir).unwrap();
+        let store = FeatureStore::open(&dir).unwrap();
         assert_eq!(store.num_partitions(), 1);
         let labels = (0..rows).map(|r| (r % 3) as u32).collect();
         let l = ShardedStorageChunkLoader::new(store, labels, batch, path, seed);

@@ -16,8 +16,8 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
-use ppgnn_dataio::{commit, DataIoError, FeatureStore, FeatureStoreWriter, StoreMeta};
-use ppgnn_tensor::{io as tio, Matrix};
+use ppgnn_dataio::{commit, DataIoError, FeatureStore, FeatureStoreWriter, Manifest, StoreMeta};
+use ppgnn_tensor::Matrix;
 
 use crate::preprocess::{ExpansionReport, PrepropFeatures, PrepropOutput};
 
@@ -106,22 +106,18 @@ fn save_partition(
     writer.finish()?;
     let labels = Matrix::from_fn(1, rows, |_, c| f.labels[c] as f32);
     let nodes = Matrix::from_fn(1, rows, |_, c| f.node_ids[c] as f32);
-    write_sidecar(&sub.join("labels.ppgt"), &labels)?;
-    write_sidecar(&sub.join("nodes.ppgt"), &nodes)?;
-    Ok(())
+    commit::write_sidecar(&sub.join("labels.ppgt"), &labels)?;
+    commit::write_sidecar(&sub.join("nodes.ppgt"), &nodes)
 }
 
-fn write_sidecar(path: &Path, m: &Matrix) -> Result<(), DataIoError> {
-    let mut buf = Vec::new();
-    tio::write_matrix(&mut buf, m).map_err(|e| DataIoError::Io(e.to_string()))?;
-    commit::write_bytes_atomic("sidecar", path, &buf)
-}
-
-fn read_sidecar(path: &Path) -> Result<Matrix, DataIoError> {
-    let mut f = fs::File::open(path)?;
-    tio::read_matrix(&mut f)
-        .map_err(|e| ppgnn_dataio::CorruptError::new(e.to_string()).with_path(path))
-        .map_err(DataIoError::from)
+/// A colon-separated list of integers, as `partition_<i>` and the
+/// telemetry keys store them.
+fn colon_list(key: &str, value: &str) -> Result<Vec<u64>, DataIoError> {
+    value
+        .split(':')
+        .map(|v| v.parse::<u64>())
+        .collect::<Result<_, _>>()
+        .map_err(|_| DataIoError::BadManifest(format!("bad value for {key}: {value}")))
 }
 
 /// Loads a [`PrepropOutput`] previously written by [`save`].
@@ -131,43 +127,24 @@ fn read_sidecar(path: &Path) -> Result<Matrix, DataIoError> {
 /// Fails on missing/corrupt manifest, stores, or sidecars.
 pub fn load(dir: impl AsRef<Path>) -> Result<PrepropOutput, DataIoError> {
     let dir = dir.as_ref();
-    let text = fs::read_to_string(dir.join(MANIFEST))
-        .map_err(|e| DataIoError::Io(format!("{}: {e}", dir.display())))?;
-    let field = |key: &str| -> Result<f64, DataIoError> {
-        text.lines()
-            .find_map(|l| l.strip_prefix(&format!("{key}=")))
-            .ok_or_else(|| DataIoError::BadManifest(format!("missing {key}")))?
-            .parse::<f64>()
-            .map_err(|_| DataIoError::BadManifest(format!("bad {key}")))
-    };
-    let preprocess_seconds = field("preprocess_seconds")?;
-    let mut parts = Vec::with_capacity(3);
-    for part in PARTS {
-        parts.push(load_partition(dir, part)?);
-    }
+    let m = Manifest::read(&dir.join(MANIFEST))?;
+    let [train, val, test] = PARTS.map(|part| load_partition(dir, part));
+    let (train, val, test) = (train?, val?, test?);
     // Manifests written before the retained-rows key derive it from the
     // loaded partitions (the value the report is defined to equal anyway);
     // a *present but malformed* value still fails like any other field.
-    let retained_rows = if text.lines().any(|l| l.starts_with("retained_rows=")) {
-        field("retained_rows")? as u64
-    } else {
-        parts.iter().map(|p| p.len() as u64).sum()
+    let retained_rows = match m.parse_opt("retained_rows")? {
+        Some(rows) => rows,
+        None => [&train, &val, &test].iter().map(|p| p.len() as u64).sum(),
     };
     let mut partitions = Vec::new();
-    for line in text.lines() {
-        let Some(rest) = line.strip_prefix("partition_") else {
+    for (key, value) in m.lines() {
+        let Some(idx) = key.strip_prefix("partition_") else {
             continue;
         };
-        let Some((idx, values)) = rest.split_once('=') else {
-            continue;
-        };
-        let bad = || DataIoError::BadManifest(format!("bad partition line: {line}"));
+        let bad = || DataIoError::BadManifest(format!("bad partition line: {key}={value}"));
         let partition = idx.parse::<usize>().map_err(|_| bad())?;
-        let nums = values
-            .split(':')
-            .map(|v| v.parse::<u64>().map_err(|_| bad()))
-            .collect::<Result<Vec<u64>, _>>()?;
-        let [rows, nnz, ghost_rows, train_rows, store_bytes] = nums[..] else {
+        let [rows, nnz, ghost_rows, train_rows, store_bytes] = colon_list(key, value)?[..] else {
             return Err(bad());
         };
         partitions.push(ppgnn_partition::PartitionStat {
@@ -183,42 +160,30 @@ pub fn load(dir: impl AsRef<Path>) -> Result<PrepropOutput, DataIoError> {
     // the report then carries the empty default), but a present-yet-
     // malformed value is corruption, like any other field.
     let mut telemetry = crate::preprocess::PrepTelemetry::default();
-    if let Some(v) = text
-        .lines()
-        .find_map(|l| l.strip_prefix("telemetry_hop_ns="))
-    {
-        telemetry.hop_ns = v
-            .split(':')
-            .map(|s| {
-                s.parse::<u64>()
-                    .map_err(|_| DataIoError::BadManifest("bad telemetry_hop_ns".into()))
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
+    if let Some(v) = m.get("telemetry_hop_ns") {
+        telemetry.hop_ns = colon_list("telemetry_hop_ns", v)?;
     }
-    if let Some(v) = text
-        .lines()
-        .find_map(|l| l.strip_prefix("telemetry_writer="))
-    {
-        let bad = || DataIoError::BadManifest("bad telemetry_writer".into());
-        let (hwm, block) = v.split_once(':').ok_or_else(bad)?;
-        telemetry.writer_queue_hwm = hwm.parse().map_err(|_| bad())?;
-        telemetry.writer_block_ns = block.parse().map_err(|_| bad())?;
+    if let Some(v) = m.get("telemetry_writer") {
+        let [hwm, block] = colon_list("telemetry_writer", v)?[..] else {
+            return Err(DataIoError::BadManifest("bad telemetry_writer".into()));
+        };
+        telemetry.writer_queue_hwm = hwm;
+        telemetry.writer_block_ns = block;
     }
     let expansion = ExpansionReport {
-        raw_bytes: field("raw_bytes")? as u64,
-        expanded_bytes: field("expanded_bytes")? as u64,
+        raw_bytes: m.require("raw_bytes")?,
+        expanded_bytes: m.require("expanded_bytes")?,
         retained_rows,
-        num_operators: field("num_operators")? as usize,
-        hops: field("hops")? as usize,
+        num_operators: m.require("num_operators")?,
+        hops: m.require("hops")?,
         partitions,
         telemetry,
     };
-    let mut it = parts.into_iter();
     Ok(PrepropOutput {
-        train: it.next().expect("three partitions"),
-        val: it.next().expect("three partitions"),
-        test: it.next().expect("three partitions"),
-        preprocess_seconds,
+        train,
+        val,
+        test,
+        preprocess_seconds: m.require("preprocess_seconds")?,
         expansion,
     })
 }
@@ -231,8 +196,8 @@ fn load_partition(dir: &Path, part: &str) -> Result<PrepropFeatures, DataIoError
     for k in 0..num_hops {
         hops.push(Arc::new(store.read_full_hop(k)?));
     }
-    let labels = read_sidecar(&sub.join("labels.ppgt"))?;
-    let nodes = read_sidecar(&sub.join("nodes.ppgt"))?;
+    let labels = commit::read_sidecar(&sub.join("labels.ppgt"))?;
+    let nodes = commit::read_sidecar(&sub.join("nodes.ppgt"))?;
     Ok(PrepropFeatures {
         hops,
         labels: labels.as_slice().iter().map(|&v| v as u32).collect(),

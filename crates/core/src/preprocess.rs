@@ -5,11 +5,11 @@
 //! contiguous row ranges of the diffusion buffers; a group of operators
 //! diffuses side by side, its passes cut into node-range **shards**
 //! ([`ppgnn_graph::ShardPlan`]) submitted as tasks to the shared worker
-//! pool; finished hops are persisted through asynchronous double-buffered
-//! writer threads ([`ppgnn_dataio::AsyncHopWriter`]) so hop `r + 1`
-//! diffusion overlaps hop `r` storage I/O. Every schedule is bit-for-bit
-//! equivalent to the sequential path in node-id order (pinned by
-//! `tests/shard_equivalence.rs`).
+//! pool; finished hops are persisted through the asynchronous
+//! double-buffered store writer ([`ppgnn_dataio::StoreWriter`]) so hop
+//! `r + 1` diffusion overlaps hop `r` storage I/O. Every schedule is
+//! bit-for-bit equivalent to the sequential path in node-id order (pinned
+//! by `tests/shard_equivalence.rs`).
 //!
 //! There is one engine and one store path. [`Preprocessor::run`] keeps
 //! everything in memory; [`Preprocessor::run_with_sharded_store`] also
@@ -17,17 +17,14 @@
 //! output rather than a second diffusion: a [`ppgnn_graph::PartitionPlan`]
 //! decides which partition store each training row lands in (one
 //! partition by default), and each finished train hop is split by that
-//! plan and written through one async writer per partition under a
-//! [`ppgnn_dataio::ShardedStoreManifest`] — every stored row
-//! byte-identical to a plain store of `run`'s train hops (pinned by
-//! `tests/partition_equivalence.rs`).
+//! plan and queued to the one writer as a unit per partition — every
+//! stored row byte-identical to a plain store of `run`'s train hops
+//! (pinned by `tests/partition_equivalence.rs`).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use ppgnn_dataio::{
-    DataIoError, ShardedFeatureStore, ShardedStoreWriter, StoreMeta, DEFAULT_WRITER_QUEUE,
-};
+use ppgnn_dataio::{DataIoError, FeatureStore, StoreMeta, StoreWriter, DEFAULT_WRITER_QUEUE};
 use ppgnn_graph::synth::SynthDataset;
 use ppgnn_graph::{NodeOrder, Operator, Partitioner, RangeCutPartitioner, ShardPlan, WeightedCsr};
 use ppgnn_partition::{partition_stats, PartitionStat};
@@ -185,11 +182,9 @@ pub struct PrepTelemetry {
     /// Wall nanoseconds spent producing each hop (index = hop; hop 0 is
     /// the raw-feature gather), accumulated across operator groups.
     pub hop_ns: Vec<u64>,
-    /// Async hop-writer queue high-water mark (0 for in-memory runs);
-    /// the max across partition writers for sharded-store runs.
+    /// Store-writer queue high-water mark (0 for in-memory runs).
     pub writer_queue_hwm: u64,
-    /// Total nanoseconds hop submission blocked on write backpressure,
-    /// summed across partition writers for sharded-store runs.
+    /// Total nanoseconds hop submission blocked on write backpressure.
     pub writer_block_ns: u64,
 }
 
@@ -269,8 +264,6 @@ pub struct Preprocessor {
     num_shards: Option<usize>,
     /// `None` = 1 (one partition store).
     num_partitions: Option<usize>,
-    /// `None` = [`DEFAULT_WRITER_QUEUE`].
-    writer_queue: Option<usize>,
     /// `None` = auto: `PPGNN_STORE_DTYPE`, else [`StoreDtype::F32`].
     store_dtype: Option<StoreDtype>,
 }
@@ -288,7 +281,6 @@ impl Preprocessor {
             hops,
             num_shards: None,
             num_partitions: None,
-            writer_queue: None,
             store_dtype: None,
         }
     }
@@ -314,14 +306,6 @@ impl Preprocessor {
     /// one partition. The count never affects what is diffused.
     pub fn with_num_partitions(mut self, num_partitions: usize) -> Self {
         self.num_partitions = Some(num_partitions.max(1));
-        self
-    }
-
-    /// Pins the queue depth of the per-partition async hop writers of
-    /// [`Preprocessor::run_with_sharded_store`] (default:
-    /// [`DEFAULT_WRITER_QUEUE`]).
-    pub fn with_writer_queue(mut self, depth: usize) -> Self {
-        self.writer_queue = Some(depth.max(1));
         self
     }
 
@@ -603,9 +587,9 @@ impl Preprocessor {
 
     /// Runs pre-propagation and **writes the training rows through** to a
     /// store as each hop completes (the Section 4.3 file-per-hop layout):
-    /// one feature store per graph partition under a
-    /// [`ppgnn_dataio::ShardedStoreManifest`], each fed by its own async
-    /// writer, so hop `r + 1` diffusion overlaps hop `r` storage I/O. The
+    /// one partition directory per graph partition under one root, all fed
+    /// by one [`StoreWriter`] with a [`DEFAULT_WRITER_QUEUE`]-deep queue, so
+    /// hop `r + 1` diffusion overlaps hop `r` storage I/O. The
     /// node space is cut into [`Preprocessor::with_num_partitions`] (else
     /// one) disjoint partitions by the default nnz-balanced
     /// [`RangeCutPartitioner`]; the cut decides only where rows are
@@ -634,7 +618,7 @@ impl Preprocessor {
         dir: impl AsRef<std::path::Path>,
         dataset: &str,
         chunk_size: usize,
-    ) -> Result<(PrepropOutput, ShardedFeatureStore), DataIoError> {
+    ) -> Result<(PrepropOutput, FeatureStore), DataIoError> {
         self.run_with_sharded_store_using(
             data,
             &RangeCutPartitioner,
@@ -664,7 +648,7 @@ impl Preprocessor {
         dataset: &str,
         chunk_size: usize,
         pool: &WorkerPool,
-    ) -> Result<(PrepropOutput, ShardedFeatureStore), DataIoError> {
+    ) -> Result<(PrepropOutput, FeatureStore), DataIoError> {
         let dtype = self.resolved_store_dtype()?;
         let plan = partitioner.partition(&data.graph, self.num_partitions.unwrap_or(1));
         // The layout table: what each partition holds of the first
@@ -690,17 +674,13 @@ impl Preprocessor {
             chunk_size,
             dtype,
         };
-        let mut writer = ShardedStoreWriter::create_or_resume(
-            dir,
-            meta,
-            &rows_by_part,
-            self.writer_queue.unwrap_or(DEFAULT_WRITER_QUEUE),
-        )?;
-        // Each partition's rows of the finished train hop go to its writer;
-        // (partition, hop) units an interrupted run already committed (per
-        // that partition's journal) are not regathered or resubmitted. The
-        // rows are in training order, so a partition owning all of them
-        // holds exactly the hop and shares it.
+        let mut writer =
+            StoreWriter::create_or_resume(dir, meta, &rows_by_part, DEFAULT_WRITER_QUEUE)?;
+        // Each partition's rows of the finished train hop go to the writer
+        // as one unit; (partition, hop) units an interrupted run already
+        // committed (per that partition's journal) are not regathered or
+        // resubmitted. The rows are in training order, so a partition
+        // owning all of them holds exactly the hop and shares it.
         let train_rows = data.split.train.len();
         let submit = |r: usize, hop: &Arc<Matrix>| {
             for (p, rows) in rows_by_part.iter().enumerate() {
@@ -718,7 +698,7 @@ impl Preprocessor {
         };
         match self.run_streaming(data, submit, pool) {
             Ok(mut out) => {
-                let stats = writer.writer_stats();
+                let stats = writer.stats();
                 out.expansion.telemetry.writer_queue_hwm = stats.queue_hwm as u64;
                 out.expansion.telemetry.writer_block_ns = stats.submit_block_ns;
                 let store = writer.finish()?;
@@ -729,7 +709,7 @@ impl Preprocessor {
                 Ok((out, store))
             }
             // A failed submit returns a fail-fast placeholder; the write
-            // error a partition writer latched is the actual cause.
+            // error the writer latched is the actual cause.
             Err(e) => Err(writer.take_failure().unwrap_or(e)),
         }
     }

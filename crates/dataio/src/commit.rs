@@ -16,6 +16,9 @@
 //! missing units. The manifest — written last, atomically — is the
 //! commit point; the journal is removed once it lands.
 //!
+//! Matrix sidecars (a partition's global rows, persisted labels and node
+//! ids) are written and read through [`write_sidecar`] / [`read_sidecar`].
+//!
 //! Both paths are fault-injection points (see [`crate::fault`]): sites
 //! are named by the caller of [`write_bytes_atomic`], and journal
 //! appends check the `journal` site.
@@ -24,7 +27,9 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::error::DataIoError;
+use ppgnn_tensor::{io as tio, Matrix};
+
+use crate::error::{CorruptError, DataIoError};
 use crate::fault::{self, FaultKind};
 
 /// File name of the completed-units journal inside a store directory.
@@ -95,6 +100,29 @@ fn commit(path: &Path, bytes: &[u8]) -> Result<(), DataIoError> {
     Ok(())
 }
 
+/// Atomically writes `m` as a `PPGT` matrix sidecar (a partition's global
+/// rows, persisted labels and node ids) through the `sidecar` fault site.
+///
+/// # Errors
+///
+/// Same failure modes as [`write_bytes_atomic`].
+pub fn write_sidecar(path: &Path, m: &Matrix) -> Result<(), DataIoError> {
+    let mut buf = Vec::new();
+    tio::write_matrix(&mut buf, m).map_err(|e| DataIoError::Io(e.to_string()))?;
+    write_bytes_atomic("sidecar", path, &buf)
+}
+
+/// Reads a matrix sidecar written by [`write_sidecar`].
+///
+/// # Errors
+///
+/// [`DataIoError::Io`] naming the path when the file cannot be opened;
+/// located corruption when its bytes do not parse.
+pub fn read_sidecar(path: &Path) -> Result<Matrix, DataIoError> {
+    let mut file = File::open(path).map_err(|e| io_err(path, &e))?;
+    tio::read_matrix(&mut file).map_err(|e| CorruptError::new(e.to_string()).with_path(path).into())
+}
+
 /// Best-effort parent-directory fsync: makes the rename durable on
 /// POSIX filesystems; failures (platforms where directories cannot be
 /// opened) do not fail the commit.
@@ -116,7 +144,7 @@ fn sync_dir(path: &Path) {
 #[derive(Debug)]
 pub(crate) struct Journal {
     path: PathBuf,
-    file: Option<File>,
+    file: File,
 }
 
 impl Journal {
@@ -127,10 +155,7 @@ impl Journal {
         file.write_all(format!("{JOURNAL_HEADER}\ngeometry={geometry}\n").as_bytes())
             .map_err(|e| io_err(&path, &e))?;
         file.sync_all().map_err(|e| io_err(&path, &e))?;
-        Ok(Journal {
-            path,
-            file: Some(file),
-        })
+        Ok(Journal { path, file })
     }
 
     /// Replays `dir`'s journal: returns the journal (reopened for
@@ -163,22 +188,14 @@ impl Journal {
             .append(true)
             .open(&path)
             .map_err(|e| io_err(&path, &e))?;
-        Ok((
-            Journal {
-                path,
-                file: Some(file),
-            },
-            done,
-        ))
+        Ok((Journal { path, file }, done))
     }
 
     /// Appends and fsyncs a `done=<hop>` record. Checks the `journal`
     /// fault site; an injected torn append leaves a partial line that
     /// replay skips.
     pub(crate) fn record(&mut self, hop: usize) -> Result<(), DataIoError> {
-        let Some(file) = self.file.as_mut() else {
-            return Ok(());
-        };
+        let file = &mut self.file;
         let mut line = format!("done={hop}\n").into_bytes();
         if let Some(f) = fault::write_fault("journal", &self.path) {
             match f.kind {
@@ -204,8 +221,8 @@ impl Journal {
 
     /// Removes the journal — called after the manifest (the commit
     /// point) has landed; best-effort.
-    pub(crate) fn remove(mut self) {
-        self.file = None;
+    pub(crate) fn remove(self) {
+        drop(self.file);
         let _ = fs::remove_file(&self.path);
     }
 }

@@ -93,7 +93,7 @@ impl Fault {
     /// Deterministic (byte, bit) position for a [`FaultKind::BitFlip`]
     /// over a buffer of `len` bytes.
     pub fn flip_position(&self, len: usize) -> (usize, u32) {
-        let h = fnv1a_u64(self.salt ^ self.ord.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let h = fnv1a(&(self.salt ^ self.ord.wrapping_mul(0x9e37_79b9_7f4a_7c15)).to_le_bytes());
         ((h % len.max(1) as u64) as usize, (h >> 32) as u32 % 8)
     }
 
@@ -108,22 +108,10 @@ impl Fault {
     }
 }
 
-fn fnv1a_u64(v: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fnv1a_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a over `bytes` — the store's byte-wise checksum, reused to derive
+/// deterministic flip positions.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    crate::store::fnv1a_bytes(crate::store::FNV_OFFSET, bytes)
 }
 
 #[derive(Debug, Clone)]
@@ -241,14 +229,10 @@ impl FaultPlan {
             let nth = nth
                 .parse::<u64>()
                 .map_err(|_| format!("bad ordinal in fault spec `{raw}`"))?;
-            plan.specs.push(Spec {
-                site: site.to_string(),
-                kind,
-                nth: nth.max(1),
-                sticky,
-                scope,
-                hits: 0,
-            });
+            plan = plan.with_spec(site, kind, nth, sticky);
+            if let Some(spec) = plan.specs.last_mut() {
+                spec.scope = scope;
+            }
         }
         Ok(plan)
     }
@@ -354,7 +338,7 @@ fn check(site: &str, path: &Path, write_side: bool) -> Option<Fault> {
             return Some(Fault {
                 kind: s.kind,
                 ord: s.hits,
-                salt: fnv1a_str(&s.site),
+                salt: fnv1a(s.site.as_bytes()),
             });
         }
     }
@@ -440,7 +424,7 @@ mod tests {
         let f = Fault {
             kind: FaultKind::BitFlip,
             ord: 3,
-            salt: fnv1a_str("hop"),
+            salt: fnv1a(b"hop"),
         };
         let (byte, bit) = f.flip_position(1000);
         assert_eq!((byte, bit), f.flip_position(1000));

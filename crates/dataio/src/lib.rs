@@ -1,9 +1,9 @@
-//! On-disk feature store for preprocessed hop features.
+//! On-disk feature store for preprocessed hop features: one reader, one
+//! writer, one manifest codec.
 //!
 //! Implements the storage layout of Section 4.3: **one file per (operator,
 //! hop)** so parallel read requests can target different files, row-major
-//! `f32` payloads so a contiguous row range *is* a chunk, and two read
-//! paths:
+//! payloads so a contiguous row range *is* a chunk, and two read paths:
 //!
 //! * [`AccessPath::Direct`] — the GPUDirect-Storage analog: chunk reads go
 //!   "straight to the device buffer" (one read syscall, no bounce copy);
@@ -11,28 +11,31 @@
 //!   staging buffer (an extra memcpy per read, which the I/O counters
 //!   expose).
 //!
-//! Every read updates [`IoCounters`], the measured quantities the
-//! performance simulator replays at paper scale — sequential vs random
-//! request counts and byte volumes are what separate chunk reshuffling from
-//! SGD-RR on storage.
+//! The crate is cut in three layers:
 //!
-//! Writes have an asynchronous path too: [`AsyncHopWriter`] runs a
-//! [`FeatureStoreWriter`] on its own thread behind a bounded channel
-//! (mirroring the generation-2 double-buffer loader on the read side), so
-//! the preprocessor's hop `r + 1` diffusion overlaps hop `r` persistence.
+//! * **logic** — [`FeatureStore`], the one public reader. It opens any
+//!   store directory: a partitioned root (`sharded.txt` over `part_<p>/`
+//!   directories) as P partitions, a plain directory (`manifest.txt`) as
+//!   one partition with the identity row map. Reads address **global**
+//!   rows and update its [`IoCounters`] — sequential vs random request
+//!   counts and byte volumes, what separates chunk reshuffling from
+//!   SGD-RR on storage.
+//! * **codec** — the hop-file formats (`PPGT` for `f32`, `PPGQ` for the
+//!   compressed dtypes) with their per-chunk checksum footers, and
+//!   [`Manifest`], the one `key=value` parser behind `manifest.txt`,
+//!   `sharded.txt` and the persisted-output manifest.
+//! * **phy** — files: the atomic-commit funnel and completed-units journal
+//!   in [`commit`], and the deterministic [`fault`] injection sites
+//!   (`PPGNN_FAULTS`).
 //!
-//! Stores are crash-safe: every file lands via the atomic-commit funnel
-//! in [`commit`] (temp + fsync + rename, manifest written last as the
-//! commit point), hop payloads carry per-chunk checksums verified on
-//! read, writers journal completed hops for resume, and the whole stack
-//! is testable under the deterministic [`fault`] injection facility
-//! (`PPGNN_FAULTS`).
-//!
-//! For partition-parallel preprocessing the store itself shards:
-//! [`ShardedStoreWriter`] runs one async writer per graph partition and
-//! [`ShardedFeatureStore`] serves global-row reads across the per-partition
-//! stores under one [`ShardedStoreManifest`], so training-time chunk I/O
-//! fans out over files instead of serializing on one.
+//! Writes go through [`StoreWriter`]: one writer thread behind one bounded
+//! queue of `(partition, hop)` units drives a synchronous
+//! [`FeatureStoreWriter`] per partition directory, so the preprocessor's
+//! hop `r + 1` diffusion overlaps hop `r` persistence. Stores are
+//! crash-safe: every file lands atomically (temp + fsync + rename,
+//! manifests last as the commit points), hop payloads carry per-chunk
+//! checksums verified on first read, and writers journal completed hops
+//! for resume.
 
 #![deny(missing_docs)]
 
@@ -45,6 +48,6 @@ mod writer;
 
 pub use error::{CorruptError, DataIoError};
 pub use ppgnn_tensor::StoreDtype;
-pub use sharded::{ShardedFeatureStore, ShardedStoreManifest, ShardedStoreWriter};
-pub use store::{AccessPath, FeatureStore, FeatureStoreWriter, IoCounters, StoreMeta};
-pub use writer::{AsyncHopWriter, WriterStats, DEFAULT_WRITER_QUEUE};
+pub use sharded::{FeatureStore, ShardedFeatureStore};
+pub use store::{AccessPath, FeatureStoreWriter, IoCounters, Manifest, StoreMeta};
+pub use writer::{StoreWriter, WriterStats, DEFAULT_WRITER_QUEUE};

@@ -1,43 +1,43 @@
-//! Sharded feature stores: one [`FeatureStore`] per graph partition under
-//! a single manifest.
+//! The one public store reader, [`FeatureStore`]: global-row reads over
+//! one or more partition stores.
 //!
 //! Partition-parallel preprocessing writes each partition's training rows
-//! through its own [`AsyncHopWriter`] into its own store directory
-//! (`part_<i>/`), so hop persistence fans out across files instead of
-//! serializing on one writer — and training-time chunk reads fan out the
-//! same way on the serving side. The root directory carries a
-//! [`ShardedStoreManifest`] (`sharded.txt`) plus one global-row sidecar
-//! per partition (`part_<i>/rows.ppgt`, the store's local row → global
-//! training row mapping), which is what lets [`ShardedFeatureStore`]
-//! resolve a **global** row id to `(partition, local row)` and serve reads
-//! that are byte-identical to the single-store layout.
+//! into its own store directory (`part_<p>/`, through the one
+//! [`crate::StoreWriter`]), so training-time chunk reads fan out over
+//! files instead of serializing on one. The root carries `sharded.txt` —
+//! the plain manifest keys of the logical store plus `num_partitions` and
+//! `partition_<p>_rows` — and each partition a global-row sidecar
+//! (`part_<p>/rows.ppgt`, local row → global training row), which is what
+//! lets [`FeatureStore`] resolve a **global** row to `(partition, local
+//! row)`.
 //!
 //! Global training-row order is preserved *within* each partition: store
 //! `p`'s local row `j` is the `j`-th training row (in global order) owned
-//! by partition `p`. A single-partition sharded store is therefore
-//! byte-identical, hop file for hop file, to a plain [`FeatureStore`] of
-//! the same rows — and a plain store directory opens through
-//! [`ShardedFeatureStore::open`] as that one partition, so every store is
-//! read through one handle.
+//! by partition `p`. A single-partition store is therefore byte-identical,
+//! hop file for hop file, to a plain store directory of the same rows —
+//! and a plain directory (`manifest.txt`, as [`crate::FeatureStoreWriter`]
+//! leaves it) opens as that one partition with the identity row map, so
+//! every store is read through one handle.
 
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use ppgnn_tensor::{io as tio, Matrix};
+use ppgnn_tensor::Matrix;
 
+use crate::commit;
 use crate::error::CorruptError;
-use crate::store::MANIFEST;
-use crate::{
-    commit, AccessPath, AsyncHopWriter, DataIoError, FeatureStore, IoCounters, StoreMeta,
-    WriterStats,
-};
+use crate::store::{PartStore, MANIFEST};
+use crate::{AccessPath, DataIoError, IoCounters, Manifest, StoreMeta};
 
-const SHARDED_MANIFEST: &str = "sharded.txt";
+pub(crate) const SHARDED_MANIFEST: &str = "sharded.txt";
 const ROWS_SIDECAR: &str = "rows.ppgt";
 
-fn part_dir(dir: &Path, p: usize) -> PathBuf {
+pub(crate) fn part_dir(dir: &Path, p: usize) -> PathBuf {
     dir.join(format!("part_{p}"))
+}
+
+/// Writes partition directory `sub`'s global-row sidecar.
+pub(crate) fn write_rows_sidecar(sub: &Path, rows: &[usize]) -> Result<(), DataIoError> {
+    commit::write_sidecar(&sub.join(ROWS_SIDECAR), &encode_rows_sidecar(rows))
 }
 
 /// Encodes global row ids as a `2 × n` matrix of exact 16-bit halves
@@ -66,323 +66,79 @@ fn decode_rows_sidecar(m: &Matrix, expected: usize) -> Result<Vec<usize>, Corrup
         .collect())
 }
 
-/// Manifest of a sharded store: the logical (concatenated) geometry plus
-/// the per-partition row counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedStoreManifest {
-    /// Logical store geometry — `rows` is the total across partitions.
-    pub meta: StoreMeta,
-    /// Rows held by each partition store, in partition order.
-    pub partition_rows: Vec<usize>,
+/// The per-partition row counts of a `sharded.txt` manifest, which must
+/// sum to the logical `meta.rows`.
+fn partition_rows(m: &Manifest, meta: &StoreMeta) -> Result<Vec<usize>, DataIoError> {
+    let num_partitions: usize = m.require("num_partitions")?;
+    let rows = (0..num_partitions)
+        .map(|p| m.require(&format!("partition_{p}_rows")))
+        .collect::<Result<Vec<usize>, _>>()?;
+    let total = rows.iter().try_fold(0usize, |sum, &r| sum.checked_add(r));
+    if total != Some(meta.rows) {
+        return Err(DataIoError::BadManifest(format!(
+            "partition rows {rows:?} do not sum to {} total rows",
+            meta.rows
+        )));
+    }
+    Ok(rows)
 }
 
-impl ShardedStoreManifest {
-    /// Number of partition stores.
-    pub fn num_partitions(&self) -> usize {
-        self.partition_rows.len()
-    }
-
-    fn to_text(&self) -> String {
-        let mut text = format!(
-            "dataset={}\nnum_hops={}\nrows={}\ncols={}\nchunk_size={}\nnum_partitions={}\n",
-            self.meta.dataset,
-            self.meta.num_hops,
-            self.meta.rows,
-            self.meta.cols,
-            self.meta.chunk_size,
-            self.partition_rows.len(),
-        );
-        // Like the per-store manifest, the dtype key is only written for
-        // compressed encodings, keeping default manifests byte-identical
-        // to pre-dtype stores.
-        if !self.meta.dtype.is_f32() {
-            text.push_str(&format!("dtype={}\n", self.meta.dtype.name()));
-        }
-        for (p, rows) in self.partition_rows.iter().enumerate() {
-            text.push_str(&format!("partition_{p}_rows={rows}\n"));
-        }
-        text
-    }
-
-    fn from_text(text: &str) -> Result<Self, DataIoError> {
-        let mut fields = std::collections::HashMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| DataIoError::BadManifest(format!("bad line: {line}")))?;
-            fields.insert(k.to_string(), v.to_string());
-        }
-        let get = |key: &str| -> Result<String, DataIoError> {
-            fields
-                .get(key)
-                .cloned()
-                .ok_or_else(|| DataIoError::BadManifest(format!("missing key {key}")))
-        };
-        let num = |key: &str| -> Result<usize, DataIoError> {
-            get(key)?
-                .parse::<usize>()
-                .map_err(|_| DataIoError::BadManifest(format!("bad value for {key}")))
-        };
-        let num_partitions = num("num_partitions")?;
-        let partition_rows = (0..num_partitions)
-            .map(|p| num(&format!("partition_{p}_rows")))
-            .collect::<Result<Vec<usize>, _>>()?;
-        let dtype = match fields.get("dtype") {
-            None => ppgnn_tensor::StoreDtype::F32,
-            Some(v) => ppgnn_tensor::StoreDtype::parse(v)
-                .ok_or_else(|| DataIoError::BadManifest(format!("unknown store dtype: {v}")))?,
-        };
-        let meta = StoreMeta {
-            dataset: get("dataset")?,
-            num_hops: num("num_hops")?,
-            rows: num("rows")?,
-            cols: num("cols")?,
-            chunk_size: num("chunk_size")?,
-            dtype,
-        };
-        let total = partition_rows
-            .iter()
-            .try_fold(0usize, |sum, &rows| sum.checked_add(rows));
-        if total != Some(meta.rows) {
-            return Err(DataIoError::BadManifest(format!(
-                "partition rows {:?} do not sum to {} total rows",
-                partition_rows, meta.rows
-            )));
-        }
-        Ok(ShardedStoreManifest {
-            meta,
-            partition_rows,
-        })
-    }
-}
-
-/// Writes a sharded store: one [`AsyncHopWriter`] per partition, all
-/// running concurrently on their own writer threads.
+/// Read handle over any store directory: the logical metadata, one
+/// partition store per partition, the global-row mapping, and the I/O
+/// counters of every read.
+///
+/// Hop file handles are opened once and cached, and every read decodes
+/// through one reusable byte-staging buffer per partition — steady-state
+/// reads via the `_into` entry points perform no allocation for any dtype.
 #[derive(Debug)]
-pub struct ShardedStoreWriter {
-    dir: PathBuf,
-    manifest: ShardedStoreManifest,
-    writers: Vec<AsyncHopWriter>,
-}
-
-impl ShardedStoreWriter {
-    /// Creates the per-partition store directories and row sidecars, and
-    /// one async writer (bounded queue `queue_depth`) per partition. The
-    /// root manifest (`sharded.txt`) is only committed at
-    /// [`ShardedStoreWriter::finish`] — it is the commit point.
-    ///
-    /// `meta` describes the **logical** store (`meta.rows` = total training
-    /// rows); `global_rows[p]` lists the global row ids partition `p`
-    /// holds, in the local row order its hop matrices will be written in.
-    /// The lists must be disjoint and cover `0..meta.rows` exactly.
-    ///
-    /// # Errors
-    ///
-    /// Fails on inconsistent row assignments or filesystem errors.
-    pub fn create(
-        dir: impl AsRef<Path>,
-        meta: StoreMeta,
-        global_rows: &[Vec<usize>],
-        queue_depth: usize,
-    ) -> Result<Self, DataIoError> {
-        Self::build(dir, meta, global_rows, queue_depth, false)
-    }
-
-    /// Like [`ShardedStoreWriter::create`], but resumes each partition's
-    /// writer from its completed-units journal (see
-    /// [`AsyncHopWriter::create_or_resume`]): `(partition, hop)` units a
-    /// previous interrupted run already committed are reported by
-    /// [`ShardedStoreWriter::resumed_hops`] and need not be resubmitted.
-    ///
-    /// # Errors
-    ///
-    /// Fails on inconsistent row assignments or filesystem errors.
-    pub fn create_or_resume(
-        dir: impl AsRef<Path>,
-        meta: StoreMeta,
-        global_rows: &[Vec<usize>],
-        queue_depth: usize,
-    ) -> Result<Self, DataIoError> {
-        Self::build(dir, meta, global_rows, queue_depth, true)
-    }
-
-    fn build(
-        dir: impl AsRef<Path>,
-        meta: StoreMeta,
-        global_rows: &[Vec<usize>],
-        queue_depth: usize,
-        resume: bool,
-    ) -> Result<Self, DataIoError> {
-        let dir = dir.as_ref().to_path_buf();
-        let mut all: Vec<usize> = global_rows.iter().flatten().copied().collect();
-        all.sort_unstable();
-        if all.len() != meta.rows || all.iter().enumerate().any(|(i, &r)| i != r) {
-            return Err(DataIoError::BadManifest(format!(
-                "partition row lists must cover 0..{} exactly once",
-                meta.rows
-            )));
-        }
-        if meta.chunk_size == 0 {
-            return Err(DataIoError::BadManifest(
-                "chunk_size must be positive".into(),
-            ));
-        }
-        fs::create_dir_all(&dir)?;
-        let manifest = ShardedStoreManifest {
-            partition_rows: global_rows.iter().map(|g| g.len()).collect(),
-            meta,
-        };
-        let mut writers = Vec::with_capacity(global_rows.len());
-        for (p, rows) in global_rows.iter().enumerate() {
-            let sub = part_dir(&dir, p);
-            let part_meta = StoreMeta {
-                dataset: manifest.meta.dataset.clone(),
-                num_hops: manifest.meta.num_hops,
-                rows: rows.len(),
-                cols: manifest.meta.cols,
-                chunk_size: manifest.meta.chunk_size,
-                dtype: manifest.meta.dtype,
-            };
-            let writer = if resume {
-                AsyncHopWriter::create_or_resume(&sub, part_meta, queue_depth)?
-            } else {
-                AsyncHopWriter::create(&sub, part_meta, queue_depth)?
-            };
-            let sidecar = encode_rows_sidecar(rows);
-            let mut buf = Vec::new();
-            tio::write_matrix(&mut buf, &sidecar).map_err(|e| DataIoError::Io(e.to_string()))?;
-            commit::write_bytes_atomic("sidecar", &sub.join(ROWS_SIDECAR), &buf)?;
-            writers.push(writer);
-        }
-        Ok(ShardedStoreWriter {
-            dir,
-            manifest,
-            writers,
-        })
-    }
-
-    /// Hops of partition `p` already committed by a previous interrupted
-    /// run (all-`false` unless built via
-    /// [`ShardedStoreWriter::create_or_resume`]). Resumed hops need not
-    /// be resubmitted; their bytes are already on disk and verified.
-    pub fn resumed_hops(&self, p: usize) -> &[bool] {
-        self.writers[p].resumed_hops()
-    }
-
-    /// Queues hop `k` of partition `p` for writing (blocking only while
-    /// that partition's bounded queue is full). The writer shares the
-    /// matrix, so a partition that owns every row can be handed the
-    /// whole hop without a copy.
-    ///
-    /// # Errors
-    ///
-    /// Fails fast once the partition's writer has latched a failure; the
-    /// cause surfaces at [`ShardedStoreWriter::finish`] /
-    /// [`ShardedStoreWriter::take_failure`].
-    pub fn submit(&mut self, p: usize, k: usize, features: Arc<Matrix>) -> Result<(), DataIoError> {
-        let writer = self.writers.get_mut(p).ok_or_else(|| {
-            DataIoError::OutOfRange(format!(
-                "partition {p} out of range ({} partitions)",
-                self.manifest.num_partitions()
-            ))
-        })?;
-        writer.submit(k, features)
-    }
-
-    /// Queue-pressure stats aggregated across the per-partition writer
-    /// threads: submissions and block time summed, high-water mark taken
-    /// as the max over partitions.
-    pub fn writer_stats(&self) -> WriterStats {
-        let mut total = WriterStats::default();
-        for w in &self.writers {
-            let s = w.stats();
-            total.submitted += s.submitted;
-            total.submit_block_ns += s.submit_block_ns;
-            total.queue_hwm = total.queue_hwm.max(s.queue_hwm);
-        }
-        total
-    }
-
-    /// Consumes the writer and returns the first latched write failure
-    /// across partitions, if any — the abort-path counterpart of
-    /// [`ShardedStoreWriter::finish`], mirroring
-    /// [`AsyncHopWriter::take_failure`].
-    pub fn take_failure(self) -> Option<DataIoError> {
-        self.writers.into_iter().find_map(|w| w.take_failure())
-    }
-
-    /// Finishes every partition writer, then atomically commits the root
-    /// manifest (`sharded.txt`) — the sharded store's commit point, so an
-    /// interrupted run never leaves a root manifest pointing at
-    /// incomplete partition stores — and opens the sharded store.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the first partition's latched write error, completeness
-    /// failure, or open-time validation failure.
-    pub fn finish(self) -> Result<ShardedFeatureStore, DataIoError> {
-        for writer in self.writers {
-            writer.finish()?;
-        }
-        commit::write_bytes_atomic(
-            "sharded-manifest",
-            &self.dir.join(SHARDED_MANIFEST),
-            self.manifest.to_text().as_bytes(),
-        )?;
-        ShardedFeatureStore::open(&self.dir)
-    }
-}
-
-/// Read handle over a sharded store directory: the manifest, one
-/// [`FeatureStore`] per partition, and the global-row mapping.
-#[derive(Debug)]
-pub struct ShardedFeatureStore {
-    manifest: ShardedStoreManifest,
-    stores: Vec<FeatureStore>,
+pub struct FeatureStore {
+    meta: StoreMeta,
+    parts: Vec<PartStore>,
     /// `global_rows[p][j]` = global row id of partition `p`'s local row `j`.
     global_rows: Vec<Vec<usize>>,
     /// Global row id → `(partition, local row)`.
     map: Vec<(u32, u32)>,
+    counters: IoCounters,
 }
 
-impl ShardedFeatureStore {
-    /// Opens a sharded store, validating the manifest, every partition
-    /// store, and the global-row mapping (disjoint cover of the logical
-    /// row space).
+/// The reader's former name, kept only because the frozen
+/// `benchmark/src/adapter.rs` still names it; new code names
+/// [`FeatureStore`].
+pub type ShardedFeatureStore = FeatureStore;
+
+impl FeatureStore {
+    /// Opens a store, validating every manifest, partition store and the
+    /// global-row mapping (a disjoint cover of the logical row space).
     ///
-    /// A directory without `sharded.txt` that holds a plain store
-    /// (`manifest.txt`, as [`crate::FeatureStoreWriter`] writes it) opens
-    /// as one partition with the identity row map, so single-store
-    /// directories read through the same handle.
+    /// A root with `sharded.txt` opens as its partitions; a directory
+    /// without one that holds a plain store (`manifest.txt`) opens as one
+    /// partition with the identity row map.
     ///
     /// # Errors
     ///
     /// Fails on missing/corrupt manifests, sidecars, or partition stores,
-    /// and on any geometry disagreement between them.
+    /// and on any geometry disagreement between them — always with path
+    /// + hop context on corruption.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, DataIoError> {
         let dir = dir.as_ref();
-        let text = match fs::read_to_string(dir.join(SHARDED_MANIFEST)) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.join(MANIFEST).exists() => {
-                return Self::open_plain(dir);
-            }
-            Err(e) => return Err(DataIoError::Io(format!("{}: {e}", dir.display()))),
-        };
-        let manifest = ShardedStoreManifest::from_text(&text)?;
-        let mut stores = Vec::with_capacity(manifest.num_partitions());
-        let mut global_rows = Vec::with_capacity(manifest.num_partitions());
-        for p in 0..manifest.num_partitions() {
+        if !dir.join(SHARDED_MANIFEST).exists() && dir.join(MANIFEST).exists() {
+            let part = PartStore::open(dir.to_path_buf())?;
+            let rows = (0..part.meta.rows).collect();
+            return Self::assemble(dir, part.meta.clone(), vec![part], vec![rows]);
+        }
+        let manifest = Manifest::read(&dir.join(SHARDED_MANIFEST))?;
+        let meta = StoreMeta::from_manifest(&manifest)?;
+        let partition_rows = partition_rows(&manifest, &meta)?;
+        let mut parts = Vec::new();
+        let mut global_rows = Vec::new();
+        for (p, &rows) in partition_rows.iter().enumerate() {
             let sub = part_dir(dir, p);
-            let store = FeatureStore::open(&sub)?;
-            let sm = store.meta();
-            if sm.rows != manifest.partition_rows[p]
-                || sm.cols != manifest.meta.cols
-                || sm.num_hops != manifest.meta.num_hops
-                || sm.chunk_size != manifest.meta.chunk_size
+            let part = PartStore::open(sub.clone())?;
+            let pm = &part.meta;
+            if pm.rows != rows
+                || pm.cols != meta.cols
+                || pm.num_hops != meta.num_hops
+                || pm.chunk_size != meta.chunk_size
             {
                 return Err(CorruptError::new(format!(
                     "partition {p} store geometry disagrees with the sharded manifest"
@@ -390,32 +146,37 @@ impl ShardedFeatureStore {
                 .with_path(&sub)
                 .into());
             }
-            let sidecar_path = sub.join(ROWS_SIDECAR);
-            let mut f = fs::File::open(&sidecar_path)
-                .map_err(|e| DataIoError::Io(format!("partition {p} rows sidecar: {e}")))?;
-            let sidecar = tio::read_matrix(&mut f)
-                .map_err(|e| CorruptError::new(e.to_string()).with_path(&sidecar_path))?;
-            let rows =
-                decode_rows_sidecar(&sidecar, sm.rows).map_err(|e| e.with_path(&sidecar_path))?;
-            stores.push(store);
-            global_rows.push(rows);
+            let sidecar = sub.join(ROWS_SIDECAR);
+            global_rows.push(
+                decode_rows_sidecar(&commit::read_sidecar(&sidecar)?, rows)
+                    .map_err(|e| e.with_path(&sidecar))?,
+            );
+            parts.push(part);
         }
-        // Every partition store has opened and agrees with the manifest,
-        // whose partition rows sum to `rows`: the row map is sized by rows
-        // that exist on disk.
-        let mut map = vec![(u32::MAX, 0u32); manifest.meta.rows];
+        Self::assemble(dir, meta, parts, global_rows)
+    }
+
+    /// Builds the global row map. Every partition store has opened and
+    /// agrees with `meta`, whose partition rows sum to `meta.rows`: the
+    /// map is sized by rows that exist on disk.
+    fn assemble(
+        dir: &Path,
+        meta: StoreMeta,
+        parts: Vec<PartStore>,
+        global_rows: Vec<Vec<usize>>,
+    ) -> Result<Self, DataIoError> {
+        let mut map = vec![(u32::MAX, 0u32); meta.rows];
         for (p, rows) in global_rows.iter().enumerate() {
-            let sidecar_path = || part_dir(dir, p).join(ROWS_SIDECAR);
+            let sidecar = || part_dir(dir, p).join(ROWS_SIDECAR);
             for (j, &g) in rows.iter().enumerate() {
                 let slot = map.get_mut(g).ok_or_else(|| {
-                    CorruptError::new(format!("global row {g} out of range"))
-                        .with_path(&sidecar_path())
+                    CorruptError::new(format!("global row {g} out of range")).with_path(&sidecar())
                 })?;
                 if slot.0 != u32::MAX {
                     return Err(CorruptError::new(format!(
                         "global row {g} claimed by two partitions"
                     ))
-                    .with_path(&sidecar_path())
+                    .with_path(&sidecar())
                     .into());
                 }
                 *slot = (p as u32, j as u32);
@@ -426,48 +187,38 @@ impl ShardedFeatureStore {
                 "partition row sidecars do not cover the logical row space",
             ));
         }
-        Ok(ShardedFeatureStore {
-            manifest,
-            stores,
+        Ok(FeatureStore {
+            meta,
+            parts,
             global_rows,
             map,
+            counters: IoCounters::default(),
         })
     }
 
-    /// A plain store directory as one partition with the identity row map.
-    fn open_plain(dir: &Path) -> Result<Self, DataIoError> {
-        let store = FeatureStore::open(dir)?;
-        let meta = store.meta().clone();
-        let rows = meta.rows;
-        Ok(ShardedFeatureStore {
-            manifest: ShardedStoreManifest {
-                meta,
-                partition_rows: vec![rows],
-            },
-            stores: vec![store],
-            global_rows: vec![(0..rows).collect()],
-            map: (0..rows).map(|j| (0, j as u32)).collect(),
-        })
-    }
-
-    /// The sharded manifest.
-    pub fn manifest(&self) -> &ShardedStoreManifest {
-        &self.manifest
-    }
-
-    /// Logical (concatenated) store metadata; `rows` is the total.
+    /// Logical store metadata; `rows` is the total across partitions.
     pub fn meta(&self) -> &StoreMeta {
-        &self.manifest.meta
+        &self.meta
     }
 
-    /// Number of partition stores.
+    /// Number of partition stores (1 for a plain directory).
     pub fn num_partitions(&self) -> usize {
-        self.stores.len()
+        self.parts.len()
     }
 
     /// Metadata of partition `p`'s store.
     pub fn partition_meta(&self, p: usize) -> &StoreMeta {
-        self.stores[p].meta()
+        &self.parts[p].meta
+    }
+
+    /// Chunks in partition `p`'s store.
+    pub fn num_chunks(&self, p: usize) -> usize {
+        self.parts[p].meta.num_chunks()
+    }
+
+    /// I/O counters of every read through this handle.
+    pub fn counters(&self) -> IoCounters {
+        self.counters
     }
 
     /// Resolves a global row to its `(partition, local row)` coordinates.
@@ -477,23 +228,27 @@ impl ShardedFeatureStore {
     /// Fails if `row` is outside the logical row space.
     pub fn locate(&self, row: usize) -> Result<(usize, usize), DataIoError> {
         let &(p, j) = self.map.get(row).ok_or_else(|| {
-            DataIoError::OutOfRange(format!(
-                "row {row} out of range ({} rows)",
-                self.manifest.meta.rows
-            ))
+            DataIoError::OutOfRange(format!("row {row} out of range ({} rows)", self.meta.rows))
         })?;
         Ok((p as usize, j as usize))
     }
 
-    /// Chunks in partition `p`'s store.
-    pub fn num_chunks(&self, p: usize) -> usize {
-        self.stores[p].meta().num_chunks()
+    /// Global row ids of chunk `chunk_id` of partition `p`, in the order
+    /// the chunk's matrix rows are stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `chunk_id` is out of range.
+    pub fn chunk_global_rows(&self, p: usize, chunk_id: usize) -> &[usize] {
+        let cs = self.meta.chunk_size;
+        let rows = &self.global_rows[p];
+        let start = chunk_id * cs;
+        &rows[start..(start + cs).min(rows.len())]
     }
 
-    /// Randomly reads individual **global** `rows` of hop `k`, fanning the
-    /// per-row requests out to the owning partition stores. Output row `i`
-    /// corresponds to `rows[i]`, exactly like
-    /// [`FeatureStore::read_rows`] on the unsharded layout.
+    /// Randomly reads individual **global** `rows` of hop `k` — the SGD-RR
+    /// storage access pattern, one request per row to its owning
+    /// partition. Output row `i` is `rows[i]`.
     ///
     /// # Errors
     ///
@@ -504,90 +259,146 @@ impl ShardedFeatureStore {
         rows: &[usize],
         path: AccessPath,
     ) -> Result<Matrix, DataIoError> {
-        let cols = self.manifest.meta.cols;
-        let mut out = Matrix::zeros(rows.len(), cols);
-        for (i, &r) in rows.iter().enumerate() {
-            let (p, j) = self.locate(r)?;
-            let row = self.stores[p].read_rows(k, &[j], path)?;
-            out.row_mut(i).copy_from_slice(row.row(0));
-        }
+        let mut out = Matrix::default();
+        self.read_rows_into(k, rows, path, &mut out)?;
         Ok(out)
     }
 
-    /// Sequentially reads chunk `chunk_id` of **partition `p`** across all
-    /// hops — the unit of work a sharded chunk loader schedules. Use
-    /// [`ShardedFeatureStore::chunk_global_rows`] for the global row ids
-    /// the returned matrices cover.
+    /// [`FeatureStore::read_rows`] into a caller-owned matrix, resized in
+    /// place — the allocation-free form batch loops reuse a slot through.
     ///
     /// # Errors
     ///
-    /// Fails if `p`, `k`, or `chunk_id` is out of range, or on I/O errors.
+    /// Fails if `k` or any row is out of range, or on I/O errors. Rows
+    /// preceding the failing one are read (and counted) before the error
+    /// surfaces.
+    pub fn read_rows_into(
+        &mut self,
+        k: usize,
+        rows: &[usize],
+        path: AccessPath,
+        out: &mut Matrix,
+    ) -> Result<(), DataIoError> {
+        self.check_hop(k)?;
+        out.resize_to(rows.len(), self.meta.cols);
+        let (mut read, mut physical) = (0u64, 0u64);
+        let mut result = Ok(());
+        for (i, &r) in rows.iter().enumerate() {
+            let fetched = self
+                .locate(r)
+                .and_then(|(p, j)| self.parts[p].fetch_decode_rows(k, j, out.row_mut(i)));
+            match fetched {
+                Ok(bytes) => (read, physical) = (read + 1, physical + bytes),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        let logical = read * (self.meta.cols * 4) as u64;
+        self.counters.record(false, read, physical, logical, path);
+        result
+    }
+
+    /// Sequentially reads chunk `chunk_id` of **partition `p`** across all
+    /// hops — one request per hop file, the unit of work the storage
+    /// chunk loader schedules. [`FeatureStore::chunk_global_rows`] gives
+    /// the global rows the matrices cover.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `p` or `chunk_id` is out of range (before any counter is
+    /// touched), or on I/O errors.
     pub fn read_chunk_all_hops(
         &mut self,
         p: usize,
         chunk_id: usize,
         path: AccessPath,
     ) -> Result<Vec<Matrix>, DataIoError> {
-        let store = self
-            .stores
-            .get_mut(p)
-            .ok_or_else(|| DataIoError::OutOfRange(format!("partition {p} out of range")))?;
-        store.read_chunk_all_hops(chunk_id, path)
+        let mut out = Vec::new();
+        self.read_chunk_all_hops_into(p, chunk_id, path, &mut out)?;
+        Ok(out)
     }
 
-    /// Global row ids of chunk `chunk_id` of partition `p`, in the order
-    /// the chunk's matrix rows are stored.
+    /// [`FeatureStore::read_chunk_all_hops`] into a caller-owned vector of
+    /// per-hop slots, each resized in place — the double-buffered loader's
+    /// steady-state refill shape.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `p` or `chunk_id` is out of range.
-    pub fn chunk_global_rows(&self, p: usize, chunk_id: usize) -> &[usize] {
-        let cs = self.manifest.meta.chunk_size;
-        let rows = &self.global_rows[p];
-        let start = chunk_id * cs;
-        &rows[start..(start + cs).min(rows.len())]
+    /// Same failure modes as [`FeatureStore::read_chunk_all_hops`].
+    pub fn read_chunk_all_hops_into(
+        &mut self,
+        p: usize,
+        chunk_id: usize,
+        path: AccessPath,
+        out: &mut Vec<Matrix>,
+    ) -> Result<(), DataIoError> {
+        let part = self
+            .parts
+            .get_mut(p)
+            .ok_or_else(|| DataIoError::OutOfRange(format!("partition {p} out of range")))?;
+        let m = &part.meta;
+        if chunk_id >= m.num_chunks() {
+            return Err(DataIoError::OutOfRange(format!(
+                "chunk {chunk_id} out of range ({} chunks)",
+                m.num_chunks()
+            )));
+        }
+        let start = chunk_id * m.chunk_size;
+        let (rows, cols) = (m.chunk_size.min(m.rows - start), m.cols);
+        out.resize_with(m.num_hops, Matrix::default);
+        for (k, slot) in out.iter_mut().enumerate() {
+            slot.resize_to(rows, cols);
+            let physical = part.fetch_decode_rows(k, start, slot.as_mut_slice())?;
+            self.counters
+                .record(true, 1, physical, (rows * cols * 4) as u64, path);
+        }
+        Ok(())
     }
 
     /// Reads an entire **logical** hop matrix: every partition's hop is
-    /// read sequentially and scattered to its global row positions —
-    /// value-identical to [`FeatureStore::read_full_hop`] on the unsharded
-    /// layout.
+    /// read sequentially (one request each) and scattered to its global
+    /// row positions.
     ///
     /// # Errors
     ///
     /// Fails if `k` is out of range or any partition read fails.
     pub fn read_full_hop(&mut self, k: usize) -> Result<Matrix, DataIoError> {
-        let cols = self.manifest.meta.cols;
-        let mut out = Matrix::zeros(self.manifest.meta.rows, cols);
-        for p in 0..self.stores.len() {
-            let m = self.stores[p].read_full_hop(k)?;
-            for (j, &g) in self.global_rows[p].iter().enumerate() {
-                out.row_mut(g).copy_from_slice(m.row(j));
+        self.check_hop(k)?;
+        let cols = self.meta.cols;
+        let mut out = Matrix::zeros(self.meta.rows, cols);
+        let mut part_hop = Matrix::default();
+        for (part, globals) in self.parts.iter_mut().zip(&self.global_rows) {
+            part_hop.resize_to(part.meta.rows, cols);
+            let physical = part.fetch_decode_rows(k, 0, part_hop.as_mut_slice())?;
+            let logical = (part_hop.len() * 4) as u64;
+            self.counters
+                .record(true, 1, physical, logical, AccessPath::Direct);
+            for (j, &g) in globals.iter().enumerate() {
+                out.row_mut(g).copy_from_slice(part_hop.row(j));
             }
         }
         Ok(out)
     }
 
-    /// I/O counters aggregated across every partition store.
-    pub fn counters(&self) -> IoCounters {
-        let mut total = IoCounters::default();
-        for store in &self.stores {
-            total.accumulate(&store.counters());
+    fn check_hop(&self, k: usize) -> Result<(), DataIoError> {
+        if k >= self.meta.num_hops {
+            return Err(DataIoError::OutOfRange(format!(
+                "hop {k} out of range ({} hops)",
+                self.meta.num_hops
+            )));
         }
-        total
-    }
-
-    /// Resets every partition store's counters.
-    pub fn reset_counters(&mut self) {
-        for store in &mut self.stores {
-            store.reset_counters();
-        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoreWriter;
+    use std::fs;
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ppgnn-sharded-{tag}-{}", std::process::id()));
@@ -619,9 +430,9 @@ mod tests {
         Matrix::from_fn(rows, 3, move |r, c| (k * 10_000 + r * 10 + c) as f32)
     }
 
-    fn build(dir: &Path, rows: usize, parts: usize) -> ShardedFeatureStore {
+    fn build(dir: &Path, rows: usize, parts: usize) -> FeatureStore {
         let assignment = round_robin(rows, parts);
-        let mut w = ShardedStoreWriter::create(dir, meta(rows), &assignment, 2).unwrap();
+        let mut w = StoreWriter::create(dir, meta(rows), &assignment, 2).unwrap();
         for k in 0..2 {
             let hop = global_hop(k, rows);
             for (p, globals) in assignment.iter().enumerate() {
@@ -683,11 +494,10 @@ mod tests {
         let c = store.counters();
         assert_eq!(c.rand_requests, 4);
         assert_eq!(c.rand_bytes, 4 * 3 * 4);
-        store.reset_counters();
         store
             .read_chunk_all_hops(0, 0, AccessPath::HostBounce)
             .unwrap();
-        let c = store.counters();
+        let c = store.counters().delta_since(&c);
         assert_eq!(c.seq_requests, 2); // one per hop file
         assert_eq!(c.bounce_bytes, c.seq_bytes);
         fs::remove_dir_all(&dir).unwrap();
@@ -716,10 +526,10 @@ mod tests {
     fn create_rejects_bad_row_covers() {
         let dir = temp_dir("badcover");
         // Missing row 3.
-        let err = ShardedStoreWriter::create(&dir, meta(4), &[vec![0, 1], vec![2]], 1);
+        let err = StoreWriter::create(&dir, meta(4), &[vec![0, 1], vec![2]], 1);
         assert!(matches!(err, Err(DataIoError::BadManifest(_))));
         // Duplicate row.
-        let err = ShardedStoreWriter::create(&dir, meta(3), &[vec![0, 1], vec![1, 2]], 1);
+        let err = StoreWriter::create(&dir, meta(3), &[vec![0, 1], vec![1, 2]], 1);
         assert!(matches!(err, Err(DataIoError::BadManifest(_))));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -729,13 +539,9 @@ mod tests {
         let dir = temp_dir("tamper");
         build(&dir, 8, 2);
         // Rewrite partition 1's sidecar to claim rows partition 0 owns.
-        let sidecar = encode_rows_sidecar(&[0, 2, 4, 6]);
-        let f = fs::File::create(dir.join("part_1").join(ROWS_SIDECAR)).unwrap();
-        let mut w = std::io::BufWriter::new(f);
-        tio::write_matrix(&mut w, &sidecar).unwrap();
-        drop(w);
+        write_rows_sidecar(&dir.join("part_1"), &[0, 2, 4, 6]).unwrap();
         assert!(matches!(
-            ShardedFeatureStore::open(&dir),
+            FeatureStore::open(&dir),
             Err(DataIoError::Corrupt(_))
         ));
         fs::remove_dir_all(&dir).unwrap();
@@ -754,13 +560,24 @@ mod tests {
 
     #[test]
     fn manifest_round_trips() {
-        let m = ShardedStoreManifest {
-            meta: meta(10),
-            partition_rows: vec![4, 3, 3],
-        };
-        let parsed = ShardedStoreManifest::from_text(&m.to_text()).unwrap();
-        assert_eq!(parsed, m);
-        assert!(ShardedStoreManifest::from_text("dataset=x\n").is_err());
+        for dtype in [
+            ppgnn_tensor::StoreDtype::F32,
+            ppgnn_tensor::StoreDtype::Int8,
+        ] {
+            let meta = StoreMeta { dtype, ..meta(10) };
+            let text = meta.manifest_text(Some(&[4, 3, 3]));
+            let parsed = Manifest::parse(&text).unwrap();
+            assert_eq!(StoreMeta::from_manifest(&parsed).unwrap(), meta);
+            assert_eq!(partition_rows(&parsed, &meta).unwrap(), vec![4, 3, 3]);
+            // The plain keys lead, in the plain manifest's order.
+            let plain = StoreMeta {
+                dtype: ppgnn_tensor::StoreDtype::F32,
+                ..meta.clone()
+            };
+            assert!(text.starts_with(&plain.manifest_text(None)));
+        }
+        let geometry = Manifest::parse("dataset=x\n").unwrap();
+        assert!(partition_rows(&geometry, &meta(10)).is_err());
     }
 
     #[test]
@@ -799,9 +616,9 @@ mod tests {
             } else {
                 (dir.clone(), SHARDED_MANIFEST)
             };
-            ShardedFeatureStore::open(&root).unwrap();
+            FeatureStore::open(&root).unwrap();
             fs::write(root.join(file), text).unwrap();
-            assert!(ShardedFeatureStore::open(&root).is_err(), "{case}: opened");
+            assert!(FeatureStore::open(&root).is_err(), "{case}: opened");
             fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -811,7 +628,7 @@ mod tests {
         // 3 rows over 3 partitions where one partition owns nothing.
         let dir = temp_dir("empty");
         let assignment = vec![vec![0, 2], vec![], vec![1]];
-        let mut w = ShardedStoreWriter::create(&dir, meta(3), &assignment, 1).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(3), &assignment, 1).unwrap();
         for k in 0..2 {
             let hop = global_hop(k, 3);
             for (p, globals) in assignment.iter().enumerate() {

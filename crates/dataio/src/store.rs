@@ -1,14 +1,20 @@
+//! The per-directory layer of the store: the hop-file codec (`PPGT` /
+//! `PPGQ` headers and the per-chunk checksum footer), the `key=value`
+//! manifest codec every manifest of the stack shares, the synchronous
+//! per-directory [`FeatureStoreWriter`], and the crate-private
+//! `PartStore` that [`crate::FeatureStore`] reads one directory through.
+
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use ppgnn_tensor::cast::{self, StoreDtype};
 use ppgnn_tensor::{io as tio, Matrix};
 
 use crate::commit::{self, Journal};
 use crate::error::CorruptError;
-use crate::fault;
-use crate::DataIoError;
+use crate::{fault, DataIoError, FeatureStore};
 
 /// Global telemetry mirrors of the per-store [`IoCounters`], so traced
 /// runs see storage traffic in the metrics registry without plumbing a
@@ -50,12 +56,12 @@ const fn footer_len(n: usize) -> u64 {
 static CHECKSUM_BYTES: ppgnn_telemetry::Counter =
     ppgnn_telemetry::Counter::new("dataio.checksum_bytes");
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Footer version 1: FNV-1a over the chunk's bytes, one dependent
 /// multiply per byte.
-fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
@@ -161,8 +167,89 @@ fn read_qheader(mut r: impl Read, dtype: StoreDtype) -> Result<(usize, usize), D
     Ok((rows, cols))
 }
 
-/// Store-level metadata persisted in `manifest.txt` (simple `key=value`
-/// lines; no external parser dependency).
+/// The parsed lines of a `key=value` manifest: the one codec behind a
+/// store directory's `manifest.txt`, a partitioned root's `sharded.txt`
+/// and `core::persist`'s `preprop.txt` (no external parser dependency).
+/// Blank lines are skipped, a line without `=` is malformed, a repeated
+/// key's last value wins, and keys no reader asks for are ignored, so
+/// older readers open newer files.
+#[derive(Debug)]
+pub struct Manifest {
+    lines: Vec<(String, String)>,
+}
+
+impl Manifest {
+    /// Reads and parses the manifest file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// [`DataIoError::Io`] naming the path when the file cannot be read
+    /// (a missing manifest is an uncommitted store), else
+    /// [`Manifest::parse`]'s errors.
+    pub fn read(path: &Path) -> Result<Self, DataIoError> {
+        let text = fs::read_to_string(path)
+            .map_err(|e| DataIoError::Io(format!("{}: {e}", path.display())))?;
+        Self::parse(&text)
+    }
+
+    /// Parses manifest text.
+    ///
+    /// # Errors
+    ///
+    /// [`DataIoError::BadManifest`] on a non-blank line without `=`.
+    pub fn parse(text: &str) -> Result<Self, DataIoError> {
+        let mut lines = Vec::new();
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            let (k, v) = line
+                .split_once('=')
+                .ok_or_else(|| DataIoError::BadManifest(format!("bad line: {line}")))?;
+            lines.push((k.to_string(), v.to_string()));
+        }
+        Ok(Manifest { lines })
+    }
+
+    /// Every `(key, value)` line, in file order.
+    pub fn lines(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.lines.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+
+    /// The value of `key` (the last one, if repeated).
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.lines
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// `key`'s value parsed as `T`, or `None` when the key is absent.
+    ///
+    /// # Errors
+    ///
+    /// [`DataIoError::BadManifest`] when the value is present but does not
+    /// parse: a malformed value is corruption, not an older file.
+    pub fn parse_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, DataIoError> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| DataIoError::BadManifest(format!("bad value for {key}: {v}")))
+            })
+            .transpose()
+    }
+
+    /// `key`'s value parsed as `T`.
+    ///
+    /// # Errors
+    ///
+    /// [`DataIoError::BadManifest`] when the key is missing or its value
+    /// does not parse.
+    pub fn require<T: FromStr>(&self, key: &str) -> Result<T, DataIoError> {
+        self.parse_opt(key)?
+            .ok_or_else(|| DataIoError::BadManifest(format!("missing key {key}")))
+    }
+}
+
+/// Store-level metadata persisted in `manifest.txt` (see [`Manifest`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreMeta {
     /// Dataset name the features were preprocessed from.
@@ -183,67 +270,56 @@ pub struct StoreMeta {
 }
 
 impl StoreMeta {
-    fn to_manifest(&self) -> String {
+    /// The manifest text of a store directory (`partition_rows = None`)
+    /// or of a partitioned root's `sharded.txt`: the geometry keys, then
+    /// `num_partitions`, the `dtype` key for compressed encodings only,
+    /// and each partition's row count — the key order every committed
+    /// file has, so manifests stay byte-identical.
+    pub(crate) fn manifest_text(&self, partition_rows: Option<&[usize]>) -> String {
         let mut text = format!(
             "dataset={}\nnum_hops={}\nrows={}\ncols={}\nchunk_size={}\n",
             self.dataset, self.num_hops, self.rows, self.cols, self.chunk_size
         );
+        if let Some(parts) = partition_rows {
+            text.push_str(&format!("num_partitions={}\n", parts.len()));
+        }
         if !self.dtype.is_f32() {
             text.push_str(&format!("dtype={}\n", self.dtype.name()));
+        }
+        for (p, rows) in partition_rows.unwrap_or_default().iter().enumerate() {
+            text.push_str(&format!("partition_{p}_rows={rows}\n"));
         }
         text
     }
 
-    fn from_manifest(text: &str) -> Result<Self, DataIoError> {
-        let mut dataset = None;
-        let mut num_hops = None;
-        let mut rows = None;
-        let mut cols = None;
-        let mut chunk_size = None;
-        let mut dtype = StoreDtype::F32;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| DataIoError::BadManifest(format!("bad line: {line}")))?;
-            let parse = |v: &str| {
-                v.parse::<usize>()
-                    .map_err(|_| DataIoError::BadManifest(format!("bad value for {k}: {v}")))
-            };
-            match k {
-                "dataset" => dataset = Some(v.to_string()),
-                "num_hops" => num_hops = Some(parse(v)?),
-                "rows" => rows = Some(parse(v)?),
-                "cols" => cols = Some(parse(v)?),
-                "chunk_size" => chunk_size = Some(parse(v)?),
-                "dtype" => {
-                    dtype = StoreDtype::parse(v).ok_or_else(|| {
-                        DataIoError::BadManifest(format!("unknown store dtype: {v}"))
-                    })?;
-                }
-                _ => {} // forward compatible: unknown keys ignored
-            }
-        }
-        let missing = |f: &str| DataIoError::BadManifest(format!("missing key {f}"));
-        let chunk_size = chunk_size.ok_or_else(|| missing("chunk_size"))?;
-        // No writer produces a zero chunk size, and `num_chunks` divides
-        // by it.
-        if chunk_size == 0 {
+    /// The geometry keys of a parsed manifest.
+    pub(crate) fn from_manifest(m: &Manifest) -> Result<Self, DataIoError> {
+        let dtype = match m.get("dtype") {
+            None => StoreDtype::F32,
+            Some(v) => StoreDtype::parse(v)
+                .ok_or_else(|| DataIoError::BadManifest(format!("unknown store dtype: {v}")))?,
+        };
+        let meta = StoreMeta {
+            dataset: m.require("dataset")?,
+            num_hops: m.require("num_hops")?,
+            rows: m.require("rows")?,
+            cols: m.require("cols")?,
+            chunk_size: m.require("chunk_size")?,
+            dtype,
+        };
+        meta.check()?;
+        Ok(meta)
+    }
+
+    /// The geometry check writers and readers share. No writer produces
+    /// a zero chunk size, and `num_chunks` divides by it.
+    pub(crate) fn check(&self) -> Result<(), DataIoError> {
+        if self.chunk_size == 0 {
             return Err(DataIoError::BadManifest(
                 "chunk_size must be positive".into(),
             ));
         }
-        Ok(StoreMeta {
-            dataset: dataset.ok_or_else(|| missing("dataset"))?,
-            num_hops: num_hops.ok_or_else(|| missing("num_hops"))?,
-            rows: rows.ok_or_else(|| missing("rows"))?,
-            cols: cols.ok_or_else(|| missing("cols"))?,
-            chunk_size,
-            dtype,
-        })
+        Ok(())
     }
 
     /// The geometry string the completed-units journal is bound to: a
@@ -337,17 +413,6 @@ impl IoCounters {
         }
     }
 
-    /// Adds `other`'s counts into `self` — used to aggregate counters
-    /// across the partition stores of a sharded store.
-    pub fn accumulate(&mut self, other: &IoCounters) {
-        self.seq_requests += other.seq_requests;
-        self.seq_bytes += other.seq_bytes;
-        self.rand_requests += other.rand_requests;
-        self.rand_bytes += other.rand_bytes;
-        self.bounce_bytes += other.bounce_bytes;
-        self.logical_bytes += other.logical_bytes;
-    }
-
     /// The counts accumulated since `earlier` was snapshotted — the
     /// per-epoch delta behind epoch-over-epoch read-amplification
     /// reporting. Counters are monotonic, so every field of `earlier`
@@ -363,12 +428,46 @@ impl IoCounters {
             logical_bytes: self.logical_bytes.saturating_sub(earlier.logical_bytes),
         }
     }
+
+    /// Counts `requests` sequential (chunk) or random (row) requests that
+    /// moved `physical` encoded bytes and delivered `logical` decoded
+    /// bytes, mirroring them into the telemetry registry.
+    pub(crate) fn record(
+        &mut self,
+        seq: bool,
+        requests: u64,
+        physical: u64,
+        logical: u64,
+        path: AccessPath,
+    ) {
+        let (count, bytes, mirror) = if seq {
+            (
+                &mut self.seq_requests,
+                &mut self.seq_bytes,
+                &STORE_SEQ_BYTES,
+            )
+        } else {
+            (
+                &mut self.rand_requests,
+                &mut self.rand_bytes,
+                &STORE_RAND_BYTES,
+            )
+        };
+        *count += requests;
+        *bytes += physical;
+        mirror.add(physical);
+        self.logical_bytes += logical;
+        STORE_LOGICAL_BYTES.add(logical);
+        if path == AccessPath::HostBounce {
+            self.bounce_bytes += physical;
+        }
+    }
 }
 
 /// Writes a feature store to a directory: one `hop_<k>.ppgt` file per
 /// hop, then `manifest.txt` last. Every dtype encodes each hop through
 /// [`ppgnn_tensor::cast`] straight into a reusable whole-file staging
-/// buffer on the calling thread (under [`crate::AsyncHopWriter`] that is
+/// buffer on the calling thread (under [`crate::StoreWriter`] that is
 /// the writer thread, so encoding overlaps the next hop's diffusion).
 ///
 /// Crash-safety contract: every hop file is committed atomically
@@ -390,7 +489,7 @@ pub struct FeatureStoreWriter {
     /// Whole-file staging buffer (header + encoded payload + footer),
     /// reused across hops; the atomic commit writes it in one shot.
     file_buf: Vec<u8>,
-    journal: Option<Journal>,
+    journal: Journal,
 }
 
 impl FeatureStoreWriter {
@@ -422,11 +521,7 @@ impl FeatureStoreWriter {
     }
 
     fn build(dir: impl AsRef<Path>, meta: StoreMeta, resume: bool) -> Result<Self, DataIoError> {
-        if meta.chunk_size == 0 {
-            return Err(DataIoError::BadManifest(
-                "chunk_size must be positive".into(),
-            ));
-        }
+        meta.check()?;
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let geometry = meta.geometry_key();
@@ -455,7 +550,7 @@ impl FeatureStoreWriter {
             dir,
             meta,
             file_buf: Vec::new(),
-            journal: Some(journal),
+            journal,
         })
     }
 
@@ -514,22 +609,26 @@ impl FeatureStoreWriter {
             append_checksum_footer(&mut self.file_buf, &self.meta);
         }
         commit::write_bytes_atomic("hop", &hop_path(&self.dir, k), &self.file_buf)?;
-        if let Some(journal) = self.journal.as_mut() {
-            journal.record(k)?;
-        }
+        self.journal.record(k)?;
         self.written[k] = true;
         Ok(())
     }
 
-    /// Finishes writing: verifies every hop was stored, then commits
-    /// the manifest — the store's atomic commit point — and retires the
-    /// journal.
+    /// Finishes writing: [commits](FeatureStoreWriter::commit) the
+    /// directory and opens it.
     ///
     /// # Errors
     ///
     /// Fails listing the missing hops if any were never written, or on
-    /// manifest-write I/O failure.
-    pub fn finish(mut self) -> Result<FeatureStore, DataIoError> {
+    /// manifest-write or open failure.
+    pub fn finish(self) -> Result<FeatureStore, DataIoError> {
+        FeatureStore::open(self.commit()?)
+    }
+
+    /// Verifies every hop was stored, then commits the manifest — the
+    /// directory's atomic commit point — and retires the journal.
+    /// Returns the directory.
+    pub(crate) fn commit(self) -> Result<PathBuf, DataIoError> {
         let missing: Vec<usize> = self
             .written
             .iter()
@@ -545,12 +644,10 @@ impl FeatureStoreWriter {
         commit::write_bytes_atomic(
             "manifest",
             &self.dir.join(MANIFEST),
-            self.meta.to_manifest().as_bytes(),
+            self.meta.manifest_text(None).as_bytes(),
         )?;
-        if let Some(journal) = self.journal.take() {
-            journal.remove();
-        }
-        FeatureStore::open(&self.dir)
+        self.journal.remove();
+        Ok(self.dir)
     }
 }
 
@@ -627,18 +724,57 @@ fn hop_path(dir: &Path, k: usize) -> PathBuf {
     dir.join(format!("hop_{k}.ppgt"))
 }
 
-/// Read handle over a feature-store directory with I/O accounting.
-///
-/// Hop file handles are opened once and cached, and every read decodes
-/// through one reusable byte-staging buffer — steady-state reads via
-/// the `_into` entry points perform no allocation for any dtype.
+/// Opens hop file `k`, checks its header against `meta`, and validates its
+/// length without reading the payload: the crash-safety container
+/// revision appends a checksum footer, a file ending exactly at the
+/// payload is a legacy store and still loads (verification skipped), and
+/// anything else is corruption. Corruption comes back unlocated; the
+/// caller attaches path and hop.
+fn open_hop(path: &Path, k: usize, meta: &StoreMeta) -> Result<(File, ChunkSums), DataIoError> {
+    let mut f = File::open(path).map_err(|e| DataIoError::Io(format!("hop {k}: {e}")))?;
+    let (rows, cols) = if meta.dtype.is_f32() {
+        tio::read_header(&mut f).map_err(|e| DataIoError::corrupt(e.to_string()))?
+    } else {
+        read_qheader(&mut f, meta.dtype)?
+    };
+    if (rows, cols) != (meta.rows, meta.cols) {
+        return Err(DataIoError::corrupt(format!(
+            "hop {k} header ({rows},{cols}) disagrees with manifest ({},{})",
+            meta.rows, meta.cols
+        )));
+    }
+    let payload_end = data_offset(meta.dtype) + (rows * meta.dtype.encoded_row_bytes(cols)) as u64;
+    let flen = footer_len(meta.num_chunks());
+    let actual = f.metadata()?.len();
+    let sums = if actual == payload_end {
+        ChunkSums::default() // legacy footer-less file
+    } else if actual == payload_end + flen {
+        read_checksum_footer(&mut f, payload_end, meta)?
+    } else if actual < payload_end {
+        return Err(DataIoError::corrupt(format!(
+            "hop {k} file truncated: {actual} < {payload_end} bytes"
+        )));
+    } else {
+        return Err(DataIoError::corrupt(format!(
+            "hop {k} file truncated or trailing garbage: {actual} bytes, want \
+             {payload_end} (legacy) or {} (checksummed)",
+            payload_end + flen
+        )));
+    };
+    Ok((f, sums))
+}
+
+/// One store directory opened for reading: the manifest, one cached
+/// handle per hop file, the checksum footers and the verified-chunk
+/// bitmaps, and the one decode loop. Crate-private: [`FeatureStore`] is
+/// the public reader over one of these per partition.
 #[derive(Debug)]
-pub struct FeatureStore {
+pub(crate) struct PartStore {
     dir: PathBuf,
-    meta: StoreMeta,
+    pub(crate) meta: StoreMeta,
     /// One cached handle per hop file, indexed by hop.
     files: Vec<File>,
-    /// Encoded-byte staging buffer shared by every read path; grows
+    /// Encoded-byte staging buffer shared by every read; grows
     /// monotonically to the largest read seen.
     scratch: Vec<u8>,
     /// Per-hop chunk checksums and footer version.
@@ -652,87 +788,39 @@ pub struct FeatureStore {
     /// separate from `scratch` so verification never perturbs the
     /// caller-visible byte accounting.
     verify_buf: Vec<u8>,
-    counters: IoCounters,
 }
 
-impl FeatureStore {
-    /// Opens a store, validating the manifest, each hop file's header
-    /// and length, and loading the per-chunk checksum footers (legacy
-    /// footer-less files load with verification disabled).
+impl PartStore {
+    /// Opens a store directory, validating the manifest, each hop file's
+    /// header and length, and loading the per-chunk checksum footers
+    /// (legacy footer-less files load with verification disabled).
     ///
     /// # Errors
     ///
     /// Fails on missing/corrupt manifest, missing hop files, header
     /// shapes that disagree with the manifest, or truncated/oversized
     /// hop files — always with path + hop context on the corruption.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, DataIoError> {
-        let dir = dir.as_ref().to_path_buf();
-        let text = fs::read_to_string(dir.join(MANIFEST))
-            .map_err(|e| DataIoError::Io(format!("{}: {e}", dir.display())))?;
-        let meta = StoreMeta::from_manifest(&text)?;
+    pub(crate) fn open(dir: PathBuf) -> Result<Self, DataIoError> {
+        let meta = StoreMeta::from_manifest(&Manifest::read(&dir.join(MANIFEST))?)?;
         // `num_hops` is read from the manifest, so the vectors grow as hop
         // files open rather than trusting it for an up-front allocation.
         let mut files = Vec::new();
         let mut sums = Vec::new();
         for k in 0..meta.num_hops {
             let path = hop_path(&dir, k);
-            let locate = |c: CorruptError| c.with_path(&path).with_hop(k);
-            let mut f = File::open(&path).map_err(|e| DataIoError::Io(format!("hop {k}: {e}")))?;
-            let (rows, cols) = if meta.dtype.is_f32() {
-                tio::read_header(&mut f).map_err(|e| locate(CorruptError::new(e.to_string())))?
-            } else {
-                read_qheader(&mut f, meta.dtype).map_err(|e| match e {
-                    DataIoError::Corrupt(c) => DataIoError::Corrupt(locate(c)),
-                    other => other,
-                })?
-            };
-            if (rows, cols) != (meta.rows, meta.cols) {
-                return Err(locate(CorruptError::new(format!(
-                    "hop {k} header ({rows},{cols}) disagrees with manifest ({},{})",
-                    meta.rows, meta.cols
-                )))
-                .into());
-            }
-            // Validate the file length without reading the payload. The
-            // crash-safety container revision appends a checksum footer;
-            // a file ending exactly at the payload is a legacy store and
-            // still loads (verification skipped). Anything else is
-            // corruption.
-            let payload_end =
-                data_offset(meta.dtype) + (rows * meta.dtype.encoded_row_bytes(cols)) as u64;
-            let flen = footer_len(meta.num_chunks());
-            let actual = f.metadata()?.len();
-            if actual < payload_end {
-                return Err(locate(CorruptError::new(format!(
-                    "hop {k} file truncated: {actual} < {payload_end} bytes"
-                )))
-                .into());
-            }
-            if actual == payload_end {
-                sums.push(ChunkSums::default()); // legacy footer-less file
-            } else if actual == payload_end + flen {
-                sums.push(read_checksum_footer(&mut f, payload_end, &meta).map_err(
-                    |e| match e {
-                        DataIoError::Corrupt(c) => DataIoError::Corrupt(locate(c)),
-                        other => other,
-                    },
-                )?);
-            } else {
-                return Err(locate(CorruptError::new(format!(
-                    "hop {k} file truncated or trailing garbage: {actual} bytes, want \
-                     {payload_end} (legacy) or {} (checksummed)",
-                    payload_end + flen
-                )))
-                .into());
-            }
+            let (f, footer) = open_hop(&path, k, &meta).map_err(|e| match e {
+                DataIoError::Corrupt(c) => c.with_path(&path).with_hop(k).into(),
+                other => other,
+            })?;
             files.push(f);
+            sums.push(footer);
         }
         // Pre-size the staging buffers for the common case (one chunk)
         // so loader steady state never grows them.
         let chunk_rows = meta.chunk_size.min(meta.rows);
         let chunk_bytes = chunk_rows * meta.dtype.encoded_row_bytes(meta.cols);
         let verified = vec![vec![0u64; meta.num_chunks().div_ceil(64)]; meta.num_hops];
-        Ok(FeatureStore {
+        Ok(PartStore {
             dir,
             meta,
             files,
@@ -740,237 +828,16 @@ impl FeatureStore {
             sums,
             verified,
             verify_buf: vec![0u8; chunk_bytes],
-            counters: IoCounters::default(),
         })
     }
 
-    /// Store metadata.
-    pub fn meta(&self) -> &StoreMeta {
-        &self.meta
-    }
-
-    /// Accumulated I/O counters.
-    pub fn counters(&self) -> IoCounters {
-        self.counters
-    }
-
-    /// Resets the I/O counters (between measured epochs).
-    pub fn reset_counters(&mut self) {
-        self.counters = IoCounters::default();
-    }
-
-    /// Randomly reads individual `rows` of hop `k` — the SGD-RR storage
-    /// access pattern (one request per row).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` or any row index is out of range, or on I/O errors.
-    pub fn read_rows(
-        &mut self,
-        k: usize,
-        rows: &[usize],
-        path: AccessPath,
-    ) -> Result<Matrix, DataIoError> {
-        let mut out = Matrix::default();
-        self.read_rows_into(k, rows, path, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`FeatureStore::read_rows`] into a caller-owned matrix, resized
-    /// in place — the allocation-free form batch loops reuse a slot
-    /// through.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` or any row index is out of range, or on I/O errors.
-    /// Rows preceding an out-of-range index are read (and counted)
-    /// before the error surfaces.
-    pub fn read_rows_into(
-        &mut self,
-        k: usize,
-        rows: &[usize],
-        path: AccessPath,
-        out: &mut Matrix,
-    ) -> Result<(), DataIoError> {
-        self.check_hop(k)?;
-        out.resize_to(rows.len(), self.meta.cols);
-        let logical = (self.meta.cols * 4) as u64;
-        let mut physical_total = 0u64;
-        for (i, &r) in rows.iter().enumerate() {
-            if r >= self.meta.rows {
-                STORE_RAND_BYTES.add(physical_total);
-                STORE_LOGICAL_BYTES.add(logical * i as u64);
-                return Err(DataIoError::OutOfRange(format!(
-                    "row {r} out of range ({} rows)",
-                    self.meta.rows
-                )));
-            }
-            let physical = self.fetch_decode_rows(k, r, out.row_mut(i))?;
-            self.counters.rand_requests += 1;
-            self.counters.rand_bytes += physical;
-            self.counters.logical_bytes += logical;
-            physical_total += physical;
-            if path == AccessPath::HostBounce {
-                self.counters.bounce_bytes += physical;
-            }
-        }
-        STORE_RAND_BYTES.add(physical_total);
-        STORE_LOGICAL_BYTES.add(logical * rows.len() as u64);
-        Ok(())
-    }
-
-    /// Sequentially reads chunk `chunk_id` of hop `k` (one request) — the
-    /// chunk-reshuffling access pattern. The final chunk may be short.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` or `chunk_id` is out of range, or on I/O errors.
-    pub fn read_chunk(
-        &mut self,
-        k: usize,
-        chunk_id: usize,
-        path: AccessPath,
-    ) -> Result<Matrix, DataIoError> {
-        let mut out = Matrix::default();
-        self.read_chunk_into(k, chunk_id, path, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`FeatureStore::read_chunk`] into a caller-owned matrix, resized
-    /// in place: one seek + one read into the staging buffer, then one
-    /// dtype decode — allocation-free once the slot and stage are warm.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` or `chunk_id` is out of range, or on I/O errors.
-    pub fn read_chunk_into(
-        &mut self,
-        k: usize,
-        chunk_id: usize,
-        path: AccessPath,
-        out: &mut Matrix,
-    ) -> Result<(), DataIoError> {
-        self.check_hop(k)?;
-        let num_chunks = self.meta.num_chunks();
-        if chunk_id >= num_chunks {
-            return Err(DataIoError::OutOfRange(format!(
-                "chunk {chunk_id} out of range ({num_chunks} chunks)"
-            )));
-        }
-        let start_row = chunk_id * self.meta.chunk_size;
-        let rows = self.meta.chunk_size.min(self.meta.rows - start_row);
-        out.resize_to(rows, self.meta.cols);
-        let physical = self.fetch_decode_rows(k, start_row, out.as_mut_slice())?;
-        self.counters.seq_requests += 1;
-        self.counters.seq_bytes += physical;
-        self.counters.logical_bytes += (rows * self.meta.cols * 4) as u64;
-        STORE_SEQ_BYTES.add(physical);
-        STORE_LOGICAL_BYTES.add((rows * self.meta.cols * 4) as u64);
-        if path == AccessPath::HostBounce {
-            self.counters.bounce_bytes += physical;
-        }
-        Ok(())
-    }
-
-    /// Reads chunk `chunk_id` across **all** hops (one request per hop file,
-    /// the parallel-file layout of Section 4.3). The chunk-id bounds check
-    /// happens up front, so an out-of-range request fails before any
-    /// counter is touched — consistent with [`FeatureStore::read_rows`]'s
-    /// count-as-you-read behaviour, where nothing valid precedes the error.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FeatureStore::read_chunk`].
-    pub fn read_chunk_all_hops(
-        &mut self,
-        chunk_id: usize,
-        path: AccessPath,
-    ) -> Result<Vec<Matrix>, DataIoError> {
-        if chunk_id >= self.meta.num_chunks() {
-            return Err(DataIoError::OutOfRange(format!(
-                "chunk {chunk_id} out of range ({} chunks)",
-                self.meta.num_chunks()
-            )));
-        }
-        (0..self.meta.num_hops)
-            .map(|k| self.read_chunk(k, chunk_id, path))
-            .collect()
-    }
-
-    /// [`FeatureStore::read_chunk_all_hops`] into a caller-owned vector
-    /// of per-hop slots, each resized in place — the double-buffered
-    /// loader's steady-state refill shape.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FeatureStore::read_chunk`].
-    pub fn read_chunk_all_hops_into(
-        &mut self,
-        chunk_id: usize,
-        path: AccessPath,
-        out: &mut Vec<Matrix>,
-    ) -> Result<(), DataIoError> {
-        if chunk_id >= self.meta.num_chunks() {
-            return Err(DataIoError::OutOfRange(format!(
-                "chunk {chunk_id} out of range ({} chunks)",
-                self.meta.num_chunks()
-            )));
-        }
-        out.resize_with(self.meta.num_hops, Matrix::default);
-        for (k, slot) in (0..self.meta.num_hops).zip(out.iter_mut()) {
-            self.read_chunk_into(k, chunk_id, path, slot)?;
-        }
-        Ok(())
-    }
-
-    /// Reads an entire hop matrix (preloading path), counting one
-    /// sequential request over the [`AccessPath::Direct`] path.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` is out of range or the payload is corrupt.
-    pub fn read_full_hop(&mut self, k: usize) -> Result<Matrix, DataIoError> {
-        let mut out = Matrix::default();
-        self.read_full_hop_into(k, AccessPath::Direct, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`FeatureStore::read_full_hop`] into a caller-owned matrix, resized
-    /// in place, over an explicit access path: one sequential request,
-    /// payload bytes, plus `bounce_bytes` when the read goes through the
-    /// host staging buffer.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` is out of range or the payload is corrupt.
-    pub fn read_full_hop_into(
-        &mut self,
-        k: usize,
-        path: AccessPath,
-        out: &mut Matrix,
-    ) -> Result<(), DataIoError> {
-        self.check_hop(k)?;
-        out.resize_to(self.meta.rows, self.meta.cols);
-        let physical = self.fetch_decode_rows(k, 0, out.as_mut_slice())?;
-        self.counters.seq_requests += 1;
-        self.counters.seq_bytes += physical;
-        self.counters.logical_bytes += (self.meta.rows * self.meta.cols * 4) as u64;
-        STORE_SEQ_BYTES.add(physical);
-        STORE_LOGICAL_BYTES.add((self.meta.rows * self.meta.cols * 4) as u64);
-        if path == AccessPath::HostBounce {
-            self.counters.bounce_bytes += physical;
-        }
-        Ok(())
-    }
-
-    /// The one decode loop behind every read path (replacing the three
-    /// hand-rolled `f32::from_le_bytes` loops of the `f32`-only store):
-    /// seeks hop `k`'s cached handle to `start_row`, reads the encoded
-    /// rows covering `out` into the staging buffer, and decodes them
-    /// with the dispatched [`ppgnn_tensor::cast`] kernels. Returns the
+    /// The one decode loop behind every read path: seeks hop `k`'s
+    /// cached handle to `start_row`, reads the encoded rows covering `out`
+    /// into the staging buffer, and decodes them with the dispatched
+    /// [`ppgnn_tensor::cast`] kernels. Returns the
     /// physical bytes moved. Allocation-free once the staging buffer
     /// has grown to the read size.
-    fn fetch_decode_rows(
+    pub(crate) fn fetch_decode_rows(
         &mut self,
         k: usize,
         start_row: usize,
@@ -1041,16 +908,6 @@ impl FeatureStore {
         }
         Ok(())
     }
-
-    fn check_hop(&self, k: usize) -> Result<(), DataIoError> {
-        if k >= self.meta.num_hops {
-            return Err(DataIoError::OutOfRange(format!(
-                "hop {k} out of range ({} hops)",
-                self.meta.num_hops
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1061,6 +918,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ppgnn-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn parse_meta(text: &str) -> Result<StoreMeta, DataIoError> {
+        StoreMeta::from_manifest(&Manifest::parse(text)?)
     }
 
     fn sample_meta() -> StoreMeta {
@@ -1084,6 +945,14 @@ mod tests {
         w.finish().unwrap()
     }
 
+    /// Hop `k` of chunk `chunk_id` of a plain (one-partition) store.
+    fn read_chunk(store: &mut FeatureStore, k: usize, chunk_id: usize) -> Matrix {
+        let mut hops = store
+            .read_chunk_all_hops(0, chunk_id, AccessPath::Direct)
+            .unwrap();
+        hops.swap_remove(k)
+    }
+
     #[test]
     fn round_trip_rows_and_chunks() {
         let dir = temp_dir("roundtrip");
@@ -1093,11 +962,11 @@ mod tests {
         assert_eq!(rows.get(0, 2), 1072.0);
         assert_eq!(rows.get(1, 0), 1000.0);
         // chunk 1 = rows 4..8
-        let chunk = store.read_chunk(2, 1, AccessPath::Direct).unwrap();
+        let chunk = read_chunk(&mut store, 2, 1);
         assert_eq!(chunk.rows(), 4);
         assert_eq!(chunk.get(0, 0), 2040.0);
         // last chunk is short: rows 8..10
-        let last = store.read_chunk(0, 2, AccessPath::Direct).unwrap();
+        let last = read_chunk(&mut store, 0, 2);
         assert_eq!(last.rows(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1113,11 +982,11 @@ mod tests {
         assert_eq!(c.seq_requests, 0);
         assert_eq!(c.bounce_bytes, 0);
 
-        store.reset_counters();
+        let before = store.counters();
         store
-            .read_chunk_all_hops(0, AccessPath::HostBounce)
+            .read_chunk_all_hops(0, 0, AccessPath::HostBounce)
             .unwrap();
-        let c = store.counters();
+        let c = store.counters().delta_since(&before);
         assert_eq!(c.seq_requests, 3); // one per hop file
         assert_eq!(c.seq_bytes, 3 * 4 * 16);
         assert_eq!(c.bounce_bytes, c.seq_bytes);
@@ -1129,12 +998,14 @@ mod tests {
         // the quantitative heart of Section 4.3
         let dir = temp_dir("requests");
         let mut store = build_store(&dir);
+        // Every row of every hop, once row by row and once chunk by chunk.
         let all: Vec<usize> = (0..10).collect();
-        store.read_rows(0, &all, AccessPath::Direct).unwrap();
+        for k in 0..3 {
+            store.read_rows(k, &all, AccessPath::Direct).unwrap();
+        }
         let rand_reqs = store.counters().rand_requests;
-        store.reset_counters();
-        for c in 0..store.meta().num_chunks() {
-            store.read_chunk(0, c, AccessPath::Direct).unwrap();
+        for c in 0..store.num_chunks(0) {
+            store.read_chunk_all_hops(0, c, AccessPath::Direct).unwrap();
         }
         let seq_reqs = store.counters().seq_requests;
         assert!(seq_reqs * 3 <= rand_reqs, "{seq_reqs} vs {rand_reqs}");
@@ -1189,8 +1060,11 @@ mod tests {
         let dir = temp_dir("range");
         let mut store = build_store(&dir);
         assert!(store.read_rows(0, &[99], AccessPath::Direct).is_err());
-        assert!(store.read_chunk(0, 99, AccessPath::Direct).is_err());
-        assert!(store.read_chunk(9, 0, AccessPath::Direct).is_err());
+        assert!(store.read_rows(9, &[0], AccessPath::Direct).is_err());
+        assert!(store
+            .read_chunk_all_hops(0, 99, AccessPath::Direct)
+            .is_err());
+        assert!(store.read_chunk_all_hops(1, 0, AccessPath::Direct).is_err());
         assert!(store.read_full_hop(9).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1251,7 +1125,7 @@ mod tests {
                         assert_eq!(rows.get(i, c).to_bits(), full.get(r, c).to_bits());
                     }
                 }
-                let chunk = store.read_chunk(k, 1, AccessPath::Direct).unwrap();
+                let chunk = read_chunk(&mut store, k, 1);
                 for r in 0..4 {
                     for c in 0..4 {
                         assert_eq!(chunk.get(r, c).to_bits(), full.get(4 + r, c).to_bits());
@@ -1270,14 +1144,14 @@ mod tests {
             store.meta().physical_bytes() * 2,
             store.meta().total_bytes()
         );
-        store.read_chunk(0, 0, AccessPath::Direct).unwrap();
+        store.read_chunk_all_hops(0, 0, AccessPath::Direct).unwrap();
         let c = store.counters();
-        assert_eq!(c.seq_bytes, 4 * 4 * 2); // 4 rows × 4 cols × 2 B
-        assert_eq!(c.logical_bytes, 4 * 4 * 4);
+        assert_eq!(c.seq_bytes, 3 * 4 * 4 * 2); // 3 hops × 4 rows × 4 cols × 2 B
+        assert_eq!(c.logical_bytes, 3 * 4 * 4 * 4);
         assert_eq!(c.compression_ratio(), 2.0);
-        store.reset_counters();
+        let before = store.counters();
         store.read_rows(1, &[0, 5], AccessPath::HostBounce).unwrap();
-        let c = store.counters();
+        let c = store.counters().delta_since(&before);
         assert_eq!(c.rand_bytes, 2 * 4 * 2);
         assert_eq!(c.bounce_bytes, c.rand_bytes); // bounce copies physical bytes
         assert_eq!(c.logical_bytes, 2 * 4 * 4);
@@ -1302,21 +1176,18 @@ mod tests {
             dtype: StoreDtype::Bf16,
             ..sample_meta()
         };
-        let text = meta.to_manifest();
+        let text = meta.manifest_text(None);
         assert!(text.contains("dtype=bf16"));
-        assert_eq!(StoreMeta::from_manifest(&text).unwrap(), meta);
+        assert_eq!(parse_meta(&text).unwrap(), meta);
         let bad = text.replace("dtype=bf16", "dtype=float8");
-        assert!(matches!(
-            StoreMeta::from_manifest(&bad),
-            Err(DataIoError::BadManifest(_))
-        ));
+        assert!(matches!(parse_meta(&bad), Err(DataIoError::BadManifest(_))));
     }
 
     #[test]
     fn f32_manifest_omits_dtype_key() {
         // Byte-identity with pre-dtype stores: default manifests must
         // not change (the digest pin test covers the full store).
-        let text = sample_meta().to_manifest();
+        let text = sample_meta().manifest_text(None);
         assert!(!text.contains("dtype"));
     }
 
@@ -1353,18 +1224,22 @@ mod tests {
         let mut store = build_store_with_dtype(&dir, StoreDtype::Int8);
         let mut slot = Matrix::default();
         store
-            .read_chunk_into(0, 2, AccessPath::Direct, &mut slot)
+            .read_rows_into(0, &[8, 9], AccessPath::Direct, &mut slot)
             .unwrap();
-        assert_eq!(slot.shape(), (2, 4)); // short final chunk
+        assert_eq!(slot.shape(), (2, 4));
         store
-            .read_full_hop_into(1, AccessPath::Direct, &mut slot)
+            .read_rows_into(1, &[0, 1, 2], AccessPath::Direct, &mut slot)
             .unwrap();
-        assert_eq!(slot.shape(), (10, 4));
+        assert_eq!(slot.shape(), (3, 4));
         let mut hops = Vec::new();
         store
-            .read_chunk_all_hops_into(0, AccessPath::Direct, &mut hops)
+            .read_chunk_all_hops_into(0, 2, AccessPath::Direct, &mut hops)
             .unwrap();
         assert_eq!(hops.len(), 3);
+        assert_eq!(hops[2].shape(), (2, 4)); // short final chunk
+        store
+            .read_chunk_all_hops_into(0, 0, AccessPath::Direct, &mut hops)
+            .unwrap();
         assert_eq!(hops[2].shape(), (4, 4));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1385,7 +1260,9 @@ mod tests {
             fs::write(&path, &bytes).unwrap();
 
             let mut store = FeatureStore::open(&dir).expect("length and header still valid");
-            let err = store.read_chunk(1, 1, AccessPath::Direct).unwrap_err();
+            let err = store
+                .read_chunk_all_hops(0, 1, AccessPath::Direct)
+                .unwrap_err();
             let DataIoError::Corrupt(c) = &err else {
                 panic!("{dtype}: want Corrupt, got {err}");
             };
@@ -1393,8 +1270,10 @@ mod tests {
             assert_eq!(c.chunk, Some(1), "{dtype}: {err}");
             assert!(c.path.as_deref().unwrap().contains("hop_1.ppgt"));
             // Untouched chunks still read fine.
-            store.read_chunk(1, 0, AccessPath::Direct).unwrap();
-            store.read_chunk(0, 1, AccessPath::Direct).unwrap();
+            store.read_chunk_all_hops(0, 0, AccessPath::Direct).unwrap();
+            store
+                .read_rows(0, &[4, 5, 6, 7], AccessPath::Direct)
+                .unwrap();
             fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1445,12 +1324,14 @@ mod tests {
             bytes[data_offset(meta.dtype) as usize + 6 * 16 + 2] ^= 0x01;
             fs::write(&path, bytes).unwrap();
             let mut store = FeatureStore::open(&dir).unwrap();
-            let DataIoError::Corrupt(c) = store.read_chunk(1, 1, AccessPath::Direct).unwrap_err()
+            let DataIoError::Corrupt(c) = store
+                .read_chunk_all_hops(0, 1, AccessPath::Direct)
+                .unwrap_err()
             else {
                 panic!("want a checksum mismatch");
             };
             assert_eq!((c.hop, c.chunk), (Some(1), Some(1)));
-            store.read_chunk(1, 0, AccessPath::Direct).unwrap();
+            store.read_chunk_all_hops(0, 0, AccessPath::Direct).unwrap();
             fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1496,7 +1377,9 @@ mod tests {
         }
         fs::write(&path, bytes).unwrap();
         let mut store = FeatureStore::open(&dir).unwrap();
-        let DataIoError::Corrupt(c) = store.read_chunk(2, 1, AccessPath::Direct).unwrap_err()
+        let DataIoError::Corrupt(c) = store
+            .read_chunk_all_hops(0, 1, AccessPath::Direct)
+            .unwrap_err()
         else {
             panic!("want a checksum mismatch");
         };
@@ -1561,11 +1444,22 @@ mod tests {
     #[test]
     fn manifest_round_trips_and_ignores_unknown_keys() {
         let meta = sample_meta();
-        let mut text = meta.to_manifest();
+        let mut text = meta.manifest_text(None);
         text.push_str("future_key=whatever\n");
-        let parsed = StoreMeta::from_manifest(&text).unwrap();
+        let parsed = parse_meta(&text).unwrap();
         assert_eq!(parsed, meta);
         assert_eq!(parsed.num_chunks(), 3);
         assert_eq!(parsed.total_bytes(), 3 * 10 * 4 * 4);
+        // The codec: blank lines skip, a repeated key's last value wins,
+        // a line without `=` is malformed, and so is a zero chunk size.
+        let m = Manifest::parse("a=1\n\n a=2 \n").unwrap();
+        assert_eq!(m.require::<usize>("a").unwrap(), 2);
+        assert_eq!(m.parse_opt::<usize>("b").unwrap(), None);
+        assert!(Manifest::parse("a=1\nnot a line\n").is_err());
+        let zero = text.replace("chunk_size=4", "chunk_size=0");
+        assert!(matches!(
+            parse_meta(&zero),
+            Err(DataIoError::BadManifest(_))
+        ));
     }
 }

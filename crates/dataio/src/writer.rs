@@ -1,28 +1,33 @@
-//! Asynchronous, double-buffered hop persistence.
+//! The one store writer: asynchronous, bounded, partitioned hop
+//! persistence.
 //!
-//! The streaming preprocessor used to call [`FeatureStoreWriter::write_hop`]
-//! synchronously on the compute thread: every finished hop blocked
-//! diffusion until its bytes hit storage — serialized compute and I/O,
-//! exactly the pipeline bubble the generation-2 *loader* already removed on
-//! the read side. [`AsyncHopWriter`] mirrors that design for writes: a
-//! dedicated writer thread drains a **bounded** channel of finished hop
-//! matrices, so hop `r + 1` diffusion overlaps hop `r` I/O, and the channel
-//! depth (default [`DEFAULT_WRITER_QUEUE`], the double buffer) bounds how
-//! many extra hop matrices can be in flight — backpressure, not unbounded
-//! queuing, when storage is slower than compute.
+//! [`StoreWriter`] writes a store of P partition directories (`part_<p>/`,
+//! P ≥ 1) under one root. A single writer thread drains one **bounded**
+//! queue of `(partition, hop)` units into one [`FeatureStoreWriter`] per
+//! partition, so hop `r + 1` diffusion overlaps hop `r` I/O — the write-side
+//! twin of the double-buffered loader — while the queue depth (default
+//! [`DEFAULT_WRITER_QUEUE`]) bounds how many finished hops can be in flight:
+//! backpressure, not unbounded queuing, when storage is slower than
+//! compute. Units are written in submission order, so a fault ordinal
+//! names the same write on every run. [`StoreWriter::finish`] commits each
+//! partition's manifest, then the root `sharded.txt` — the store's commit
+//! point — and opens the store once.
 
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ppgnn_tensor::Matrix;
 
-use crate::{DataIoError, FeatureStore, FeatureStoreWriter, StoreMeta};
+use crate::sharded::{part_dir, write_rows_sidecar, SHARDED_MANIFEST};
+use crate::{commit, DataIoError, FeatureStore, FeatureStoreWriter, StoreMeta};
 
-/// Telemetry mirrors of the per-writer [`WriterStats`], so traced runs
-/// see write-side backpressure in the metrics registry.
+/// Telemetry mirrors of the [`WriterStats`], so traced runs see
+/// write-side backpressure in the metrics registry.
 static WRITER_SUBMIT_BLOCK_NS: ppgnn_telemetry::Counter =
     ppgnn_telemetry::Counter::new("writer.submit_block_ns");
 static WRITER_QUEUE_HWM: ppgnn_telemetry::Counter =
@@ -37,20 +42,19 @@ const DEFAULT_WRITE_RETRIES: usize = 2;
 /// Base backoff before the first retry; doubles per attempt (capped).
 const RETRY_BACKOFF_BASE_MS: u64 = 1;
 
-/// Default bounded-channel depth: two in-flight hop matrices — the
-/// write-side software double buffer.
+/// Default bounded-queue depth: two in-flight hops — the write-side
+/// software double buffer.
 pub const DEFAULT_WRITER_QUEUE: usize = 2;
 
-/// Queue-pressure accounting for one [`AsyncHopWriter`] — the signal the
-/// original writer dropped entirely. A saturated queue (`queue_hwm` at
-/// capacity, growing `submit_block_ns`) means storage is the bottleneck
-/// and diffusion is stalling on write backpressure; an idle queue means
-/// the async writer fully hides I/O behind compute.
+/// Queue-pressure accounting for one [`StoreWriter`]. A saturated queue
+/// (`queue_hwm` at capacity, growing `submit_block_ns`) means storage is
+/// the bottleneck and diffusion is stalling on write backpressure; an idle
+/// queue means the writer fully hides I/O behind compute.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WriterStats {
-    /// Hop matrices accepted by [`AsyncHopWriter::submit`].
+    /// Hop units accepted by [`StoreWriter::submit`].
     pub submitted: u64,
-    /// High-water mark of in-flight hop matrices (queued plus the one
+    /// High-water mark of in-flight hop units (queued plus the one
     /// entering the queue), observed at submit time.
     pub queue_hwm: usize,
     /// Total nanoseconds `submit` spent blocked on a full queue.
@@ -71,125 +75,142 @@ struct StatsCells {
     retries: AtomicU64,
 }
 
-/// A [`FeatureStoreWriter`] running on its own thread behind a bounded
-/// channel.
+/// One queued write: hop `k` of partition `p`.
+type Unit = (usize, usize, Arc<Matrix>);
+
+/// Writes a store of one or more partitions through one writer thread
+/// behind one bounded queue.
 ///
-/// [`AsyncHopWriter::submit`] hands a finished hop matrix to the writer
-/// thread, blocking only when the queue is full. The first write failure is
-/// **latched**: later submissions are drained and dropped (so the producer
-/// never blocks on a dead store), [`AsyncHopWriter::submit`] starts failing
-/// fast, and the underlying error is surfaced by
-/// [`AsyncHopWriter::finish`] — which otherwise verifies completeness and
-/// opens the store, exactly like the synchronous
-/// [`FeatureStoreWriter::finish`].
+/// [`StoreWriter::submit`] hands a finished hop unit to the writer
+/// thread, blocking only when the queue is full. The first write failure
+/// is **latched**: later units are drained and dropped (so the producer
+/// never blocks on a dead store), `submit` starts failing fast, and the
+/// underlying error is surfaced by [`StoreWriter::finish`] or
+/// [`StoreWriter::take_failure`].
 #[derive(Debug)]
-pub struct AsyncHopWriter {
-    tx: Option<SyncSender<(usize, Arc<Matrix>)>>,
-    worker: Option<JoinHandle<Result<FeatureStoreWriter, DataIoError>>>,
+pub struct StoreWriter {
+    dir: PathBuf,
+    /// The root `sharded.txt` text, committed last by `finish`.
+    manifest: String,
+    /// Per-partition snapshot of the journal-resumed hops, so
+    /// resume-aware producers can skip recomputing them.
+    resumed: Vec<Vec<bool>>,
+    tx: Option<SyncSender<Unit>>,
+    worker: Option<JoinHandle<Result<Vec<FeatureStoreWriter>, DataIoError>>>,
     failed: Arc<AtomicBool>,
     stats: Arc<StatsCells>,
-    /// Snapshot of the wrapped writer's journal-resumed hops, so
-    /// resume-aware producers can skip recomputing them.
-    resumed: Vec<bool>,
 }
 
-impl AsyncHopWriter {
-    /// Creates the store directory and starts the writer thread with a
-    /// bounded queue of `queue_depth` hop matrices (clamped to
-    /// `1..=meta.num_hops`, see [`AsyncHopWriter::wrap`]).
+impl StoreWriter {
+    /// Creates the partition directories and row sidecars and starts the
+    /// writer thread with a bounded queue of `queue_depth` hops — the
+    /// `queue_depth × P` units of P partitions, so each partition keeps
+    /// `queue_depth` in flight — clamped to `1..=P × num_hops`, the most a
+    /// store ever holds. The
+    /// root manifest (`sharded.txt`) is only committed at
+    /// [`StoreWriter::finish`] — it is the commit point.
+    ///
+    /// `meta` describes the **logical** store (`meta.rows` = total
+    /// training rows); `rows_by_part[p]` lists the global row ids
+    /// partition `p` holds, in the local row order its hop matrices will
+    /// be written in. The lists must be disjoint and cover `0..meta.rows`
+    /// exactly.
     ///
     /// # Errors
     ///
-    /// Propagates [`FeatureStoreWriter::create`] failures.
+    /// Fails on inconsistent row assignments, a zero chunk size, or
+    /// filesystem errors.
     pub fn create(
-        dir: impl AsRef<std::path::Path>,
+        dir: impl AsRef<Path>,
         meta: StoreMeta,
+        rows_by_part: &[Vec<usize>],
         queue_depth: usize,
     ) -> Result<Self, DataIoError> {
-        Ok(Self::wrap(
-            FeatureStoreWriter::create(dir, meta)?,
-            queue_depth,
-        ))
+        Self::build(dir.as_ref(), meta, rows_by_part, queue_depth, false)
     }
 
-    /// Like [`AsyncHopWriter::create`], but replays an interrupted
-    /// run's completed-units journal via
-    /// [`FeatureStoreWriter::create_or_resume`];
-    /// [`AsyncHopWriter::resumed_hops`] reports which hops need no
-    /// resubmission.
+    /// Like [`StoreWriter::create`], but resumes each partition from its
+    /// completed-units journal (see
+    /// [`FeatureStoreWriter::create_or_resume`]): `(partition, hop)` units
+    /// an interrupted run already committed are reported by
+    /// [`StoreWriter::resumed_hops`] and need not be resubmitted.
     ///
     /// # Errors
     ///
-    /// Propagates [`FeatureStoreWriter::create_or_resume`] failures.
+    /// Same failure modes as [`StoreWriter::create`].
     pub fn create_or_resume(
-        dir: impl AsRef<std::path::Path>,
+        dir: impl AsRef<Path>,
         meta: StoreMeta,
+        rows_by_part: &[Vec<usize>],
         queue_depth: usize,
     ) -> Result<Self, DataIoError> {
-        Ok(Self::wrap(
-            FeatureStoreWriter::create_or_resume(dir, meta)?,
-            queue_depth,
-        ))
+        Self::build(dir.as_ref(), meta, rows_by_part, queue_depth, true)
     }
 
-    /// Wraps an existing synchronous writer in a writer thread.
-    ///
-    /// The queue holds `queue_depth` hop matrices, clamped to
-    /// `1..=num_hops`: a store never has more hops than that to hold, so
-    /// a larger depth changes nothing but the channel's allocation.
-    ///
-    /// Transient I/O failures in a hop write are retried with
-    /// exponential backoff up to [`DEFAULT_WRITE_RETRIES`] times before
-    /// latching — shape/range errors are never retried, they
-    /// latch immediately.
-    pub fn wrap(writer: FeatureStoreWriter, queue_depth: usize) -> Self {
-        let resumed = writer.resumed_hops().to_vec();
+    fn build(
+        dir: &Path,
+        meta: StoreMeta,
+        rows_by_part: &[Vec<usize>],
+        queue_depth: usize,
+        resume: bool,
+    ) -> Result<Self, DataIoError> {
+        let mut all: Vec<usize> = rows_by_part.iter().flatten().copied().collect();
+        all.sort_unstable();
+        if all.len() != meta.rows || all.iter().enumerate().any(|(i, &r)| i != r) {
+            return Err(DataIoError::BadManifest(format!(
+                "partition row lists must cover 0..{} exactly once",
+                meta.rows
+            )));
+        }
+        meta.check()?;
+        fs::create_dir_all(dir)?;
+        let mut writers = Vec::with_capacity(rows_by_part.len());
+        for (p, rows) in rows_by_part.iter().enumerate() {
+            let sub = part_dir(dir, p);
+            let part_meta = StoreMeta {
+                rows: rows.len(),
+                ..meta.clone()
+            };
+            writers.push(if resume {
+                FeatureStoreWriter::create_or_resume(&sub, part_meta)?
+            } else {
+                FeatureStoreWriter::create(&sub, part_meta)?
+            });
+            write_rows_sidecar(&sub, rows)?;
+        }
+        let resumed = writers.iter().map(|w| w.resumed_hops().to_vec()).collect();
+        let partition_rows: Vec<usize> = rows_by_part.iter().map(Vec::len).collect();
+        let units = writers.len() * meta.num_hops;
+        let depth = queue_depth.saturating_mul(writers.len()).min(units).max(1);
+        let (tx, rx) = sync_channel::<Unit>(depth);
         let failed = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&failed);
         let stats = Arc::new(StatsCells::default());
-        let drain_stats = Arc::clone(&stats);
-        // One resume flag per hop: its length is the store's hop count.
-        let depth = queue_depth.min(resumed.len()).max(1);
-        let (tx, rx) = sync_channel::<(usize, Arc<Matrix>)>(depth);
+        let (flag, drain_stats) = (Arc::clone(&failed), Arc::clone(&stats));
         let worker = std::thread::Builder::new()
             .name("ppgnn-hop-writer".into())
-            .spawn(move || {
-                let mut writer = writer;
-                let mut first_err: Option<DataIoError> = None;
-                while let Ok((k, features)) = rx.recv() {
-                    drain_stats.depth.fetch_sub(1, Ordering::AcqRel);
-                    if first_err.is_some() {
-                        // Latched failure: drain so producers never block
-                        // on a queue nobody is emptying.
-                        continue;
-                    }
-                    if let Err(e) = write_hop_with_retry(&mut writer, k, &features, &drain_stats) {
-                        flag.store(true, Ordering::Release);
-                        WRITER_LATCHED_FAILURES.add(1);
-                        first_err = Some(e);
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(writer),
-                }
-            })
-            .expect("failed to spawn hop-writer thread");
-        AsyncHopWriter {
+            .spawn(move || drain(writers, &rx, &flag, &drain_stats))
+            .map_err(|e| DataIoError::Io(format!("failed to spawn hop-writer thread: {e}")))?;
+        Ok(StoreWriter {
+            dir: dir.to_path_buf(),
+            manifest: meta.manifest_text(Some(&partition_rows)),
+            resumed,
             tx: Some(tx),
             worker: Some(worker),
             failed,
             stats,
-            resumed,
-        }
+        })
     }
 
-    /// Which hops the underlying writer replayed from its journal (all
-    /// `false` unless built via [`AsyncHopWriter::create_or_resume`]).
-    /// Submitting one of these again is harmless — identical bytes are
-    /// rewritten — but skipping them is what makes resume cheap.
-    pub fn resumed_hops(&self) -> &[bool] {
-        &self.resumed
+    /// Hops of partition `p` already committed by a previous interrupted
+    /// run (all `false` unless built via [`StoreWriter::create_or_resume`]).
+    /// Submitting one again is harmless — identical bytes are rewritten —
+    /// but skipping them is what makes resume cheap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn resumed_hops(&self, p: usize) -> &[bool] {
+        &self.resumed[p]
     }
 
     /// Snapshot of the queue-pressure stats accumulated so far.
@@ -202,49 +223,54 @@ impl AsyncHopWriter {
         }
     }
 
-    /// Queues hop `k` for writing, blocking while the bounded queue is
-    /// full (write backpressure).
+    /// Queues hop `k` of partition `p` for writing, blocking while the
+    /// bounded queue is full (write backpressure).
     ///
     /// Takes a shared handle: the writer thread only reads the hop, so a
-    /// producer that keeps the finished matrix (the in-memory output of
-    /// `Preprocessor::run_with_sharded_store` when one partition owns
-    /// every row) hands over a reference count, not a copy. The matrix
-    /// is freed once both sides drop it.
+    /// producer that keeps the finished matrix (a partition owning every
+    /// row receives the whole hop) hands over a reference count, not a
+    /// copy. The matrix is freed once both sides drop it.
     ///
     /// # Errors
     ///
-    /// Fails fast once a previous write has failed (or the writer thread
-    /// died); the underlying cause is reported by
-    /// [`AsyncHopWriter::finish`].
-    pub fn submit(&mut self, k: usize, features: Arc<Matrix>) -> Result<(), DataIoError> {
+    /// [`DataIoError::OutOfRange`] for a partition the store does not
+    /// have; fails fast once a previous write has failed (or the writer
+    /// thread died), the cause being reported by [`StoreWriter::finish`]
+    /// / [`StoreWriter::take_failure`].
+    pub fn submit(&mut self, p: usize, k: usize, hop: Arc<Matrix>) -> Result<(), DataIoError> {
+        if p >= self.resumed.len() {
+            return Err(DataIoError::OutOfRange(format!(
+                "partition {p} out of range ({} partitions)",
+                self.resumed.len()
+            )));
+        }
         if self.failed.load(Ordering::Acquire) {
             return Err(DataIoError::Io(
-                "async hop writer already failed; finish() reports the cause".into(),
+                "hop writer already failed; finish() reports the cause".into(),
             ));
         }
         let tx = self
             .tx
             .as_ref()
-            .ok_or_else(|| DataIoError::Io("async hop writer already finished".into()))?;
+            .ok_or_else(|| DataIoError::Io("hop writer already finished".into()))?;
         let depth = self.stats.depth.fetch_add(1, Ordering::AcqRel) + 1;
         self.stats.queue_hwm.fetch_max(depth, Ordering::Relaxed);
-        let sent = match tx.try_send((k, features)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(payload)) => {
+        let sent = match tx.try_send((p, k, hop)) {
+            Err(TrySendError::Full(unit)) => {
                 // Queue full: storage is behind compute. Fall back to the
                 // blocking send and charge the wait to `submit_block_ns`.
                 let t0 = Instant::now();
-                let res = tx.send(payload);
+                let sent = tx.send(unit).is_ok();
                 let blocked = t0.elapsed().as_nanos() as u64;
                 self.stats
                     .submit_block_ns
                     .fetch_add(blocked, Ordering::Relaxed);
                 WRITER_SUBMIT_BLOCK_NS.add(blocked);
-                res.map_err(|_| ())
+                sent
             }
-            Err(TrySendError::Disconnected(_)) => Err(()),
+            res => res.is_ok(),
         };
-        if sent.is_err() {
+        if !sent {
             self.stats.depth.fetch_sub(1, Ordering::AcqRel);
             return Err(DataIoError::Io("hop-writer thread terminated early".into()));
         }
@@ -253,51 +279,90 @@ impl AsyncHopWriter {
         Ok(())
     }
 
-    /// `true` once a write has failed (or the writer thread died):
-    /// [`AsyncHopWriter::submit`] is fail-fast from then on, and
-    /// [`AsyncHopWriter::take_failure`] can retrieve the cause.
-    pub fn has_failed(&self) -> bool {
-        self.failed.load(Ordering::Acquire) || self.worker.as_ref().is_none_or(|w| w.is_finished())
-    }
-
-    /// Consumes the writer and returns the latched failure, if any —
-    /// for callers abandoning a run mid-way (a failed `submit`) that
-    /// still want the underlying cause rather than the fail-fast
-    /// placeholder. Returns `None` when no write ever failed (the
-    /// abandoned, incomplete store is left behind either way).
+    /// Consumes the writer and returns the latched failure, if any — for
+    /// callers abandoning a run mid-way (a failed `submit`) that still
+    /// want the underlying cause rather than the fail-fast placeholder.
+    /// Returns `None` when no write ever failed (the abandoned, incomplete
+    /// store is left behind either way).
     pub fn take_failure(mut self) -> Option<DataIoError> {
-        drop(self.tx.take());
-        let worker = self.worker.take()?;
-        match worker.join() {
-            Ok(Ok(_)) => None,
-            Ok(Err(e)) => Some(e),
-            Err(_) => Some(DataIoError::Io("hop-writer thread panicked".into())),
-        }
+        self.join()?.err()
     }
 
-    /// Closes the queue, joins the writer thread, and finishes the store.
+    /// Closes the queue, joins the writer thread, commits every partition
+    /// directory, then atomically commits the root `sharded.txt` — the
+    /// store's commit point, so an interrupted run never leaves a root
+    /// manifest pointing at incomplete partitions — and opens the store.
     ///
     /// # Errors
     ///
-    /// Surfaces the latched first write error if any write failed, a
-    /// completeness error if hops are missing, or open-time validation
-    /// failures — the same contract as [`FeatureStoreWriter::finish`].
+    /// Surfaces the latched first write error, a completeness error if
+    /// hops are missing, or open-time validation failures.
     pub fn finish(mut self) -> Result<FeatureStore, DataIoError> {
-        drop(self.tx.take()); // close the channel; the worker drains & exits
-        let worker = self.worker.take().expect("finish called once");
-        let writer = worker
+        let writers = self
             .join()
-            .map_err(|_| DataIoError::Io("hop-writer thread panicked".into()))??;
-        writer.finish()
+            .unwrap_or_else(|| Err(DataIoError::Io("hop writer already finished".into())))?;
+        for writer in writers {
+            writer.commit()?;
+        }
+        commit::write_bytes_atomic(
+            "sharded-manifest",
+            &self.dir.join(SHARDED_MANIFEST),
+            self.manifest.as_bytes(),
+        )?;
+        FeatureStore::open(&self.dir)
+    }
+
+    /// Closes the queue and joins the writer thread: the partition writers,
+    /// or the latched failure. `None` once joined.
+    fn join(&mut self) -> Option<Result<Vec<FeatureStoreWriter>, DataIoError>> {
+        drop(self.tx.take()); // close the queue; the worker drains & exits
+        let worker = self.worker.take()?;
+        Some(
+            worker
+                .join()
+                .unwrap_or_else(|_| Err(DataIoError::Io("hop-writer thread panicked".into()))),
+        )
     }
 }
 
+impl Drop for StoreWriter {
+    fn drop(&mut self) {
+        // Abandoned without finish() (e.g. diffusion errored): close the
+        // queue and join so no detached thread outlives the store handle.
+        let _ = self.join();
+    }
+}
+
+/// The writer thread: drains units in submission order into their
+/// partition's writer. The first failure latches; later units are
+/// drained and dropped so producers never block on a queue nobody is
+/// emptying.
+fn drain(
+    mut writers: Vec<FeatureStoreWriter>,
+    rx: &Receiver<Unit>,
+    failed: &AtomicBool,
+    stats: &StatsCells,
+) -> Result<Vec<FeatureStoreWriter>, DataIoError> {
+    let mut first_err = None;
+    while let Ok((p, k, hop)) = rx.recv() {
+        stats.depth.fetch_sub(1, Ordering::AcqRel);
+        if first_err.is_some() {
+            continue;
+        }
+        if let Err(e) = write_hop_with_retry(&mut writers[p], k, &hop, stats) {
+            failed.store(true, Ordering::Release);
+            WRITER_LATCHED_FAILURES.add(1);
+            first_err = Some(e);
+        }
+    }
+    first_err.map_or(Ok(writers), Err)
+}
+
 /// One hop write with up to [`DEFAULT_WRITE_RETRIES`] retries with
-/// backoff. Only
-/// [`DataIoError::Io`] — the transient class (full disk coming back,
-/// NFS hiccups, injected write faults) — is retried; shape and range
-/// errors are deterministic caller bugs and latch immediately. The
-/// write itself is an atomic commit, so a retry after a mid-write
+/// backoff. Only [`DataIoError::Io`] — the transient class (full disk
+/// coming back, NFS hiccups, injected write faults) — is retried; shape
+/// and range errors are deterministic caller bugs and latch immediately.
+/// The write itself is an atomic commit, so a retry after a mid-write
 /// failure starts from a clean slate.
 fn write_hop_with_retry(
     writer: &mut FeatureStoreWriter,
@@ -318,17 +383,6 @@ fn write_hop_with_retry(
                 ));
             }
             Err(e) => return Err(e),
-        }
-    }
-}
-
-impl Drop for AsyncHopWriter {
-    fn drop(&mut self) {
-        // Abandoned without finish() (e.g. diffusion errored): close the
-        // queue and join so no detached thread outlives the store handle.
-        drop(self.tx.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
         }
     }
 }
@@ -355,6 +409,11 @@ mod tests {
         }
     }
 
+    /// One partition owning every row.
+    fn single(rows: usize) -> Vec<Vec<usize>> {
+        vec![(0..rows).collect()]
+    }
+
     fn hop_matrix(k: usize, rows: usize, cols: usize) -> Arc<Matrix> {
         Arc::new(Matrix::from_fn(rows, cols, move |r, c| {
             (k * 1000 + r * 10 + c) as f32
@@ -366,18 +425,18 @@ mod tests {
         let sync_dir = temp_dir("sync");
         let async_dir = temp_dir("queued");
         let mut sync_w = FeatureStoreWriter::create(&sync_dir, meta(10, 3, 3)).unwrap();
-        let mut async_w = AsyncHopWriter::create(&async_dir, meta(10, 3, 3), 2).unwrap();
+        let mut async_w = StoreWriter::create(&async_dir, meta(10, 3, 3), &single(10), 2).unwrap();
         for k in 0..3 {
             let m = hop_matrix(k, 10, 3);
             sync_w.write_hop(k, &m).unwrap();
-            async_w.submit(k, m).unwrap();
+            async_w.submit(0, k, m).unwrap();
         }
         sync_w.finish().unwrap();
         let store = async_w.finish().unwrap();
         assert_eq!(store.meta().num_hops, 3);
         for k in 0..3 {
             let a = std::fs::read(sync_dir.join(format!("hop_{k}.ppgt"))).unwrap();
-            let b = std::fs::read(async_dir.join(format!("hop_{k}.ppgt"))).unwrap();
+            let b = std::fs::read(async_dir.join(format!("part_0/hop_{k}.ppgt"))).unwrap();
             assert_eq!(a, b, "hop {k} bytes differ between sync and async path");
         }
         std::fs::remove_dir_all(&sync_dir).unwrap();
@@ -387,13 +446,14 @@ mod tests {
     #[test]
     fn bad_shape_error_is_latched_and_surfaced_at_finish() {
         let dir = temp_dir("badshape");
-        let mut w = AsyncHopWriter::create(&dir, meta(10, 3, 2), 1).unwrap();
-        w.submit(0, Arc::new(Matrix::zeros(5, 3))).unwrap(); // wrong row count
-                                                             // The failure latches; eventually submit fails fast (the writer
-                                                             // thread needs a moment to observe the bad hop, so poll).
+        let mut w = StoreWriter::create(&dir, meta(10, 3, 2), &single(10), 1).unwrap();
+        w.submit(0, 0, Arc::new(Matrix::zeros(5, 3))).unwrap(); // wrong row count
+
+        // The failure latches; eventually submit fails fast (the writer
+        // thread needs a moment to observe the bad hop, so poll).
         let mut fast_failed = false;
         for _ in 0..1000 {
-            match w.submit(1, hop_matrix(1, 10, 3)) {
+            match w.submit(0, 1, hop_matrix(1, 10, 3)) {
                 Err(_) => {
                     fast_failed = true;
                     break;
@@ -410,8 +470,8 @@ mod tests {
     #[test]
     fn missing_hops_fail_finish_like_the_sync_writer() {
         let dir = temp_dir("missing");
-        let mut w = AsyncHopWriter::create(&dir, meta(6, 2, 3), 2).unwrap();
-        w.submit(0, hop_matrix(0, 6, 2)).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(6, 2, 3), &single(6), 2).unwrap();
+        w.submit(0, 0, hop_matrix(0, 6, 2)).unwrap();
         let err = w.finish().unwrap_err();
         assert!(err.to_string().contains("never written"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -420,8 +480,8 @@ mod tests {
     #[test]
     fn drop_without_finish_joins_the_worker() {
         let dir = temp_dir("dropped");
-        let mut w = AsyncHopWriter::create(&dir, meta(6, 2, 2), 1).unwrap();
-        w.submit(0, hop_matrix(0, 6, 2)).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(6, 2, 2), &single(6), 1).unwrap();
+        w.submit(0, 0, hop_matrix(0, 6, 2)).unwrap();
         drop(w); // must join cleanly, not hang or leak the thread
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -433,10 +493,10 @@ mod tests {
         // disk writes trail a tight submit loop: some submit must find the
         // queue full, take the blocking path, and accumulate block time.
         let (rows, cols, hops) = (4096, 64, 8);
-        let mut w = AsyncHopWriter::create(&dir, meta(rows, cols, hops), 1).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(rows, cols, hops), &single(rows), 1).unwrap();
         let matrices: Vec<Arc<Matrix>> = (0..hops).map(|k| hop_matrix(k, rows, cols)).collect();
         for (k, m) in matrices.into_iter().enumerate() {
-            w.submit(k, m).unwrap();
+            w.submit(0, k, m).unwrap();
         }
         let stats = w.stats();
         assert_eq!(stats.submitted, hops as u64);
@@ -464,19 +524,11 @@ mod tests {
             crate::fault::FaultPlan::one_shot("hop", crate::fault::FaultKind::WriteErr, 2)
                 .scoped(&dir.to_string_lossy()),
         );
-        let mut w = AsyncHopWriter::create(&dir, meta(8, 3, 3), 2).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(8, 3, 3), &single(8), 2).unwrap();
         for k in 0..3 {
-            w.submit(k, hop_matrix(k, 8, 3)).unwrap();
+            w.submit(0, k, hop_matrix(k, 8, 3)).unwrap();
         }
-        // The retry happens on the writer thread; wait for it to land
-        // before snapshotting (finish() consumes the handle).
-        for _ in 0..1000 {
-            if w.stats().retries >= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let stats = w.stats();
+        let stats = stats_after_retries(&w, 1);
         let store = w.finish().unwrap();
         crate::fault::clear();
         assert_eq!(store.meta().num_hops, 3);
@@ -487,14 +539,14 @@ mod tests {
     #[test]
     fn resumed_async_writer_reports_journaled_hops() {
         let dir = temp_dir("resume");
-        let mut w = AsyncHopWriter::create(&dir, meta(8, 3, 3), 2).unwrap();
-        w.submit(1, hop_matrix(1, 8, 3)).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(8, 3, 3), &single(8), 2).unwrap();
+        w.submit(0, 1, hop_matrix(1, 8, 3)).unwrap();
         drop(w); // "crash" with only hop 1 committed
 
-        let mut w = AsyncHopWriter::create_or_resume(&dir, meta(8, 3, 3), 2).unwrap();
-        assert_eq!(w.resumed_hops(), &[false, true, false]);
+        let mut w = StoreWriter::create_or_resume(&dir, meta(8, 3, 3), &single(8), 2).unwrap();
+        assert_eq!(w.resumed_hops(0), &[false, true, false]);
         for k in [0, 2] {
-            w.submit(k, hop_matrix(k, 8, 3)).unwrap();
+            w.submit(0, k, hop_matrix(k, 8, 3)).unwrap();
         }
         let store = w.finish().unwrap();
         assert_eq!(store.meta().num_hops, 3);
@@ -504,11 +556,11 @@ mod tests {
     #[test]
     fn unbounded_queue_depth_is_clamped_to_the_hop_count() {
         // `sync_channel(usize::MAX)` overflows its capacity and panics;
-        // the depth is clamped to the store's hop count instead.
+        // the depth is clamped to the store's hop units instead.
         let dir = temp_dir("hugequeue");
-        let mut w = AsyncHopWriter::create(&dir, meta(6, 2, 3), usize::MAX).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(6, 2, 3), &single(6), usize::MAX).unwrap();
         for k in 0..3 {
-            w.submit(k, hop_matrix(k, 6, 2)).unwrap();
+            w.submit(0, k, hop_matrix(k, 6, 2)).unwrap();
         }
         let mut store = w.finish().unwrap();
         for k in 0..3 {
@@ -523,14 +575,94 @@ mod tests {
     #[test]
     fn bounded_queue_applies_backpressure_without_deadlock() {
         let dir = temp_dir("backpressure");
-        let mut w = AsyncHopWriter::create(&dir, meta(64, 8, 16), 1).unwrap();
+        let mut w = StoreWriter::create(&dir, meta(64, 8, 16), &single(64), 1).unwrap();
         // Submit far more hops than the queue depth; every submit must
         // complete (blocking at most until the writer drains one slot).
         for k in 0..16 {
-            w.submit(k, hop_matrix(k, 64, 8)).unwrap();
+            w.submit(0, k, hop_matrix(k, 64, 8)).unwrap();
         }
         let store = w.finish().unwrap();
         assert_eq!(store.meta().num_hops, 16);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `w`'s stats once `retries` retries have landed (or 10 s passed):
+    /// retries happen on the writer thread, after `submit` returns.
+    fn stats_after_retries(w: &StoreWriter, retries: u64) -> WriterStats {
+        for _ in 0..10_000 {
+            if w.stats().retries >= retries {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        w.stats()
+    }
+
+    /// FNV-1a over every file under `dir` (sorted relative paths and
+    /// contents).
+    fn dir_digest(dir: &Path) -> u64 {
+        fn walk(dir: &Path, root: &Path, files: &mut Vec<(String, PathBuf)>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    walk(&path, root, files);
+                } else {
+                    let rel = path
+                        .strip_prefix(root)
+                        .unwrap()
+                        .to_string_lossy()
+                        .into_owned();
+                    files.push((rel, path));
+                }
+            }
+        }
+        let mut files = Vec::new();
+        walk(dir, dir, &mut files);
+        files.sort();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (rel, path) in files {
+            for b in rel
+                .into_bytes()
+                .into_iter()
+                .chain(std::fs::read(path).unwrap())
+            {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn partitioned_writer_stats_keep_retries() {
+        // A two-partition store whose first hop write fails once: the
+        // retry absorbs it, the store stats count it, and the bytes are a
+        // clean run's.
+        let rows_by_part = vec![vec![0, 2, 4, 6], vec![1, 3, 5, 7]];
+        let write = |dir: &Path, retries: u64| {
+            let mut w = StoreWriter::create(dir, meta(8, 3, 3), &rows_by_part, 2).unwrap();
+            for k in 0..3 {
+                let hop = hop_matrix(k, 8, 3);
+                for (p, rows) in rows_by_part.iter().enumerate() {
+                    w.submit(p, k, Arc::new(hop.gather_rows(rows))).unwrap();
+                }
+            }
+            let stats = stats_after_retries(&w, retries);
+            w.finish().unwrap();
+            stats
+        };
+        let clean = temp_dir("retry-p2-clean");
+        assert_eq!(write(&clean, 0).retries, 0);
+        let dir = temp_dir("retry-p2");
+        crate::fault::install(
+            crate::fault::FaultPlan::one_shot("hop", crate::fault::FaultKind::WriteErr, 1)
+                .scoped(&dir.to_string_lossy()),
+        );
+        let stats = write(&dir, 1);
+        crate::fault::clear();
+        assert_eq!(stats.retries, 1, "{stats:?}");
+        assert_eq!(stats.submitted, 6);
+        assert_eq!(dir_digest(&dir), dir_digest(&clean));
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&clean).unwrap();
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ThreadSanitizer leg of the concurrency audit: re-runs
-# tests/concurrency_audit.rs (worker-pool batch races, async hop-writer
-# error latch, double-buffer producer panics) with `-Zsanitizer=thread`.
+# tests/concurrency_audit.rs (worker-pool batch races, StoreWriter
+# error latch and drop ordering, double-buffer producer panics) with
+# `-Zsanitizer=thread`.
 #
 # TSan requires a nightly toolchain plus `rust-src` (the standard
 # library must be rebuilt instrumented via -Zbuild-std). Skips with

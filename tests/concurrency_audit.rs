@@ -1,6 +1,6 @@
 //! Seeded concurrency stress harness for the threaded subsystems:
 //! [`WorkerPool`] under many concurrent caller threads, the
-//! [`AsyncHopWriter`] error latch and drop ordering, and
+//! [`StoreWriter`] error latch and drop ordering, and
 //! [`DoubleBufferLoader`] recovery from a panicking producer.
 //!
 //! Runs under plain `cargo test`; `scripts/run_tsan_stress.sh` re-runs
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use preprop_gnn::core::loader::{BatchSource, DoubleBufferLoader, Loader, LoaderCounters, PpBatch};
-use preprop_gnn::dataio::{AsyncHopWriter, DataIoError, StoreMeta};
+use preprop_gnn::dataio::{DataIoError, StoreMeta, StoreWriter};
 use preprop_gnn::tensor::{Matrix, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,6 +117,11 @@ fn audit_meta(rows: usize, cols: usize, hops: usize) -> StoreMeta {
     }
 }
 
+/// One partition owning all `rows` rows.
+fn one_part(rows: usize) -> Vec<Vec<usize>> {
+    vec![(0..rows).collect()]
+}
+
 /// Seeded sweep over failure positions: a bad-shaped hop lands at a
 /// random point in the submission stream. The writer must latch the
 /// first failure, eventually fail fast on later submits, and surface the
@@ -129,7 +134,7 @@ fn async_writer_latches_first_failure_under_seeded_streams() {
         let bad_at = rng.random_range(0..hops - 1);
         let queue = rng.random_range(1..4usize);
         let dir = temp_dir(&format!("latch-{seed}"));
-        let mut w = AsyncHopWriter::create(&dir, audit_meta(8, 3, hops), queue).unwrap();
+        let mut w = StoreWriter::create(&dir, audit_meta(8, 3, hops), &one_part(8), queue).unwrap();
 
         let mut saw_fast_fail = false;
         for k in 0..hops {
@@ -138,7 +143,7 @@ fn async_writer_latches_first_failure_under_seeded_streams() {
             } else {
                 Matrix::from_fn(8, 3, move |r, c| (k * 100 + r * 10 + c) as f32)
             };
-            if w.submit(k, Arc::new(m)).is_err() {
+            if w.submit(0, k, Arc::new(m)).is_err() {
                 saw_fast_fail = true;
                 break;
             }
@@ -166,7 +171,7 @@ fn async_writer_drop_order_is_clean_after_failure() {
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(0xD80F + seed);
         let dir = temp_dir(&format!("drop-{seed}"));
-        let mut w = AsyncHopWriter::create(&dir, audit_meta(8, 3, 6), 2).unwrap();
+        let mut w = StoreWriter::create(&dir, audit_meta(8, 3, 6), &one_part(8), 2).unwrap();
         let submit_until = rng.random_range(1..6usize);
         for k in 0..submit_until {
             let m = if rng.random_range(0..2u32) == 0 {
@@ -174,7 +179,7 @@ fn async_writer_drop_order_is_clean_after_failure() {
             } else {
                 Matrix::zeros(8, 3)
             };
-            if w.submit(k, Arc::new(m)).is_err() {
+            if w.submit(0, k, Arc::new(m)).is_err() {
                 break;
             }
         }
@@ -188,9 +193,10 @@ fn async_writer_drop_order_is_clean_after_failure() {
 #[test]
 fn async_writer_take_failure_reports_the_cause() {
     let dir = temp_dir("cause");
-    let mut w = AsyncHopWriter::create(&dir, audit_meta(8, 3, 4), 1).unwrap();
-    w.submit(0, Arc::new(Matrix::zeros(2, 2))).unwrap(); // wrong shape, latches
-    while !w.has_failed() {
+    let mut w = StoreWriter::create(&dir, audit_meta(8, 3, 4), &one_part(8), 1).unwrap();
+    // A wrong shape latches; keep submitting until `submit` fails fast.
+    w.submit(0, 0, Arc::new(Matrix::zeros(2, 2))).unwrap();
+    while w.submit(0, 1, Arc::new(Matrix::zeros(8, 3))).is_ok() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let cause = w.take_failure().expect("a write failed");

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_dataio::fault::{self, FaultKind, FaultPlan};
-use ppgnn_dataio::ShardedFeatureStore;
+use ppgnn_dataio::FeatureStore;
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 
@@ -131,7 +131,7 @@ fn seeded_kill_schedule_resumes_byte_identical() {
                 // `sharded.txt` commit point is missing), never
                 // partial-but-openable...
                 assert!(
-                    ShardedFeatureStore::open(&dir).is_err(),
+                    FeatureStore::open(&dir).is_err(),
                     "round {round}: interrupted store opened cleanly"
                 );
                 // ...and resuming completes it bit-exactly.

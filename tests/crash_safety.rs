@@ -21,8 +21,7 @@ use std::sync::{Arc, Mutex};
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_dataio::fault::{self, FaultPlan};
 use ppgnn_dataio::{
-    DataIoError, FeatureStore, FeatureStoreWriter, ShardedFeatureStore, ShardedStoreWriter,
-    StoreDtype, StoreMeta,
+    DataIoError, FeatureStore, FeatureStoreWriter, StoreDtype, StoreMeta, StoreWriter,
 };
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
@@ -217,7 +216,7 @@ fn sharded_corruption_is_located_at_every_partition_count() {
             }
             a
         };
-        let mut w = ShardedStoreWriter::create(&dir, m.clone(), &assignment, 2).unwrap();
+        let mut w = StoreWriter::create(&dir, m.clone(), &assignment, 2).unwrap();
         for k in 0..m.num_hops {
             let hop = hop_matrix(k, m.rows, m.cols);
             for (p, globals) in assignment.iter().enumerate() {
@@ -240,7 +239,7 @@ fn sharded_corruption_is_located_at_every_partition_count() {
             &Tamper::BitFlip,
             42 + parts as u64,
         );
-        let mut store = ShardedFeatureStore::open(&dir).unwrap();
+        let mut store = FeatureStore::open(&dir).unwrap();
         let err = store
             .read_full_hop(1)
             .err()
@@ -260,7 +259,7 @@ fn sharded_corruption_is_located_at_every_partition_count() {
             &Tamper::Truncate,
             7 + parts as u64,
         );
-        let err = ShardedFeatureStore::open(&dir)
+        let err = FeatureStore::open(&dir)
             .err()
             .unwrap_or_else(|| panic!("P={parts}: truncated partition opened cleanly"));
         assert!(located_corrupt(&err, false), "P={parts}: {err:?}");
@@ -292,7 +291,7 @@ fn killed_sharded_run_resumes_byte_identical_for_every_dtype_and_p() {
             fault::clear();
             assert!(err.is_err(), "{tag}: killed run reported success");
             assert!(
-                ShardedFeatureStore::open(&dir).is_err(),
+                FeatureStore::open(&dir).is_err(),
                 "{tag}: interrupted sharded store opened cleanly"
             );
 
@@ -340,7 +339,7 @@ fn killed_single_store_run_resumes_byte_identical_for_every_dtype() {
         // partial store.
         let part = dir.join("part_0");
         assert!(
-            FeatureStore::open(&part).is_err() && ShardedFeatureStore::open(&dir).is_err(),
+            FeatureStore::open(&part).is_err() && FeatureStore::open(&dir).is_err(),
             "{}: interrupted store opened cleanly",
             dtype.name()
         );

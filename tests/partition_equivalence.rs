@@ -25,9 +25,7 @@ use std::path::Path;
 
 use preprop_gnn::core::loader::{Loader, ShardedStorageChunkLoader};
 use preprop_gnn::core::preprocess::{Preprocessor, PrepropOutput};
-use preprop_gnn::dataio::{
-    AccessPath, FeatureStore, FeatureStoreWriter, ShardedFeatureStore, StoreDtype, StoreMeta,
-};
+use preprop_gnn::dataio::{AccessPath, FeatureStore, FeatureStoreWriter, StoreDtype, StoreMeta};
 use preprop_gnn::graph::synth::{DatasetProfile, SynthDataset};
 use preprop_gnn::graph::{BfsGrowPartitioner, Operator, Partitioner, RangeCutPartitioner};
 use preprop_gnn::tensor::Matrix;
@@ -195,7 +193,6 @@ fn sharded_store_rows_are_byte_identical_to_single_store() {
         let (_, mut sharded) = prep
             .clone()
             .with_num_partitions(parts)
-            .with_writer_queue(3)
             .run_with_sharded_store(&data, &dir, "pokec-sim", 32)
             .unwrap();
         assert_eq!(sharded.meta().rows, single.meta().rows);
@@ -251,7 +248,7 @@ fn sharded_loader_drives_an_unmodified_training_epoch() {
 
     // The same training loop the storage-path tests run — nothing about
     // the model, loss, or optimizer knows the store is sharded.
-    let store = preprop_gnn::dataio::ShardedFeatureStore::open(&base).unwrap();
+    let store = FeatureStore::open(&base).unwrap();
     let mut loader =
         ShardedStorageChunkLoader::new(store, out.train.labels.clone(), 64, AccessPath::Direct, 5);
     let mut model = Sgc::new(
@@ -299,7 +296,7 @@ fn plain_store_directory_streams_like_a_single_partition_store() {
         .run_with_sharded_store(&data, base.join("sharded"), "pokec-sim", 16)
         .unwrap();
     write_plain_store(&out, &base.join("plain"), 16);
-    let plain = ShardedFeatureStore::open(base.join("plain")).unwrap();
+    let plain = FeatureStore::open(base.join("plain")).unwrap();
     assert_eq!(plain.num_partitions(), 1);
 
     let mut a =

@@ -286,17 +286,16 @@ fn partially_labeled_run_keeps_the_two_buffer_budget() {
 /// one base, fully labeled) plus its writer's staging buffer, one encoded
 /// train hop; at `P = 1` the writer queue holds shared handles, not
 /// copies. More partitions add the partition copies of the train hop in
-/// flight: `queue` queued per partition writer, one being written by
-/// each, and one being gathered — at most `queue + 2` train hops summed
-/// over the partitions.
+/// flight through the one writer: `QUEUE` queued, one being written, and
+/// one being gathered — each a part of one train hop, so at most
+/// `QUEUE + 2` train hops.
 #[test]
 fn sharded_store_run_bounds_residency_with_partition_copies_in_flight() {
-    const QUEUE: usize = 2;
+    const QUEUE: usize = ppgnn_dataio::DEFAULT_WRITER_QUEUE;
     let _window = measuring();
     let data = SynthDataset::generate(fully_labeled(), 7).expect("generation succeeds");
     let prep = Preprocessor::new(vec![Operator::SymNorm], 3)
-        .with_store_dtype(ppgnn_dataio::StoreDtype::F32)
-        .with_writer_queue(QUEUE);
+        .with_store_dtype(ppgnn_dataio::StoreDtype::F32);
     let nf = full_matrix_bytes(&data);
     let train_hop = data.split.train.len() * data.profile.feature_dim * 4;
     let dir = std::env::temp_dir().join(format!("ppgnn-resid-shard-{}", std::process::id()));
@@ -657,7 +656,7 @@ fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
 
 #[test]
 fn compressed_store_reads_are_allocation_free_once_warm() {
-    use ppgnn_dataio::{AccessPath, FeatureStoreWriter, StoreDtype, StoreMeta};
+    use ppgnn_dataio::{AccessPath, StoreDtype, StoreMeta, StoreWriter};
     use ppgnn_tensor::Matrix;
 
     let _window = measuring();
@@ -665,64 +664,72 @@ fn compressed_store_reads_are_allocation_free_once_warm() {
     let _ = std::fs::remove_dir_all(&dir);
 
     for dtype in StoreDtype::ALL {
-        let sub = dir.join(dtype.name());
-        let meta = StoreMeta {
-            dataset: "resid".into(),
-            num_hops: 3,
-            rows: 64,
-            cols: 24,
-            chunk_size: 16,
-            dtype,
-        };
-        let mut w = FeatureStoreWriter::create(&sub, meta).unwrap();
-        for k in 0..3 {
-            let hop = Matrix::from_fn(64, 24, |r, c| ((k * 64 + r) * 24 + c) as f32 * 0.01 - 3.0);
-            w.write_hop(k, &hop).unwrap();
-        }
-        let mut store = w.finish().unwrap();
+        for parts in [1usize, 2] {
+            let meta = StoreMeta {
+                dataset: "resid".into(),
+                num_hops: 3,
+                rows: 64,
+                cols: 24,
+                chunk_size: 16,
+                dtype,
+            };
+            // Rows dealt round-robin, so row reads alternate partitions.
+            let mut rows_by_part = vec![Vec::new(); parts];
+            for r in 0..64 {
+                rows_by_part[r % parts].push(r);
+            }
+            let sub = dir.join(format!("{}-p{parts}", dtype.name()));
+            let mut w = StoreWriter::create(&sub, meta, &rows_by_part, 2).unwrap();
+            for k in 0..3 {
+                let hop =
+                    Matrix::from_fn(64, 24, |r, c| ((k * 64 + r) * 24 + c) as f32 * 0.01 - 3.0);
+                for (p, rows) in rows_by_part.iter().enumerate() {
+                    w.submit(p, k, std::sync::Arc::new(hop.gather_rows(rows)))
+                        .unwrap();
+                }
+            }
+            let mut store = w.finish().unwrap();
 
-        // Warm every slot: the caller-owned matrices, the store's encoded
-        // staging buffer, and the all-hops vector.
-        let mut chunk_slot = Matrix::default();
-        let mut rows_slot = Matrix::default();
-        let mut hop_slots = Vec::new();
-        for _ in 0..2 {
-            store
-                .read_chunk_into(0, 1, AccessPath::Direct, &mut chunk_slot)
-                .unwrap();
-            store
-                .read_rows_into(1, &[9, 3, 41], AccessPath::Direct, &mut rows_slot)
-                .unwrap();
-            store
-                .read_chunk_all_hops_into(2, AccessPath::Direct, &mut hop_slots)
-                .unwrap();
-        }
+            // Warm every slot: the caller-owned matrices, each partition's
+            // encoded staging buffer, and the all-hops vector.
+            let mut rows_slot = Matrix::default();
+            let mut hop_slots = Vec::new();
+            for _ in 0..2 {
+                store
+                    .read_rows_into(1, &[9, 3, 41], AccessPath::Direct, &mut rows_slot)
+                    .unwrap();
+                for p in 0..parts {
+                    store
+                        .read_chunk_all_hops_into(p, 1, AccessPath::Direct, &mut hop_slots)
+                        .unwrap();
+                }
+            }
 
-        // Steady state: encoded bytes stage into reused scratch and decode
-        // in place — the compressed paths may not allocate at all.
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for round in 0..10 {
-            store
-                .read_chunk_into(round % 3, round % 4, AccessPath::Direct, &mut chunk_slot)
-                .unwrap();
-            store
-                .read_rows_into(
-                    round % 3,
-                    &[9, 3, 41],
-                    AccessPath::HostBounce,
-                    &mut rows_slot,
-                )
-                .unwrap();
-            store
-                .read_chunk_all_hops_into(round % 4, AccessPath::Direct, &mut hop_slots)
-                .unwrap();
+            // Steady state: encoded bytes stage into reused scratch and
+            // decode in place — the compressed paths may not allocate at all.
+            let before = ALLOCS.load(Ordering::Relaxed);
+            for round in 0..10 {
+                store
+                    .read_rows_into(
+                        round % 3,
+                        &[9, 3, 41],
+                        AccessPath::HostBounce,
+                        &mut rows_slot,
+                    )
+                    .unwrap();
+                let p = round % parts;
+                let chunk = round % store.num_chunks(p);
+                store
+                    .read_chunk_all_hops_into(p, chunk, AccessPath::Direct, &mut hop_slots)
+                    .unwrap();
+            }
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(
+                allocs, 0,
+                "{dtype} P={parts} steady-state reads allocated {allocs} times; \
+                 the scratch/slot reuse of the decode path has regressed"
+            );
         }
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-        assert_eq!(
-            allocs, 0,
-            "{dtype} steady-state reads allocated {allocs} times; \
-             the scratch/slot reuse of the decode path has regressed"
-        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

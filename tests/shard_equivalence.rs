@@ -74,11 +74,10 @@ fn sharded_async_store_is_byte_identical_to_sequential_store() {
     let base = std::env::temp_dir().join(format!("ppgnn-shardeq-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    let run = |shards: usize, queue: usize, tag: &str| {
+    let run = |shards: usize, tag: &str| {
         let dir = base.join(tag);
         let prep = Preprocessor::new(vec![Operator::SymNorm, Operator::RowNorm], 3)
-            .with_num_shards(shards)
-            .with_writer_queue(queue);
+            .with_num_shards(shards);
         let (_, store) = prep
             .run_with_sharded_store(&data, &dir, "pokec-sim", 32)
             .unwrap();
@@ -86,8 +85,8 @@ fn sharded_async_store_is_byte_identical_to_sequential_store() {
         dir
     };
 
-    let seq_dir = run(1, 1, "sequential");
-    let shard_dir = run(4, 3, "sharded");
+    let seq_dir = run(1, "sequential");
+    let shard_dir = run(4, "sharded");
 
     // Every hop file and the manifests must match byte for byte — the
     // acceptance criterion for the sharded + async-writer pipeline.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use ppgnn_core::loader::{ChunkReshuffleLoader, Loader, ShardedStorageChunkLoader};
 use ppgnn_core::preprocess::Preprocessor;
-use ppgnn_dataio::{AccessPath, ShardedFeatureStore};
+use ppgnn_dataio::{AccessPath, FeatureStore};
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
 use ppgnn_graph::Operator;
 
@@ -41,7 +41,7 @@ fn storage_loader_matches_in_memory_chunk_loader() {
         .run_with_sharded_store(&data, &dir, "pokec-sim", CHUNK)
         .expect("store written");
 
-    let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+    let store = FeatureStore::open(&dir).expect("store reopens");
     let mut disk = ShardedStorageChunkLoader::new(
         store,
         prep.train.labels.clone(),
@@ -97,7 +97,7 @@ fn storage_loader_matches_memory_when_chunks_do_not_divide_rows() {
     assert_ne!(rows % CHUNK, 0, "fixture must exercise a short last chunk");
     assert_ne!(CHUNK % BATCH, 0);
 
-    let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+    let store = FeatureStore::open(&dir).expect("store reopens");
     let mut disk = ShardedStorageChunkLoader::new(
         store,
         prep.train.labels.clone(),
@@ -185,6 +185,64 @@ fn default_f32_store_bytes_are_pinned() {
         "default f32 store layout drifted from the pre-dtype format"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Pins the **partitioned** on-disk layout `run_with_sharded_store`
+/// writes at `P ∈ {1, 2}` for `f32` and `f16`: one FNV-1a digest over
+/// every file's relative path and bytes, sorted by path — `sharded.txt`,
+/// `part_*/manifest.txt`, `part_*/rows.ppgt` and `part_*/hop_*.ppgt`.
+/// A change to the writer, the manifest text or the rows sidecar that
+/// moves a byte fails here; like the plain pin above, a deliberate format
+/// change bumps a version instead of editing the constants.
+#[test]
+fn partitioned_store_layout_is_pinned() {
+    use ppgnn_dataio::StoreDtype;
+
+    fn files(dir: &std::path::Path, root: &std::path::Path, out: &mut Vec<(String, Vec<u8>)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                files(&path, root, out);
+            } else {
+                let rel = path.strip_prefix(root).unwrap().to_string_lossy();
+                out.push((rel.replace('\\', "/"), std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+
+    let data = SynthDataset::generate(DatasetProfile::pokec_sim().scaled(0.02), 3).unwrap();
+    let base = temp_dir("layout-pin");
+    let pins = [
+        (StoreDtype::F32, 1, 0x2320_879b_5968_be7c_u64),
+        (StoreDtype::F32, 2, 0xf122_5998_c026_c17c),
+        (StoreDtype::F16, 1, 0xbc46_c33f_4f73_b2ac),
+        (StoreDtype::F16, 2, 0x08b5_d24f_2555_1565),
+    ];
+    let mut drifted = Vec::new();
+    for (dtype, parts, pinned) in pins {
+        let dir = base.join(format!("{dtype}-p{parts}"));
+        Preprocessor::new(vec![Operator::SymNorm], 2)
+            .with_store_dtype(dtype)
+            .with_num_partitions(parts)
+            .run_with_sharded_store(&data, &dir, "layout-pin", 16)
+            .expect("store written");
+        let mut all = Vec::new();
+        files(&dir, &dir, &mut all);
+        all.sort();
+        let names: Vec<&str> = all.iter().map(|(rel, _)| rel.as_str()).collect();
+        assert_eq!(names.len(), 1 + parts * 5, "{dtype} P={parts}: {names:?}");
+        let h = all.iter().fold(0xcbf29ce484222325, |h, (rel, bytes)| {
+            fnv1a(fnv1a(h, rel.as_bytes()), bytes)
+        });
+        if h != pinned {
+            drifted.push(format!("{dtype} P={parts}: {h:#018x}"));
+        }
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+    assert!(
+        drifted.is_empty(),
+        "partitioned layout drifted: {drifted:?}"
+    );
 }
 
 /// Sharded stores must serve **bit-identical** rows to a single plain
@@ -285,7 +343,7 @@ fn compressed_store_drives_training_loop() {
         }
         w.finish().unwrap();
     }
-    let store = ShardedFeatureStore::open(&dir).expect("compressed store reopens");
+    let store = FeatureStore::open(&dir).expect("compressed store reopens");
     assert_eq!(store.meta().dtype, StoreDtype::F16);
     let mut loader =
         ShardedStorageChunkLoader::new(store, prep.train.labels.clone(), 48, AccessPath::Direct, 3);
@@ -323,7 +381,7 @@ fn corrupted_store_fails_closed_not_wrong() {
     let hop1 = dir.join("part_0").join("hop_1.ppgt");
     let bytes = std::fs::read(&hop1).unwrap();
     std::fs::write(&hop1, &bytes[..bytes.len() / 2]).unwrap();
-    let err = ShardedFeatureStore::open(&dir).expect_err("truncation must be detected");
+    let err = FeatureStore::open(&dir).expect_err("truncation must be detected");
     assert!(
         err.to_string().contains("truncated"),
         "unexpected error: {err}"
@@ -355,7 +413,7 @@ fn training_from_storage_matches_training_from_memory() {
         );
         let mut opt = Sgd::new(0.05);
         let mut loader: Box<dyn Loader> = if use_disk {
-            let store = ShardedFeatureStore::open(&dir).expect("store reopens");
+            let store = FeatureStore::open(&dir).expect("store reopens");
             Box::new(ShardedStorageChunkLoader::new(
                 store,
                 prep.train.labels.clone(),
