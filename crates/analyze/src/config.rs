@@ -172,6 +172,14 @@ impl Default for Config {
                 "sweep",
                 "masked_scale",
                 "draw_mask",
+                // The blocked draws under it and under dataset synthesis:
+                // the splitter hands each block its piece of the one
+                // generator stream (`StdRng::split`, in the vendored shim,
+                // allocates nothing either), and the block fills write
+                // where they lie.
+                "draw_blocked",
+                "fill_feature_rows",
+                "sample_normal",
                 "scaled_where_not_positive",
                 "slope_grad_sum",
                 "spmm_into",

@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use ppgnn_tensor::pool::draw_blocked;
 use ppgnn_tensor::{init, Matrix};
 
 use crate::gen::{self, Mixing};
@@ -319,19 +320,27 @@ impl SynthDataset {
             &mut rng,
         )?;
 
-        // Unit-norm class centroids.
-        let mut centroids = init::standard_normal(c, profile.feature_dim, &mut rng);
+        // Unit-norm class centroids scaled to `√F · signal`, then divided
+        // by `√F` (two roundings, as the values were always made): each
+        // class's shift.
+        let f = profile.feature_dim;
+        let mut centroids = init::standard_normal(c, f, &mut rng);
         centroids.l2_normalize_rows();
-        centroids.scale((profile.feature_dim as f32).sqrt() * profile.signal);
+        centroids.scale((f as f32).sqrt() * profile.signal);
+        centroids.map_inplace(|cv| cv / (f as f32).sqrt());
 
-        let mut features = init::standard_normal(n, profile.feature_dim, &mut rng);
-        for v in 0..n {
-            let centroid = centroids.row(labels[v] as usize).to_vec();
-            let row = features.row_mut(v);
-            for (f, cv) in row.iter_mut().zip(&centroid) {
-                *f += cv / (profile.feature_dim as f32).sqrt();
-            }
-        }
+        // Noise and shift in one pass over row blocks on the pool, each
+        // block drawing its piece of the serial stream: `rng` ends where a
+        // serial fill would leave it.
+        let mut features = Matrix::zeros(n, f);
+        draw_blocked(
+            features.as_mut_slice(),
+            FILL_ROWS * f,
+            init::NORMAL_DRAWS,
+            n * f * NORMAL_WORK,
+            &mut rng,
+            |rng, at, rows| fill_feature_rows(rows, &labels[at / f..], &centroids, rng),
+        );
 
         // Labeled subset, then split by the profile fractions.
         let mut ids: Vec<usize> = (0..n).collect();
@@ -384,6 +393,26 @@ impl SynthDataset {
             .filter(|&&i| self.labels[i] == majority)
             .count();
         hits as f64 / self.split.test.len() as f64
+    }
+}
+
+/// Rows per block of the feature fill: 64 rows of F = 1024 are 256 KiB
+/// and about 1.6 ms of draws, so the 40 000-row profiles cut into 625.
+const FILL_ROWS: usize = 64;
+
+/// Work one feature value counts for against the shared parallel
+/// threshold: a Box–Muller normal (a log, a square root and a cosine)
+/// costs about as much as 1000 GEMM multiply-adds.
+const NORMAL_WORK: usize = 1000;
+
+/// Fills whole feature rows from the next draws of `rng`, row-major: the
+/// value at column `j` of a node with label `y` is `N(0, 1) + shifts[y][j]`.
+/// `labels` starts at the first row's node.
+fn fill_feature_rows(rows: &mut [f32], labels: &[u32], shifts: &Matrix, rng: &mut StdRng) {
+    for (row, &label) in rows.chunks_exact_mut(shifts.cols()).zip(labels) {
+        for (x, &shift) in row.iter_mut().zip(shifts.row(label as usize)) {
+            *x = init::sample_normal(rng) + shift;
+        }
     }
 }
 

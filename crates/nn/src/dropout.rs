@@ -1,3 +1,4 @@
+use ppgnn_tensor::pool::draw_blocked;
 use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -10,8 +11,10 @@ use crate::{Mode, Module, Param};
 ///
 /// The layer owns a seeded RNG so whole-model training stays reproducible
 /// from construction-time seeds. Each training forward draws one `u64` per
-/// element, in row-major order, into a byte mask (the only serial part);
-/// applying the mask forward and backward is a row-blocked sweep that
+/// element, in row-major order, into a byte mask; a large mask is drawn in
+/// blocks on the pool, each block from its exact piece of the one stream,
+/// so the mask and the generator's state after it equal a serial draw.
+/// Applying the mask forward and backward is a row-blocked sweep that
 /// multiplies by `1/(1-p)` or `0` picked by the mask byte. The mask
 /// buffer is recycled across batches.
 #[derive(Debug)]
@@ -71,6 +74,15 @@ fn masked_scale(dst: &mut [f32], src: &[f32], mask: &[u8], scale: f32) {
     }
 }
 
+/// Mask bytes per draw block: 16 KiB, about 17 µs of draws, so SIGN's
+/// 2048 × 64 mask and HOGA's 1024 × 128 mask each cut into 8.
+const MASK_GRAIN: usize = 16 * 1024;
+
+/// Work one mask draw counts for against the shared parallel threshold: a
+/// generator step, a compare and a byte store take about as long as 46
+/// GEMM multiply-adds on one core.
+const DRAW_WORK: usize = 46;
+
 /// One draw per mask byte, in order: `1` when `(u >> 40) < threshold`.
 /// A function of its own so the generator state stays in registers across
 /// the loop instead of round-tripping through memory around every byte
@@ -97,7 +109,14 @@ impl Module for Dropout {
         let threshold = (keep * (1u64 << 24) as f32).ceil() as u64;
         let mut mask = self.mask_scratch.take().unwrap_or_default();
         mask.resize(x.len(), 0);
-        draw_mask(&mut self.rng, threshold, &mut mask);
+        draw_blocked(
+            &mut mask,
+            MASK_GRAIN,
+            1,
+            x.len() * DRAW_WORK,
+            &mut self.rng,
+            |rng, _, block| draw_mask(rng, threshold, block),
+        );
         self.apply(&mask, x, out);
         self.mask = Some(mask);
     }

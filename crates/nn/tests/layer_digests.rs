@@ -88,6 +88,28 @@ fn dropout_mask_stream_is_pinned_at_p_0_5() {
     at_both_thresholds("Dropout(0.5)", 0x246f90cdebbe02b1, || dropout_digest(0.5));
 }
 
+/// Three consecutive training forwards whose masks span several draw
+/// blocks each, the last a short batch: the stream runs on across calls
+/// and across block boundaries exactly as one serial draw would.
+fn dropout_multi_block_digest(p: f32) -> u64 {
+    let mut d = Digest::new();
+    let mut layer = Dropout::new(p, 0xb10c);
+    for (step, (rows, cols)) in [(2048, 67), (2048, 67), (333, 67)].into_iter().enumerate() {
+        let x = fixed(rows, cols, 7 + step, true);
+        let g = fixed(rows, cols, 53 + step, true);
+        d.matrix(&layer.forward(&x, Mode::Train));
+        d.matrix(&layer.backward(&g));
+    }
+    d.0
+}
+
+#[test]
+fn dropout_mask_stream_is_pinned_across_draw_blocks() {
+    at_both_thresholds("Dropout(0.3), multi-block", 0x2a8e9358fc244fcb, || {
+        dropout_multi_block_digest(0.3)
+    });
+}
+
 #[test]
 fn relu_forward_and_backward_are_pinned() {
     at_both_thresholds("Relu", 0xe4015ff957af3ea4, || {

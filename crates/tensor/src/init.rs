@@ -46,7 +46,13 @@ pub fn he_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Matrix {
     normal(fan_in, fan_out, 0.0, std, rng)
 }
 
-fn sample_normal(rng: &mut impl Rng) -> f32 {
+/// Draws [`sample_normal`] takes from its generator per value.
+pub const NORMAL_DRAWS: u64 = 2;
+
+/// One standard-normal value from the next [`NORMAL_DRAWS`] draws of
+/// `rng` (Box–Muller): the per-element sampler behind [`standard_normal`]
+/// and [`normal`], for fills that lay out their own values.
+pub fn sample_normal(rng: &mut impl Rng) -> f32 {
     // Box–Muller; clamp u1 away from 0 so ln() stays finite.
     let u1: f32 = rng.random_range(f32::MIN_POSITIVE..1.0);
     let u2: f32 = rng.random();

@@ -7,7 +7,8 @@
 //! call costs one boxed closure per task plus a completion wait. Every
 //! row-parallel kernel — GEMM, SpMM, the token-level passes of the HOGA
 //! stack — cuts its outputs through the one splitter here,
-//! [`WorkerPool::run_row_blocks`].
+//! [`WorkerPool::run_row_blocks`]; a pass that draws from one generator
+//! stream (dataset synthesis, Dropout masks) cuts it with [`draw_blocked`].
 //!
 //! Sizing: the global [`pool`] defaults to
 //! `std::thread::available_parallelism` and is overridable with the
@@ -28,6 +29,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ppgnn_telemetry::Counter;
+use rand::rngs::StdRng;
 
 /// Pool-wide telemetry totals, mirrored from the per-worker accumulators
 /// as jobs complete. Recording happens only while telemetry is enabled
@@ -579,6 +581,56 @@ where
     pool().run_row_blocks(outs, blocks, ntasks, body);
 }
 
+/// Runs a pass that takes `draws` outputs of `rng`'s stream per value of
+/// `data`, in order, as `body(rng, at, block)` over fixed `grain`-value
+/// blocks, where `at` is the offset of the block's first value.
+///
+/// Above the shared threshold (`work` in multiply-adds) the blocks run on
+/// the global pool in contiguous runs, one per task: the caller splits each
+/// run's draws off `rng` in order ([`StdRng::split`]) and each block draws
+/// from its own split of its run — exactly the draws a serial pass gives
+/// it. Every value, and `rng`'s state afterwards, is therefore the same at
+/// every pool width and threshold. Below the threshold `data` is one block,
+/// drawn on the caller from `rng` itself.
+///
+/// # Panics
+///
+/// Panics if `grain` is zero.
+pub fn draw_blocked<T, F>(
+    data: &mut [T],
+    grain: usize,
+    draws: u64,
+    work: usize,
+    rng: &mut StdRng,
+    body: F,
+) where
+    T: Send,
+    F: Fn(&mut StdRng, usize, &mut [T]) + Sync,
+{
+    let blocks = data.len().div_ceil(grain);
+    let ntasks = threads_for(work).min(blocks);
+    if ntasks <= 1 {
+        body(rng, 0, data);
+        return;
+    }
+    let per = blocks.div_ceil(ntasks) * grain;
+    let body = &body;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = data
+        .chunks_mut(per)
+        .enumerate()
+        .map(|(task, run)| {
+            let mut stream = rng.split(draws * run.len() as u64);
+            Box::new(move || {
+                for (i, block) in run.chunks_mut(grain).enumerate() {
+                    let mut piece = stream.split(draws * block.len() as u64);
+                    body(&mut piece, task * per + i * grain, block);
+                }
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool().run(tasks);
+}
+
 /// Which of the two per-thread packing buffers a kernel is asking for.
 ///
 /// GEMM packs `B` once per call and reads `A` in place: the shared-`B`
@@ -969,6 +1021,36 @@ mod tests {
         PackWorkspace::give(PackBuf::OperandA, a);
         PackWorkspace::give(PackBuf::OperandA, a2);
         PackWorkspace::give(PackBuf::OperandB, b);
+    }
+
+    #[test]
+    fn draw_blocked_draws_the_serial_stream_at_every_threshold() {
+        use rand::{RngCore, SeedableRng};
+
+        // Three draws per value, 1000 values in 64-value blocks (the last
+        // one short); each value records its offset and its draws.
+        let pass = |threshold: usize| {
+            let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
+            let prev = parallel_threshold();
+            set_parallel_threshold(threshold);
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut data = vec![(0usize, 0u64); 1000];
+            draw_blocked(&mut data, 64, 3, 1000, &mut rng, |rng, at, block| {
+                for (i, v) in block.iter_mut().enumerate() {
+                    *v = (
+                        at + i,
+                        rng.next_u64() ^ rng.next_u64().rotate_left(1) ^ rng.next_u64(),
+                    );
+                }
+            });
+            set_parallel_threshold(prev);
+            (data, rng.next_u64())
+        };
+        let (serial, serial_next) = pass(usize::MAX);
+        assert!(serial.iter().enumerate().all(|(i, &(at, _))| at == i));
+        let (pooled, pooled_next) = pass(0);
+        assert!(pooled == serial, "pooled blocks drew other values");
+        assert_eq!(pooled_next, serial_next, "the generator ended elsewhere");
     }
 
     #[test]

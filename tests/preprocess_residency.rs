@@ -564,6 +564,23 @@ fn hoga_train_step_allocations_do_not_grow_with_the_batch() {
     );
 }
 
+#[test]
+fn generator_splits_allocate_nothing() {
+    use rand::SeedableRng;
+
+    let _window = measuring();
+    // A split at a new length computes its jump polynomial, a repeat
+    // reuses it; neither may touch the heap: Dropout's pooled mask draw
+    // splits once per block on its hot path.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for draws in [16_384, 16_384, 131_072, 7, (1 << 20) + 3, 0] {
+        std::hint::black_box(rng.split(draws));
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(allocs, 0, "splitting a generator allocated {allocs} times");
+}
+
 /// Batches a `fit` over the in-memory double buffer can have alive at
 /// once, and so the most its spare pool ever allocates: the queue depth
 /// (2) in the channel, one being gathered, one at the trainer.
