@@ -27,6 +27,8 @@ pub const L_KNOB_TABLE: &str = "knob_table";
 pub const L_PARSE: &str = "parse";
 /// An expect-message allowlist entry matches no remaining call site.
 pub const L_ALLOWLIST: &str = "stale_allowlist";
+/// A hot-path or span-forbidden name (or prefix) matches no library fn.
+pub const L_STALE_NAME: &str = "stale_name";
 
 /// What a source file is compiled as; decides which lints apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +66,11 @@ impl FileKind {
 /// policy; tests construct custom ones.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Exact function names on the hot path (L3).
+    /// Exact function names on the hot path (L3). Every entry must
+    /// match at least one library fn or the stale-name check fires.
     pub hot_path_exact: Vec<String>,
-    /// Function-name prefixes on the hot path (L3).
+    /// Function-name prefixes on the hot path (L3); each must match a
+    /// library fn, like the exact names.
     pub hot_path_prefixes: Vec<String>,
     /// `.expect()` messages allowed in library code (L5). Every entry
     /// must match at least one live call site or the stale-allowlist
@@ -77,7 +81,8 @@ pub struct Config {
     /// Exact function names where telemetry span creation is forbidden
     /// (L6): the GEMM micro-kernel drivers and SpMM inner loops, where a
     /// span per call would mean thousands of ring-buffer pushes per
-    /// matmul. Counters are fine there; spans are not.
+    /// matmul. Counters are fine there; spans are not. Stale entries
+    /// fire like stale hot-path names.
     pub span_forbidden_exact: Vec<String>,
     /// Path prefixes whose library code must route durable writes
     /// through the atomic-commit funnel (L7): the store/manifest write
@@ -187,7 +192,14 @@ impl Default for Config {
                 "spmm_rows_into",
                 "spmm_window_rows_into",
                 "spmm_row",
-                "spmm_row_untiled",
+                // The SpMM row kernel and its backends write every output
+                // where it lies.
+                "weighted_rows_into",
+                "weighted_rows_portable",
+                "weighted_rows_avx2",
+                "strip_avx2",
+                "weighted_rows_avx512",
+                "strip_avx512",
                 // The store chunk checksums hash every byte written and
                 // every byte verified on first read.
                 "fnv1a_words",
@@ -271,7 +283,12 @@ impl Default for Config {
                 "spmm_rows_into",
                 "spmm_window_rows_into",
                 "spmm_row",
-                "spmm_row_untiled",
+                "weighted_rows_into",
+                "weighted_rows_portable",
+                "weighted_rows_avx2",
+                "strip_avx2",
+                "weighted_rows_avx512",
+                "strip_avx512",
                 "fnv1a_words",
                 "fnv1a_bytes",
             ]),

@@ -19,9 +19,11 @@
 //!    inner loops); counters are fine there, spans belong at task/hop
 //!    granularity.
 //!
-//! Two repo-level checks ride along: the EXPERIMENTS.md knob table must
-//! match the registry ([`knob_table`]), and every expect-allowlist
-//! entry must still match a live call site (`stale_allowlist`).
+//! Three repo-level checks ride along: the EXPERIMENTS.md knob table must
+//! match the registry ([`knob_table`]), every expect-allowlist entry
+//! must still match a live call site (`stale_allowlist`), and every
+//! hot-path / span-forbidden name and prefix must still match a library
+//! fn (`stale_name`).
 //!
 //! Escape hatch: `// ppgnn-analyze: allow(<lint>)` on the finding line
 //! or directly above it silences one line; the same comment in the
@@ -35,7 +37,7 @@ pub mod knob_table;
 mod lints;
 mod source;
 
-use config::{Config, FileKind, L_ALLOWLIST, L_PARSE};
+use config::{Config, FileKind, L_ALLOWLIST, L_PARSE, L_STALE_NAME};
 use lints::FilePass;
 use source::SourceText;
 
@@ -80,15 +82,24 @@ impl Report {
     }
 }
 
-/// Lints a single file's source text. Returns the diagnostics plus the
-/// allowlisted `.expect()` messages seen (for the stale-allowlist
-/// aggregation in [`analyze_root`]).
+/// What one file contributes to the workspace-wide stale checks of
+/// [`analyze_root`].
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Seen {
+    /// Allowlisted `.expect()` messages at their call sites.
+    pub expects: Vec<String>,
+    /// Names of the fns in library scope (non-test library code).
+    pub fns: Vec<String>,
+}
+
+/// Lints a single file's source text. Returns the diagnostics plus what
+/// the stale checks of [`analyze_root`] aggregate.
 pub fn analyze_source(
     rel_path: &str,
     src: &str,
     kind: FileKind,
     config: &Config,
-) -> (Vec<Diagnostic>, Vec<String>) {
+) -> (Vec<Diagnostic>, Seen) {
     let file = match syn::parse_file(src) {
         Ok(f) => f,
         Err(e) => {
@@ -100,7 +111,7 @@ pub fn analyze_source(
                     lint: L_PARSE,
                     message: format!("failed to lex: {e}"),
                 }],
-                Vec::new(),
+                Seen::default(),
             );
         }
     };
@@ -112,10 +123,15 @@ pub fn analyze_source(
         src: &text,
         config,
         seen_expects: Vec::new(),
+        seen_fns: Vec::new(),
         diags: Vec::new(),
     };
     pass.run(&file, &all_tokens);
-    (pass.diags, pass.seen_expects)
+    let seen = Seen {
+        expects: pass.seen_expects,
+        fns: pass.seen_fns,
+    };
+    (pass.diags, seen)
 }
 
 /// Flattens the item model back into one token slice for the
@@ -151,25 +167,29 @@ fn collect_tokens(items: &[syn::Item]) -> Vec<proc_macro2::TokenTree> {
 }
 
 /// Lints every first-party `.rs` file under `root` and runs the
-/// repo-level checks (knob table, stale allowlist).
+/// repo-level checks (knob table, stale allowlist, stale names).
 pub fn analyze_root(root: &Path, config: &Config) -> std::io::Result<Report> {
     let mut files = Vec::new();
     discover(root, root, &mut files)?;
     files.sort();
 
     let mut report = Report::default();
-    let mut seen_expects: Vec<String> = Vec::new();
+    let mut seen = Seen::default();
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
         let kind = FileKind::classify(rel);
-        let (diags, expects) = analyze_source(rel, &src, kind, config);
+        let (diags, file_seen) = analyze_source(rel, &src, kind, config);
         report.diagnostics.extend(diags);
-        seen_expects.extend(expects);
+        seen.expects.extend(file_seen.expects);
+        seen.fns.extend(file_seen.fns);
         report.files_scanned += 1;
     }
 
+    report
+        .diagnostics
+        .extend(stale_name_findings(config, &seen.fns));
     for entry in &config.expect_allowlist {
-        if !seen_expects.contains(entry) {
+        if !seen.expects.contains(entry) {
             report.diagnostics.push(Diagnostic {
                 path: "crates/analyze/src/config.rs".to_string(),
                 line: 1,
@@ -187,6 +207,36 @@ pub fn analyze_root(root: &Path, config: &Config) -> std::io::Result<Report> {
         .diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
     Ok(report)
+}
+
+/// One `stale_name` finding per name-list entry of `config` that matches
+/// none of `fns` (the library fns [`analyze_source`] saw), reported at
+/// the config file like a stale allowlist entry: an entry left behind by a
+/// rename or deletion lints nothing.
+pub fn stale_name_findings(config: &Config, fns: &[String]) -> Vec<Diagnostic> {
+    let exact = [
+        ("hot_path_exact", &config.hot_path_exact),
+        ("span_forbidden_exact", &config.span_forbidden_exact),
+    ];
+    let stale_exact = exact
+        .into_iter()
+        .flat_map(|(list, names)| names.iter().map(move |n| (list, n)))
+        .filter(|(_, name)| !fns.contains(name));
+    let stale_prefixes = config
+        .hot_path_prefixes
+        .iter()
+        .filter(|p| !fns.iter().any(|f| f.starts_with(p.as_str())))
+        .map(|p| ("hot_path_prefixes", p));
+    stale_exact
+        .chain(stale_prefixes)
+        .map(|(list, entry)| Diagnostic {
+            path: "crates/analyze/src/config.rs".to_string(),
+            line: 1,
+            col: 1,
+            lint: L_STALE_NAME,
+            message: format!("{list} entry {entry:?} matches no library fn; remove it"),
+        })
+        .collect()
 }
 
 /// Directory names never descended into: build output, VCS state, the

@@ -24,6 +24,9 @@ pub struct FilePass<'a> {
     /// `.expect()` messages seen in library scope, for the
     /// stale-allowlist check.
     pub seen_expects: Vec<String>,
+    /// Names of the fns in library scope — where the name-listed lints
+    /// (L3, L6) apply — for the stale-name check.
+    pub seen_fns: Vec<String>,
     pub diags: Vec<Diagnostic>,
 }
 
@@ -98,6 +101,10 @@ impl<'a> FilePass<'a> {
         }
 
         let body: &[TokenTree] = f.block.as_ref().map(|g| g.stream().trees()).unwrap_or(&[]);
+
+        if self.kind == FileKind::Lib && !in_test {
+            self.seen_fns.push(f.sig.ident.to_string());
+        }
 
         if self.kind == FileKind::Lib
             && !in_test

@@ -29,7 +29,7 @@ pub fn gemm_dispatch(ev: &Event) -> usize {
 }
 
 // ppgnn-analyze: allow(telemetry_span) -- fixture fn-level escape hatch.
-pub fn spmm_row_untiled(x: &[f32]) -> f32 {
+pub fn weighted_rows_into(x: &[f32]) -> f32 {
     let _guard = span("escaped");
     x.iter().sum()
 }

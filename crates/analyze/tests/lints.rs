@@ -2,9 +2,10 @@
 //! hatches, and scopes to the right file kinds.
 
 use ppgnn_analyze::config::{
-    Config, FileKind, L_ALLOC, L_COMMIT, L_ENV, L_FMA, L_SAFETY, L_TELEMETRY_SPAN, L_UNWRAP,
+    Config, FileKind, L_ALLOC, L_COMMIT, L_ENV, L_FMA, L_SAFETY, L_STALE_NAME, L_TELEMETRY_SPAN,
+    L_UNWRAP,
 };
-use ppgnn_analyze::{analyze_source, Diagnostic};
+use ppgnn_analyze::{analyze_source, stale_name_findings, Diagnostic};
 
 fn lib_diags(src: &str, config: &Config) -> Vec<Diagnostic> {
     let (diags, _) = analyze_source("crates/x/src/lib.rs", src, FileKind::Lib, config);
@@ -83,7 +84,7 @@ fn l5_unwrap_policy_fires_with_allowlist_and_test_scoping() {
     // `fires()`, the unlisted expect, and the dynamic expect; the
     // allowlisted expect, the escaped fn, and the #[cfg(test)] mod pass.
     assert_eq!(l5.len(), 3, "{l5:?}");
-    assert_eq!(seen, vec!["fixture invariant holds".to_string()]);
+    assert_eq!(seen.expects, vec!["fixture invariant holds".to_string()]);
 
     // Bin targets are exempt from the unwrap policy entirely.
     let (diags, _) = analyze_source("crates/x/src/bin/tool.rs", src, FileKind::Bin, &config);
@@ -150,6 +151,39 @@ fn l7_atomic_commit_fires_on_commit_scoped_store_paths_only() {
         &config,
     );
     assert!(diags.iter().all(|d| d.lint != L_COMMIT), "{diags:?}");
+}
+
+#[test]
+fn stale_name_fires_on_list_entries_no_library_fn_matches() {
+    let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    let config = Config {
+        hot_path_exact: s(&["kernel_row", "strip_wide", "renamed_away", "oracle_row"]),
+        hot_path_prefixes: s(&["pack_b_", "pack_z_"]),
+        span_forbidden_exact: s(&["kernel_row", "deleted_kernel"]),
+        ..Config::default()
+    };
+    let src = include_str!("fixtures/stale_names.rs");
+    let (_, seen) = analyze_source("crates/x/src/lib.rs", src, FileKind::Lib, &config);
+    // Free fns and methods count; the #[cfg(test)] fn does not.
+    assert_eq!(seen.fns, ["kernel_row", "pack_b_full", "strip_wide"]);
+    let stale = stale_name_findings(&config, &seen.fns);
+    let messages: Vec<_> = stale.iter().map(|d| d.message.as_str()).collect();
+    assert_eq!(
+        messages,
+        [
+            "hot_path_exact entry \"renamed_away\" matches no library fn; remove it",
+            "hot_path_exact entry \"oracle_row\" matches no library fn; remove it",
+            "span_forbidden_exact entry \"deleted_kernel\" matches no library fn; remove it",
+            "hot_path_prefixes entry \"pack_z_\" matches no library fn; remove it",
+        ]
+    );
+    assert!(stale
+        .iter()
+        .all(|d| d.lint == L_STALE_NAME && d.path == "crates/analyze/src/config.rs"));
+
+    // Outside library code the same fns keep no entry alive.
+    let (_, seen) = analyze_source("crates/x/tests/kernel.rs", src, FileKind::Test, &config);
+    assert!(seen.fns.is_empty(), "{:?}", seen.fns);
 }
 
 #[test]

@@ -8,14 +8,22 @@
 //! equal-rows splits pile the hub nodes onto one thread and serialize the
 //! whole SpMM on it.
 //!
-//! Within a row, wide feature matrices are processed in
-//! [`ppgnn_tensor::block::SPMM_COL_BLOCK`]-column strips (the same
-//! block-size constants as the dense GEMM layer) so the CSR gather stays
-//! L1-resident; tiling preserves per-row accumulation order exactly, so
-//! tiled output is bit-identical to the untiled kernel.
+//! Each output row is one call of the row kernel in `ppgnn-tensor`
+//! ([`GatherKernel::weighted_rows_into`]), on the backend the dense GEMM
+//! dispatches (`ppgnn_tensor::block::kernel`): AVX-512 strips of up to 128
+//! columns and AVX2 strips of 64 held in vector registers across the walk
+//! of the row's non-zeros, or the portable
+//! [`ppgnn_tensor::block::SPMM_COL_BLOCK`]-column strips accumulated in
+//! the output row. Every backend sums each element from `+0.0` as
+//! `acc + (w · x)` — multiply, then add, never fused — over the non-zeros
+//! in CSR order, so every backend, strip width and row split is
+//! bit-identical to the untiled kernel. Each driver call resolves the
+//! backend once and counts it in `spmm.dispatch.{portable,avx2,avx512}`.
 
+use ppgnn_telemetry::Counter;
+use ppgnn_tensor::gather::GatherKernel;
 use ppgnn_tensor::pool::{BlockOut, RowBlocks};
-use ppgnn_tensor::{pool, Matrix};
+use ppgnn_tensor::{pool, KernelKind, Matrix};
 
 use crate::{CsrGraph, GraphError, NodeOrder};
 
@@ -24,8 +32,24 @@ use crate::{CsrGraph, GraphError, NodeOrder};
 /// (one per full SpMM call) but statically forbidden inside
 /// `spmm_rows_into`/`spmm_row` by the `telemetry_span` lint, where a
 /// per-row guard would cost more than the row.
-static SPMM_CALLS: ppgnn_telemetry::Counter = ppgnn_telemetry::Counter::new("spmm.calls");
-static SPMM_MADDS: ppgnn_telemetry::Counter = ppgnn_telemetry::Counter::new("spmm.madds");
+static SPMM_CALLS: Counter = Counter::new("spmm.calls");
+static SPMM_MADDS: Counter = Counter::new("spmm.madds");
+static SPMM_DISPATCH_PORTABLE: Counter = Counter::new("spmm.dispatch.portable");
+static SPMM_DISPATCH_AVX2: Counter = Counter::new("spmm.dispatch.avx2");
+static SPMM_DISPATCH_AVX512: Counter = Counter::new("spmm.dispatch.avx512");
+
+/// Resolves the row kernel's backend for one driver call and counts the
+/// choice, mirroring the GEMM's `gemm.dispatch.*` counters.
+fn dispatch_row_kernel() -> GatherKernel {
+    let kernel = GatherKernel::dispatched();
+    match kernel.kind() {
+        KernelKind::Portable => &SPMM_DISPATCH_PORTABLE,
+        KernelKind::Avx2 => &SPMM_DISPATCH_AVX2,
+        KernelKind::Avx512 => &SPMM_DISPATCH_AVX512,
+    }
+    .add(1);
+    kernel
+}
 
 /// Splits CSR rows into at most `parts` contiguous blocks of near-equal
 /// **non-zero count**, using the `indptr` prefix-sum array.
@@ -332,13 +356,11 @@ impl WeightedCsr {
         SPMM_MADDS.add(work as u64);
         let _span =
             ppgnn_telemetry::span_with("spmm", &[("rows", rows as u64), ("cols_f", f as u64)]);
+        let kernel = dispatch_row_kernel();
 
         if nthreads <= 1 || rows <= 1 {
-            let out_data = out.as_mut_slice();
-            for r in 0..rows {
-                let row_out = &mut out_data[r * f..(r + 1) * f];
-                row_out.fill(0.0);
-                self.spmm_row(r, x_data, f, 0, row_out);
+            for (r, row_out) in out.as_mut_slice().chunks_exact_mut(f).enumerate() {
+                self.spmm_row(kernel, r, x_data, f, 0, row_out);
             }
             return;
         }
@@ -352,8 +374,7 @@ impl WeightedCsr {
             sizes.len(),
             |_, start, [chunk]| {
                 for (i, row_out) in chunk.chunks_exact_mut(f).enumerate() {
-                    row_out.fill(0.0);
-                    self.spmm_row(start + i, x_data, f, 0, row_out);
+                    self.spmm_row(kernel, start + i, x_data, f, 0, row_out);
                 }
             },
         );
@@ -434,58 +455,48 @@ impl WeightedCsr {
         if window.is_empty() {
             return;
         }
+        let kernel = dispatch_row_kernel();
         for (i, r) in rows.enumerate() {
             let row_out = &mut out_rows[i * ld + window.start..i * ld + window.end];
-            row_out.fill(0.0);
-            self.spmm_row(r, x, ld, window.start, row_out);
+            self.spmm_row(kernel, r, x, ld, window.start, row_out);
         }
     }
 
-    /// One output row, column-tiled: wide `X` is processed in
-    /// [`ppgnn_tensor::block::SPMM_COL_BLOCK`]-column strips so the
-    /// irregular CSR row gather touches only a strip of each gathered `X`
-    /// row per pass — on high-degree (hub) rows the strip of the output
-    /// and the gathered strips stay L1-resident instead of thrashing the
-    /// cache with full-width rows.
+    /// One output row: overwrites `out` with row `r` of `S · X` through
+    /// the dispatched row kernel ([`GatherKernel::weighted_rows_into`]).
     ///
-    /// Bit-exactness: for every output element, the accumulation order
-    /// over the row's non-zeros is exactly that of the untiled kernel
-    /// (non-zeros are walked in CSR order within each strip), so tiled
-    /// output is **bit-identical** — the sharded/partitioned equivalence
-    /// suites that byte-compare feature stores keep holding.
+    /// Bit-exactness: every backend sums each element from `+0.0` over
+    /// the row's non-zeros in CSR order, multiply then add, so the output
+    /// is **bit-identical** to the untiled kernel — the sharded and
+    /// partitioned equivalence suites that byte-compare feature stores
+    /// keep holding.
     ///
     /// `x` rows are `ld` wide and the row reads columns `col0..col0 +
     /// out.len()` of each (`ld = out.len()`, `col0 = 0` for a plain
     /// `N × F` input).
     #[inline]
-    fn spmm_row(&self, r: usize, x: &[f32], ld: usize, col0: usize, out: &mut [f32]) {
-        const COLS: usize = ppgnn_tensor::block::SPMM_COL_BLOCK;
-        let f = out.len();
-        let lo = self.indptr[r];
-        let hi = self.indptr[r + 1];
-        let mut j0 = 0;
-        while j0 < f {
-            // Absorb small tails into the final strip: a narrow leftover
-            // strip would re-walk the row's CSR entries for a sliver of
-            // work (f = F+1 is common — pokec's 65 features).
-            let rest = f - j0;
-            let strip = if rest <= COLS + COLS / 4 { rest } else { COLS };
-            let out_strip = &mut out[j0..j0 + strip];
-            for idx in lo..hi {
-                let c = self.indices[idx] as usize;
-                let w = self.weights[idx];
-                let at = c * ld + col0 + j0;
-                let x_strip = &x[at..at + strip];
-                for (o, v) in out_strip.iter_mut().zip(x_strip) {
-                    *o += w * v;
-                }
-            }
-            j0 += strip;
-        }
+    fn spmm_row(
+        &self,
+        kernel: GatherKernel,
+        r: usize,
+        x: &[f32],
+        ld: usize,
+        col0: usize,
+        out: &mut [f32],
+    ) {
+        let (lo, hi) = (self.indptr[r], self.indptr[r + 1]);
+        kernel.weighted_rows_into(
+            &self.indices[lo..hi],
+            &self.weights[lo..hi],
+            x,
+            ld,
+            col0,
+            out,
+        );
     }
 
-    /// The untiled row kernel, retained as the byte-equality oracle for
-    /// the column-tiled [`WeightedCsr::spmm_row`].
+    /// The untiled scalar row kernel, retained as the byte-equality
+    /// oracle for every backend of [`WeightedCsr::spmm_row`].
     #[cfg(test)]
     fn spmm_row_untiled(&self, r: usize, x: &[f32], f: usize, out: &mut [f32]) {
         for idx in self.indptr[r]..self.indptr[r + 1] {
@@ -728,6 +739,178 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `n × f` features spanning 2^±10 in magnitude, with ±0 and
+    /// subnormals scattered through and ±∞ and NaN on a few rows.
+    fn special_features(n: usize, f: usize) -> Matrix {
+        Matrix::from_fn(n, f, |r, c| match (r % 23, c % 9, r % 29, c % 10) {
+            (7, 2, ..) => f32::INFINITY,
+            (11, 4, ..) => f32::NEG_INFINITY,
+            (_, _, 3, 6) => f32::NAN,
+            _ => match (r * 31 + c * 17) % 23 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(1 + (r * f + c) as u32 % 0x007f_ffff),
+                3 => -f32::from_bits(0x007f_fff0 - (r + c) as u32),
+                k => {
+                    let u = ((r * 131 + c * 71 + k) % 2001) as f32 / 1000.0 - 1.0;
+                    u * (1 << ((r + c * 3) % 20)) as f32 / 1024.0
+                }
+            },
+        })
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "Miri does not model x86 SIMD intrinsics")]
+    fn every_backend_matches_the_untiled_oracle_bitwise() {
+        use ppgnn_tensor::{block, compiled_kernels, WorkerPool};
+        use rand::SeedableRng;
+        // Widths around every strip and vector boundary of the backends
+        // (8-, 16-, 64- and 128-wide).
+        const WIDTHS: [usize; 21] = [
+            1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 80, 81, 100, 127, 128, 129, 255, 256, 257, 1024,
+        ];
+        let star = CsrGraph::from_edges(80, &(1..80).map(|v| (0, v)).collect::<Vec<_>>(), true);
+        let path = CsrGraph::from_edges(50, &(1..50).map(|v| (v - 1, v)).collect::<Vec<_>>(), true);
+        // Every third node is isolated and gets no self-loop: an empty row.
+        let sparse = CsrGraph::from_edges(
+            60,
+            &(0..60)
+                .filter(|v| v % 3 == 1)
+                .map(|v| (v, v + 1))
+                .collect::<Vec<_>>(),
+            true,
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let power = crate::gen::rmat(7, 900, (0.57, 0.19, 0.19), &mut rng);
+        let ops = [
+            ("star hub", WeightedCsr::sym_norm(&star.unwrap(), true)),
+            ("path", WeightedCsr::row_norm(&path.unwrap(), true)),
+            (
+                "isolated rows",
+                WeightedCsr::sym_norm(&sparse.unwrap(), false),
+            ),
+            ("power-law", WeightedCsr::sym_norm(&power.unwrap(), true)),
+        ];
+        let kinds: Vec<_> = compiled_kernels()
+            .iter()
+            .copied()
+            .filter(|k| k.is_supported())
+            .collect();
+        let pools = [1, 2, 8].map(WorkerPool::new);
+        // Quiet NaN with a payload no sum produces: marks unwritten values.
+        let sentinel = f32::from_bits(0x7fc0_0bad);
+        // NaN has to be NaN where the oracle's is; the payload is free.
+        let same = |got: f32, want: f32| {
+            if want.is_nan() {
+                got.is_nan()
+            } else {
+                got.to_bits() == want.to_bits()
+            }
+        };
+        let _guard = test_threshold_guard();
+        ppgnn_tensor::set_parallel_threshold(0);
+        assert!((0..60).all(|r| (ops[2].1.row_entries(r).count() == 0) == (r % 3 == 0)));
+        for (name, op) in &ops {
+            let n = op.rows();
+            for f in WIDTHS {
+                let x = special_features(n, f);
+                let mut expect = Matrix::zeros(n, f);
+                for (r, row) in expect.as_mut_slice().chunks_exact_mut(f).enumerate() {
+                    op.spmm_row_untiled(r, x.as_slice(), f, row);
+                }
+                let ld = 2 * f + 3;
+                for &kind in &kinds {
+                    block::set_kernel(Some(kind));
+                    for pool in &pools {
+                        let threads = pool.num_threads();
+                        let at = format!("{} on {name}, F {f}, pool {threads}", kind.name());
+                        let mut out = Matrix::full(n, f, sentinel);
+                        op.spmm_into_on(&x, &mut out, pool);
+                        for (i, (&g, &w)) in
+                            out.as_slice().iter().zip(expect.as_slice()).enumerate()
+                        {
+                            assert!(same(g, w), "{at}, element {i}: {g:?} != {w:?}");
+                        }
+                        // The window kernel, rows cut into one task per thread.
+                        for col0 in [0, 3, f] {
+                            let side = Matrix::from_fn(n, ld, |r, c| {
+                                if (col0..col0 + f).contains(&c) {
+                                    x.get(r, c - col0)
+                                } else {
+                                    -7.5
+                                }
+                            });
+                            let mut out = vec![sentinel; n * ld];
+                            let per = n.div_ceil(threads);
+                            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+                            for (t, slab) in out.chunks_mut(per * ld).enumerate() {
+                                let (side, rows) =
+                                    (side.as_slice(), t * per..t * per + slab.len() / ld);
+                                tasks.push(Box::new(move || {
+                                    op.spmm_window_rows_into(rows, side, ld, col0..col0 + f, slab)
+                                }));
+                            }
+                            pool.run(tasks);
+                            for (r, (got, want)) in out
+                                .chunks_exact(ld)
+                                .zip(expect.as_slice().chunks_exact(f))
+                                .enumerate()
+                            {
+                                for (j, (&g, &w)) in
+                                    got[col0..col0 + f].iter().zip(want).enumerate()
+                                {
+                                    assert!(
+                                        same(g, w),
+                                        "{at}, col0 {col0}, row {r}, col {j}: {g:?} != {w:?}"
+                                    );
+                                }
+                                let outside = got[..col0].iter().chain(&got[col0 + f..]);
+                                assert!(
+                                    outside
+                                        .into_iter()
+                                        .all(|v| v.to_bits() == sentinel.to_bits()),
+                                    "{at}, col0 {col0}, row {r}: wrote outside its window"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        block::set_kernel(None);
+        ppgnn_tensor::set_parallel_threshold(ppgnn_tensor::pool::DEFAULT_PARALLEL_THRESHOLD);
+    }
+
+    #[test]
+    fn every_driver_call_counts_its_row_kernel_backend() {
+        use ppgnn_tensor::{block, compiled_kernels};
+        let op = WeightedCsr::sym_norm(&path3(), true);
+        let x = Matrix::from_fn(3, 4, |r, c| (r + c) as f32);
+        let mut out = Matrix::zeros(3, 4);
+        let _guard = test_threshold_guard();
+        let was_on = ppgnn_telemetry::enabled();
+        ppgnn_telemetry::set_enabled(true);
+        for &kind in compiled_kernels().iter().filter(|k| k.is_supported()) {
+            block::set_kernel(Some(kind));
+            let counter = match kind {
+                KernelKind::Portable => &SPMM_DISPATCH_PORTABLE,
+                KernelKind::Avx2 => &SPMM_DISPATCH_AVX2,
+                KernelKind::Avx512 => &SPMM_DISPATCH_AVX512,
+            };
+            let before = counter.get();
+            op.spmm_into(&x, &mut out);
+            op.spmm_rows_into(1..3, &x, &mut out.as_mut_slice()[4..]);
+            // Other tests may add to the counter meanwhile, never subtract.
+            assert!(
+                counter.get() >= before + 2,
+                "{} calls uncounted",
+                kind.name()
+            );
+        }
+        block::set_kernel(None);
+        ppgnn_telemetry::set_enabled(was_on);
     }
 
     #[test]

@@ -209,8 +209,8 @@ pub fn widest_supported_kernel() -> KernelKind {
 }
 
 /// Tiling configuration knobs (K panel depth, NC column block, kernel
-/// backend) shared by the dense GEMM driver and the column-tiled SpMM in
-/// `ppgnn-graph`.
+/// backend) shared by the dense GEMM driver and the SpMM row kernel
+/// ([`crate::gather`]).
 pub mod block {
     use super::KernelKind;
     use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -236,9 +236,11 @@ pub mod block {
     /// strip.
     pub const DEFAULT_NC: usize = 512;
 
-    /// Column-strip width of the tiled SpMM kernel (`8 · NR`): wide
-    /// enough that re-walking a row's CSR entries per strip is amortized,
-    /// narrow enough that the gathered `X` rows stay hot in L1.
+    /// Column-strip width of the portable SpMM row kernel (`8 · NR`):
+    /// wide enough that re-walking a row's CSR entries per strip is
+    /// amortized, narrow enough that the gathered `X` rows stay hot in
+    /// L1. The SIMD backends size their strips by their registers
+    /// ([`crate::gather`]).
     pub const SPMM_COL_BLOCK: usize = 8 * NR;
 
     /// Override of the K-panel depth; `0` = unset.

@@ -15,6 +15,9 @@
 //!   blocks whose sizes [`block`] holds; the `tn`/`nt` variants back the
 //!   hand-written backward passes in `ppgnn-nn`, and the pre-blocking
 //!   naive kernels survive in [`reference`] as the correctness oracle,
+//! * the sparse × dense row kernel ([`gather::GatherKernel`]): a weighted
+//!   gather of `X` rows on the backend the GEMM dispatches, bit-identical
+//!   on every one, under the SpMM in `ppgnn-graph`,
 //! * batch-assembly primitives ([`Matrix::gather_rows`],
 //!   [`Matrix::gather_rows_into`], [`Matrix::scatter_add_rows`]) that the data
 //!   loaders in `ppgnn-core` are built from,
@@ -42,6 +45,7 @@ mod matrix;
 mod ops;
 
 pub mod cast;
+pub mod gather;
 pub mod init;
 pub mod io;
 pub mod knobs;

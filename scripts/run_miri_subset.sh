@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Curated Miri pass over the unsafe-bearing units: the worker pool's
-# lifetime-erased job queue and the packed-GEMM kernels' slice math
+# lifetime-erased job queue, the packed-GEMM kernels' slice math and the
+# SpMM row kernel's bounds checks
 # (ppgnn-tensor is the only crate with unsafe code).
 #
 # Interpretation is orders of magnitude slower than native execution, so
-# this runs a subset, not the workspace: the pool and gemm unit tests of
-# ppgnn-tensor. Heavy tests are excluded with `#[cfg_attr(miri, ignore)]`
+# this runs a subset, not the workspace: the pool, gemm and gather unit
+# tests of ppgnn-tensor. Heavy tests are excluded with `#[cfg_attr(miri, ignore)]`
 # at the test site.
 #
 # Skips with notice (exit 0) when the nightly toolchain or the miri
@@ -32,7 +33,8 @@ fi
 export PPGNN_NUM_THREADS="${PPGNN_NUM_THREADS:-2}"
 export MIRIFLAGS="${MIRIFLAGS:--Zmiri-disable-isolation}"
 
-echo "miri-subset: pool + gemm unit tests of ppgnn-tensor"
+echo "miri-subset: pool + gemm + gather unit tests of ppgnn-tensor"
 cargo +nightly miri test -p ppgnn-tensor --lib pool
 cargo +nightly miri test -p ppgnn-tensor --lib gemm
+cargo +nightly miri test -p ppgnn-tensor --lib gather
 echo "miri-subset: OK"
