@@ -152,7 +152,11 @@ impl Default for Config {
                 "affine_into",
                 "recycle",
                 "fill_rows",
-                "produce_epoch",
+                // In memory a batch is gathered where the trainer asks for
+                // it, into a recycled spare, by a pooled row gather.
+                "assemble_in_place",
+                "gather_rows_into",
+                "gather_rows_on",
                 "gemm_in_place",
                 "over_row_blocks",
                 "gemm_dispatch",
@@ -166,6 +170,7 @@ impl Default for Config {
                 // HOGA step pin in tests/preprocess_residency.rs.
                 "run_row_blocks",
                 "row_blocked",
+                "row_blocked_on",
                 "add_partials",
                 "attn_core_fwd",
                 "attn_core_bwd",
@@ -237,7 +242,6 @@ impl Default for Config {
                 "at least one chunk",
                 // core — loader/preprocess invariants.
                 "in-memory preprocessing performs no I/O",
-                "failed reap always parks an error",
                 "set on previous iteration",
                 "dataset generation succeeds",
                 "training partition is non-empty",
@@ -274,6 +278,7 @@ impl Default for Config {
                 // (`hoga.*`, `attn.*`) sit around the whole pass.
                 "run_row_blocks",
                 "row_blocked",
+                "row_blocked_on",
                 "attn_core_fwd",
                 "attn_core_bwd",
                 "layer_norm_fwd",

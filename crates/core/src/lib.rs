@@ -16,8 +16,9 @@
 //! * [`loader`] — the four data-loader generations of Section 4, all
 //!   yielding *identical* batch streams for a fixed seed (a property the
 //!   integration tests pin down):
-//!   baseline per-row assembly → fused gather → threaded double-buffer
-//!   prefetching → chunk reshuffling, plus the storage-backed chunk
+//!   baseline per-row assembly → fused gather → double buffering (in
+//!   memory, pooled gathers in place; over storage, a producer thread)
+//!   → chunk reshuffling, plus the storage-backed chunk
 //!   loader of Section 4.3 (over a store of any partition count) — and
 //!   the generations compose: the storage loader can run behind the
 //!   double-buffer producer thread ([`loader::BatchSource`]);

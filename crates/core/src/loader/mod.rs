@@ -10,13 +10,16 @@
 //! |---|---|---|
 //! | 0 baseline | [`BaselineLoader`] | one copy **per row** (PyTorch-DataLoader behaviour) |
 //! | 1 fused | [`FusedGatherLoader`] | one fused index op per batch into a reused staging buffer |
-//! | 2 prefetch | [`DoubleBufferLoader`] | producer thread + bounded(2) channel (the double buffer) |
+//! | 2 double buffer | [`DoubleBufferLoader`] | in memory: pooled fused gathers in place, on the step's cores; over storage: producer thread + bounded(2) channel |
 //! | 3 chunked | [`ChunkReshuffleLoader`] | chunk-level shuffle, contiguous chunk copies |
 //! | 3p storage | [`ShardedStorageChunkLoader`] | chunk reads from the on-disk store, fanned out across its partition stores |
 //!
 //! Generations compose: [`DoubleBufferLoader::over_source`] runs any
 //! [`BatchSource`] (the storage chunk loader implements it) behind
 //! the gen-2 producer thread, so chunk I/O overlaps training compute.
+//! In memory there is nothing to overlap a gather with but the step
+//! itself, which already spans the pool, so [`DoubleBufferLoader::new`]
+//! gathers each batch in place on the pool instead.
 //!
 //! # Hop selection
 //!
@@ -48,7 +51,7 @@
 //!
 //! | Loader | Keeps |
 //! |---|---|
-//! | [`DoubleBufferLoader::new`] | a loader-wide pool of up to queue depth + 2 = 4 spares, across epochs; its producer takes one per batch when there is one |
+//! | [`DoubleBufferLoader::new`] | up to 2 spares, across epochs; each batch is gathered into one when there is one |
 //! | [`ChunkReshuffleLoader`] | one spare |
 //! | [`DoubleBufferLoader::over_source`], [`ShardedStorageChunkLoader`], [`BaselineLoader`], [`FusedGatherLoader`] | nothing (`recycle` drops the batch) |
 
@@ -147,7 +150,8 @@ pub struct LoaderCounters {
 /// Usage per epoch: call [`Loader::start_epoch`], then drain
 /// [`Loader::next_batch`] until `None`.
 pub trait Loader {
-    /// Begins a new epoch (reshuffles indices; may spawn worker threads).
+    /// Begins a new epoch (reshuffles indices; a storage producer spawns
+    /// its thread).
     fn start_epoch(&mut self);
 
     /// Yields the next batch, or `None` when the epoch is exhausted.
@@ -172,10 +176,11 @@ pub trait Loader {
     ///
     /// Synchronous in-memory loaders cannot fail and return `None` (the
     /// default). Storage-backed loaders park the first I/O failure here
-    /// after [`Loader::next_batch`] returns `None`, and threaded loaders
-    /// ([`DoubleBufferLoader`]) park producer-side failures the same way;
-    /// the trainer checks this slot when the epoch drains so a truncated
-    /// store or dead producer fails the run cleanly instead of being
+    /// after [`Loader::next_batch`] returns `None`, and
+    /// [`DoubleBufferLoader`] parks producer-side failures and corrupt
+    /// in-memory partitions the same way; the trainer checks this slot
+    /// when the epoch drains so a truncated store, a dead producer or a
+    /// batch row past the hop rows fails the run cleanly instead of being
     /// mistaken for a completed epoch.
     fn take_error(&mut self) -> Option<String> {
         None

@@ -1,8 +1,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use crossbeam::queue::ArrayQueue;
+use crossbeam::channel::{bounded, Receiver};
 use ppgnn_dataio::DataIoError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,52 +9,49 @@ use rand::SeedableRng;
 use crate::loader::{permutation, read_mask, BatchSource, Loader, LoaderCounters, PpBatch};
 use crate::preprocess::PrepropFeatures;
 
-/// Generation 2: double-buffer prefetching (second half of Section 4.1).
+/// Generation 2: double buffering (second half of Section 4.1).
 ///
-/// A dedicated producer thread assembles batches and pushes them into a
-/// **bounded channel of capacity 2** — the software double buffer. The
-/// consumer (training loop) overlaps its compute with the producer's
-/// assembly, which is precisely the pipelining Figure 6(c) illustrates; on
-/// real hardware the two buffers live in GPU memory and the channel is a
-/// pair of CUDA events.
+/// On a GPU, batch assembly on the CPU overlaps compute on the device:
+/// two buffers, one being filled while the other trains. What overlaps
+/// here depends on where the batch comes from:
 ///
-/// The producer comes in two flavours:
+/// * [`DoubleBufferLoader::new`] — **in memory, the pool is the double
+///   buffer.** The training step already runs on the worker pool, which
+///   spans every core, so a producer thread could only take cores from
+///   the step it is meant to overlap. Each batch is instead gathered when
+///   it is asked for, on the calling thread, by one pooled row gather per
+///   read hop ([`ppgnn_tensor::Matrix::gather_rows_into`]) into a spare
+///   batch: the gather runs on every core, then the step does;
+/// * [`DoubleBufferLoader::over_source`] — **over storage, the producer
+///   overlaps the reads.** Any [`BatchSource`] (the
+///   [`crate::loader::ShardedStorageChunkLoader`]) runs on a producer
+///   thread behind a **bounded channel of capacity 2**, so chunk reads
+///   from the feature store wait on the disk while the step computes. The
+///   source crosses into the producer thread each epoch and is handed
+///   back when the epoch ends.
 ///
-/// * [`DoubleBufferLoader::new`] — the in-memory assembler (fused gathers
-///   over a resident [`PrepropFeatures`], exactly like generation 1);
-/// * [`DoubleBufferLoader::over_source`] — **any [`BatchSource`]**, which
-///   is how gen-2 pipelining composes with gen-3 storage I/O: a
-///   [`crate::loader::ShardedStorageChunkLoader`] runs on the producer
-///   thread, so chunk reads from the feature store overlap training
-///   compute. The source crosses into the producer thread each
-///   epoch and is handed back when the epoch ends.
+/// **Batches circulate in memory.** [`Loader::recycle`] keeps up to two
+/// handed-back batches, across epochs, and each batch is gathered into a
+/// spare's buffers as they are: once a full batch has been seen, no
+/// allocation and no zero-fill. `recycle` never blocks and drops what it
+/// has no room for; with no spare, a batch is allocated. A source
+/// producer's batches are not recycled.
 ///
-/// **Batches circulate.** The in-memory producer draws each batch's
-/// buffers from a loader-wide pool of spares that [`Loader::recycle`]
-/// refills and that lives across epochs. It holds at most queue depth +
-/// 2 = 4 batches — two in the channel, one being assembled, one at the
-/// consumer — so once it has filled, a batch gathers into a spare's hop
-/// matrices as they are: no allocation and no zero-fill. Neither end
-/// waits: `recycle` drops a batch the full pool has no room for, and the
-/// producer allocates when it finds the pool empty. A source producer's
-/// batches are not recycled.
-///
-/// Producer-side failures are not silent: the channel carries
-/// `Result<PpBatch, DataIoError>` (storage-backed producers surface I/O
-/// errors batch-by-batch), and a producer thread that dies mid-epoch is
-/// detected at join time. Either way the first error is latched,
-/// [`DoubleBufferLoader::try_next_batch`] reports it, the infallible
-/// [`Loader`] API ends the epoch, and [`Loader::take_error`] hands the
-/// message to the trainer — the same contract as
-/// [`crate::loader::ShardedStorageChunkLoader`].
+/// Failures are not silent. In memory, a batch index past the partition's
+/// hop rows (a corrupt partition) is caught before any row moves and
+/// reported as a located [`DataIoError::OutOfRange`]. Over storage, the
+/// channel carries `Result<PpBatch, DataIoError>` (I/O errors surface
+/// batch by batch), and a producer thread that dies mid-epoch is detected
+/// at join time. Either way the first error is latched until
+/// [`Loader::start_epoch`], [`DoubleBufferLoader::try_next_batch`] reports
+/// it, the infallible [`Loader`] API ends the epoch, and
+/// [`Loader::take_error`] hands the message to the trainer — the same
+/// contract as [`crate::loader::ShardedStorageChunkLoader`].
 #[derive(Debug)]
 pub struct DoubleBufferLoader {
-    producer: ProducerKind,
-    rx: Option<Receiver<Result<PpBatch, DataIoError>>>,
-    worker: Option<JoinHandle<EpochEnd>>,
+    feed: Feed,
     counters: LoaderCounters,
-    /// First producer-side error of the epoch, parked for
-    /// [`Loader::take_error`].
+    /// First failure of the epoch, parked for [`Loader::take_error`].
     error: Option<DataIoError>,
     /// Latched on the first failure and cleared only by
     /// [`Loader::start_epoch`]: a failed epoch must not resume and
@@ -63,17 +59,19 @@ pub struct DoubleBufferLoader {
     failed: bool,
 }
 
-/// Batches the producer runs ahead of the consumer: the double buffer.
+/// Batches a storage producer runs ahead of the consumer: the double
+/// buffer.
 const QUEUE_DEPTH: usize = 2;
 
-/// Capacity of the in-memory producer's spare pool: every batch that can
-/// be alive at once — [`QUEUE_DEPTH`] in the channel, one being
-/// assembled, one at the consumer.
-const SPARES: usize = QUEUE_DEPTH + 2;
+/// Handed-back batches the in-memory loader keeps: one carries every
+/// batch of a consumer that recycles each before asking for the next
+/// (`Trainer::fit`), the second one a consumer that holds a batch across
+/// the next.
+const SPARES: usize = 2;
 
 #[derive(Debug)]
-enum ProducerKind {
-    /// In-memory batch assembly (fused gathers) on the producer thread.
+enum Feed {
+    /// In-memory batch assembly, in place on the calling thread.
     Memory {
         data: Arc<PrepropFeatures>,
         batch_size: usize,
@@ -81,27 +79,22 @@ enum ProducerKind {
         /// `read[r]`: gather hop `r` (all `true` unless
         /// [`DoubleBufferLoader::reading`] narrowed it).
         read: Vec<bool>,
-        /// The spare pool, [`SPARES`] deep: [`Loader::recycle`] pushes
-        /// into it, each epoch's producer pops from it.
-        spares: Arc<ArrayQueue<PpBatch>>,
+        /// This epoch's row order and the start of the next batch in it.
+        order: Vec<usize>,
+        cursor: usize,
+        /// Handed-back batches, at most [`SPARES`].
+        spares: Vec<PpBatch>,
     },
-    /// A fallible batch source driven on the producer thread. `None`
-    /// while an epoch is running (the source is owned by the thread) or
-    /// after a producer panic lost it.
+    /// A fallible batch source driven on a producer thread.
     Source {
+        /// `None` while an epoch is running (the source is owned by the
+        /// thread) or after a producer panic lost it.
         source: Option<Box<dyn BatchSource>>,
         num_batches: usize,
+        rx: Option<Receiver<Result<PpBatch, DataIoError>>>,
+        /// Hands the source back when its epoch ends.
+        worker: Option<JoinHandle<Box<dyn BatchSource>>>,
     },
-}
-
-/// What the producer thread hands back when an epoch ends.
-#[derive(Debug)]
-enum EpochEnd {
-    /// Per-epoch counter deltas of the in-memory assembler.
-    Memory(LoaderCounters),
-    /// The source, returned for the next epoch (its counters are
-    /// cumulative).
-    Source(Box<dyn BatchSource>),
 }
 
 impl DoubleBufferLoader {
@@ -114,16 +107,18 @@ impl DoubleBufferLoader {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(!data.is_empty(), "cannot iterate an empty partition");
         let read = vec![true; data.hops.len()];
-        Self::with_producer(ProducerKind::Memory {
+        Self::with_feed(Feed::Memory {
             data,
             batch_size,
             rng: StdRng::seed_from_u64(seed),
             read,
-            spares: Arc::new(ArrayQueue::new(SPARES)),
+            order: Vec::new(),
+            cursor: 0,
+            spares: Vec::with_capacity(SPARES),
         })
     }
 
-    /// Tells the in-memory producer which hops its consumer reads
+    /// Tells the in-memory loader which hops its consumer reads
     /// (`PpModel::hops_read`): only those are gathered and counted, the
     /// rest are delivered as `0 x 0` matrices at their usual index. Batch
     /// order, `indices` and `labels` are unaffected. A loader built with
@@ -133,7 +128,7 @@ impl DoubleBufferLoader {
     ///
     /// Panics if a listed hop is out of range for the partition.
     pub fn reading(mut self, hops: &[usize]) -> Self {
-        if let ProducerKind::Memory { data, read, .. } = &mut self.producer {
+        if let Feed::Memory { data, read, .. } = &mut self.feed {
             *read = read_mask(data.hops.len(), hops);
         }
         self
@@ -145,89 +140,123 @@ impl DoubleBufferLoader {
     /// wrapper only moves the reads off the training thread.
     pub fn over_source(source: Box<dyn BatchSource>) -> Self {
         let num_batches = source.batches_per_epoch();
-        Self::with_producer(ProducerKind::Source {
+        Self::with_feed(Feed::Source {
             source: Some(source),
             num_batches,
+            rx: None,
+            worker: None,
         })
     }
 
-    fn with_producer(producer: ProducerKind) -> Self {
+    fn with_feed(feed: Feed) -> Self {
         DoubleBufferLoader {
-            producer,
-            rx: None,
-            worker: None,
+            feed,
             counters: LoaderCounters::default(),
             error: None,
             failed: false,
         }
     }
 
+    /// Latches `e` as the epoch's failure and returns it.
+    fn fail(&mut self, e: DataIoError) -> DataIoError {
+        self.failed = true;
+        self.error.get_or_insert(e).clone()
+    }
+
+    /// Closes a storage epoch's channel and joins its producer, taking
+    /// the source and its counters back — or latching the failure of a
+    /// producer that died mid-epoch.
     fn reap_worker(&mut self) {
-        if let Some(handle) = self.worker.take() {
-            match handle.join() {
-                Ok(EpochEnd::Memory(c)) => {
-                    self.counters.gather_ops += c.gather_ops;
-                    self.counters.bytes_assembled += c.bytes_assembled;
-                    self.counters.batches += c.batches;
-                }
-                Ok(EpochEnd::Source(src)) => {
-                    self.counters = src.source_counters();
-                    if let ProducerKind::Source { source, .. } = &mut self.producer {
-                        *source = Some(src);
-                    }
-                }
-                Err(_) => {
-                    // The producer died without finishing its epoch; a
-                    // silent early end here would truncate the epoch the
-                    // consumer believes it completed.
-                    self.failed = true;
-                    self.error.get_or_insert_with(|| {
-                        DataIoError::Io("batch producer thread panicked mid-epoch".into())
-                    });
-                }
+        let Feed::Source {
+            source, rx, worker, ..
+        } = &mut self.feed
+        else {
+            return;
+        };
+        *rx = None; // unblocks a producer waiting to send
+        let Some(handle) = worker.take() else { return };
+        match handle.join() {
+            Ok(src) => {
+                self.counters = src.source_counters();
+                *source = Some(src);
+            }
+            Err(_) => {
+                // A silent early end here would truncate the epoch the
+                // consumer believes it completed.
+                self.fail(DataIoError::Io(
+                    "batch producer thread panicked mid-epoch".into(),
+                ));
             }
         }
     }
 
     /// Fallible batch path: `Ok(None)` ends the epoch, `Err` surfaces the
-    /// first producer-side failure. The failure is latched until
+    /// epoch's first failure. The failure is latched until
     /// [`Loader::start_epoch`], so a retrying caller cannot resume a
     /// stream with batches missing.
     ///
     /// # Errors
     ///
-    /// Propagates [`DataIoError`] sent by the producer, or reports a
-    /// producer thread that died before finishing the epoch.
+    /// In memory, [`DataIoError::OutOfRange`] naming a batch row past the
+    /// partition's hop rows. Over storage, the [`DataIoError`] the source
+    /// sent, or a producer thread that died before finishing the epoch.
     pub fn try_next_batch(&mut self) -> Result<Option<PpBatch>, DataIoError> {
         if self.failed {
             return Err(self.error.clone().unwrap_or_else(|| {
                 DataIoError::Io("epoch already failed; start_epoch required".into())
             }));
         }
-        let Some(rx) = self.rx.as_ref() else {
-            return Ok(None);
-        };
-        match rx.recv() {
-            Ok(Ok(batch)) => Ok(Some(batch)),
-            Ok(Err(e)) => {
-                self.rx = None;
-                self.failed = true;
-                self.error = Some(e.clone());
-                self.reap_worker();
-                Err(e)
+        match &mut self.feed {
+            Feed::Memory {
+                data,
+                batch_size,
+                read,
+                order,
+                cursor,
+                spares,
+                ..
+            } => {
+                if *cursor == order.len() {
+                    return Ok(None);
+                }
+                let end = (*cursor + *batch_size).min(order.len());
+                let indices = &order[*cursor..end];
+                *cursor = end;
+                let rows = data.hops[0].rows();
+                if let Some(&row) = indices.iter().find(|&&i| i >= rows) {
+                    return Err(self.fail(DataIoError::OutOfRange(format!(
+                        "batch row {row} is past the partition's {rows} hop rows"
+                    ))));
+                }
+                let batch = spares.pop().unwrap_or_default();
+                Ok(Some(assemble_in_place(
+                    data,
+                    indices,
+                    read,
+                    batch,
+                    &mut self.counters,
+                )))
             }
-            Err(_) => {
-                // Channel closed: the producer finished — or died. Joining
-                // distinguishes the two and latches the error if so.
-                self.rx = None;
-                self.reap_worker();
-                if self.failed {
-                    Err(self
-                        .error
-                        .clone()
-                        .expect("failed reap always parks an error"))
-                } else {
-                    Ok(None)
+            Feed::Source { rx, .. } => {
+                let Some(received) = rx.as_ref().map(Receiver::recv) else {
+                    return Ok(None);
+                };
+                match received {
+                    Ok(Ok(batch)) => Ok(Some(batch)),
+                    Ok(Err(e)) => {
+                        let e = self.fail(e);
+                        self.reap_worker();
+                        Err(e)
+                    }
+                    // Channel closed: the producer finished — or died.
+                    // Joining tells the two apart and latches the error.
+                    Err(_) => {
+                        self.reap_worker();
+                        match &self.error {
+                            Some(e) if self.failed => Err(e.clone()),
+                            _ => Ok(None),
+                        }
+                    }
                 }
             }
         }
@@ -236,46 +265,37 @@ impl DoubleBufferLoader {
 
 impl Loader for DoubleBufferLoader {
     fn start_epoch(&mut self) {
-        // Drain any unfinished previous epoch first (ignoring its verdict:
-        // the epoch is being abandoned either way). For source producers
-        // this also recovers the source from the finished thread.
-        self.rx = None;
+        // Drain any unfinished storage epoch first (ignoring its verdict:
+        // the epoch is being abandoned either way); this also recovers
+        // the source from the finished thread.
         self.reap_worker();
         self.error = None;
         self.failed = false;
-
-        let (tx, rx) = bounded::<Result<PpBatch, DataIoError>>(QUEUE_DEPTH);
-        let handle = match &mut self.producer {
-            ProducerKind::Memory {
+        match &mut self.feed {
+            Feed::Memory {
                 data,
-                batch_size,
                 rng,
-                read,
-                spares,
+                order,
+                cursor,
+                ..
             } => {
-                let order = permutation(data.len(), rng);
-                let data = Arc::clone(data);
-                let batch_size = *batch_size;
-                let read = read.clone();
-                let spares = Arc::clone(spares);
-                std::thread::spawn(move || {
-                    let counters = produce_epoch(&data, &order, batch_size, &read, &spares, &tx);
-                    EpochEnd::Memory(counters)
-                })
+                *order = permutation(data.len(), rng);
+                *cursor = 0;
             }
-            ProducerKind::Source { source, .. } => {
+            Feed::Source {
+                source, rx, worker, ..
+            } => {
                 let Some(mut source) = source.take() else {
                     // A producer panic lost the source; the loader cannot
                     // run further epochs.
-                    self.failed = true;
-                    self.error.get_or_insert_with(|| {
-                        DataIoError::Io(
-                            "batch source lost to a producer panic; recreate the loader".into(),
-                        )
-                    });
+                    self.fail(DataIoError::Io(
+                        "batch source lost to a producer panic; recreate the loader".into(),
+                    ));
                     return;
                 };
-                std::thread::spawn(move || {
+                let (tx, receiver) = bounded::<Result<PpBatch, DataIoError>>(QUEUE_DEPTH);
+                *rx = Some(receiver);
+                *worker = Some(std::thread::spawn(move || {
                     source.begin_epoch();
                     loop {
                         match source.try_next() {
@@ -291,12 +311,10 @@ impl Loader for DoubleBufferLoader {
                             }
                         }
                     }
-                    EpochEnd::Source(source)
-                })
+                    source
+                }));
             }
-        };
-        self.rx = Some(rx);
-        self.worker = Some(handle);
+        }
     }
 
     fn next_batch(&mut self) -> Option<PpBatch> {
@@ -308,11 +326,11 @@ impl Loader for DoubleBufferLoader {
     }
 
     fn num_batches(&self) -> usize {
-        match &self.producer {
-            ProducerKind::Memory {
+        match &self.feed {
+            Feed::Memory {
                 data, batch_size, ..
             } => data.len().div_ceil(*batch_size),
-            ProducerKind::Source { num_batches, .. } => *num_batches,
+            Feed::Source { num_batches, .. } => *num_batches,
         }
     }
 
@@ -321,9 +339,10 @@ impl Loader for DoubleBufferLoader {
     }
 
     fn recycle(&mut self, batch: PpBatch) {
-        if let ProducerKind::Memory { spares, .. } = &self.producer {
-            // A full pool drops the batch: recycling never blocks.
-            let _ = spares.push(batch);
+        if let Feed::Memory { spares, .. } = &mut self.feed {
+            if spares.len() < SPARES {
+                spares.push(batch);
+            }
         }
     }
 
@@ -336,39 +355,28 @@ impl Loader for DoubleBufferLoader {
     }
 }
 
-/// One epoch of the in-memory producer: cuts `order` into batches of
-/// `batch_size`, refills a spare from `spares` for each (a fresh batch
-/// when the pool is empty) with one fused gather per read hop, and sends
-/// it down `tx` until the epoch ends or the consumer drops the channel.
-/// Returns the epoch's counters.
-fn produce_epoch(
+/// Gathers rows `indices` of `data` into `batch` (a spare, or a fresh
+/// default batch) with one pooled gather per read hop, and counts the
+/// work. Every index is below the hop rows (the caller checked).
+fn assemble_in_place(
     data: &PrepropFeatures,
-    order: &[usize],
-    batch_size: usize,
+    indices: &[usize],
     read: &[bool],
-    spares: &ArrayQueue<PpBatch>,
-    tx: &Sender<Result<PpBatch, DataIoError>>,
-) -> LoaderCounters {
-    let mut counters = LoaderCounters::default();
+    mut batch: PpBatch,
+    counters: &mut LoaderCounters,
+) -> PpBatch {
     let row_bytes = (data.hops[0].cols() * 4) as u64;
-    for indices in order.chunks(batch_size) {
-        let mut batch = spares.pop().unwrap_or_default();
-        batch.fill_rows(data, indices, read, |r, stage| {
-            data.hops[r].gather_rows_into(indices, stage);
-            counters.gather_ops += 1;
-            counters.bytes_assembled += indices.len() as u64 * row_bytes;
-        });
-        counters.batches += 1;
-        if tx.send(Ok(batch)).is_err() {
-            break; // consumer dropped the epoch early
-        }
-    }
-    counters
+    batch.fill_rows(data, indices, read, |r, out| {
+        data.hops[r].gather_rows_into(indices, out);
+        counters.gather_ops += 1;
+        counters.bytes_assembled += indices.len() as u64 * row_bytes;
+    });
+    counters.batches += 1;
+    batch
 }
 
 impl Drop for DoubleBufferLoader {
     fn drop(&mut self) {
-        self.rx = None; // closes the channel, unblocking the producer
         self.reap_worker();
     }
 }
@@ -409,8 +417,8 @@ mod tests {
         // one keeps nothing, the other recycles — every batch, including
         // each epoch's short last one (29 = 4·6 + 5), every other one with
         // a hop kept by "the model" (a `0 × 0` hole), one during an epoch
-        // it abandons while the producer still runs, one held across that
-        // abandoned epoch, and two from a loader dropped mid-epoch.
+        // it abandons half-way, one held across that abandoned epoch, and
+        // two from a loader dropped mid-epoch.
         within_bounded_time(|| {
             let data = Arc::new(tiny_features(29, 2, 3));
             let mut fused = FusedGatherLoader::new(data.clone(), 6, 9);
@@ -454,7 +462,7 @@ mod tests {
                     }
                     recycling.recycle(z);
                     if epoch == 1 && n == 2 {
-                        break; // abandon the epoch with the producer ahead
+                        break; // abandon the epoch half-way
                     }
                 }
             }
@@ -463,21 +471,20 @@ mod tests {
 
     #[test]
     fn a_recycled_batch_is_handed_out_again() {
-        // 10 batches of 4. The producer can have assembled at most the
-        // next three batches before the first is handed back (two in the
-        // channel, one waiting to send), so the fourth after it at the
-        // latest is refilled into the recycled buffers.
+        // 10 batches of 4, each gathered when it is asked for: the batch
+        // after a recycled one is refilled into its buffers.
         let data = Arc::new(tiny_features(40, 1, 3));
         let mut l = DoubleBufferLoader::new(data, 4, 2);
         l.start_epoch();
         let first = l.next_batch().expect("a batch");
         let buffers = (first.hops[1].as_slice().as_ptr(), first.indices.as_ptr());
         l.recycle(first);
-        let reused = (0..SPARES).any(|_| {
-            let b = l.next_batch().expect("a batch");
-            (b.hops[1].as_slice().as_ptr(), b.indices.as_ptr()) == buffers
-        });
-        assert!(reused, "the recycled batch's buffers never came back");
+        let b = l.next_batch().expect("a batch");
+        assert_eq!(
+            (b.hops[1].as_slice().as_ptr(), b.indices.as_ptr()),
+            buffers,
+            "the recycled batch's buffers did not come back"
+        );
         while l.next_batch().is_some() {}
     }
 
@@ -488,7 +495,7 @@ mod tests {
         for _ in 0..3 * SPARES {
             l.recycle(PpBatch::default());
         }
-        let ProducerKind::Memory { spares, .. } = &l.producer else {
+        let Feed::Memory { spares, .. } = &l.feed else {
             unreachable!("an in-memory loader");
         };
         assert_eq!(
@@ -501,9 +508,9 @@ mod tests {
     #[test]
     fn recycling_around_a_producer_panic_returns_and_keeps_failing_cleanly() {
         // The corrupt partition of the dead-producer test below: the
-        // producer panics mid-epoch. Recycling the batches it did send,
-        // before and after the panic is seen, must neither block nor hide
-        // the failure.
+        // epoch fails mid-way. Recycling the batches it did deliver,
+        // before and after the failure is seen, must neither block nor
+        // hide the failure.
         within_bounded_time(|| {
             let mut features = tiny_features(8, 1, 2);
             features.labels.extend(8..30u32);
@@ -571,8 +578,8 @@ mod tests {
     fn dead_producer_fails_the_epoch_instead_of_ending_it_silently() {
         // Corrupt partition: more labels than feature rows. `len()` follows
         // the labels, so the shuffled index stream reaches past the hop
-        // matrices and the producer panics mid-gather — the in-memory
-        // stand-in for a producer-side failure.
+        // matrices — the in-memory stand-in for a producer-side failure,
+        // caught before the gather.
         let mut features = tiny_features(8, 1, 2);
         features.labels.extend(8..30u32);
         features.node_ids.extend(8..30usize);
@@ -590,8 +597,42 @@ mod tests {
         assert!(l.try_next_batch().is_err());
         assert!(l.next_batch().is_none());
         let msg = l.take_error().expect("error surfaced via take_error");
-        assert!(msg.contains("producer"), "unexpected message: {msg}");
+        assert!(msg.contains("8 hop rows"), "unexpected message: {msg}");
         assert!(l.take_error().is_none(), "take_error drains the slot");
+    }
+
+    #[test]
+    fn an_out_of_range_index_is_a_located_latched_error_not_a_panic() {
+        // 512 hop rows but 640 labels, in one batch of 640 × F = 256: a
+        // gather large enough to run on the pool, so an unchecked index
+        // would panic inside a pool task.
+        let mut features = tiny_features(512, 1, 256);
+        features.labels.extend((512..640).map(|r| r as u32 % 5));
+        features.node_ids.extend(512..640usize);
+        let mut l = DoubleBufferLoader::new(Arc::new(features), 640, 8);
+        for _ in 0..2 {
+            l.start_epoch();
+            let first =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| l.try_next_batch()))
+                    .expect("the bad index is an error, not a panic");
+            let Err(DataIoError::OutOfRange(msg)) = first else {
+                panic!("expected an out-of-range error, got {first:?}");
+            };
+            let row: usize = msg
+                .strip_prefix("batch row ")
+                .and_then(|m| m.split(' ').next())
+                .and_then(|r| r.parse().ok())
+                .unwrap_or_else(|| panic!("the message names no row: {msg}"));
+            assert!((512..640).contains(&row), "{msg}");
+            assert!(msg.ends_with("past the partition's 512 hop rows"), "{msg}");
+            // Latched: retries fail alike, the infallible path stays ended,
+            // and the trainer gets the message once.
+            assert!(matches!(l.try_next_batch(), Err(DataIoError::OutOfRange(m)) if m == msg));
+            assert!(l.next_batch().is_none());
+            assert!(l.take_error().is_some_and(|m| m.contains(&msg)));
+            assert!(l.take_error().is_none());
+            assert!(l.try_next_batch().is_err(), "only start_epoch re-arms");
+        }
     }
 
     #[test]

@@ -40,7 +40,12 @@ pub enum LoaderKind {
     Baseline,
     /// Fused batch assembly (generation 1).
     Fused,
-    /// Threaded double-buffer prefetching (generation 2).
+    /// Double buffering (generation 2). In memory the worker pool is the
+    /// double buffer: each batch is gathered in place on the pool when
+    /// the step asks for it, since a producer thread could only take
+    /// cores from the step it would overlap. Over storage
+    /// ([`DoubleBufferLoader::over_source`]) a producer thread overlaps
+    /// the reads with the step.
     DoubleBuffer,
     /// Chunk reshuffling with the given chunk size (generation 3 — SGD-CR).
     Chunk {
@@ -117,7 +122,9 @@ pub struct EpochStats {
     pub train_loss: f64,
     /// Validation accuracy after the epoch.
     pub val_acc: f64,
-    /// Seconds blocked on `next_batch` (data loading).
+    /// Seconds in `next_batch` and `recycle` (data loading): a wait on a
+    /// storage producer, or the batch's gather itself where it runs in
+    /// place (the in-memory [`LoaderKind::DoubleBuffer`]).
     pub loading_s: f64,
     /// Seconds in model forward passes.
     pub forward_s: f64,
@@ -295,7 +302,7 @@ impl Trainer {
     /// Each batch moves once: the loader gathers it, the step lends its
     /// hops to the model ([`PpModel::forward_train`], then
     /// [`PpModel::return_inputs`] after the backward) and hands it back
-    /// to the loader ([`Loader::recycle`]) for the producer to refill.
+    /// to the loader ([`Loader::recycle`]) to gather a later batch into.
     /// Logits, the loss gradient and the loss's label probabilities land
     /// in slots kept for the whole run
     /// ([`CrossEntropyLoss::loss_and_grad_into`]). The returned hops time

@@ -27,9 +27,12 @@ use ppgnn_tensor::{pool, KernelKind, Matrix};
 
 use crate::{CsrGraph, GraphError, NodeOrder};
 
-/// Telemetry totals for the whole-matrix SpMM driver. Counters only on
-/// this path's inner layers — span guards are allowed at the driver
-/// (one per full SpMM call) but statically forbidden inside
+/// Telemetry totals of the SpMM drivers: `spmm.calls` counts one per
+/// whole-matrix call and one per row-slice call — a sharded hop counts
+/// one per shard — and `spmm.madds` the exact multiply-adds done (the
+/// slice's non-zeros times the columns written). Counters only on this
+/// path's inner layers — span guards are allowed at the driver (one per
+/// full SpMM call) but statically forbidden inside
 /// `spmm_rows_into`/`spmm_row` by the `telemetry_span` lint, where a
 /// per-row guard would cost more than the row.
 static SPMM_CALLS: Counter = Counter::new("spmm.calls");
@@ -415,7 +418,9 @@ impl WeightedCsr {
     /// which only columns `window` are written. Operators that diffuse side
     /// by side in one `N × (g·F)` buffer each own one `F`-wide window.
     /// Every written element is the same sum, in the same order, as the
-    /// full-width kernel's.
+    /// full-width kernel's. Each call counts one `spmm.calls` and the
+    /// slice's non-zeros × `window.len()` `spmm.madds`, so a hop sharded
+    /// into `s` slices counts `s` calls and its exact work.
     ///
     /// # Panics
     ///
@@ -455,6 +460,13 @@ impl WeightedCsr {
         if window.is_empty() {
             return;
         }
+        let nnz = if rows.is_empty() {
+            0
+        } else {
+            self.indptr[rows.end] - self.indptr[rows.start]
+        };
+        SPMM_CALLS.add(1);
+        SPMM_MADDS.add((nnz * window.len()) as u64);
         let kernel = dispatch_row_kernel();
         for (i, r) in rows.enumerate() {
             let row_out = &mut out_rows[i * ld + window.start..i * ld + window.end];

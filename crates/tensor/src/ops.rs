@@ -6,7 +6,7 @@
 //! of Section 4.1: the generation-0 loader in `ppgnn-core` copies row by
 //! row, every later generation gathers.
 
-use crate::pool::{row_blocked, BlockOut};
+use crate::pool::{self, row_blocked, row_blocked_on, BlockOut, WorkerPool};
 use crate::Matrix;
 
 impl Matrix {
@@ -227,27 +227,42 @@ impl Matrix {
     /// Gathers `indices` rows into a pre-allocated buffer (the pinned staging
     /// tensor of the optimized loader), avoiding per-batch allocation.
     ///
+    /// Once the copy is activation-sized it runs row-blocked on the shared
+    /// pool, weighted like the other streamed passes; below the shared
+    /// threshold it runs on the caller. It is a copy, so every width gives
+    /// the same bits. Indices are checked on the caller before any row
+    /// moves.
+    ///
     /// # Panics
     ///
     /// Panics if `out` is not `indices.len() x self.cols()` or an index is out
     /// of bounds.
     pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        self.gather_rows_on(pool::pool(), indices, out);
+    }
+
+    /// [`Matrix::gather_rows_into`] on an explicit pool.
+    fn gather_rows_on(&self, pool: &WorkerPool, indices: &[usize], out: &mut Matrix) {
         assert_eq!(
             out.shape(),
             (indices.len(), self.cols()),
             "gather output buffer has wrong shape"
         );
-        let cols = self.cols();
-        let src = self.as_slice();
-        let dst = out.as_mut_slice();
-        for (k, &i) in indices.iter().enumerate() {
-            assert!(
-                i < self.rows(),
-                "gather index {i} out of bounds ({} rows)",
-                self.rows()
-            );
-            dst[k * cols..(k + 1) * cols].copy_from_slice(&src[i * cols..(i + 1) * cols]);
+        if let Some(&i) = indices.iter().find(|&&i| i >= self.rows()) {
+            panic!("gather index {i} out of bounds ({} rows)", self.rows());
         }
+        let cols = self.cols();
+        if cols == 0 {
+            return;
+        }
+        let src = self.as_slice();
+        let outs = [BlockOut::rows(out.as_mut_slice(), cols)];
+        let values = 2 * indices.len() * cols;
+        row_blocked_on(pool, indices.len(), values, outs, |_, row0, [dst]| {
+            for (row, &i) in dst.chunks_exact_mut(cols).zip(&indices[row0..]) {
+                row.copy_from_slice(&src[i * cols..(i + 1) * cols]);
+            }
+        });
     }
 
     /// Gathers `indices` rows into a **column block** of `out` starting at
@@ -516,6 +531,63 @@ mod tests {
         a.gather_rows_into(&[3, 1], &mut buf);
         assert_eq!(buf.row(0), a.row(3));
         assert_eq!(buf.row(1), a.row(1));
+    }
+
+    #[test]
+    fn pooled_gather_is_bit_identical_to_the_per_row_oracle() {
+        use crate::pool::{
+            set_parallel_threshold, DEFAULT_PARALLEL_THRESHOLD, TEST_THRESHOLD_LOCK,
+        };
+        let _guard = TEST_THRESHOLD_LOCK.lock().unwrap();
+        // Zero forces the pooled pass at every size; the MAX run is the
+        // serial one.
+        let pools = [1, 2, 8].map(|threads| (threads, WorkerPool::new(threads)));
+        for f in [1, 19, 1024] {
+            // Signed zeros and NaN payloads: only a copy keeps their bits.
+            let src = Matrix::from_fn(300, f, |r, c| match (r + c) % 7 {
+                0 => -0.0,
+                1 => f32::from_bits(0x7fc0_0000 | (r * 31 + c) as u32),
+                _ => (r * 1000 + c) as f32 * -0.37,
+            });
+            for rows in [1, 63, 64, 65, 1024] {
+                // Every third index repeats the one before it.
+                let indices: Vec<usize> = (0..rows)
+                    .map(|k| (k - usize::from(k % 3 == 2)) * 7919 % 300)
+                    .collect();
+                let oracle: Vec<u32> = indices
+                    .iter()
+                    .flat_map(|&i| src.row(i).iter().map(|v| v.to_bits()))
+                    .collect();
+                for threshold in [0, usize::MAX] {
+                    set_parallel_threshold(threshold);
+                    for (threads, pool) in &pools {
+                        let mut out = Matrix::full(rows, f, 9.0);
+                        src.gather_rows_on(pool, &indices, &mut out);
+                        let bits: Vec<u32> = out.as_slice().iter().map(|v| v.to_bits()).collect();
+                        assert!(
+                            bits == oracle,
+                            "width {threads}, threshold {threshold}, {rows} rows, F = {f}"
+                        );
+                    }
+                }
+            }
+        }
+        set_parallel_threshold(DEFAULT_PARALLEL_THRESHOLD);
+    }
+
+    #[test]
+    fn gather_rejects_an_out_of_range_index_before_copying() {
+        // Checked on the caller before any row moves: no row of a batch
+        // with a bad index is written, and no pool task panics.
+        let src = Matrix::full(4, 2, 1.0);
+        let mut out = Matrix::zeros(2, 2);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            src.gather_rows_into(&[0, 4], &mut out);
+        }))
+        .expect_err("an out-of-range index panics");
+        let msg = panic.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(msg, Some("gather index 4 out of bounds (4 rows)"));
+        assert_eq!(out, Matrix::zeros(2, 2), "a row moved before the check");
     }
 
     #[test]

@@ -573,12 +573,25 @@ pub fn row_blocked<const N: usize, F>(rows: usize, values: usize, outs: [BlockOu
 where
     F: Fn(usize, usize, [&mut [f32]; N]) + Sync,
 {
+    row_blocked_on(pool(), rows, values, outs, body);
+}
+
+/// [`row_blocked`] on an explicit pool (the width sweeps in the tests).
+pub(crate) fn row_blocked_on<const N: usize, F>(
+    pool: &WorkerPool,
+    rows: usize,
+    values: usize,
+    outs: [BlockOut<'_>; N],
+    body: F,
+) where
+    F: Fn(usize, usize, [&mut [f32]; N]) + Sync,
+{
     let blocks = RowBlocks::Even {
         rows,
         per: ROW_BLOCK,
     };
-    let ntasks = threads_for(values * STREAMED_VALUE_WORK);
-    pool().run_row_blocks(outs, blocks, ntasks, body);
+    let ntasks = pool.threads_for(values * STREAMED_VALUE_WORK);
+    pool.run_row_blocks(outs, blocks, ntasks, body);
 }
 
 /// Runs a pass that takes `draws` outputs of `rng`'s stream per value of

@@ -581,10 +581,11 @@ fn generator_splits_allocate_nothing() {
     assert_eq!(allocs, 0, "splitting a generator allocated {allocs} times");
 }
 
-/// Batches a `fit` over the in-memory double buffer can have alive at
-/// once, and so the most its spare pool ever allocates: the queue depth
-/// (2) in the channel, one being gathered, one at the trainer.
-const BATCHES_IN_FLIGHT: usize = 4;
+/// Batches a `fit` over the in-memory double buffer has alive at once,
+/// and so the most its spares ever allocate: each batch is gathered in
+/// place when the trainer asks for it, into the one the trainer handed
+/// back.
+const BATCHES_IN_FLIGHT: usize = 1;
 
 #[test]
 fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
@@ -615,7 +616,7 @@ fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
     };
 
     // Allocations the size of one full batch × F matrix (or larger) over a
-    // whole `fit`, loader producer thread included.
+    // whole `fit`, on any thread.
     let batch_matrices = |model: &mut dyn PpModel| {
         count_large_allocs(BATCH * f * 4, || {
             Trainer::new(config)
@@ -625,15 +626,16 @@ fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
 
-    // SGC reads hop R only, and its batches circulate: the loader's pool
+    // SGC reads hop R only, and its batches circulate: the loader
     // gathers into at most `BATCHES_IN_FLIGHT` hop-R matrices over the
-    // whole run, plus one if the short last batch was cut fresh and then
-    // grows back, and the model keeps the lent hop instead of copying it.
-    // `evaluate` adds one slice slot per call (val, and test when val
-    // does not drop). Nothing depends on the batch count: nothing for
-    // the R unread hops, nothing per step, and no ∂X.
+    // whole run (the short last batch shrinks one in place and the next
+    // epoch grows it back within its capacity), and the model keeps the
+    // lent hop instead of copying it. `evaluate` adds one slice slot per
+    // call (val, and test when val does not drop). Nothing depends on the
+    // batch count: nothing for the R unread hops, nothing per step, and
+    // no ∂X.
     let sgc = batch_matrices(&mut Sgc::new(HOPS, f, classes, &mut rng));
-    let budget = BATCHES_IN_FLIGHT + 1 + 2 * EPOCHS;
+    let budget = BATCHES_IN_FLIGHT + 2 * EPOCHS;
     assert!(
         sgc <= budget,
         "SGC fit made {sgc} batch-matrix allocations over {EPOCHS} epochs of \
@@ -655,7 +657,7 @@ fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
 
     // Control: the same loader drained by a consumer that recycles
     // nothing has every hop of every batch gathered into a fresh matrix
-    // on its producer thread — so the count does see that thread.
+    // — so the count does see the loader's gathers.
     let mut loader =
         DoubleBufferLoader::new(Arc::new(out.train.clone()), BATCH, 0).reading(&sign.hops_read());
     let sign = count_large_allocs(BATCH * f * 4, || {
