@@ -152,9 +152,11 @@ impl Default for Config {
                 "affine_into",
                 "recycle",
                 "fill_rows",
-                // In memory a batch is gathered where the trainer asks for
-                // it, into a recycled spare, by a pooled row gather.
+                // In memory every loader kind fills a batch where the
+                // trainer asks for it, into a recycled spare: per row, by a
+                // pooled row gather, or per contiguous run.
                 "assemble_in_place",
+                "contiguous_runs",
                 "gather_rows_into",
                 "gather_rows_on",
                 "gemm_in_place",

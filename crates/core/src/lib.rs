@@ -13,15 +13,16 @@
 //!   backs every entry point; `run_with_sharded_store` lays its train hop
 //!   out across one feature store per disjoint graph partition —
 //!   byte-identical rows at any partition count;
-//! * [`loader`] — the four data-loader generations of Section 4, all
-//!   yielding *identical* batch streams for a fixed seed (a property the
-//!   integration tests pin down):
-//!   baseline per-row assembly → fused gather → double buffering (in
-//!   memory, pooled gathers in place; over storage, a producer thread)
-//!   → chunk reshuffling, plus the storage-backed chunk
-//!   loader of Section 4.3 (over a store of any partition count) — and
-//!   the generations compose: the storage loader can run behind the
-//!   double-buffer producer thread ([`loader::BatchSource`]);
+//! * [`loader`] — the data-loader generations of Section 4 as three
+//!   loaders, all yielding *identical* batch streams for a fixed seed (a
+//!   property the integration tests pin down): one
+//!   [`loader::MemoryLoader`] for every in-memory generation — per-row
+//!   baseline, fused gather and double buffering in place on the pool,
+//!   chunk reshuffling — chosen by [`loader::LoaderKind`]; the
+//!   storage-backed chunk loader of Section 4.3 (over a store of any
+//!   partition count); and the double-buffer producer thread, which runs
+//!   the storage loader so its reads overlap training
+//!   ([`loader::BatchSource`]);
 //! * [`trainer`] — SGD-RR / SGD-CR training loops with per-phase timing
 //!   (the functional-plane source of Figure 5) and convergence tracking
 //!   (Figures 3/10/13);

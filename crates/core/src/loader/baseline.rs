@@ -1,111 +1,21 @@
-use std::sync::Arc;
-
-use ppgnn_tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::loader::{permutation, Loader, LoaderCounters, PpBatch};
-use crate::preprocess::PrepropFeatures;
-
-/// Generation 0: the PyTorch-DataLoader-style baseline.
-///
-/// Assembles every batch with **one copy per (row, hop)** — the per-sample
-/// `__getitem__` pattern whose per-operation overhead Figure 6(a) shows
-/// dominating vanilla PP-GNN training. Functionally identical to every
-/// other loader; only the work pattern (and therefore the counters)
-/// differs.
-#[derive(Debug)]
-pub struct BaselineLoader {
-    data: Arc<PrepropFeatures>,
-    batch_size: usize,
-    rng: StdRng,
-    order: Vec<usize>,
-    cursor: usize,
-    counters: LoaderCounters,
-}
-
-impl BaselineLoader {
-    /// Creates a baseline loader over `data` with the given batch size and
-    /// shuffle seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0` or `data` is empty.
-    pub fn new(data: Arc<PrepropFeatures>, batch_size: usize, seed: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert!(!data.is_empty(), "cannot iterate an empty partition");
-        BaselineLoader {
-            data,
-            batch_size,
-            rng: StdRng::seed_from_u64(seed),
-            order: Vec::new(),
-            cursor: 0,
-            counters: LoaderCounters::default(),
-        }
-    }
-}
-
-impl Loader for BaselineLoader {
-    fn start_epoch(&mut self) {
-        self.order = permutation(self.data.len(), &mut self.rng);
-        self.cursor = 0;
-    }
-
-    fn next_batch(&mut self) -> Option<PpBatch> {
-        if self.cursor >= self.order.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.order.len());
-        let indices = self.order[self.cursor..end].to_vec();
-        self.cursor = end;
-
-        let f = self.data.hops[0].cols();
-        let mut hops: Vec<Matrix> = self
-            .data
-            .hops
-            .iter()
-            .map(|_| Matrix::zeros(indices.len(), f))
-            .collect();
-        // Deliberately row-at-a-time: one "operation" per (row, hop).
-        for (k, (src, dst)) in self.data.hops.iter().zip(hops.iter_mut()).enumerate() {
-            for (out_row, &idx) in indices.iter().enumerate() {
-                dst.row_mut(out_row).copy_from_slice(src.row(idx));
-                self.counters.gather_ops += 1;
-                self.counters.bytes_assembled += (f * 4) as u64;
-            }
-            let _ = k;
-        }
-        let labels = indices.iter().map(|&i| self.data.labels[i]).collect();
-        self.counters.batches += 1;
-        Some(PpBatch {
-            indices,
-            hops,
-            labels,
-        })
-    }
-
-    fn num_batches(&self) -> usize {
-        self.data.len().div_ceil(self.batch_size)
-    }
-
-    fn counters(&self) -> LoaderCounters {
-        self.counters
-    }
-
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-}
+//! Tests of the per-row gather of generation 0: a `MemoryLoader` of
+//! `LoaderKind::Baseline`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
     use crate::loader::tests_support::tiny_features;
+    use crate::loader::{Loader, LoaderKind, MemoryLoader};
+
+    fn baseline(data: Arc<crate::PrepropFeatures>, batch: usize, seed: u64) -> MemoryLoader {
+        MemoryLoader::new(data, batch, LoaderKind::Baseline, seed)
+    }
 
     #[test]
     fn covers_every_row_exactly_once_per_epoch() {
         let data = Arc::new(tiny_features(23, 3, 2));
-        let mut l = BaselineLoader::new(data, 5, 0);
+        let mut l = baseline(data, 5, 0);
         l.start_epoch();
         let mut seen = Vec::new();
         while let Some(b) = l.next_batch() {
@@ -120,7 +30,7 @@ mod tests {
     #[test]
     fn batch_contents_match_source_rows() {
         let data = Arc::new(tiny_features(10, 2, 3));
-        let mut l = BaselineLoader::new(data.clone(), 4, 1);
+        let mut l = baseline(data.clone(), 4, 1);
         l.start_epoch();
         let b = l.next_batch().unwrap();
         for (k, hop) in b.hops.iter().enumerate() {
@@ -136,7 +46,7 @@ mod tests {
     #[test]
     fn counters_reflect_per_row_ops() {
         let data = Arc::new(tiny_features(8, 2, 4));
-        let mut l = BaselineLoader::new(data, 8, 2);
+        let mut l = baseline(data, 8, 2);
         l.start_epoch();
         l.next_batch().unwrap();
         let c = l.counters();
@@ -147,7 +57,7 @@ mod tests {
     #[test]
     fn epochs_reshuffle() {
         let data = Arc::new(tiny_features(64, 1, 2));
-        let mut l = BaselineLoader::new(data, 64, 3);
+        let mut l = baseline(data, 64, 3);
         l.start_epoch();
         let first = l.next_batch().unwrap().indices;
         l.start_epoch();

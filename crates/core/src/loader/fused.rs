@@ -1,116 +1,23 @@
-use std::sync::Arc;
-
-use ppgnn_tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::loader::{permutation, Loader, LoaderCounters, PpBatch};
-use crate::preprocess::PrepropFeatures;
-
-/// Generation 1: efficient batch assembly (first half of Section 4.1).
-///
-/// One fused index-gather **per hop per batch** into a pre-allocated
-/// staging buffer (the pinned-tensor analog), instead of one copy per row.
-/// The counter difference against [`crate::loader::BaselineLoader`] —
-/// `hops + 1` ops per batch versus `batch_size × (hops + 1)` — is exactly
-/// the kernel-launch saving the paper measures as a 3.3× speedup.
-#[derive(Debug)]
-pub struct FusedGatherLoader {
-    data: Arc<PrepropFeatures>,
-    batch_size: usize,
-    rng: StdRng,
-    order: Vec<usize>,
-    cursor: usize,
-    /// Reused staging buffers, one per hop (resized for a partial tail batch).
-    staging: Vec<Matrix>,
-    counters: LoaderCounters,
-}
-
-impl FusedGatherLoader {
-    /// Creates a fused-gather loader.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0` or `data` is empty.
-    pub fn new(data: Arc<PrepropFeatures>, batch_size: usize, seed: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert!(!data.is_empty(), "cannot iterate an empty partition");
-        let f = data.hops[0].cols();
-        let staging = data
-            .hops
-            .iter()
-            .map(|_| Matrix::zeros(batch_size, f))
-            .collect();
-        FusedGatherLoader {
-            data,
-            batch_size,
-            rng: StdRng::seed_from_u64(seed),
-            order: Vec::new(),
-            cursor: 0,
-            staging,
-            counters: LoaderCounters::default(),
-        }
-    }
-}
-
-impl Loader for FusedGatherLoader {
-    fn start_epoch(&mut self) {
-        self.order = permutation(self.data.len(), &mut self.rng);
-        self.cursor = 0;
-    }
-
-    fn next_batch(&mut self) -> Option<PpBatch> {
-        if self.cursor >= self.order.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.order.len());
-        let indices = self.order[self.cursor..end].to_vec();
-        self.cursor = end;
-
-        let f = self.data.hops[0].cols();
-        let mut hops = Vec::with_capacity(self.data.hops.len());
-        for (src, stage) in self.data.hops.iter().zip(self.staging.iter_mut()) {
-            if stage.rows() != indices.len() {
-                *stage = Matrix::zeros(indices.len(), f);
-            }
-            src.gather_rows_into(&indices, stage);
-            self.counters.gather_ops += 1;
-            self.counters.bytes_assembled += (indices.len() * f * 4) as u64;
-            hops.push(stage.clone());
-        }
-        let labels = indices.iter().map(|&i| self.data.labels[i]).collect();
-        self.counters.batches += 1;
-        Some(PpBatch {
-            indices,
-            hops,
-            labels,
-        })
-    }
-
-    fn num_batches(&self) -> usize {
-        self.data.len().div_ceil(self.batch_size)
-    }
-
-    fn counters(&self) -> LoaderCounters {
-        self.counters
-    }
-
-    fn name(&self) -> &'static str {
-        "fused-gather"
-    }
-}
+//! Tests of the fused gather of generations 1–2, one pooled row gather
+//! per hop: a `MemoryLoader` of `LoaderKind::DoubleBuffer`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
     use crate::loader::tests_support::tiny_features;
-    use crate::loader::BaselineLoader;
+    use crate::loader::{Loader, LoaderKind, MemoryLoader};
+
+    /// One fused row gather per hop: the `DoubleBuffer` kind.
+    fn fused(data: Arc<crate::PrepropFeatures>, batch: usize, seed: u64) -> MemoryLoader {
+        MemoryLoader::new(data, batch, LoaderKind::DoubleBuffer, seed)
+    }
 
     #[test]
     fn identical_stream_to_baseline_for_equal_seed() {
         let data = Arc::new(tiny_features(31, 2, 3));
-        let mut a = BaselineLoader::new(data.clone(), 7, 42);
-        let mut b = FusedGatherLoader::new(data, 7, 42);
+        let mut a = MemoryLoader::new(data.clone(), 7, LoaderKind::Baseline, 42);
+        let mut b = fused(data, 7, 42);
         a.start_epoch();
         b.start_epoch();
         loop {
@@ -131,7 +38,7 @@ mod tests {
     #[test]
     fn issues_one_op_per_hop_per_batch() {
         let data = Arc::new(tiny_features(20, 3, 2));
-        let mut l = FusedGatherLoader::new(data, 10, 0);
+        let mut l = fused(data, 10, 0);
         l.start_epoch();
         while l.next_batch().is_some() {}
         let c = l.counters();
@@ -142,7 +49,7 @@ mod tests {
     #[test]
     fn partial_tail_batch_has_correct_rows() {
         let data = Arc::new(tiny_features(11, 1, 2));
-        let mut l = FusedGatherLoader::new(data, 4, 1);
+        let mut l = fused(data, 4, 1);
         l.start_epoch();
         let sizes: Vec<usize> = std::iter::from_fn(|| l.next_batch().map(|b| b.len())).collect();
         assert_eq!(sizes, vec![4, 4, 3]);

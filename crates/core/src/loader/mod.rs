@@ -1,38 +1,39 @@
-//! The four data-loader generations of Section 4.
+//! The data-loader generations of Section 4, as three loader types.
+//!
+//! The paper's in-memory generations (§4.1–4.2) are two choices over one
+//! source: how a batch is gathered and in which order its rows come. One
+//! [`MemoryLoader`] makes both, by [`LoaderKind`]. Storage has its own
+//! loader, and a producer thread can overlap its reads with training.
+//!
+//! | Generation | Built as | Mechanism |
+//! |---|---|---|
+//! | 0 baseline | [`MemoryLoader`], [`LoaderKind::Baseline`] | one copy **per (row, hop)** (PyTorch-DataLoader behaviour) |
+//! | 1–2 fused gather, double buffer | [`MemoryLoader`], [`LoaderKind::DoubleBuffer`] | one pooled row gather per hop, in place on the step's cores |
+//! | 3 chunked | [`MemoryLoader`], [`LoaderKind::Chunk`] | chunk-level shuffle, one copy per contiguous run |
+//! | 3p storage | [`ShardedStorageChunkLoader`] | chunk reads from the on-disk store, fanned out across its partition stores |
+//! | 2 ∘ 3p | [`DoubleBufferLoader::over_source`] | any [`BatchSource`] on a producer thread behind a bounded(2) channel |
 //!
 //! All loaders yield the same [`PpBatch`] stream for a fixed seed (pinned
 //! by the `loader_equivalence` integration test), so swapping generations
 //! changes *how* bytes move, never *what* the model sees — except chunk
 //! reshuffling with `chunk_size > 1`, which is the paper's deliberate
 //! relaxation of SGD-RR (Section 4.2, accuracy impact studied in Figure 8).
-//!
-//! | Generation | Module | Mechanism |
-//! |---|---|---|
-//! | 0 baseline | [`BaselineLoader`] | one copy **per row** (PyTorch-DataLoader behaviour) |
-//! | 1 fused | [`FusedGatherLoader`] | one fused index op per batch into a reused staging buffer |
-//! | 2 double buffer | [`DoubleBufferLoader`] | in memory: pooled fused gathers in place, on the step's cores; over storage: producer thread + bounded(2) channel |
-//! | 3 chunked | [`ChunkReshuffleLoader`] | chunk-level shuffle, contiguous chunk copies |
-//! | 3p storage | [`ShardedStorageChunkLoader`] | chunk reads from the on-disk store, fanned out across its partition stores |
-//!
-//! Generations compose: [`DoubleBufferLoader::over_source`] runs any
-//! [`BatchSource`] (the storage chunk loader implements it) behind
-//! the gen-2 producer thread, so chunk I/O overlaps training compute.
 //! In memory there is nothing to overlap a gather with but the step
-//! itself, which already spans the pool, so [`DoubleBufferLoader::new`]
-//! gathers each batch in place on the pool instead.
+//! itself, which already spans the worker pool, so the in-memory double
+//! buffer gathers each batch in place on the pool; only storage reads run
+//! on a producer thread.
 //!
 //! # Hop selection
 //!
-//! Every constructor delivers every hop. The two in-memory generations a
-//! trainer runs on its critical path can additionally be told what their
-//! consumer reads — the paper's remedy is to move fewer bytes per batch,
-//! and the cheapest byte is the one the model never looks at:
+//! Every constructor delivers every hop. A [`MemoryLoader`] can
+//! additionally be told what its consumer reads — the paper's remedy is
+//! to move fewer bytes per batch, and the cheapest byte is the one the
+//! model never looks at:
 //!
 //! | Loader | Hops moved | Told by |
 //! |---|---|---|
-//! | [`DoubleBufferLoader::new`], [`ChunkReshuffleLoader::new`] | all `R + 1` | — |
-//! | `….reading(&model.hops_read())` | the listed hops; the rest arrive `0 × 0` at their index | `Trainer::fit` |
-//! | [`BaselineLoader`], [`FusedGatherLoader`] | all `R + 1` (reference generations) | — |
+//! | [`MemoryLoader::new`] | all `R + 1` | — |
+//! | `….reading(&model.hops_read())` | the listed hops; the rest arrive `0 × 0` at their index | `Trainer::fit`, except for [`LoaderKind::Baseline`], Figure 5's vanilla loader, which moves every hop |
 //! | [`ShardedStorageChunkLoader`], [`DoubleBufferLoader::over_source`] | all `R + 1` (no workload trains a hop-selective model from a store) | — |
 //!
 //! Selection never changes batch order, `indices` or `labels` for a seed,
@@ -51,30 +52,55 @@
 //!
 //! | Loader | Keeps |
 //! |---|---|
-//! | [`DoubleBufferLoader::new`] | up to 2 spares, across epochs; each batch is gathered into one when there is one |
-//! | [`ChunkReshuffleLoader`] | one spare |
-//! | [`DoubleBufferLoader::over_source`], [`ShardedStorageChunkLoader`], [`BaselineLoader`], [`FusedGatherLoader`] | nothing (`recycle` drops the batch) |
+//! | [`MemoryLoader`] | up to 2 spares, across epochs; each batch is gathered into one when there is one |
+//! | [`DoubleBufferLoader::over_source`], [`ShardedStorageChunkLoader`] | nothing (`recycle` drops the batch) |
 
+// `baseline`, `fused` and `chunk` hold the tests of the `MemoryLoader`
+// kinds that replaced the loaders of those names.
 mod baseline;
 mod chunk;
 mod fused;
+mod memory;
 mod prefetch;
 mod sharded;
-mod storage;
 
-pub use baseline::BaselineLoader;
-pub use chunk::ChunkReshuffleLoader;
-pub use fused::FusedGatherLoader;
+pub use memory::{ChunkReshuffleLoader, MemoryLoader};
 pub use prefetch::DoubleBufferLoader;
 pub use sharded::ShardedStorageChunkLoader;
 
 use ppgnn_dataio::DataIoError;
-
 use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::preprocess::PrepropFeatures;
+
+/// How a [`MemoryLoader`] gathers each hop of a batch, and in which order
+/// rows come: the paper's in-memory loader generations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoaderKind {
+    /// Generation 0, the PyTorch-DataLoader baseline: one copy per
+    /// (row, hop), the per-sample `__getitem__` pattern whose
+    /// per-operation overhead Figure 6(a) shows dominating vanilla PP-GNN
+    /// training. SGD-RR order.
+    Baseline,
+    /// Generations 1–2, fused batch assembly and double buffering: one
+    /// pooled row gather per hop. On a GPU a second buffer hides the
+    /// gather behind compute; here the step already spans the worker
+    /// pool, so the pool is the double buffer and each batch is gathered
+    /// in place when the step asks for it. Over storage
+    /// ([`DoubleBufferLoader::over_source`]) a producer thread overlaps
+    /// the reads with the step. SGD-RR order.
+    DoubleBuffer,
+    /// Generation 3, chunk reshuffling (SGD-CR, Section 4.2): chunk ids
+    /// are shuffled instead of row ids, so a batch is a concatenation of
+    /// contiguous row runs, one copy each (on real hardware, one bulk DMA
+    /// transfer). With `chunk_size == 1` this is SGD-RR.
+    Chunk {
+        /// Rows per chunk.
+        chunk_size: usize,
+    },
+}
 
 /// One training minibatch: hop features and labels for `indices` rows of
 /// the training partition.
@@ -136,8 +162,9 @@ impl PpBatch {
 /// bytes ↔ bandwidth × time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoaderCounters {
-    /// Gather/copy operations issued (per-row for the baseline, per-hop
-    /// for fused generations, per-chunk for chunked generations).
+    /// Gather/copy operations issued, per gathered hop: one per row for
+    /// the baseline, one for the fused gather, one per contiguous run for
+    /// chunk reshuffling, and one per chunk read from storage.
     pub gather_ops: u64,
     /// Feature bytes assembled (gathered hops only).
     pub bytes_assembled: u64,
@@ -174,14 +201,12 @@ pub trait Loader {
 
     /// Takes the error (if any) that ended the current epoch early.
     ///
-    /// Synchronous in-memory loaders cannot fail and return `None` (the
-    /// default). Storage-backed loaders park the first I/O failure here
-    /// after [`Loader::next_batch`] returns `None`, and
-    /// [`DoubleBufferLoader`] parks producer-side failures and corrupt
-    /// in-memory partitions the same way; the trainer checks this slot
-    /// when the epoch drains so a truncated store, a dead producer or a
-    /// batch row past the hop rows fails the run cleanly instead of being
-    /// mistaken for a completed epoch.
+    /// Every loader parks the first failure of an epoch here after
+    /// [`Loader::next_batch`] returns `None`: a batch row past the hop
+    /// rows of a corrupt in-memory partition, a storage I/O failure, or a
+    /// dead producer thread. The trainer checks this slot when the epoch
+    /// drains, so the failure ends the run cleanly instead of being
+    /// mistaken for a completed epoch. Defaults to `None`.
     fn take_error(&mut self) -> Option<String> {
         None
     }
@@ -220,83 +245,38 @@ pub trait BatchSource: Send + std::fmt::Debug {
     fn source_counters(&self) -> LoaderCounters;
 }
 
-/// One read-but-not-fully-emitted chunk: its rows' global ids (in stored
-/// order) and one matrix per hop.
-#[derive(Debug)]
-pub(crate) struct PendingChunk {
-    pub(crate) rows: Vec<usize>,
-    pub(crate) hops: Vec<Matrix>,
-}
-
-/// Carries rows across batch boundaries for the storage chunk loader
-/// ([`ShardedStorageChunkLoader`]), so `batch_size` need not divide
-/// `chunk_size`: read chunks sit untouched in a deque and a row cursor
-/// walks the front chunk, so assembling a batch copies exactly
-/// `batch_size` rows — never the whole pending buffer (the O(pending²)
-/// re-stacking bug class this machinery replaced).
+/// The first failure of an epoch, latched until the loader's next
+/// `start_epoch`: a failed epoch must not resume and silently train on a
+/// stream with batches missing.
 #[derive(Debug, Default)]
-pub(crate) struct ChunkBatcher {
-    pending: std::collections::VecDeque<PendingChunk>,
-    /// Rows of `pending.front()` already emitted.
-    cursor: usize,
-    /// Total unemitted rows across `pending` (accounting for `cursor`).
-    pending_rows: usize,
+pub(crate) struct FailureLatch {
+    failed: bool,
+    /// The failure, until [`Loader::take_error`] hands it to the trainer.
+    error: Option<DataIoError>,
 }
 
-impl ChunkBatcher {
-    /// Drops all carried rows (a new epoch).
-    pub(crate) fn reset(&mut self) {
-        self.pending.clear();
-        self.cursor = 0;
-        self.pending_rows = 0;
+impl FailureLatch {
+    /// Latches `e`, unless an earlier failure is, and returns the latched
+    /// failure.
+    pub(crate) fn fail(&mut self, e: DataIoError) -> DataIoError {
+        self.failed = true;
+        self.error.get_or_insert(e).clone()
     }
 
-    /// Unemitted rows currently buffered.
-    pub(crate) fn pending_rows(&self) -> usize {
-        self.pending_rows
-    }
-
-    /// Buffers one freshly read chunk.
-    pub(crate) fn push(&mut self, chunk: PendingChunk) {
-        self.pending_rows += chunk.rows.len();
-        self.pending.push_back(chunk);
-    }
-
-    /// Assembles exactly `take` rows (`take <= pending_rows()`) into one
-    /// `take × cols` matrix per hop plus the rows' global indices, with
-    /// one contiguous copy per (hop, chunk segment).
-    pub(crate) fn assemble(
-        &mut self,
-        take: usize,
-        num_hops: usize,
-        cols: usize,
-    ) -> (Vec<Matrix>, Vec<usize>) {
-        debug_assert!(
-            take <= self.pending_rows,
-            "cannot assemble more than buffered"
-        );
-        let mut hops: Vec<Matrix> = (0..num_hops).map(|_| Matrix::zeros(take, cols)).collect();
-        let mut indices = Vec::with_capacity(take);
-        let mut filled = 0;
-        while filled < take {
-            let chunk = self.pending.front().expect("pending_rows > 0");
-            let avail = chunk.rows.len() - self.cursor;
-            let run = avail.min(take - filled);
-            for (out, src) in hops.iter_mut().zip(&chunk.hops) {
-                out.as_mut_slice()[filled * cols..(filled + run) * cols].copy_from_slice(
-                    &src.as_slice()[self.cursor * cols..(self.cursor + run) * cols],
-                );
-            }
-            indices.extend_from_slice(&chunk.rows[self.cursor..self.cursor + run]);
-            filled += run;
-            self.cursor += run;
-            if self.cursor == chunk.rows.len() {
-                self.pending.pop_front();
-                self.cursor = 0;
-            }
+    /// `Err` with the latched failure once the epoch has failed.
+    pub(crate) fn check(&self) -> Result<(), DataIoError> {
+        match (self.failed, &self.error) {
+            (false, _) => Ok(()),
+            (true, Some(e)) => Err(e.clone()),
+            (true, None) => Err(DataIoError::Io(
+                "epoch already failed; start_epoch required".into(),
+            )),
         }
-        self.pending_rows -= take;
-        (hops, indices)
+    }
+
+    /// The failure's message, once.
+    pub(crate) fn take(&mut self) -> Option<String> {
+        self.error.take().map(|e| e.to_string())
     }
 }
 

@@ -3,187 +3,90 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Receiver};
 use ppgnn_dataio::DataIoError;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::loader::{permutation, read_mask, BatchSource, Loader, LoaderCounters, PpBatch};
+use crate::loader::{
+    BatchSource, FailureLatch, Loader, LoaderCounters, LoaderKind, MemoryLoader, PpBatch,
+};
 use crate::preprocess::PrepropFeatures;
 
-/// Generation 2: double buffering (second half of Section 4.1).
+/// Generation 2 over storage: double buffering (second half of
+/// Section 4.1) as gen-2 pipelining over gen-3 storage I/O.
 ///
 /// On a GPU, batch assembly on the CPU overlaps compute on the device:
-/// two buffers, one being filled while the other trains. What overlaps
-/// here depends on where the batch comes from:
+/// two buffers, one being filled while the other trains. Any
+/// [`BatchSource`] (the [`crate::loader::ShardedStorageChunkLoader`])
+/// runs on a producer thread behind a **bounded channel of capacity 2**,
+/// so chunk reads from the feature store wait on the disk while the step
+/// computes. The source crosses into the producer thread each epoch and
+/// is handed back when the epoch ends; its batches are not recycled.
+/// In memory the step already spans the worker pool, so there is nothing
+/// to overlap: the in-memory double buffer is a [`MemoryLoader`] of
+/// [`LoaderKind::DoubleBuffer`], which gathers in place on the pool.
 ///
-/// * [`DoubleBufferLoader::new`] — **in memory, the pool is the double
-///   buffer.** The training step already runs on the worker pool, which
-///   spans every core, so a producer thread could only take cores from
-///   the step it is meant to overlap. Each batch is instead gathered when
-///   it is asked for, on the calling thread, by one pooled row gather per
-///   read hop ([`ppgnn_tensor::Matrix::gather_rows_into`]) into a spare
-///   batch: the gather runs on every core, then the step does;
-/// * [`DoubleBufferLoader::over_source`] — **over storage, the producer
-///   overlaps the reads.** Any [`BatchSource`] (the
-///   [`crate::loader::ShardedStorageChunkLoader`]) runs on a producer
-///   thread behind a **bounded channel of capacity 2**, so chunk reads
-///   from the feature store wait on the disk while the step computes. The
-///   source crosses into the producer thread each epoch and is handed
-///   back when the epoch ends.
-///
-/// **Batches circulate in memory.** [`Loader::recycle`] keeps up to two
-/// handed-back batches, across epochs, and each batch is gathered into a
-/// spare's buffers as they are: once a full batch has been seen, no
-/// allocation and no zero-fill. `recycle` never blocks and drops what it
-/// has no room for; with no spare, a batch is allocated. A source
-/// producer's batches are not recycled.
-///
-/// Failures are not silent. In memory, a batch index past the partition's
-/// hop rows (a corrupt partition) is caught before any row moves and
-/// reported as a located [`DataIoError::OutOfRange`]. Over storage, the
-/// channel carries `Result<PpBatch, DataIoError>` (I/O errors surface
-/// batch by batch), and a producer thread that dies mid-epoch is detected
-/// at join time. Either way the first error is latched until
-/// [`Loader::start_epoch`], [`DoubleBufferLoader::try_next_batch`] reports
-/// it, the infallible [`Loader`] API ends the epoch, and
-/// [`Loader::take_error`] hands the message to the trainer — the same
-/// contract as [`crate::loader::ShardedStorageChunkLoader`].
+/// Failures are not silent. The channel carries
+/// `Result<PpBatch, DataIoError>` (I/O errors surface batch by batch),
+/// and a producer thread that dies mid-epoch is detected at join time.
+/// The first error is latched until [`Loader::start_epoch`],
+/// [`DoubleBufferLoader::try_next_batch`] reports it, the infallible
+/// [`Loader`] API ends the epoch, and [`Loader::take_error`] hands the
+/// message to the trainer — the same contract as the source itself.
 #[derive(Debug)]
 pub struct DoubleBufferLoader {
-    feed: Feed,
+    /// `None` while an epoch is running (the source is owned by the
+    /// thread) or after a producer panic lost it.
+    source: Option<Box<dyn BatchSource>>,
+    num_batches: usize,
+    rx: Option<Receiver<Result<PpBatch, DataIoError>>>,
+    /// Hands the source back when its epoch ends.
+    worker: Option<JoinHandle<Box<dyn BatchSource>>>,
     counters: LoaderCounters,
-    /// First failure of the epoch, parked for [`Loader::take_error`].
-    error: Option<DataIoError>,
-    /// Latched on the first failure and cleared only by
-    /// [`Loader::start_epoch`]: a failed epoch must not resume and
-    /// silently train on a stream with missing batches.
-    failed: bool,
+    latch: FailureLatch,
 }
 
-/// Batches a storage producer runs ahead of the consumer: the double
-/// buffer.
+/// Batches the producer runs ahead of the consumer: the double buffer.
 const QUEUE_DEPTH: usize = 2;
 
-/// Handed-back batches the in-memory loader keeps: one carries every
-/// batch of a consumer that recycles each before asking for the next
-/// (`Trainer::fit`), the second one a consumer that holds a batch across
-/// the next.
-const SPARES: usize = 2;
-
-#[derive(Debug)]
-enum Feed {
-    /// In-memory batch assembly, in place on the calling thread.
-    Memory {
-        data: Arc<PrepropFeatures>,
-        batch_size: usize,
-        rng: StdRng,
-        /// `read[r]`: gather hop `r` (all `true` unless
-        /// [`DoubleBufferLoader::reading`] narrowed it).
-        read: Vec<bool>,
-        /// This epoch's row order and the start of the next batch in it.
-        order: Vec<usize>,
-        cursor: usize,
-        /// Handed-back batches, at most [`SPARES`].
-        spares: Vec<PpBatch>,
-    },
-    /// A fallible batch source driven on a producer thread.
-    Source {
-        /// `None` while an epoch is running (the source is owned by the
-        /// thread) or after a producer panic lost it.
-        source: Option<Box<dyn BatchSource>>,
-        num_batches: usize,
-        rx: Option<Receiver<Result<PpBatch, DataIoError>>>,
-        /// Hands the source back when its epoch ends.
-        worker: Option<JoinHandle<Box<dyn BatchSource>>>,
-    },
-}
-
 impl DoubleBufferLoader {
-    /// Creates a double-buffered loader over in-memory features.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0` or `data` is empty.
-    pub fn new(data: Arc<PrepropFeatures>, batch_size: usize, seed: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert!(!data.is_empty(), "cannot iterate an empty partition");
-        let read = vec![true; data.hops.len()];
-        Self::with_feed(Feed::Memory {
-            data,
-            batch_size,
-            rng: StdRng::seed_from_u64(seed),
-            read,
-            order: Vec::new(),
-            cursor: 0,
-            spares: Vec::with_capacity(SPARES),
-        })
-    }
-
-    /// Tells the in-memory loader which hops its consumer reads
-    /// (`PpModel::hops_read`): only those are gathered and counted, the
-    /// rest are delivered as `0 x 0` matrices at their usual index. Batch
-    /// order, `indices` and `labels` are unaffected. A loader built with
-    /// [`DoubleBufferLoader::over_source`] keeps delivering every hop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed hop is out of range for the partition.
-    pub fn reading(mut self, hops: &[usize]) -> Self {
-        if let Feed::Memory { data, read, .. } = &mut self.feed {
-            *read = read_mask(data.hops.len(), hops);
-        }
-        self
+    /// The frozen benchmark adapter's name for
+    /// `MemoryLoader::new(data, batch_size, LoaderKind::DoubleBuffer, seed)`
+    /// (ROADMAP item 4(c) lists it for deletion).
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(data: Arc<PrepropFeatures>, batch_size: usize, seed: u64) -> MemoryLoader {
+        MemoryLoader::new(data, batch_size, LoaderKind::DoubleBuffer, seed)
     }
 
     /// Creates a double-buffered loader that runs `source` behind the
-    /// producer thread — gen-2 pipelining over gen-3 storage I/O. The
-    /// source's own epoch order and batch geometry are preserved; this
-    /// wrapper only moves the reads off the training thread.
+    /// producer thread. The source's own epoch order and batch geometry
+    /// are preserved; this wrapper only moves the reads off the training
+    /// thread.
     pub fn over_source(source: Box<dyn BatchSource>) -> Self {
-        let num_batches = source.batches_per_epoch();
-        Self::with_feed(Feed::Source {
+        DoubleBufferLoader {
+            num_batches: source.batches_per_epoch(),
             source: Some(source),
-            num_batches,
             rx: None,
             worker: None,
-        })
-    }
-
-    fn with_feed(feed: Feed) -> Self {
-        DoubleBufferLoader {
-            feed,
             counters: LoaderCounters::default(),
-            error: None,
-            failed: false,
+            latch: FailureLatch::default(),
         }
     }
 
-    /// Latches `e` as the epoch's failure and returns it.
-    fn fail(&mut self, e: DataIoError) -> DataIoError {
-        self.failed = true;
-        self.error.get_or_insert(e).clone()
-    }
-
-    /// Closes a storage epoch's channel and joins its producer, taking
-    /// the source and its counters back — or latching the failure of a
+    /// Closes an epoch's channel and joins its producer, taking the
+    /// source and its counters back — or latching the failure of a
     /// producer that died mid-epoch.
     fn reap_worker(&mut self) {
-        let Feed::Source {
-            source, rx, worker, ..
-        } = &mut self.feed
-        else {
+        self.rx = None; // unblocks a producer waiting to send
+        let Some(handle) = self.worker.take() else {
             return;
         };
-        *rx = None; // unblocks a producer waiting to send
-        let Some(handle) = worker.take() else { return };
         match handle.join() {
             Ok(src) => {
                 self.counters = src.source_counters();
-                *source = Some(src);
+                self.source = Some(src);
             }
             Err(_) => {
                 // A silent early end here would truncate the epoch the
                 // consumer believes it completed.
-                self.fail(DataIoError::Io(
+                self.latch.fail(DataIoError::Io(
                     "batch producer thread panicked mid-epoch".into(),
                 ));
             }
@@ -197,67 +100,25 @@ impl DoubleBufferLoader {
     ///
     /// # Errors
     ///
-    /// In memory, [`DataIoError::OutOfRange`] naming a batch row past the
-    /// partition's hop rows. Over storage, the [`DataIoError`] the source
-    /// sent, or a producer thread that died before finishing the epoch.
+    /// The [`DataIoError`] the source sent, or a producer thread that died
+    /// before finishing the epoch.
     pub fn try_next_batch(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        if self.failed {
-            return Err(self.error.clone().unwrap_or_else(|| {
-                DataIoError::Io("epoch already failed; start_epoch required".into())
-            }));
-        }
-        match &mut self.feed {
-            Feed::Memory {
-                data,
-                batch_size,
-                read,
-                order,
-                cursor,
-                spares,
-                ..
-            } => {
-                if *cursor == order.len() {
-                    return Ok(None);
-                }
-                let end = (*cursor + *batch_size).min(order.len());
-                let indices = &order[*cursor..end];
-                *cursor = end;
-                let rows = data.hops[0].rows();
-                if let Some(&row) = indices.iter().find(|&&i| i >= rows) {
-                    return Err(self.fail(DataIoError::OutOfRange(format!(
-                        "batch row {row} is past the partition's {rows} hop rows"
-                    ))));
-                }
-                let batch = spares.pop().unwrap_or_default();
-                Ok(Some(assemble_in_place(
-                    data,
-                    indices,
-                    read,
-                    batch,
-                    &mut self.counters,
-                )))
+        self.latch.check()?;
+        let Some(received) = self.rx.as_ref().map(Receiver::recv) else {
+            return Ok(None);
+        };
+        match received {
+            Ok(Ok(batch)) => Ok(Some(batch)),
+            Ok(Err(e)) => {
+                let e = self.latch.fail(e);
+                self.reap_worker();
+                Err(e)
             }
-            Feed::Source { rx, .. } => {
-                let Some(received) = rx.as_ref().map(Receiver::recv) else {
-                    return Ok(None);
-                };
-                match received {
-                    Ok(Ok(batch)) => Ok(Some(batch)),
-                    Ok(Err(e)) => {
-                        let e = self.fail(e);
-                        self.reap_worker();
-                        Err(e)
-                    }
-                    // Channel closed: the producer finished — or died.
-                    // Joining tells the two apart and latches the error.
-                    Err(_) => {
-                        self.reap_worker();
-                        match &self.error {
-                            Some(e) if self.failed => Err(e.clone()),
-                            _ => Ok(None),
-                        }
-                    }
-                }
+            // Channel closed: the producer finished — or died. Joining
+            // tells the two apart and latches the error.
+            Err(_) => {
+                self.reap_worker();
+                self.latch.check().map(|()| None)
             }
         }
     }
@@ -265,114 +126,61 @@ impl DoubleBufferLoader {
 
 impl Loader for DoubleBufferLoader {
     fn start_epoch(&mut self) {
-        // Drain any unfinished storage epoch first (ignoring its verdict:
-        // the epoch is being abandoned either way); this also recovers
-        // the source from the finished thread.
+        // Drain any unfinished epoch first (ignoring its verdict: the
+        // epoch is being abandoned either way); this also recovers the
+        // source from the finished thread.
         self.reap_worker();
-        self.error = None;
-        self.failed = false;
-        match &mut self.feed {
-            Feed::Memory {
-                data,
-                rng,
-                order,
-                cursor,
-                ..
-            } => {
-                *order = permutation(data.len(), rng);
-                *cursor = 0;
-            }
-            Feed::Source {
-                source, rx, worker, ..
-            } => {
-                let Some(mut source) = source.take() else {
-                    // A producer panic lost the source; the loader cannot
-                    // run further epochs.
-                    self.fail(DataIoError::Io(
-                        "batch source lost to a producer panic; recreate the loader".into(),
-                    ));
-                    return;
-                };
-                let (tx, receiver) = bounded::<Result<PpBatch, DataIoError>>(QUEUE_DEPTH);
-                *rx = Some(receiver);
-                *worker = Some(std::thread::spawn(move || {
-                    source.begin_epoch();
-                    loop {
-                        match source.try_next() {
-                            Ok(Some(batch)) => {
-                                if tx.send(Ok(batch)).is_err() {
-                                    break; // consumer dropped the epoch early
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                break;
-                            }
+        self.latch = FailureLatch::default();
+        let Some(mut source) = self.source.take() else {
+            // A producer panic lost the source; the loader cannot run
+            // further epochs.
+            self.latch.fail(DataIoError::Io(
+                "batch source lost to a producer panic; recreate the loader".into(),
+            ));
+            return;
+        };
+        let (tx, rx) = bounded::<Result<PpBatch, DataIoError>>(QUEUE_DEPTH);
+        self.rx = Some(rx);
+        self.worker = Some(std::thread::spawn(move || {
+            source.begin_epoch();
+            loop {
+                match source.try_next() {
+                    Ok(Some(batch)) => {
+                        if tx.send(Ok(batch)).is_err() {
+                            break; // consumer dropped the epoch early
                         }
                     }
-                    source
-                }));
+                    Ok(None) => break,
+                    Err(e) => {
+                        let _ = tx.send(Err(e));
+                        break;
+                    }
+                }
             }
-        }
+            source
+        }));
     }
 
     fn next_batch(&mut self) -> Option<PpBatch> {
-        if self.failed {
-            return None;
-        }
         // An Err is latched by try_next_batch and parked for take_error.
         self.try_next_batch().unwrap_or_default()
     }
 
     fn num_batches(&self) -> usize {
-        match &self.feed {
-            Feed::Memory {
-                data, batch_size, ..
-            } => data.len().div_ceil(*batch_size),
-            Feed::Source { num_batches, .. } => *num_batches,
-        }
+        self.num_batches
     }
 
     fn counters(&self) -> LoaderCounters {
         self.counters
     }
 
-    fn recycle(&mut self, batch: PpBatch) {
-        if let Feed::Memory { spares, .. } = &mut self.feed {
-            if spares.len() < SPARES {
-                spares.push(batch);
-            }
-        }
-    }
-
     fn take_error(&mut self) -> Option<String> {
-        self.error.take().map(|e| e.to_string())
+        self.latch.take()
     }
 
     fn name(&self) -> &'static str {
         "double-buffer"
     }
-}
-
-/// Gathers rows `indices` of `data` into `batch` (a spare, or a fresh
-/// default batch) with one pooled gather per read hop, and counts the
-/// work. Every index is below the hop rows (the caller checked).
-fn assemble_in_place(
-    data: &PrepropFeatures,
-    indices: &[usize],
-    read: &[bool],
-    mut batch: PpBatch,
-    counters: &mut LoaderCounters,
-) -> PpBatch {
-    let row_bytes = (data.hops[0].cols() * 4) as u64;
-    batch.fill_rows(data, indices, read, |r, out| {
-        data.hops[r].gather_rows_into(indices, out);
-        counters.gather_ops += 1;
-        counters.bytes_assembled += indices.len() as u64 * row_bytes;
-    });
-    counters.batches += 1;
-    batch
 }
 
 impl Drop for DoubleBufferLoader {
@@ -384,8 +192,9 @@ impl Drop for DoubleBufferLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loader::memory::SPARES;
     use crate::loader::tests_support::tiny_features;
-    use crate::loader::{FusedGatherLoader, ShardedStorageChunkLoader};
+    use crate::loader::ShardedStorageChunkLoader;
     use ppgnn_dataio::{AccessPath, FeatureStore, FeatureStoreWriter, StoreMeta};
     use ppgnn_tensor::Matrix;
     use std::sync::mpsc::RecvTimeoutError;
@@ -411,20 +220,26 @@ mod tests {
         }
     }
 
+    /// The in-memory double buffer: one fused row gather per hop, in place.
+    fn double_buffer(data: Arc<PrepropFeatures>, batch: usize, seed: u64) -> MemoryLoader {
+        MemoryLoader::new(data, batch, LoaderKind::DoubleBuffer, seed)
+    }
+
     #[test]
     fn identical_stream_to_fused_for_equal_seed() {
-        // Two consumers read the fused loader's stream over four epochs:
-        // one keeps nothing, the other recycles — every batch, including
+        // Two consumers read the fused gather's stream over four epochs,
+        // against per-row copies: one keeps nothing, the other recycles —
+        // every batch, including
         // each epoch's short last one (29 = 4·6 + 5), every other one with
         // a hop kept by "the model" (a `0 × 0` hole), one during an epoch
         // it abandons half-way, one held across that abandoned epoch, and
         // two from a loader dropped mid-epoch.
         within_bounded_time(|| {
             let data = Arc::new(tiny_features(29, 2, 3));
-            let mut fused = FusedGatherLoader::new(data.clone(), 6, 9);
-            let mut plain = DoubleBufferLoader::new(data.clone(), 6, 9);
-            let mut recycling = DoubleBufferLoader::new(data.clone(), 6, 9);
-            let mut dropped = DoubleBufferLoader::new(data, 6, 9);
+            let mut fused = MemoryLoader::new(data.clone(), 6, LoaderKind::Baseline, 9);
+            let mut plain = double_buffer(data.clone(), 6, 9);
+            let mut recycling = double_buffer(data.clone(), 6, 9);
+            let mut dropped = double_buffer(data, 6, 9);
             dropped.start_epoch();
             let orphans = [dropped.next_batch(), dropped.next_batch()];
             drop(dropped);
@@ -474,7 +289,7 @@ mod tests {
         // 10 batches of 4, each gathered when it is asked for: the batch
         // after a recycled one is refilled into its buffers.
         let data = Arc::new(tiny_features(40, 1, 3));
-        let mut l = DoubleBufferLoader::new(data, 4, 2);
+        let mut l = double_buffer(data, 4, 2);
         l.start_epoch();
         let first = l.next_batch().expect("a batch");
         let buffers = (first.hops[1].as_slice().as_ptr(), first.indices.as_ptr());
@@ -490,17 +305,26 @@ mod tests {
 
     #[test]
     fn the_spare_pool_is_bounded() {
+        // Each handed-back batch is told apart by the capacity of its
+        // index buffer, which a refill within it keeps: the epoch's four
+        // batches reuse the first `SPARES` handed back, and no other.
         let data = Arc::new(tiny_features(20, 1, 2));
-        let mut l = DoubleBufferLoader::new(data, 5, 1);
-        for _ in 0..3 * SPARES {
-            l.recycle(PpBatch::default());
+        let mut l = double_buffer(data, 5, 1);
+        for i in 0..3 * SPARES {
+            l.recycle(PpBatch {
+                indices: Vec::with_capacity(100 + i),
+                ..PpBatch::default()
+            });
         }
-        let Feed::Memory { spares, .. } = &l.feed else {
-            unreachable!("an in-memory loader");
-        };
+        l.start_epoch();
+        let mut reused: Vec<usize> = std::iter::from_fn(|| l.next_batch())
+            .map(|b| b.indices.capacity())
+            .filter(|&c| c >= 100)
+            .collect();
+        reused.sort_unstable();
         assert_eq!(
-            spares.len(),
-            SPARES,
+            reused,
+            (100..100 + SPARES).collect::<Vec<_>>(),
             "a full pool drops what it has no room for"
         );
     }
@@ -515,7 +339,7 @@ mod tests {
             let mut features = tiny_features(8, 1, 2);
             features.labels.extend(8..30u32);
             features.node_ids.extend(8..30usize);
-            let mut l = DoubleBufferLoader::new(Arc::new(features), 4, 3);
+            let mut l = double_buffer(Arc::new(features), 4, 3);
             for _ in 0..2 {
                 l.start_epoch();
                 while let Some(batch) = l.next_batch() {
@@ -530,7 +354,7 @@ mod tests {
     #[test]
     fn multiple_epochs_work_and_reshuffle() {
         let data = Arc::new(tiny_features(40, 1, 2));
-        let mut l = DoubleBufferLoader::new(data, 40, 4);
+        let mut l = double_buffer(data, 40, 4);
         l.start_epoch();
         let e1 = l.next_batch().unwrap().indices;
         assert!(l.next_batch().is_none());
@@ -545,10 +369,10 @@ mod tests {
     #[test]
     fn abandoning_an_epoch_does_not_deadlock() {
         let data = Arc::new(tiny_features(100, 1, 2));
-        let mut l = DoubleBufferLoader::new(data, 5, 5);
+        let mut l = double_buffer(data, 5, 5);
         l.start_epoch();
         let _ = l.next_batch(); // take one of twenty, then abandon
-        l.start_epoch(); // must not hang on the old producer
+        l.start_epoch(); // a fresh epoch, from its first batch
         let mut count = 0;
         while l.next_batch().is_some() {
             count += 1;
@@ -557,18 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn drop_mid_epoch_terminates_worker() {
-        let data = Arc::new(tiny_features(100, 1, 2));
-        let mut l = DoubleBufferLoader::new(data, 5, 6);
-        l.start_epoch();
-        let _ = l.next_batch();
-        drop(l); // must join cleanly without hanging the test
-    }
-
-    #[test]
     fn clean_epoch_leaves_no_error() {
         let data = Arc::new(tiny_features(20, 1, 2));
-        let mut l = DoubleBufferLoader::new(data, 6, 1);
+        let mut l = double_buffer(data, 6, 1);
         l.start_epoch();
         while l.try_next_batch().unwrap().is_some() {}
         assert!(l.take_error().is_none());
@@ -578,13 +393,12 @@ mod tests {
     fn dead_producer_fails_the_epoch_instead_of_ending_it_silently() {
         // Corrupt partition: more labels than feature rows. `len()` follows
         // the labels, so the shuffled index stream reaches past the hop
-        // matrices — the in-memory stand-in for a producer-side failure,
-        // caught before the gather.
+        // matrices, and the failure is caught before the gather.
         let mut features = tiny_features(8, 1, 2);
         features.labels.extend(8..30u32);
         features.node_ids.extend(8..30usize);
         let data = Arc::new(features);
-        let mut l = DoubleBufferLoader::new(data, 8, 3);
+        let mut l = double_buffer(data, 8, 3);
         l.start_epoch();
         // The fallible path must surface an error, not a clean epoch end.
         let mut result = l.try_next_batch();
@@ -603,35 +417,43 @@ mod tests {
 
     #[test]
     fn an_out_of_range_index_is_a_located_latched_error_not_a_panic() {
-        // 512 hop rows but 640 labels, in one batch of 640 × F = 256: a
-        // gather large enough to run on the pool, so an unchecked index
-        // would panic inside a pool task.
+        // 512 hop rows but 640 labels, in one batch of 640 × F = 256: for
+        // the double buffer a gather large enough to run on the pool, so
+        // an unchecked index would panic inside a pool task. Every kind
+        // checks the rows before it moves one.
         let mut features = tiny_features(512, 1, 256);
         features.labels.extend((512..640).map(|r| r as u32 % 5));
         features.node_ids.extend(512..640usize);
-        let mut l = DoubleBufferLoader::new(Arc::new(features), 640, 8);
-        for _ in 0..2 {
-            l.start_epoch();
-            let first =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| l.try_next_batch()))
-                    .expect("the bad index is an error, not a panic");
-            let Err(DataIoError::OutOfRange(msg)) = first else {
-                panic!("expected an out-of-range error, got {first:?}");
-            };
-            let row: usize = msg
-                .strip_prefix("batch row ")
-                .and_then(|m| m.split(' ').next())
-                .and_then(|r| r.parse().ok())
-                .unwrap_or_else(|| panic!("the message names no row: {msg}"));
-            assert!((512..640).contains(&row), "{msg}");
-            assert!(msg.ends_with("past the partition's 512 hop rows"), "{msg}");
-            // Latched: retries fail alike, the infallible path stays ended,
-            // and the trainer gets the message once.
-            assert!(matches!(l.try_next_batch(), Err(DataIoError::OutOfRange(m)) if m == msg));
-            assert!(l.next_batch().is_none());
-            assert!(l.take_error().is_some_and(|m| m.contains(&msg)));
-            assert!(l.take_error().is_none());
-            assert!(l.try_next_batch().is_err(), "only start_epoch re-arms");
+        let data = Arc::new(features);
+        for kind in [
+            LoaderKind::Baseline,
+            LoaderKind::DoubleBuffer,
+            LoaderKind::Chunk { chunk_size: 64 },
+        ] {
+            let mut l = MemoryLoader::new(data.clone(), 640, kind, 8);
+            for _ in 0..2 {
+                l.start_epoch();
+                let first =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| l.try_next_batch()))
+                        .expect("the bad index is an error, not a panic");
+                let Err(DataIoError::OutOfRange(msg)) = first else {
+                    panic!("expected an out-of-range error, got {first:?}");
+                };
+                let row: usize = msg
+                    .strip_prefix("batch row ")
+                    .and_then(|m| m.split(' ').next())
+                    .and_then(|r| r.parse().ok())
+                    .unwrap_or_else(|| panic!("the message names no row: {msg}"));
+                assert!((512..640).contains(&row), "{msg}");
+                assert!(msg.ends_with("past the partition's 512 hop rows"), "{msg}");
+                // Latched: retries fail alike, the infallible path stays ended,
+                // and the trainer gets the message once.
+                assert!(matches!(l.try_next_batch(), Err(DataIoError::OutOfRange(m)) if m == msg));
+                assert!(l.next_batch().is_none());
+                assert!(l.take_error().is_some_and(|m| m.contains(&msg)));
+                assert!(l.take_error().is_none());
+                assert!(l.try_next_batch().is_err(), "only start_epoch re-arms");
+            }
         }
     }
 
@@ -641,10 +463,10 @@ mod tests {
         features.labels.extend(8..30u32);
         features.node_ids.extend(8..30usize);
         let data = Arc::new(features);
-        let mut l = DoubleBufferLoader::new(data, 8, 3);
+        let mut l = double_buffer(data, 8, 3);
         l.start_epoch();
         while l.next_batch().is_some() {}
-        assert!(l.error.is_some() || l.failed);
+        assert!(l.try_next_batch().is_err(), "the epoch failed");
         l.start_epoch();
         assert!(l.take_error().is_none(), "start_epoch resets the error");
         // The fresh epoch fails again (same corrupt data), proving the
@@ -728,6 +550,16 @@ mod tests {
         l.start_epoch();
         while l.next_batch().is_some() {}
         assert!(l.take_error().is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn drop_mid_epoch_terminates_worker() {
+        let dir = build_store("drop", 100, 4);
+        let mut l = DoubleBufferLoader::over_source(Box::new(storage_source(&dir, 5, 6)));
+        l.start_epoch();
+        let _ = l.next_batch();
+        drop(l); // must join cleanly without hanging the test
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,10 +1,11 @@
+use std::collections::VecDeque;
+
 use ppgnn_dataio::{AccessPath, DataIoError, FeatureStore};
+use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::loader::{
-    permutation, BatchSource, ChunkBatcher, Loader, LoaderCounters, PendingChunk, PpBatch,
-};
+use crate::loader::{permutation, BatchSource, FailureLatch, Loader, LoaderCounters, PpBatch};
 
 /// Generation 3p: chunk-reshuffled loading **directly from storage**
 /// (Section 4.3) — the one storage loader, over a [`FeatureStore`] of any
@@ -17,9 +18,10 @@ use crate::loader::{
 /// serializing on one. The [`AccessPath`] selects the GPUDirect analog or
 /// the host bounce buffer. Batch `indices` are **global** training rows,
 /// so the stream is drop-in for the trainer; with one partition it is the
-/// in-memory [`crate::loader::ChunkReshuffleLoader`]'s stream for equal
-/// seeds and chunk size. Rows carry across batch boundaries
-/// ([`ChunkBatcher`]), so `batch_size` need not divide `chunk_size`.
+/// stream of an in-memory [`crate::loader::MemoryLoader`] of
+/// [`crate::loader::LoaderKind::Chunk`] for equal seeds and chunk size.
+/// Rows carry across batch boundaries, so `batch_size` need not divide
+/// `chunk_size`.
 ///
 /// The first I/O failure latches the epoch:
 /// [`ShardedStorageChunkLoader::try_next_batch`] reports it until
@@ -37,8 +39,7 @@ pub struct ShardedStorageChunkLoader {
     next_chunk: usize,
     /// Chunks read but not fully emitted, in emit order.
     batcher: ChunkBatcher,
-    error: Option<DataIoError>,
-    failed: bool,
+    latch: FailureLatch,
     counters: LoaderCounters,
 }
 
@@ -73,8 +74,7 @@ impl ShardedStorageChunkLoader {
             chunk_order: Vec::new(),
             next_chunk: 0,
             batcher: ChunkBatcher::default(),
-            error: None,
-            failed: false,
+            latch: FailureLatch::default(),
             counters: LoaderCounters::default(),
         }
     }
@@ -110,20 +110,12 @@ impl ShardedStorageChunkLoader {
     ///
     /// Propagates [`DataIoError`] from partition-store chunk reads.
     pub fn try_next_batch(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        if self.failed {
-            return Err(self.error.clone().unwrap_or_else(|| {
-                DataIoError::Io("epoch already failed; start_epoch required".into())
-            }));
-        }
+        self.latch.check()?;
         while self.batcher.pending_rows() < self.batch_size {
             match self.refill() {
                 Ok(true) => continue,
                 Ok(false) => break,
-                Err(e) => {
-                    self.failed = true;
-                    self.error = Some(e.clone());
-                    return Err(e);
-                }
+                Err(e) => return Err(self.latch.fail(e)),
             }
         }
         if self.batcher.pending_rows() == 0 {
@@ -157,14 +149,10 @@ impl Loader for ShardedStorageChunkLoader {
             .collect();
         self.next_chunk = 0;
         self.batcher.reset();
-        self.error = None;
-        self.failed = false;
+        self.latch = FailureLatch::default();
     }
 
     fn next_batch(&mut self) -> Option<PpBatch> {
-        if self.failed {
-            return None;
-        }
         self.try_next_batch().unwrap_or_default()
     }
 
@@ -177,7 +165,7 @@ impl Loader for ShardedStorageChunkLoader {
     }
 
     fn take_error(&mut self) -> Option<String> {
-        self.error.take().map(|e| e.to_string())
+        self.latch.take()
     }
 
     fn name(&self) -> &'static str {
@@ -203,10 +191,84 @@ impl BatchSource for ShardedStorageChunkLoader {
     }
 }
 
+/// One read-but-not-fully-emitted chunk: its rows' global ids (in stored
+/// order) and one matrix per hop.
+#[derive(Debug)]
+struct PendingChunk {
+    rows: Vec<usize>,
+    hops: Vec<Matrix>,
+}
+
+/// Carries rows across batch boundaries for the storage chunk loader, so
+/// `batch_size` need not divide `chunk_size`: read chunks sit untouched in
+/// a deque and a row cursor walks the front chunk, so assembling a batch
+/// copies exactly `batch_size` rows — never the whole pending buffer (the
+/// O(pending²) re-stacking bug class this machinery replaced).
+#[derive(Debug, Default)]
+struct ChunkBatcher {
+    pending: VecDeque<PendingChunk>,
+    /// Rows of `pending.front()` already emitted.
+    cursor: usize,
+    /// Total unemitted rows across `pending` (accounting for `cursor`).
+    pending_rows: usize,
+}
+
+impl ChunkBatcher {
+    /// Drops all carried rows (a new epoch).
+    fn reset(&mut self) {
+        self.pending.clear();
+        self.cursor = 0;
+        self.pending_rows = 0;
+    }
+
+    /// Unemitted rows currently buffered.
+    fn pending_rows(&self) -> usize {
+        self.pending_rows
+    }
+
+    /// Buffers one freshly read chunk.
+    fn push(&mut self, chunk: PendingChunk) {
+        self.pending_rows += chunk.rows.len();
+        self.pending.push_back(chunk);
+    }
+
+    /// Assembles exactly `take` rows (`take <= pending_rows()`) into one
+    /// `take × cols` matrix per hop plus the rows' global indices, with
+    /// one contiguous copy per (hop, chunk segment).
+    fn assemble(&mut self, take: usize, num_hops: usize, cols: usize) -> (Vec<Matrix>, Vec<usize>) {
+        debug_assert!(
+            take <= self.pending_rows,
+            "cannot assemble more than buffered"
+        );
+        let mut hops: Vec<Matrix> = (0..num_hops).map(|_| Matrix::zeros(take, cols)).collect();
+        let mut indices = Vec::with_capacity(take);
+        let mut filled = 0;
+        while filled < take {
+            let chunk = self.pending.front().expect("pending_rows > 0");
+            let avail = chunk.rows.len() - self.cursor;
+            let run = avail.min(take - filled);
+            for (out, src) in hops.iter_mut().zip(&chunk.hops) {
+                out.as_mut_slice()[filled * cols..(filled + run) * cols].copy_from_slice(
+                    &src.as_slice()[self.cursor * cols..(self.cursor + run) * cols],
+                );
+            }
+            indices.extend_from_slice(&chunk.rows[self.cursor..self.cursor + run]);
+            filled += run;
+            self.cursor += run;
+            if self.cursor == chunk.rows.len() {
+                self.pending.pop_front();
+                self.cursor = 0;
+            }
+        }
+        self.pending_rows -= take;
+        (hops, indices)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppgnn_dataio::{StoreMeta, StoreWriter};
+    use ppgnn_dataio::{FeatureStoreWriter, StoreMeta, StoreWriter};
     use ppgnn_tensor::Matrix;
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -390,5 +452,147 @@ mod tests {
             assert_ne!(e1, e2, "P={parts}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    // ---- a plain store directory, opened as one partition ----
+
+    /// A plain store directory of `rows × 3` hops, as
+    /// [`ppgnn_dataio::FeatureStoreWriter`] leaves it, valued like
+    /// [`build`]'s, opened as one partition with the identity row map
+    /// behind a loader labelled like [`labels`].
+    fn plain(
+        tag: &str,
+        (rows, hops, chunk): (usize, usize, usize),
+        batch: usize,
+        path: AccessPath,
+        seed: u64,
+    ) -> (ShardedStorageChunkLoader, PathBuf) {
+        let dir = temp_dir(&format!("plain-{tag}"));
+        let meta = StoreMeta {
+            dataset: "t".into(),
+            num_hops: hops + 1,
+            rows,
+            cols: 3,
+            chunk_size: chunk,
+            dtype: ppgnn_tensor::StoreDtype::F32,
+        };
+        let mut w = FeatureStoreWriter::create(&dir, meta).unwrap();
+        for k in 0..=hops {
+            let m = Matrix::from_fn(rows, 3, move |r, c| (k * 1_000_000 + r * 1_000 + c) as f32);
+            w.write_hop(k, &m).unwrap();
+        }
+        w.finish().unwrap();
+        let store = FeatureStore::open(&dir).unwrap();
+        assert_eq!(store.num_partitions(), 1);
+        let l = ShardedStorageChunkLoader::new(store, labels(rows), batch, path, seed);
+        (l, dir)
+    }
+
+    #[test]
+    fn covers_every_row_once_with_correct_contents() {
+        let (mut l, dir) = plain("cover", (25, 1, 4), 7, AccessPath::Direct, 0);
+        assert_eq!(drain_checked(&mut l).1, (0..25).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reads_are_sequential_chunks_not_random_rows() {
+        let (mut l, dir) = plain("seq", (32, 2, 8), 8, AccessPath::Direct, 1);
+        drain_checked(&mut l);
+        let io = l.io_counters();
+        assert_eq!(io.rand_requests, 0);
+        assert_eq!(io.seq_requests, 4 * 3); // chunks × hop files
+        assert_eq!(io.seq_bytes, (32 * 3 * 4 * 3) as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bounce_path_counts_extra_copies() {
+        let (mut l, dir) = plain("bounce", (16, 0, 4), 4, AccessPath::HostBounce, 2);
+        drain_checked(&mut l);
+        let io = l.io_counters();
+        assert_eq!(io.bounce_bytes, io.seq_bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn batch_size_not_dividing_chunk_size_carries_rows_over() {
+        let (mut l, dir) = plain("carry", (20, 0, 6), 7, AccessPath::Direct, 3);
+        let (sizes, seen) = drain_checked(&mut l);
+        assert_eq!(sizes, vec![7, 7, 6]);
+        assert_eq!(seen, (0..20).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn chunk_size_not_dividing_rows_emits_short_last_chunk_rows() {
+        // 23 rows / chunk 5 → chunks of 5,5,5,5,3; batch 4 crosses every
+        // chunk boundary including the short tail.
+        let (mut l, dir) = plain("shortlast", (23, 1, 5), 4, AccessPath::Direct, 9);
+        let (sizes, seen) = drain_checked(&mut l);
+        assert_eq!(sizes, vec![4, 4, 4, 4, 4, 3]);
+        assert_eq!(seen, (0..23).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn large_chunk_small_batch_copies_only_batch_rows() {
+        // chunk_size ≫ batch_size: the O(pending²) regression scenario.
+        // Counter semantics: bytes_assembled counts chunk reads, so it must
+        // equal the store payload exactly once — no re-stacking traffic.
+        let (mut l, dir) = plain("bigchunk", (64, 1, 64), 3, AccessPath::Direct, 5);
+        assert_eq!(drain_checked(&mut l).0.iter().sum::<usize>(), 64);
+        assert_eq!(l.counters().bytes_assembled, (64 * 3 * 4 * 2) as u64);
+        assert_eq!(l.counters().gather_ops, 2); // one read per hop file
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn epochs_reshuffle_chunk_order() {
+        let (mut l, dir) = plain("shuffle", (64, 0, 4), 64, AccessPath::Direct, 4);
+        l.start_epoch();
+        let e1 = l.next_batch().unwrap().indices;
+        l.start_epoch();
+        let e2 = l.next_batch().unwrap().indices;
+        assert_ne!(e1, e2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_store_fails_the_epoch_cleanly() {
+        let (mut l, dir) = plain("trunc", (32, 1, 4), 4, AccessPath::Direct, 6);
+        l.start_epoch();
+        assert!(l.next_batch().is_some());
+        // Truncate hop 1 mid-epoch: some future chunk read must fail.
+        let path = dir.join("hop_1.ppgt");
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
+        // The infallible path ends the epoch instead of panicking...
+        let mut emitted = 1;
+        while l.next_batch().is_some() {
+            emitted += 1;
+        }
+        assert!(emitted < l.num_batches(), "epoch should end early");
+        // ...and parks the error for the trainer to check.
+        let err = l.take_error().expect("error must be surfaced");
+        assert!(!err.is_empty());
+        assert!(l.take_error().is_none(), "take_error drains the slot");
+        // The fallible path reports it directly on a fresh epoch.
+        l.start_epoch();
+        let mut result = l.try_next_batch();
+        while let Ok(Some(_)) = result {
+            result = l.try_next_batch();
+        }
+        assert!(result.is_err(), "truncated read must surface an error");
+        // The failure is latched: a retry must NOT resume past the failed
+        // chunk (that would silently drop its rows), and the infallible
+        // path must stay ended.
+        assert!(l.try_next_batch().is_err(), "failed epoch must stay failed");
+        assert!(l.next_batch().is_none());
+        // start_epoch clears the latch (and would re-fail on the same
+        // truncated store, but from a clean slate).
+        l.start_epoch();
+        assert!(l.take_error().is_none(), "start_epoch resets the error");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

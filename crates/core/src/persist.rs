@@ -292,7 +292,7 @@ mod tests {
             let mut t = Trainer::new(TrainConfig {
                 epochs: 3,
                 batch_size: 64,
-                loader: LoaderKind::Fused,
+                loader: LoaderKind::DoubleBuffer,
                 ..TrainConfig::default()
             });
             t.fit(&mut model, prep).unwrap().test_acc

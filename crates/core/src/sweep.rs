@@ -105,7 +105,7 @@ mod tests {
                 epochs: 4,
                 batch_size: 64,
                 lr,
-                loader: LoaderKind::Fused,
+                loader: LoaderKind::DoubleBuffer,
                 ..TrainConfig::default()
             })
             .collect()

@@ -18,9 +18,8 @@ use ppgnn_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::loader::{
-    BaselineLoader, ChunkReshuffleLoader, DoubleBufferLoader, FusedGatherLoader, Loader,
-};
+pub use crate::loader::LoaderKind;
+use crate::loader::{Loader, MemoryLoader};
 use crate::preprocess::{PrepropFeatures, PrepropOutput};
 
 /// Per-batch and per-epoch latency distributions mirrored into the
@@ -32,27 +31,6 @@ static TRAIN_BATCH_NS: ppgnn_telemetry::Histogram =
 static TRAIN_EPOCH_NS: ppgnn_telemetry::Histogram =
     ppgnn_telemetry::Histogram::new("train.epoch_ns");
 static EVAL_BATCH_NS: ppgnn_telemetry::Histogram = ppgnn_telemetry::Histogram::new("eval.batch_ns");
-
-/// Which loader generation the trainer drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoaderKind {
-    /// Per-row baseline (generation 0).
-    Baseline,
-    /// Fused batch assembly (generation 1).
-    Fused,
-    /// Double buffering (generation 2). In memory the worker pool is the
-    /// double buffer: each batch is gathered in place on the pool when
-    /// the step asks for it, since a producer thread could only take
-    /// cores from the step it would overlap. Over storage
-    /// ([`DoubleBufferLoader::over_source`]) a producer thread overlaps
-    /// the reads with the step.
-    DoubleBuffer,
-    /// Chunk reshuffling with the given chunk size (generation 3 — SGD-CR).
-    Chunk {
-        /// Rows per chunk.
-        chunk_size: usize,
-    },
-}
 
 /// Which optimizer to construct.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,7 +54,7 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Loader generation.
+    /// In-memory loader generation.
     pub loader: LoaderKind,
     /// Learning rate.
     pub lr: f32,
@@ -264,22 +242,16 @@ impl Trainer {
     }
 
     /// Builds the configured loader over `train`, sharing its hop matrices
-    /// (`R + 1` refcount bumps, no feature copy). The two generations that
-    /// run on a training critical path gather only `hops_read`; Baseline
-    /// and Fused stay deliver-everything reference generations.
-    fn make_loader(&self, train: &PrepropFeatures, hops_read: &[usize]) -> Box<dyn Loader> {
-        let data = Arc::new(train.clone());
-        let b = self.config.batch_size;
-        let s = self.config.seed;
-        match self.config.loader {
-            LoaderKind::Baseline => Box::new(BaselineLoader::new(data, b, s)),
-            LoaderKind::Fused => Box::new(FusedGatherLoader::new(data, b, s)),
-            LoaderKind::DoubleBuffer => {
-                Box::new(DoubleBufferLoader::new(data, b, s).reading(hops_read))
-            }
-            LoaderKind::Chunk { chunk_size } => {
-                Box::new(ChunkReshuffleLoader::new(data, b, chunk_size, s).reading(hops_read))
-            }
+    /// (`R + 1` refcount bumps, no feature copy). It gathers only
+    /// `hops_read`, except the Baseline, Figure 5's vanilla loader, which
+    /// moves every hop.
+    fn make_loader(&self, train: &PrepropFeatures, hops_read: &[usize]) -> MemoryLoader {
+        let c = &self.config;
+        let loader = MemoryLoader::new(Arc::new(train.clone()), c.batch_size, c.loader, c.seed);
+        if c.loader == LoaderKind::Baseline {
+            loader
+        } else {
+            loader.reading(hops_read)
         }
     }
 
@@ -720,7 +692,7 @@ mod tests {
     #[test]
     fn hop_selective_fit_matches_deliver_everything_loaders_bitwise() {
         // `fit` tells the DoubleBuffer and Chunk loaders what the model
-        // reads; Baseline and Fused deliver every hop. SGC reads one hop
+        // reads; Baseline delivers every hop. SGC reads one hop
         // of three, so the runs move different bytes — and must train the
         // same model: equal seeds give equal batch streams (chunk size 1
         // is row-random), so every loss and accuracy agrees to the bit.
@@ -743,10 +715,51 @@ mod tests {
                 .collect();
             (curve, report.test_acc.to_bits(), report.convergence_point)
         };
-        let everything = run(LoaderKind::Fused);
-        assert_eq!(run(LoaderKind::Baseline), everything);
+        let everything = run(LoaderKind::Baseline);
         assert_eq!(run(LoaderKind::DoubleBuffer), everything);
         assert_eq!(run(LoaderKind::Chunk { chunk_size: 1 }), everything);
+    }
+
+    #[test]
+    fn every_loader_kind_fails_cleanly_on_more_labels_than_hop_rows() {
+        // A corrupt training partition: 40 labels past its hop rows. Its
+        // length follows the labels, so some batch reaches past the hops,
+        // and every kind must say which row, not panic.
+        let (data, mut out) = prep(0.02);
+        let rows = out.train.hops[0].rows();
+        let extra = out.train.labels[..40].to_vec();
+        out.train.labels.extend(extra);
+        out.train.node_ids.extend(rows..rows + 40);
+        for kind in [
+            LoaderKind::Baseline,
+            LoaderKind::DoubleBuffer,
+            LoaderKind::Chunk { chunk_size: 16 },
+        ] {
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut model = Sgc::new(2, data.profile.feature_dim, 2, &mut rng);
+            let mut trainer = Trainer::new(TrainConfig {
+                epochs: 2,
+                batch_size: 64,
+                loader: kind,
+                ..TrainConfig::default()
+            });
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                trainer.fit(&mut model, &out)
+            }))
+            .unwrap_or_else(|_| panic!("{kind:?}: fit panicked"));
+            let Err(TrainError::Loader(msg)) = result else {
+                panic!("{kind:?}: expected a loader error, got {result:?}");
+            };
+            let row: usize = msg
+                .split("batch row ")
+                .nth(1)
+                .and_then(|m| m.split(' ').next())
+                .and_then(|r| r.parse().ok())
+                .unwrap_or_else(|| panic!("{kind:?}: the message names no row: {msg}"));
+            assert!((rows..rows + 40).contains(&row), "{kind:?}: {msg}");
+            let hop_rows = format!("past the partition's {rows} hop rows");
+            assert!(msg.ends_with(&hop_rows), "{kind:?}: {msg}");
+        }
     }
 
     #[test]

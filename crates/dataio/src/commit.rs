@@ -9,7 +9,7 @@
 //! bans bare `File::create`/`fs::rename` on store paths outside this
 //! module, so the funnel stays the only write path.
 //!
-//! [`Journal`] is the store writer's completed-units log: one
+//! `Journal` is the store writer's completed-units log: one
 //! `done=<hop>` line appended and fsynced after each hop-file commit.
 //! An interrupted run replays it (entries are re-verified against the
 //! hop files on disk before being trusted) and re-diffuses only the

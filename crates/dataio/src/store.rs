@@ -614,7 +614,7 @@ impl FeatureStoreWriter {
         Ok(())
     }
 
-    /// Finishes writing: [commits](FeatureStoreWriter::commit) the
+    /// Finishes writing: commits the
     /// directory and opens it.
     ///
     /// # Errors

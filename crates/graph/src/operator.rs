@@ -34,7 +34,7 @@ pub enum Operator {
     RowNorm,
     /// Personalized PageRank diffusion with restart probability `alpha`,
     /// approximated by a truncated power series
-    /// `α Σ_i (1-α)^i Ā^i` with [`DIFFUSION_TERMS`] terms.
+    /// `α Σ_i (1-α)^i Ā^i` with `DIFFUSION_TERMS` terms.
     Ppr {
         /// Restart probability in `(0, 1)`.
         alpha: f32,

@@ -183,8 +183,9 @@ pub mod scalar {
         f32::from_bits((bits as u32) << 16)
     }
 
-    /// Per-row `int8` quantization parameters `(scale, zero)` — see
-    /// [`super::int8_row_params`].
+    /// Per-row `int8` quantization parameters `(scale, zero)`: `zero` is
+    /// the row minimum and `scale = (max − min) / 255`, or `0` for a
+    /// constant, empty or non-finite-range row.
     pub fn int8_row_params(row: &[f32]) -> (f32, f32) {
         super::int8_row_params(row)
     }

@@ -5,7 +5,7 @@
 //! pre-propagation GNN training stack needs:
 //!
 //! * a row-major [`Matrix`] type with shape-checked constructors,
-//! * a persistent [`pool`] of worker threads shared by every threaded
+//! * a persistent [`pool`](mod@pool) of worker threads shared by every threaded
 //!   kernel in the workspace (sized by `available_parallelism`, overridable
 //!   via `PPGNN_NUM_THREADS`), which also hosts the thread-local
 //!   [`pool::PackWorkspace`] packing scratch,
@@ -14,7 +14,7 @@
 //!   `MR×NR` register-tile micro-kernel over K panels and NC column
 //!   blocks whose sizes [`block`] holds; the `tn`/`nt` variants back the
 //!   hand-written backward passes in `ppgnn-nn`, and the pre-blocking
-//!   naive kernels survive in [`reference`] as the correctness oracle,
+//!   naive kernels survive in [`reference`](mod@reference) as the correctness oracle,
 //! * the sparse × dense row kernel ([`gather::GatherKernel`]): a weighted
 //!   gather of `X` rows on the backend the GEMM dispatches, bit-identical
 //!   on every one, under the SpMM in `ppgnn-graph`,

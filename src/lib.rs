@@ -17,8 +17,8 @@
 //!    minibatch samplers
 //! 4. [`dataio`] / [`memsim`] — on-disk feature stores, performance-plane
 //!    simulator
-//! 5. [`core`] — preprocessing, the four loader generations, training
-//! 6. [`bench`] — shared harness for the `exp_*` experiment binaries
+//! 5. [`core`] — preprocessing, the loader generations as three loaders, training
+//! 6. [`bench`](mod@bench) — shared harness for the `exp_*` experiment binaries
 //!
 //! # Examples
 //!

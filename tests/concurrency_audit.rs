@@ -207,12 +207,13 @@ fn async_writer_take_failure_reports_the_cause() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A batch source that panics on the producer thread after a seeded
-/// number of batches.
+/// A batch source of `batches` batches per epoch that, given a seeded
+/// `panic_after`, panics on the producer thread after that many.
 #[derive(Debug)]
 struct PanickingSource {
     yielded: usize,
-    panic_after: usize,
+    panic_after: Option<usize>,
+    batches: usize,
     batch_rows: usize,
 }
 
@@ -222,8 +223,11 @@ impl BatchSource for PanickingSource {
     }
 
     fn try_next(&mut self) -> Result<Option<PpBatch>, DataIoError> {
-        if self.yielded == self.panic_after {
+        if Some(self.yielded) == self.panic_after {
             panic!("seeded producer panic after {} batches", self.yielded);
+        }
+        if self.yielded == self.batches {
+            return Ok(None);
         }
         self.yielded += 1;
         let rows = self.batch_rows;
@@ -235,7 +239,7 @@ impl BatchSource for PanickingSource {
     }
 
     fn batches_per_epoch(&self) -> usize {
-        self.panic_after + 3
+        self.batches
     }
 
     fn source_counters(&self) -> LoaderCounters {
@@ -252,7 +256,8 @@ fn double_buffer_loader_latches_producer_panics() {
     for panic_after in [0usize, 1, 3] {
         let mut loader = DoubleBufferLoader::over_source(Box::new(PanickingSource {
             yielded: 0,
-            panic_after,
+            panic_after: Some(panic_after),
+            batches: panic_after + 3,
             batch_rows: 4,
         }));
         loader.start_epoch();
@@ -280,22 +285,19 @@ fn double_buffer_loader_latches_producer_panics() {
     }
 }
 
-/// Sanity companion: the memory-backed double buffer completes epochs
-/// under the same harness (so the panic test above fails because of the
-/// panic, not the setup).
+/// Sanity companion: the same source without its panic completes clean
+/// epochs behind the producer thread under the same harness (so the
+/// panic test above fails because of the panic, not the setup).
 #[test]
 fn double_buffer_loader_completes_clean_epochs_under_jitter() {
-    use preprop_gnn::core::PrepropFeatures;
-    let rows = 33;
-    let data = Arc::new(PrepropFeatures {
-        hops: vec![Arc::new(Matrix::from_fn(rows, 3, |r, c| {
-            (r * 3 + c) as f32
-        }))],
-        labels: (0..rows as u32).collect(),
-        node_ids: (0..rows).collect(),
-    });
+    let rows = 5 * 4;
     let mut rng = StdRng::seed_from_u64(0x1D1E);
-    let mut loader = DoubleBufferLoader::new(data, 8, 7);
+    let mut loader = DoubleBufferLoader::over_source(Box::new(PanickingSource {
+        yielded: 0,
+        panic_after: None,
+        batches: 5,
+        batch_rows: 4,
+    }));
     for _epoch in 0..3 {
         loader.start_epoch();
         let mut seen = 0;

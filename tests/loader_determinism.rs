@@ -1,4 +1,4 @@
-//! Determinism regression for the four loader generations.
+//! Determinism regression for the in-memory loader generations.
 //!
 //! `crates/core/src/loader/mod.rs` documents that all loaders yield the
 //! same [`PpBatch`] stream for a fixed seed. The `loader_equivalence` suite
@@ -13,9 +13,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{drain, train_partition};
-use ppgnn_core::loader::{
-    BaselineLoader, ChunkReshuffleLoader, DoubleBufferLoader, FusedGatherLoader, Loader,
-};
+use ppgnn_core::loader::{Loader, LoaderKind, MemoryLoader};
 use ppgnn_core::PpBatch;
 
 const SEED: u64 = 7;
@@ -53,20 +51,21 @@ fn digest(stream: &[PpBatch]) -> u64 {
     h
 }
 
-fn generations(data: &Arc<ppgnn_core::preprocess::PrepropFeatures>) -> Vec<Box<dyn Loader>> {
-    vec![
-        Box::new(BaselineLoader::new(data.clone(), BATCH, SEED)),
-        Box::new(FusedGatherLoader::new(data.clone(), BATCH, SEED)),
-        Box::new(DoubleBufferLoader::new(data.clone(), BATCH, SEED)),
-        Box::new(ChunkReshuffleLoader::new(data.clone(), BATCH, 1, SEED)),
+fn generations(data: &Arc<ppgnn_core::preprocess::PrepropFeatures>) -> Vec<MemoryLoader> {
+    [
+        LoaderKind::Baseline,
+        LoaderKind::DoubleBuffer,
+        LoaderKind::Chunk { chunk_size: 1 },
     ]
+    .map(|kind| MemoryLoader::new(data.clone(), BATCH, kind, SEED))
+    .into()
 }
 
 #[test]
 fn all_generations_match_the_pinned_byte_digest() {
     let data = train_partition();
     for mut loader in generations(&data) {
-        let stream = drain(loader.as_mut());
+        let stream = drain(&mut loader);
         assert!(!stream.is_empty());
         assert_eq!(
             digest(&stream),
@@ -82,8 +81,8 @@ fn reconstruction_reproduces_the_stream_bit_for_bit() {
     // Fresh loader, same seed, same process: byte-identical epoch.
     let data = train_partition();
     for (mut a, mut b) in generations(&data).into_iter().zip(generations(&data)) {
-        let da = digest(&drain(a.as_mut()));
-        let db = digest(&drain(b.as_mut()));
+        let da = digest(&drain(&mut a));
+        let db = digest(&drain(&mut b));
         assert_eq!(da, db, "{}: same-seed reconstruction diverged", a.name());
     }
 }
@@ -94,7 +93,7 @@ fn second_epoch_differs_but_is_itself_deterministic() {
     // pure function of the seed.
     let data = train_partition();
     let epoch2 = |()| {
-        let mut l = FusedGatherLoader::new(data.clone(), BATCH, SEED);
+        let mut l = MemoryLoader::new(data.clone(), BATCH, LoaderKind::DoubleBuffer, SEED);
         let e1 = digest(&drain(&mut l));
         let e2 = digest(&drain(&mut l));
         (e1, e2)

@@ -6,9 +6,7 @@
 mod common;
 
 use common::{drain, train_partition};
-use ppgnn_core::loader::{
-    BaselineLoader, ChunkReshuffleLoader, DoubleBufferLoader, FusedGatherLoader, Loader,
-};
+use ppgnn_core::loader::{Loader, LoaderKind, MemoryLoader};
 
 #[test]
 fn all_generations_yield_identical_streams() {
@@ -16,16 +14,17 @@ fn all_generations_yield_identical_streams() {
     const SEED: u64 = 1234;
     const BATCH: usize = 37; // deliberately not dividing the partition
 
-    let mut loaders: Vec<Box<dyn Loader>> = vec![
-        Box::new(BaselineLoader::new(data.clone(), BATCH, SEED)),
-        Box::new(FusedGatherLoader::new(data.clone(), BATCH, SEED)),
-        Box::new(DoubleBufferLoader::new(data.clone(), BATCH, SEED)),
-        Box::new(ChunkReshuffleLoader::new(data.clone(), BATCH, 1, SEED)),
-    ];
-    let reference = drain(loaders[0].as_mut());
+    let mut loaders: Vec<MemoryLoader> = [
+        LoaderKind::Baseline,
+        LoaderKind::DoubleBuffer,
+        LoaderKind::Chunk { chunk_size: 1 },
+    ]
+    .map(|kind| MemoryLoader::new(data.clone(), BATCH, kind, SEED))
+    .into();
+    let reference = drain(&mut loaders[0]);
     assert!(!reference.is_empty());
     for loader in loaders[1..].iter_mut() {
-        let stream = drain(loader.as_mut());
+        let stream = drain(loader);
         assert_eq!(
             stream.len(),
             reference.len(),
@@ -70,14 +69,19 @@ fn hop_selective_loaders_deliver_the_same_stream_minus_unread_hops() {
     type Build =
         fn(&std::sync::Arc<ppgnn_core::PrepropFeatures>, Option<&[usize]>) -> Box<dyn Loader>;
     let double_buffer: Build = |data, reading| {
-        let l = DoubleBufferLoader::new(data.clone(), BATCH, SEED);
+        let l = MemoryLoader::new(data.clone(), BATCH, LoaderKind::DoubleBuffer, SEED);
         Box::new(match reading {
             Some(hops) => l.reading(hops),
             None => l,
         })
     };
     let chunk: Build = |data, reading| {
-        let l = ChunkReshuffleLoader::new(data.clone(), BATCH, 16, SEED);
+        let l = MemoryLoader::new(
+            data.clone(),
+            BATCH,
+            LoaderKind::Chunk { chunk_size: 16 },
+            SEED,
+        );
         Box::new(match reading {
             Some(hops) => l.reading(hops),
             None => l,
@@ -113,10 +117,9 @@ fn hop_selective_loaders_deliver_the_same_stream_minus_unread_hops() {
                 }
             }
 
-            // Counters count what was gathered, exactly. How far the
-            // double buffer's producer ran into the abandoned epoch is a
-            // race, so each loader is held to its own batch count: every
-            // batch of that epoch it did assemble was a full one.
+            // Counters count what was gathered, exactly: each loader is
+            // held to its own batch count, and every batch of the
+            // abandoned epoch it assembled was a full one.
             for (loader, gathered) in [(&full, num_hops), (&selective, reading.len())] {
                 let c = loader.counters();
                 let rows = 2 * n + BATCH * (c.batches as usize - 2 * per_epoch);
@@ -132,7 +135,7 @@ fn hop_selective_loaders_deliver_the_same_stream_minus_unread_hops() {
                 assert_eq!(cf.gather_ops, cf.batches * num_hops as u64);
                 assert_eq!(cs.gather_ops, cs.batches * reading.len() as u64);
             } else {
-                // Synchronous: both saw the same batches, hence the same runs.
+                // Both saw the same batches, hence the same runs.
                 assert_eq!(cs.batches, cf.batches);
                 assert_eq!(
                     cs.gather_ops * num_hops as u64,
@@ -148,7 +151,7 @@ fn hop_selective_loaders_deliver_the_same_stream_minus_unread_hops() {
 fn chunked_stream_covers_data_with_contiguous_runs() {
     let data = train_partition();
     let n = data.len();
-    let mut loader = ChunkReshuffleLoader::new(data, 64, 16, 99);
+    let mut loader = MemoryLoader::new(data, 64, LoaderKind::Chunk { chunk_size: 16 }, 99);
     loader.start_epoch();
     let mut seen = Vec::new();
     while let Some(b) = loader.next_batch() {
@@ -169,8 +172,8 @@ fn chunked_stream_covers_data_with_contiguous_runs() {
 fn different_seeds_give_different_orders_same_coverage() {
     let data = train_partition();
     let n = data.len();
-    let mut a = FusedGatherLoader::new(data.clone(), 50, 1);
-    let mut b = FusedGatherLoader::new(data, 50, 2);
+    let mut a = MemoryLoader::new(data.clone(), 50, LoaderKind::DoubleBuffer, 1);
+    let mut b = MemoryLoader::new(data, 50, LoaderKind::DoubleBuffer, 2);
     let sa = drain(&mut a);
     let sb = drain(&mut b);
     assert_ne!(sa[0].indices, sb[0].indices);
@@ -190,8 +193,8 @@ fn counters_expose_the_optimization_mechanism() {
     let data = train_partition();
     let hops = data.hops.len() as u64;
     let n = data.len() as u64;
-    let mut base = BaselineLoader::new(data.clone(), 100, 5);
-    let mut fused = FusedGatherLoader::new(data, 100, 5);
+    let mut base = MemoryLoader::new(data.clone(), 100, LoaderKind::Baseline, 5);
+    let mut fused = MemoryLoader::new(data, 100, LoaderKind::DoubleBuffer, 5);
     drain(&mut base);
     drain(&mut fused);
     assert_eq!(base.counters().gather_ops, n * hops);

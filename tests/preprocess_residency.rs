@@ -591,7 +591,7 @@ const BATCHES_IN_FLIGHT: usize = 1;
 fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
     use std::sync::Arc;
 
-    use ppgnn_core::loader::{DoubleBufferLoader, Loader};
+    use ppgnn_core::loader::{Loader, LoaderKind, MemoryLoader};
     use ppgnn_core::trainer::{TrainConfig, Trainer};
     use ppgnn_models::{PpModel, Sgc, Sign};
     use rand::SeedableRng;
@@ -658,8 +658,9 @@ fn sgc_fit_allocates_no_batch_matrix_for_unread_hops_or_input_grads() {
     // Control: the same loader drained by a consumer that recycles
     // nothing has every hop of every batch gathered into a fresh matrix
     // — so the count does see the loader's gathers.
+    let train = Arc::new(out.train.clone());
     let mut loader =
-        DoubleBufferLoader::new(Arc::new(out.train.clone()), BATCH, 0).reading(&sign.hops_read());
+        MemoryLoader::new(train, BATCH, LoaderKind::DoubleBuffer, 0).reading(&sign.hops_read());
     let sign = count_large_allocs(BATCH * f * 4, || {
         for _ in 0..EPOCHS {
             loader.start_epoch();

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ppgnn_core::loader::{ChunkReshuffleLoader, Loader, ShardedStorageChunkLoader};
+use ppgnn_core::loader::{Loader, LoaderKind, MemoryLoader, ShardedStorageChunkLoader};
 use ppgnn_core::preprocess::Preprocessor;
 use ppgnn_dataio::{AccessPath, FeatureStore};
 use ppgnn_graph::synth::{DatasetProfile, SynthDataset};
@@ -49,7 +49,8 @@ fn storage_loader_matches_in_memory_chunk_loader() {
         AccessPath::Direct,
         SEED,
     );
-    let mut mem = ChunkReshuffleLoader::new(Arc::new(prep.train.clone()), BATCH, CHUNK, SEED);
+    let chunk = LoaderKind::Chunk { chunk_size: CHUNK };
+    let mut mem = MemoryLoader::new(Arc::new(prep.train.clone()), BATCH, chunk, SEED);
 
     disk.start_epoch();
     mem.start_epoch();
@@ -105,7 +106,8 @@ fn storage_loader_matches_memory_when_chunks_do_not_divide_rows() {
         AccessPath::Direct,
         SEED,
     );
-    let mut mem = ChunkReshuffleLoader::new(Arc::new(prep.train.clone()), BATCH, CHUNK, SEED);
+    let chunk = LoaderKind::Chunk { chunk_size: CHUNK };
+    let mut mem = MemoryLoader::new(Arc::new(prep.train.clone()), BATCH, chunk, SEED);
 
     disk.start_epoch();
     mem.start_epoch();
@@ -422,10 +424,10 @@ fn training_from_storage_matches_training_from_memory() {
                 5,
             ))
         } else {
-            Box::new(ChunkReshuffleLoader::new(
+            Box::new(MemoryLoader::new(
                 Arc::new(prep.train.clone()),
                 64,
-                32,
+                LoaderKind::Chunk { chunk_size: 32 },
                 5,
             ))
         };
